@@ -112,6 +112,7 @@ def _solution_payload(solution: Solution, network: PdpNetwork, manifest: dict,
             "nodes_explored": solution.stats.nodes_explored,
             "bound_prunes": solution.stats.bound_prunes,
             "window_prunes": solution.stats.window_prunes,
+            "lookahead_prunes": solution.stats.lookahead_prunes,
         },
     }
     if provenance is not None:

@@ -14,6 +14,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,7 +285,13 @@ def _require(mapping: dict, key: str, context: str):
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceParseError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InstanceParseError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def load_instance(text: str) -> PdpInstance:

@@ -58,7 +58,7 @@ class ScenarioSet:
 
     `multipliers[s, i, j]` scales the nominal time of arc (i, j); matrices are
     symmetric with unit diagonal.  `travel_times[s] = multipliers[s] * nominal`.
-    Probabilities are uniform and sum to 1.
+    Probabilities are finite, non-negative and sum to 1 (uniform when sampled).
     """
 
     multipliers: np.ndarray
@@ -71,6 +71,9 @@ class ScenarioSet:
     def __post_init__(self):
         for arr in (self.multipliers, self.travel_times, self.probabilities):
             arr.setflags(write=False)
+        # The solver's mass pruning is exact only for non-negative masses.
+        if not (np.isfinite(self.probabilities).all() and (self.probabilities >= 0).all()):
+            raise ValueError("scenario probabilities must be finite and non-negative")
         if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
             raise ValueError("scenario probabilities must sum to 1")
         if not (self.multipliers > 0).all():

@@ -9,6 +9,24 @@ pruning uses the incumbent against the travelled distance plus an admissible
 completion estimate (each unvisited task node must still be entered by some
 arc, so the cheapest incoming arc per node is a lower bound).
 
+A pickup has no deadline of its own, but its delivery's deadline binds from
+the moment it is loaded.  The onboard-deadline lookahead prunes a node as
+soon as some onboard delivery `i+n` can no longer be reached in time from the
+current node: `now > latest[cur][i] = b[i+n] + margin - closure[cur][i+n]`,
+where `closure` is the all-pairs shortest-path closure of the engine's own
+time matrices (one Floyd-Warshall per solve).  The closure, not the direct
+arc, is what makes this exact: sampled scenario matrices and the fast path's
+element-wise supremum break the triangle inequality, so a detour can beat the
+direct arc.  Any completion reaches `i+n` no earlier than `now +
+closure[cur][i+n]`, and the margin (1e-6 s, above the window tolerance) keeps
+float rounding from cutting a branch the exact window checks would accept.
+The vector engine prunes once the dead mass plus the mass of the still-alive
+scenarios so doomed exceeds alpha; it leaves `alive` untouched, and a cheap
+scalar upper bound on the latest scenario time skips the vector test where
+it cannot fire.  Only subtrees without a feasible leaf are cut and the
+exploration order is unchanged, so incumbents, the returned plan and its
+objective are exactly those of the search without the lookahead.
+
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
 working vehicle increases and idle vehicles trail.  Among equal-distance
@@ -40,26 +58,25 @@ STATUS_TIME_LIMIT_NO_INCUMBENT = "time-limit-no-incumbent"
 
 _EPS = 1e-9
 _MASS_EPS = 1e-12
+# Slack of the deadline lookahead, in seconds for times and in probability
+# for masses: far above the rounding of a sum taken in another order.
+_LOOKAHEAD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """alpha: allowed ignored probability mass; time_limit in seconds; seed is
-    recorded for audit only (the search itself is deterministic); opt_tol > 0
-    trades canonical tie-breaking for faster pruning."""
+    recorded for audit only (the search itself is deterministic)."""
 
     alpha: float = 0.0
     time_limit: float = 300.0
     seed: int = 0
-    opt_tol: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.time_limit <= 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.opt_tol < 0:
-            raise ValueError(f"opt_tol must be >= 0, got {self.opt_tol}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +159,7 @@ class SearchStats:
     nodes_explored: int
     bound_prunes: int
     window_prunes: int
+    lookahead_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -164,6 +182,16 @@ class _TimeUp(Exception):
     pass
 
 
+def _shortest_path_closure(times: np.ndarray) -> np.ndarray:
+    """All-pairs shortest travel times per scenario (Floyd-Warshall over a
+    [S, nv, nv] stack)."""
+    closure = np.array(times, dtype=float)
+    for via in range(closure.shape[1]):
+        np.minimum(closure, closure[:, :, via:via + 1] + closure[:, via:via + 1, :],
+                   out=closure)
+    return closure
+
+
 class _SearchBase:
     """Shared setup and incumbent handling for both search engines."""
 
@@ -180,7 +208,6 @@ class _SearchBase:
         self.scen_count = times.shape[0]
         self.probs = probs
         self.alpha = alpha
-        self.config = config
 
         # Cheapest way to enter each task node; admissible completion bound.
         self.min_in = np.zeros(self.nv)
@@ -189,12 +216,26 @@ class _SearchBase:
                 self.dist[i, v] for i in range(self.nv)
                 if i != v and i != self.terminal)
         self.todo_full = float(self.min_in[1:self.terminal].sum())
+        # Plain-float copies: list indexing is far cheaper than numpy scalar
+        # access on the per-node paths.
+        self.d = self.dist.tolist()
+        self.a_l = self.a.tolist()
+        self.b_l = self.b.tolist()
+        self.min_in_l = self.min_in.tolist()
+
+        # latest[s, cur, i]: the last time at `cur` from which delivery i+n
+        # is still reachable by its deadline in scenario s (column 0 unused).
+        deliveries = slice(self.n + 1, self.terminal)
+        reach = _shortest_path_closure(times)[:, :, deliveries]
+        self.latest = np.full((self.scen_count, self.nv, self.n + 1), math.inf)
+        self.latest[:, :, 1:] = self.b[deliveries] + _LOOKAHEAD_MARGIN - reach
 
         self.best_obj = math.inf
         self.best_plan: tuple[tuple[int, ...], ...] | None = None
         self.nodes = 0
         self.bound_prunes = 0
         self.window_prunes = 0
+        self.lookahead_prunes = 0
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
 
@@ -208,7 +249,8 @@ class _SearchBase:
 
     def stats(self) -> SearchStats:
         return SearchStats(nodes_explored=self.nodes, bound_prunes=self.bound_prunes,
-                           window_prunes=self.window_prunes)
+                           window_prunes=self.window_prunes,
+                           lookahead_prunes=self.lookahead_prunes)
 
 
 class _ScalarSearch(_SearchBase):
@@ -223,10 +265,7 @@ class _ScalarSearch(_SearchBase):
                  alpha: float, config: SolveConfig):
         super().__init__(network, times, probs, alpha, config)
         self.t = times[0].tolist()
-        self.d = network.travel_dist.tolist()
-        self.a_l = network.open_time.tolist()
-        self.b_l = network.close_time.tolist()
-        self.min_in_l = self.min_in.tolist()
+        self.latest_l = self.latest[0].tolist()
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
         self.onboard: list[int] = []
@@ -249,12 +288,17 @@ class _ScalarSearch(_SearchBase):
         self.nodes += 1
         if self.nodes % 8192 == 0 and time.monotonic() > self.deadline:
             raise _TimeUp
-        if travelled + todo_bound > self.best_obj - self.config.opt_tol + _EPS:
+        if travelled + todo_bound > self.best_obj + _EPS:
             self.bound_prunes += 1
             return
+        route, onboard, unvisited = self.route, self.onboard, self.unvisited
+        latest = self.latest_l[cur]
+        for i in onboard:
+            if now > latest[i]:
+                self.lookahead_prunes += 1
+                return
         t, a, b = self.t, self.a_l, self.b_l
         t_cur = t[cur]
-        route, onboard, unvisited = self.route, self.onboard, self.unvisited
         at_start = len(route) == 1
 
         for j in self.pickup_order:
@@ -335,12 +379,19 @@ class _VectorSearch(_SearchBase):
         super().__init__(network, times, probs, alpha, config)
         # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
         self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
+        self.latest_fs = np.ascontiguousarray(self.latest.transpose(1, 2, 0))
+        # Scalar side of the lookahead: `hi` bounds the latest scenario time
+        # at a node from above, and the vector test runs only when `hi`
+        # passes the earliest per-scenario cut-off.
+        self.latest_min = self.latest.min(axis=0).tolist()
+        self.t_max = times.max(axis=0).tolist()
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
         self.onboard: list[int] = []
         self.unvisited: set[int] = set(range(1, self.n + 1))
         self.pickup_order = tuple(range(1, self.n + 1))
         self.pick_time: dict[int, np.ndarray] = {}
+        self.pick_hi = [0.0] * (self.n + 1)
 
     def run(self) -> None:
         pre_dead = np.zeros(self.scen_count, dtype=bool)
@@ -351,7 +402,7 @@ class _VectorSearch(_SearchBase):
         if mass > self.alpha + _MASS_EPS:
             return
         try:
-            self._extend(0, 0, np.zeros(self.scen_count), ~pre_dead, mass,
+            self._extend(0, 0, np.zeros(self.scen_count), 0.0, ~pre_dead, mass,
                          0.0, self.todo_full, 0)
         except _TimeUp:
             self.timed_out = True
@@ -361,43 +412,66 @@ class _VectorSearch(_SearchBase):
         if self.n < j <= 2 * self.n:
             pick = j - self.n
             arr = np.maximum(arr, self.pick_time[pick] + self.t_fs[pick, j])
-        return np.maximum(arr, self.a[j])
+        return np.maximum(arr, self.a_l[j])
 
-    def _extend(self, k: int, cur: int, cur_times: np.ndarray, alive: np.ndarray,
-                dead_mass: float, travelled: float, todo_bound: float,
-                floor: int) -> None:
+    def _extend(self, k: int, cur: int, cur_times: np.ndarray, hi: float,
+                alive: np.ndarray, dead_mass: float, travelled: float,
+                todo_bound: float, floor: int) -> None:
         self.nodes += 1
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _TimeUp
-        if travelled + todo_bound > self.best_obj - self.config.opt_tol + _EPS:
+        if travelled + todo_bound > self.best_obj + _EPS:
             self.bound_prunes += 1
             return
 
         route, onboard, unvisited = self.route, self.onboard, self.unvisited
+        latest_min = self.latest_min[cur]
+        doomed = None
+        for i in onboard:
+            if hi > latest_min[i]:
+                late = cur_times > self.latest_fs[cur, i]
+                doomed = late if doomed is None else doomed | late
+        if doomed is not None and (
+                dead_mass + float(self.probs[alive & doomed].sum())
+                > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN):
+            self.lookahead_prunes += 1
+            return
+
         at_start = len(route) == 1
         candidates = [p for p in self.pickup_order
                       if p in unvisited and not (at_start and p <= floor)]
         candidates.extend(sorted(i + self.n for i in onboard))
+        a, b = self.a_l, self.b_l
+        t_max_cur, pick_hi = self.t_max[cur], self.pick_hi
 
         for j in candidates:
             new_times = self._step_times(cur_times, cur, j)
-            violated = alive & (new_times > self.b[j] + _EPS)
+            violated = alive & (new_times > b[j] + _EPS)
             new_mass = dead_mass + float(self.probs[violated].sum())
             if new_mass > self.alpha + _MASS_EPS:
                 self.window_prunes += 1
                 continue
             new_alive = alive & ~violated
+            # Float addition and max are monotone, so this bounds the max of
+            # new_times from above exactly as _step_times computes it.
+            new_hi = hi + t_max_cur[j]
+            if new_hi < a[j]:
+                new_hi = a[j]
             route.append(j)
             if j <= self.n:
                 onboard.append(j)
                 unvisited.remove(j)
                 self.pick_time[j] = new_times
+                pick_hi[j] = new_hi
             else:
-                idx = onboard.index(j - self.n)
+                pick = j - self.n
+                other = pick_hi[pick] + self.t_max[pick][j]
+                if other > new_hi:
+                    new_hi = other
+                idx = onboard.index(pick)
                 del onboard[idx]
-            self._extend(k, j, new_times, new_alive, new_mass,
-                         travelled + float(self.dist[cur, j]),
-                         todo_bound - float(self.min_in[j]), floor)
+            self._extend(k, j, new_times, new_hi, new_alive, new_mass,
+                         travelled + self.d[cur][j], todo_bound - self.min_in_l[j], floor)
             if j <= self.n:
                 del self.pick_time[j]
                 unvisited.add(j)
@@ -414,13 +488,13 @@ class _VectorSearch(_SearchBase):
         if unvisited and (k == self.fleet - 1 or at_start):
             return
         new_times = self._step_times(cur_times, cur, self.terminal)
-        violated = alive & (new_times > self.b[self.terminal] + _EPS)
+        violated = alive & (new_times > b[self.terminal] + _EPS)
         new_mass = dead_mass + float(self.probs[violated].sum())
         if new_mass > self.alpha + _MASS_EPS:
             self.window_prunes += 1
             return
         new_alive = alive & ~violated
-        travelled_total = travelled + float(self.dist[cur, self.terminal])
+        travelled_total = travelled + self.d[cur][self.terminal]
         closed = tuple(route) + (self.terminal,)
 
         if not unvisited:
@@ -435,7 +509,7 @@ class _VectorSearch(_SearchBase):
         first_pickup = route[1]
         self.routes.append(closed)
         saved_route, self.route = self.route, [0]
-        self._extend(k + 1, 0, np.zeros(self.scen_count), new_alive, new_mass,
+        self._extend(k + 1, 0, np.zeros(self.scen_count), 0.0, new_alive, new_mass,
                      travelled_total, todo_bound, first_pickup)
         self.route = saved_route
         self.routes.pop()

@@ -27,6 +27,8 @@ class TestSolveCommand:
         assert artifact["objective_m"] == pytest.approx(90.0)
         assert artifact["manifest"]["command"] == "solve"
         assert artifact["manifest"]["version"]
+        assert set(artifact["stats"]) == {"nodes_explored", "bound_prunes",
+                                          "window_prunes", "lookahead_prunes"}
         assert "V Nodes" in stdout and "Graph Nodes" in stdout
 
     def test_stochastic_objective_dominates(self, tmp_path, capsys):
@@ -62,6 +64,30 @@ class TestSolveCommand:
         assert code == 3
         artifact = json.loads((tmp_path / "o.json").read_text())
         assert artifact["status"].startswith("time-limit")
+
+    def test_non_finite_horizon_exits_one(self, tmp_path, capsys):
+        doc = json.loads(Path(TRI3).read_text())
+        doc["horizon"] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert "Infinity" in bad.read_text()
+        code, _, stderr = run(capsys, "solve", "--instance", str(bad),
+                              "--out", str(tmp_path / "o.json"))
+        assert code == 1
+        assert "horizon" in stderr and "finite" in stderr
+
+    def test_negative_scenario_probabilities_exit_one(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        run(capsys, "sample", "--instance", TRI3, "--scenarios", "2",
+            "--seed", "7", "--out", str(scen))
+        doc = json.loads(scen.read_text())
+        doc["probabilities"] = [1.5, -0.5]
+        scen.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--alpha", "0.4", "--scenario-file", str(scen),
+                              "--out", str(tmp_path / "o.json"))
+        assert code == 1
+        assert "non-negative" in stderr
 
     def test_sto_fast_requires_alpha_zero(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto-fast",

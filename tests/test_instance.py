@@ -79,6 +79,20 @@ class TestLoadInstance:
         with pytest.raises(InstanceValidationError, match="connected"):
             load_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10 ** 400])
+    @pytest.mark.parametrize("field", ["horizon", "speed", "latest_delivery_s", "length_m"])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # JSON admits Infinity and NaN, and a huge integer overflows float.
+        doc = single_task_dict()
+        if field == "latest_delivery_s":
+            doc["tasks"][0][field] = value
+        elif field == "length_m":
+            doc["layout"]["edges"][0][2] = value
+        else:
+            doc[field] = value
+        with pytest.raises(InstanceParseError, match="finite"):
+            load_instance(json.dumps(doc))
+
     def test_horizon_below_deadline_rejected(self):
         doc = single_task_dict(latest=300.0, horizon=200.0)
         with pytest.raises(InstanceValidationError, match="horizon"):

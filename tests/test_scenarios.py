@@ -180,6 +180,29 @@ def test_scenario_set_rejects_nonpositive_multipliers(tri3_network):
                     probabilities=np.array([1.0]), config=None, seed=None)
 
 
+@pytest.mark.parametrize("probs", [
+    [1.5, -0.5],
+    [float("nan"), 1.0],
+    [float("inf"), 0.0],
+])
+def test_scenario_set_rejects_bad_probabilities(tri3_network, probs):
+    # The solver's mass pruning is exact only for non-negative, finite masses;
+    # [1.5, -0.5] even sums to 1.
+    nv = tri3_network.size
+    mults = np.ones((2, nv, nv))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
+                    probabilities=np.array(probs), config=None, seed=None)
+
+
+def test_replayed_negative_probabilities_rejected(tri3_network):
+    doc = scenario_set_to_dict(
+        generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=1)))
+    doc["probabilities"] = [1.5, -0.5]
+    with pytest.raises(ValueError, match="non-negative"):
+        scenario_set_from_dict(doc, tri3_network)
+
+
 def test_scenario_set_rejects_asymmetry(tri3_network):
     nv = tri3_network.size
     mults = np.ones((1, nv, nv))

@@ -7,7 +7,7 @@ from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ScenarioConfig, Scenario
                      SolveConfig, build_network, build_stochastic, check_solution,
                      generate_scenarios, load_instance, replay_failures,
                      single_scenario, solve_alpha_zero_fast, solve_deterministic,
-                     solve_stochastic)
+                     solve_stochastic, supremum_scenario)
 from tugplan.solver import RoutePlan, assignment_from_solution
 
 from conftest import single_task_dict
@@ -236,6 +236,87 @@ class TestOracleEquivalence:
                 assert solution.plan.routes == reference.plan
                 checked += 1
         assert checked >= 3
+
+
+def _detour_network():
+    """Line DEP-A-B-C at 10 s per edge; T1 A->C and T2 B->C, both due at 35 s.
+
+    Nodes: 0 DEP, 1 A (T1 pickup), 2 B (T2 pickup), 3 C (T1 delivery),
+    4 C (T2 delivery), 5 DEP.  One vehicle can chain both tasks for 90 m
+    (A at 10 s, B at 20 s, both deliveries at 30 s); two vehicles cost 180 m.
+    """
+    doc = {
+        "layout": {"nodes": ["DEP", "A", "B", "C"],
+                   "edges": [["DEP", "A", 15.0], ["A", "B", 15.0], ["B", "C", 15.0]]},
+        "tasks": [{"id": "T1", "from": "A", "to": "C",
+                   "earliest_pickup_s": 0, "latest_delivery_s": 35},
+                  {"id": "T2", "from": "B", "to": "C",
+                   "earliest_pickup_s": 0, "latest_delivery_s": 35}],
+        "vehicles": 2, "depot": "DEP", "speed": 1.5, "horizon": 200,
+    }
+    return build_network(load_instance(json.dumps(doc)))
+
+
+class TestDeadlineLookahead:
+    def test_non_metric_detour_is_not_pruned(self):
+        # Scenario 0 slows the direct arc from T2's pickup to T1's delivery
+        # fivefold (10 s -> 50 s), so from B at 20 s the direct arc misses
+        # T1's 35 s deadline, while the detour through T2's co-located
+        # delivery (10 s + 0 s) meets it.  Only the chain 0-1-2-4-3-5 takes
+        # that detour; a lookahead on direct arcs would cut it and settle
+        # for two vehicles at 180 m.
+        network = _detour_network()
+        nv = network.size
+        mults = np.ones((2, nv, nv))
+        mults[0, 2, 3] = mults[0, 3, 2] = 5.0
+        scen = ScenarioSet(multipliers=mults, travel_times=mults * network.travel_time,
+                           probabilities=np.array([0.5, 0.5]),
+                           config=None, seed=None, algorithm="fixed")
+        reference = oracle_solve(network, scen.travel_times, scen.probabilities, 0.0)
+        assert reference.plan == ((0, 1, 2, 4, 3, 5), (0, 5))
+        assert reference.objective == pytest.approx(90.0)
+        for solution in (solve_stochastic(network, scen, SolveConfig(alpha=0.0)),
+                         solve_alpha_zero_fast(network, scen)):
+            assert solution.status == STATUS_OPTIMAL
+            assert solution.plan.routes == reference.plan
+            assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+
+    def test_tight_instances_match_oracle(self):
+        # Tight deadlines are where the lookahead fires; every engine and
+        # mode must still return the oracle's plan.  Each mode must also
+        # have optimal solves on which the lookahead pruned something.
+        rng = np.random.default_rng(4242)
+        optima = 0
+        fired = {"det": 0, "sto-0": 0, "sto-1/3": 0, "sto-fast": 0}
+        for trial in range(80):
+            network = random_network(rng, max_tasks=3, max_vehicles=2, tightness="tight")
+            scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
+            sup = supremum_scenario(scen)
+            cases = [("det", solve_deterministic(network),
+                      oracle_solve_deterministic(network)),
+                     ("sto-fast", solve_alpha_zero_fast(network, scen),
+                      oracle_solve(network, sup.travel_times, sup.probabilities, 0.0))]
+            for name, alpha in (("sto-0", 0.0), ("sto-1/3", 1.0 / 3.0)):
+                cases.append((name, solve_stochastic(network, scen, SolveConfig(alpha=alpha)),
+                              oracle_solve(network, scen.travel_times, scen.probabilities,
+                                           alpha)))
+            for mode, solution, reference in cases:
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+                    optima += 1
+                    fired[mode] += solution.stats.lookahead_prunes > 0
+        assert optima >= 40
+        assert all(count > 0 for count in fired.values()), fired
+
+    def test_factory6_nominal_prunes_early_with_same_plan(self, factory6_network):
+        solution = solve_deterministic(factory6_network)
+        assert solution.stats.lookahead_prunes > 0
+        assert solution.objective == pytest.approx(186.0)
+        assert solution.plan.routes == (
+            (0, 2, 5, 8, 11, 13), (0, 4, 3, 6, 1, 9, 10, 7, 12, 13),
+            (0, 13), (0, 13), (0, 13))
 
 
 class TestCheckerAgreement:

@@ -25,7 +25,7 @@ from .reporting import evaluation_table, solution_table
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         scenario_set_from_dict, scenario_set_to_dict)
 from .solver import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
-                     STATUS_TIME_LIMIT_NO_INCUMBENT, SolveConfig, Solution,
+                     STATUS_TIME_LIMIT_NO_INCUMBENT, RoutePlan, SolveConfig, Solution,
                      solve_alpha_zero_fast, solve_deterministic, solve_stochastic)
 
 EXIT_OK = 0
@@ -72,8 +72,6 @@ def _manifest(args: argparse.Namespace, command: str, out: Path) -> dict:
         "out": str(out),
         "version": __version__,
     }
-    # --threads is deliberately absent: results are invariant to it, and the
-    # artifact bytes must be too.
     for key in ("mode", "alpha", "scenarios", "scenario_file", "seed",
                 "trials", "time_limit", "plan"):
         if hasattr(args, key):
@@ -149,7 +147,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
     if not (0.0 <= args.alpha < 1.0):
         raise CliError(f"--alpha must be in [0, 1), got {args.alpha}")
-    config = SolveConfig(alpha=args.alpha, time_limit=args.time_limit, seed=args.seed)
+    config = SolveConfig(alpha=args.alpha, time_limit=args.time_limit)
     out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.solution.json")
 
     provenance = None
@@ -200,19 +198,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(
             f"plan/instance mismatch: plan has {plan_doc.get('task_count')} tasks, "
             f"instance has {network.n}")
-    routes = [tuple(int(v) for v in r) for r in plan_doc["routes_v"]]
-    for route in routes:
-        for node in route:
-            if not (0 <= node < network.size):
-                raise CliError(f"plan route visits unknown node {node}")
+    try:
+        plan = RoutePlan(routes=tuple(tuple(int(v) for v in r) for r in plan_doc["routes_v"]),
+                         n=network.n)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid plan {args.plan}: {exc}")
 
     config = ScenarioConfig(count=args.trials, seed=args.seed)
-    report = out_of_sample(routes, network, config)
+    report = out_of_sample(plan, network, config)
 
     out = Path(args.out) if args.out else Path(f"{Path(args.plan).stem}.evaluation.json")
     manifest = _manifest(args, "evaluate", out)
-    routes_v = ["-".join(str(v) for v in r) for r in routes]
-    routes_labels = ["-".join(network.labels[v] for v in r) for r in routes]
+    routes_v = plan.route_strings()
+    routes_labels = plan.label_strings(network)
     payload = {
         "manifest": manifest,
         "trials": report.trials,
@@ -226,7 +224,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "failure": report.per_vehicle_failure[k],
                 "half_width": report.per_vehicle_half_width[k],
             }
-            for k in range(len(routes))
+            for k in range(plan.vehicle_count)
         ],
         "overall": {
             "failure": report.overall_failure,
@@ -273,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay a scenario artifact instead of sampling")
     solve.add_argument("--seed", type=int, default=0, help="scenario sampling seed")
     solve.add_argument("--time-limit", type=float, default=300.0, dest="time_limit")
-    solve.add_argument("--threads", type=int, default=1,
-                       help="worker cap (results are invariant to it)")
     solve.add_argument("--out", default=None, help="artifact path")
     solve.add_argument("--export-lp", default=None, dest="export_lp",
                        help="also write the constraint system in LP format")
@@ -285,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--plan", required=True, help="solution artifact from solve")
     evaluate.add_argument("--trials", type=int, default=1000)
     evaluate.add_argument("--seed", type=int, default=0, help="evaluation seed")
-    evaluate.add_argument("--threads", type=int, default=1,
-                          help="worker cap (results are invariant to it)")
     evaluate.add_argument("--out", default=None)
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -307,9 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold into the documented code.
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except CliError as exc:

@@ -7,6 +7,14 @@ vehicle's trial fails as soon as a service time exceeds a window's closing
 time; a plan's trial fails if any vehicle fails.  Trial seeds are derived from
 (seed, evaluation stream, trial index), a stream disjoint from the one used
 for solve-time scenario sampling, so evaluation never reuses in-sample draws.
+
+Dispatch runs the solver's schedule recursion (`route_times`) without the
+model's pickup-to-delivery coupling: a delivery is never held back to its
+pickup time plus the direct pickup arc.  Sampled realizations are not metric,
+so that arc can be longer than the route's own way round, and the model then
+times the delivery later than dispatch does.  Trials are sampled one by one
+and evaluated in blocks of `_TRIAL_BLOCK`, so memory does not grow with the
+trial count.
 """
 
 from __future__ import annotations
@@ -18,9 +26,10 @@ import numpy as np
 from .instance import PdpNetwork
 from .scenarios import (EVALUATION_STREAM, ScenarioConfig, ScenarioSet,
                         sample_time_matrix, scenario_rng)
-from .solver import RoutePlan
+from .solver import RoutePlan, route_times
 
 _EPS = 1e-9
+_TRIAL_BLOCK = 1024
 
 DISPATCH_POLICY = "earliest-feasible"
 
@@ -52,6 +61,12 @@ class EvaluationReport:
             raise ValueError("overall failure cannot be below the worst vehicle")
 
 
+def _check_nodes(route, nv: int) -> None:
+    for node in route:
+        if not (0 <= node < nv):
+            raise ValueError(f"route visits unknown node {node}")
+
+
 def simulate_route(route: tuple[int, ...] | list[int], realized_times: np.ndarray,
                    open_time: np.ndarray, close_time: np.ndarray) -> SimOutcome:
     """Run one route under one realized travel-time matrix.
@@ -60,31 +75,39 @@ def simulate_route(route: tuple[int, ...] | list[int], realized_times: np.ndarra
     w_next = max(open_next, w_current + realized time).  Returns the first
     node whose closing time is exceeded, with its lateness, or success.
     """
-    nv = realized_times.shape[0]
-    for node in route:
-        if not (0 <= node < nv):
-            raise ValueError(f"route visits unknown node {node}")
-    w = max(0.0, float(open_time[route[0]]))
-    if w > close_time[route[0]] + _EPS:
-        return SimOutcome(ok=False, violated_node=int(route[0]),
-                          lateness=w - float(close_time[route[0]]))
-    for prev, node in zip(route, route[1:]):
-        w = max(float(open_time[node]), w + float(realized_times[prev, node]))
-        if w > close_time[node] + _EPS:
-            return SimOutcome(ok=False, violated_node=int(node),
-                              lateness=w - float(close_time[node]))
-    return SimOutcome(ok=True)
+    _check_nodes(route, realized_times.shape[0])
+    w, late = route_times(route, realized_times[np.newaxis], open_time, close_time,
+                          coupling=False)
+    hits = np.flatnonzero(late[:, 0])
+    if hits.size == 0:
+        return SimOutcome(ok=True)
+    pos = int(hits[0])
+    node = int(route[pos])
+    return SimOutcome(ok=False, violated_node=node,
+                      lateness=float(w[pos, 0]) - float(close_time[node]))
+
+
+def _late_routes(routes, times: np.ndarray, network: PdpNetwork) -> np.ndarray:
+    """[K, S]: whether route k misses a window under realization times[s]."""
+    late = np.zeros((len(routes), times.shape[0]), dtype=bool)
+    for k, route in enumerate(routes):
+        late[k] = route_times(route, times, network.open_time, network.close_time,
+                              coupling=False)[1].any(axis=0)
+    return late
 
 
 def _wald_half_width(p_hat: float, trials: int) -> float:
     return 1.96 * float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
-def _routes_of(plan) -> tuple[tuple[int, ...], ...]:
+def _routes_of(plan, network: PdpNetwork) -> tuple[tuple[int, ...], ...]:
     """Accept a validated plan or bare per-vehicle node sequences."""
     if isinstance(plan, RoutePlan):
         return plan.routes
-    return tuple(tuple(int(v) for v in route) for route in plan)
+    routes = tuple(tuple(int(v) for v in route) for route in plan)
+    for route in routes:
+        _check_nodes(route, network.size)
+    return routes
 
 
 def out_of_sample(plan, network: PdpNetwork,
@@ -95,24 +118,21 @@ def out_of_sample(plan, network: PdpNetwork,
     Deterministic given the seed and independent of evaluation order: each
     trial draws its travel times from its own seed-derived stream.
     """
-    routes = _routes_of(plan)
+    routes = _routes_of(plan, network)
     trials = config.count
     std = float(np.sqrt(config.multiplier_variance))
-    a, b = network.open_time, network.close_time
     fails = np.zeros(len(routes), dtype=int)
     any_fail = 0
-    for t in range(trials):
-        rng = scenario_rng(config.seed, EVALUATION_STREAM, t)
-        _, realized = sample_time_matrix(network.travel_time, rng,
-                                         config.multiplier_mean, std)
-        failed_here = False
-        for k, route in enumerate(routes):
-            outcome = simulate_route(route, realized, a, b)
-            if not outcome.ok:
-                fails[k] += 1
-                failed_here = True
-        if failed_here:
-            any_fail += 1
+    block = np.empty((min(trials, _TRIAL_BLOCK), network.size, network.size))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        count = min(_TRIAL_BLOCK, trials - start)
+        for t in range(count):
+            rng = scenario_rng(config.seed, EVALUATION_STREAM, start + t)
+            _, block[t] = sample_time_matrix(network.travel_time, rng,
+                                             config.multiplier_mean, std)
+        late = _late_routes(routes, block[:count], network)
+        fails += late.sum(axis=1)
+        any_fail += int(late.any(axis=0).sum())
     per_vehicle = tuple(float(f) / trials for f in fails)
     overall = float(any_fail) / trials
     return EvaluationReport(
@@ -129,12 +149,5 @@ def replay_failures(plan, network: PdpNetwork,
                     scenarios: ScenarioSet) -> np.ndarray:
     """Per-vehicle failure counts of `plan` replayed on an existing scenario
     set (in-sample check; a robust plan must score zero on its own set)."""
-    routes = _routes_of(plan)
-    a, b = network.open_time, network.close_time
-    fails = np.zeros(len(routes), dtype=int)
-    for s in range(scenarios.count):
-        realized = scenarios.travel_times[s]
-        for k, route in enumerate(routes):
-            if not simulate_route(route, realized, a, b).ok:
-                fails[k] += 1
-    return fails
+    return _late_routes(_routes_of(plan, network), scenarios.travel_times,
+                        network).sum(axis=1)

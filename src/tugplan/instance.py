@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 
 class InstanceParseError(ValueError):
@@ -197,6 +195,16 @@ class PdpNetwork:
         return pickup + self.n
 
 
+def shortest_path_closure(lengths: np.ndarray) -> np.ndarray:
+    """All-pairs shortest path lengths (Floyd-Warshall) over the last two axes
+    of an [..., m, m] stack; `inf` marks a missing arc."""
+    closure = np.array(lengths, dtype=float)
+    for via in range(closure.shape[-1]):
+        np.minimum(closure, closure[..., :, via:via + 1] + closure[..., via:via + 1, :],
+                   out=closure)
+    return closure
+
+
 def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str, ...],
                            speed: float) -> np.ndarray:
     """Pairwise shortest-path travel times in seconds between `locations`.
@@ -211,29 +219,22 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
         if loc not in index:
             raise InstanceValidationError(f"locations: unknown location {loc!r}")
     m = len(layout.node_ids)
-    # Parallel edges collapse to their shortest representative (sparse-matrix
-    # construction would otherwise sum duplicate entries).
-    shortest_edge: dict[tuple[int, int], float] = {}
+    # Parallel edges collapse to their shortest representative.
+    lengths = np.full((m, m), math.inf)
+    np.fill_diagonal(lengths, 0.0)
     for u, v, length in layout.edges:
-        key = (min(index[u], index[v]), max(index[u], index[v]))
-        if key not in shortest_edge or length < shortest_edge[key]:
-            shortest_edge[key] = length
-    rows, cols, vals = [], [], []
-    for (i, j), length in shortest_edge.items():
-        rows += [i, j]
-        cols += [j, i]
-        vals += [length, length]
-    graph = csr_matrix((vals, (rows, cols)), shape=(m, m))
+        i, j = index[u], index[v]
+        if length < lengths[i, j]:
+            lengths[i, j] = lengths[j, i] = length
     wanted = [index[loc] for loc in locations]
-    dist = dijkstra(graph, directed=False, indices=wanted)
-    dist = dist[:, wanted]
+    dist = shortest_path_closure(lengths)[np.ix_(wanted, wanted)]
     if np.isinf(dist).any():
         i, j = np.argwhere(np.isinf(dist))[0]
         raise InstanceValidationError(
             f"layout: no path between {locations[i]!r} and {locations[j]!r}"
         )
-    # Parallel edges may leave tiny asymmetries in scipy's output ordering; the
-    # metric itself is symmetric, so enforce it exactly.
+    # Sums taken in another order may round apart; the metric itself is
+    # symmetric, so enforce it exactly.
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist / speed

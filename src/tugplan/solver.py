@@ -36,7 +36,9 @@ deterministic and independent of exploration order.
 For a fixed plan the scenario switches decouple: turning a scenario off never
 pays unless the plan misses one of its windows, so the optimal switch set is
 exactly the set of scenarios the plan fails, and no explicit branching over
-switches is needed.
+switches is needed.  The fixed plan's service times come from `route_times`,
+one earliest-time recursion per route over the whole scenario stack, which
+the evaluator shares without the pickup-to-delivery coupling.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formulation import ConstraintSystem, arc_list, w_name, x_name, z_name
-from .instance import PdpNetwork
+from .instance import PdpNetwork, shortest_path_closure
 from .scenarios import ScenarioSet, single_scenario, supremum_scenario
 
 STATUS_OPTIMAL = "optimal"
@@ -65,12 +67,10 @@ _LOOKAHEAD_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """alpha: allowed ignored probability mass; time_limit in seconds; seed is
-    recorded for audit only (the search itself is deterministic)."""
+    """alpha: allowed ignored probability mass; time_limit in seconds."""
 
     alpha: float = 0.0
     time_limit: float = 300.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
@@ -90,7 +90,7 @@ class RoutePlan:
         terminal = 2 * self.n + 1
         seen: set[int] = set()
         for route in self.routes:
-            if route[0] != 0 or route[-1] != terminal:
+            if not route or route[0] != 0 or route[-1] != terminal:
                 raise ValueError(f"route {route} must start at 0 and end at {terminal}")
             onboard: set[int] = set()
             for node in route[1:-1]:
@@ -182,16 +182,6 @@ class _TimeUp(Exception):
     pass
 
 
-def _shortest_path_closure(times: np.ndarray) -> np.ndarray:
-    """All-pairs shortest travel times per scenario (Floyd-Warshall over a
-    [S, nv, nv] stack)."""
-    closure = np.array(times, dtype=float)
-    for via in range(closure.shape[1]):
-        np.minimum(closure, closure[:, :, via:via + 1] + closure[:, via:via + 1, :],
-                   out=closure)
-    return closure
-
-
 class _SearchBase:
     """Shared setup and incumbent handling for both search engines."""
 
@@ -209,24 +199,25 @@ class _SearchBase:
         self.probs = probs
         self.alpha = alpha
 
-        # Cheapest way to enter each task node; admissible completion bound.
-        self.min_in = np.zeros(self.nv)
-        for v in range(1, self.terminal):
-            self.min_in[v] = min(
-                self.dist[i, v] for i in range(self.nv)
-                if i != v and i != self.terminal)
-        self.todo_full = float(self.min_in[1:self.terminal].sum())
+        # Cheapest way to enter each task node (no self-loop, nothing leaves
+        # the terminal); admissible completion bound.
+        entering = self.dist.copy()
+        np.fill_diagonal(entering, math.inf)
+        entering[self.terminal] = math.inf
+        min_in = entering.min(axis=0)
+        min_in[[0, self.terminal]] = 0.0
+        self.todo_full = float(min_in[1:self.terminal].sum())
         # Plain-float copies: list indexing is far cheaper than numpy scalar
         # access on the per-node paths.
         self.d = self.dist.tolist()
         self.a_l = self.a.tolist()
         self.b_l = self.b.tolist()
-        self.min_in_l = self.min_in.tolist()
+        self.min_in_l = min_in.tolist()
 
         # latest[s, cur, i]: the last time at `cur` from which delivery i+n
         # is still reachable by its deadline in scenario s (column 0 unused).
         deliveries = slice(self.n + 1, self.terminal)
-        reach = _shortest_path_closure(times)[:, :, deliveries]
+        reach = shortest_path_closure(times)[:, :, deliveries]
         self.latest = np.full((self.scen_count, self.nv, self.n + 1), math.inf)
         self.latest[:, :, 1:] = self.b[deliveries] + _LOOKAHEAD_MARGIN - reach
 
@@ -515,33 +506,35 @@ class _VectorSearch(_SearchBase):
         self.routes.pop()
 
 
-def propagate_route(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray,
-                    close_time: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    """Earliest feasible service times along one route under one time matrix.
+def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray,
+                close_time: np.ndarray, coupling: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Earliest service times along one route under a [S, nv, nv] stack of
+    travel-time matrices, one scenario per column.
 
-    Applies waiting at window openings, arc-by-arc propagation, and the direct
-    pickup-to-delivery coupling.  Returns (times per route position, feasible).
+    The route leaves its first node at max(0, opening); each later node is
+    served at max(opening, previous time + arc time).  With `coupling`, a
+    delivery is also held until its pickup time plus the direct pickup arc,
+    as in the model (`w[n+i] >= w[i] + t[i][n+i]`); without it the recursion
+    is the physical dispatch policy.  Returns `w[pos, s]` and `late[pos, s]`,
+    whether position `pos` misses its closing time in scenario `s`.
     """
-    w = np.zeros(len(route))
-    picked: dict[int, float] = {}
-    ok = True
-    for pos, node in enumerate(route):
-        if pos == 0:
-            w[0] = max(0.0, open_time[node])
-            continue
-        prev = route[pos - 1]
-        t = w[pos - 1] + times[prev, node]
-        if n + 1 <= node <= 2 * n:
-            pick = node - n
-            if pick in picked:
-                t = max(t, picked[pick] + times[pick, node])
-        t = max(t, open_time[node])
-        w[pos] = t
-        if t > close_time[node] + _EPS:
-            ok = False
+    n = (times.shape[-1] - 2) // 2
+    nodes = list(route)
+    w = np.empty((len(nodes), times.shape[0]))
+    w[0] = max(0.0, open_time[nodes[0]])
+    picked: dict[int, int] = {}
+    for pos in range(1, len(nodes)):
+        prev, node = nodes[pos - 1], nodes[pos]
+        here = w[pos]
+        np.add(w[pos - 1], times[:, prev, node], out=here)
+        pick = node - n
+        if coupling and pick in picked:
+            np.maximum(here, w[picked[pick]] + times[:, pick, node], out=here)
+        np.maximum(here, open_time[node], out=here)
         if 1 <= node <= n:
-            picked[node] = t
-    return w, ok
+            picked[node] = pos
+    late = w > close_time[nodes, np.newaxis] + _EPS
+    return w, late
 
 
 def _full_schedule(network: PdpNetwork, plan: RoutePlan,
@@ -549,41 +542,35 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
     """Complete service times [K, nv, S] for a plan plus per-scenario
     feasibility.
 
-    Visited nodes take their earliest-feasible route times.  A vehicle's time
-    at a node it does not visit is completed canonically: window opening for
-    pickups and depots, and the opening pushed by the direct pickup arc for
-    deliveries, which satisfies the pickup-before-delivery constraint whenever
-    the serving vehicle can.  Scenarios the plan fails are reported infeasible
-    and their times pinned to the window openings.
+    Visited nodes take their earliest-feasible route times under the model's
+    recursion (pickup-to-delivery coupling included).  A vehicle's time at a
+    node it does not visit is completed canonically: window opening for
+    pickups and depots, and for deliveries the opening pushed by the direct
+    pickup arc from the (unvisited, so window-opening) pickup, which
+    satisfies the pickup-before-delivery constraint whenever the serving
+    vehicle can.  Scenarios the plan fails are reported infeasible and their
+    times pinned to the window openings.
     """
-    scen_count = scen_times.shape[0]
-    fleet = plan.vehicle_count
-    nv = network.size
-    n = network.n
+    n, terminal = network.n, network.terminal
     a, b = network.open_time, network.close_time
-    w = np.empty((fleet, nv, scen_count))
+    pickups = np.arange(1, n + 1)
+    w = np.empty((plan.vehicle_count, network.size, scen_times.shape[0]))
     w[:] = a[np.newaxis, :, np.newaxis]
-    feasible = np.ones(scen_count, dtype=bool)
-
-    for s in range(scen_count):
-        times = scen_times[s]
-        for k, route in enumerate(plan.routes):
-            route_w, ok = propagate_route(route, times, a, b, n)
-            if not ok:
-                feasible[s] = False
-            for pos, node in enumerate(route):
-                w[k, node, s] = route_w[pos]
-        if not feasible[s]:
-            w[:, :, s] = a[np.newaxis, :]
+    w[:, n + 1:terminal] = np.maximum(
+        a[n + 1:terminal, np.newaxis],
+        a[1:n + 1, np.newaxis] + scen_times[:, pickups, pickups + n].T)
+    feasible = np.ones(scen_times.shape[0], dtype=bool)
+    # An idle route keeps the window openings: the depot hop takes no time
+    # in any scenario, and both depots open at 0.
+    idle_free = not scen_times[:, 0, terminal].any()
+    for k, route in enumerate(plan.routes):
+        if idle_free and len(route) == 2:
             continue
-        # Canonical completion for non-visiting vehicles.
-        for k in range(fleet):
-            visited = set(plan.routes[k])
-            for i in range(1, n + 1):
-                d = i + n
-                if d not in visited:
-                    base = w[k, i, s]
-                    w[k, d, s] = max(a[d], base + times[i, d])
+        route_w, late = route_times(route, scen_times, a, b, coupling=True)
+        w[k, list(route)] = route_w
+        feasible &= ~late.any(axis=0)
+    if not feasible.all():
+        w[:, :, ~feasible] = a[np.newaxis, :, np.newaxis]
     return w, feasible
 
 

@@ -7,12 +7,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tugplan import build_network, load_instance
-from tugplan.benchmarks import factory6_dict, tri3_dict, tri3_wide_dict
+
+INSTANCES = Path(__file__).parent.parent / "instances"
+
+
+def instance_dict(name):
+    """The bundled instance document `instances/<name>.json`."""
+    return json.loads((INSTANCES / f"{name}.json").read_text())
 
 
 @pytest.fixture
 def tri3_instance():
-    return load_instance(json.dumps(tri3_dict()))
+    return load_instance(json.dumps(instance_dict("tri3")))
 
 
 @pytest.fixture
@@ -22,17 +28,17 @@ def tri3_network(tri3_instance):
 
 @pytest.fixture
 def factory6_network():
-    return build_network(load_instance(json.dumps(factory6_dict())))
+    return build_network(load_instance(json.dumps(instance_dict("factory6"))))
 
 
 @pytest.fixture
 def tri3_wide_network():
-    return build_network(load_instance(json.dumps(tri3_wide_dict())))
+    return build_network(load_instance(json.dumps(instance_dict("tri3_wide"))))
 
 
 def single_task_dict(earliest=0.0, latest=200.0, horizon=200.0, vehicles=1):
     """One task A->B on the tri3 ring."""
-    doc = tri3_dict()
+    doc = instance_dict("tri3")
     doc["tasks"] = [{
         "id": "T1", "from": "A", "to": "B",
         "earliest_pickup_s": earliest, "latest_delivery_s": latest,

@@ -6,21 +6,18 @@ lines.  Shared solve pools are computed once and reused across criteria.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import tugplan as tp
-from tugplan.benchmarks import factory6_dict, tri3_dict, tri3_wide_dict
 from tugplan.cli import main as cli_main
 from tugplan.solver import assignment_from_solution
 
+from conftest import INSTANCES, instance_dict
 from instgen import random_network
 from oracle import oracle_solve, oracle_solve_deterministic
-
-INSTANCES = Path(__file__).parent.parent / "instances"
 
 CHECK_TOL = 1e-6
 OBJ_TOL = 1e-9
@@ -62,9 +59,8 @@ def oracle_pool():
 @pytest.fixture(scope="module")
 def benchmark_pool():
     """Criteria 3/4/7/9 workload: the bundled benchmark instances."""
-    nets = {name: tp.build_network(tp.load_instance(json.dumps(doc())))
-            for name, doc in (("tri3", tri3_dict), ("tri3_wide", tri3_wide_dict),
-                              ("factory6", factory6_dict))}
+    nets = {name: tp.build_network(tp.load_instance(json.dumps(instance_dict(name))))
+            for name in ("tri3", "tri3_wide", "factory6")}
     out = {"networks": nets, "det": {}, "sto": {}, "scen": {}, "det_time": {}, "sto_time": {}}
     for name, net in nets.items():
         t0 = time.monotonic()
@@ -278,32 +274,30 @@ def test_criterion_7_in_sample_consistency(benchmark_pool, fast_pool):
 def test_criterion_8_determinism(tmp_path, monkeypatch, capsys):
     tri3 = str(INSTANCES / "tri3.json")
 
-    def run_all(workdir, threads):
+    def run_all(workdir):
         workdir.mkdir()
         monkeypatch.chdir(workdir)
         assert cli_main(["sample", "--instance", tri3, "--scenarios", "12",
                          "--seed", "7", "--out", "scen.json"]) == 0
         assert cli_main(["solve", "--instance", tri3, "--mode", "det",
-                         "--threads", str(threads), "--out", "det.json"]) == 0
+                         "--out", "det.json"]) == 0
         assert cli_main(["solve", "--instance", tri3, "--mode", "sto",
                          "--scenarios", "12", "--seed", "7",
-                         "--threads", str(threads), "--out", "sto.json"]) == 0
+                         "--out", "sto.json"]) == 0
         assert cli_main(["evaluate", "--instance", tri3, "--plan", "det.json",
                          "--trials", "300", "--seed", "11",
-                         "--threads", str(threads), "--out", "eval.json"]) == 0
+                         "--out", "eval.json"]) == 0
         return {name: (workdir / name).read_bytes()
                 for name in ("scen.json", "det.json", "sto.json", "eval.json")}
 
-    first = run_all(tmp_path / "run1", threads=1)
-    second = run_all(tmp_path / "run2", threads=1)
-    third = run_all(tmp_path / "run3", threads=8)
+    first = run_all(tmp_path / "run1")
+    second = run_all(tmp_path / "run2")
     capsys.readouterr()
-    identical = first == second == third
+    identical = first == second
     assert _verdict(
         "criterion 8",
         identical,
-        "artifacts byte-identical across reruns and across --threads 1 vs 8 "
-        f"({len(first)} artifacts compared)",
+        f"artifacts byte-identical across reruns ({len(first)} artifacts compared)",
     )
 
 

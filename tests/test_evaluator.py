@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from tugplan import (ScenarioConfig, SolveConfig, build_network, generate_scenarios,
-                     load_instance, out_of_sample, replay_failures, simulate_route,
-                     solve_deterministic, solve_stochastic)
+from tugplan import (RoutePlan, ScenarioConfig, SolveConfig, build_network,
+                     generate_scenarios, load_instance, out_of_sample, replay_failures,
+                     simulate_route, solve_deterministic, solve_stochastic)
+from tugplan.evaluator import _TRIAL_BLOCK
+from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rng
+from tugplan.solver import _full_schedule
 
 
 def one_leg_network():
@@ -65,6 +68,29 @@ class TestSimulateRoute:
         assert outcome.ok
 
 
+def test_model_couples_delivery_to_pickup_but_dispatch_does_not(tri3_wide_network):
+    # Route 0-1-2-3-4-5 picks up at A (node 1) and C (node 2) and delivers
+    # both at B.  Stretching the direct arc A->B to 40 s makes it longer than
+    # the way round through C (30 s), so the matrix is not metric.
+    net = tri3_wide_network
+    times = net.travel_time.copy()
+    times[1, 3] = times[3, 1] = 40.0
+    route = (0, 1, 2, 3, 4, 5)
+    w, feasible = _full_schedule(net, RoutePlan(routes=(route, (0, 5)), n=net.n),
+                                 times[np.newaxis])
+    assert feasible.all()
+    # Model: the delivery waits for pickup time (10 s) plus the direct arc.
+    assert w[0, 1, 0] == 10.0 and w[0, 3, 0] == 50.0
+    # Dispatch: the vehicle is at B at 40 s, 5 s late for a 35 s deadline
+    # and in time for a 45 s one that the model's 50 s would miss.
+    close = net.close_time.copy()
+    close[3] = 35.0
+    late = simulate_route(route, times, net.open_time, close)
+    assert (late.ok, late.violated_node, late.lateness) == (False, 3, 5.0)
+    close[3] = 45.0
+    assert simulate_route(route, times, net.open_time, close).ok
+
+
 class TestOutOfSample:
     def test_idle_routes_never_fail(self, tri3_network):
         report = out_of_sample([(0, 5), (0, 5)], tri3_network,
@@ -118,6 +144,31 @@ class TestOutOfSample:
             ratios.append(large.per_vehicle_half_width[0] / small.per_vehicle_half_width[0])
         # Quadrupling the trials halves the half-width (1/sqrt(n) scaling).
         assert np.mean(ratios) == pytest.approx(0.5, abs=0.1)
+
+    def test_trial_blocks_match_per_trial_simulation(self, factory6_network):
+        net = factory6_network
+        plan = solve_deterministic(net).plan
+        trials = _TRIAL_BLOCK + 1
+
+        def late_routes(seed, t):
+            _, realized = sample_time_matrix(net.travel_time,
+                                             scenario_rng(seed, EVALUATION_STREAM, t))
+            return [not simulate_route(r, realized, net.open_time, net.close_time).ok
+                    for r in plan.routes]
+
+        # A seed whose one trial past the first block fails, so that a lost
+        # or misplaced boundary trial changes the counts.
+        seed = next(s for s in range(100) if any(late_routes(s, _TRIAL_BLOCK)))
+        report = out_of_sample(plan, net, ScenarioConfig(count=trials, seed=seed))
+        fails = np.zeros(plan.vehicle_count, dtype=int)
+        any_fail = 0
+        for t in range(trials):
+            late = late_routes(seed, t)
+            fails += late
+            any_fail += any(late)
+        assert report.per_vehicle_failure == tuple(float(f) / trials for f in fails)
+        assert report.overall_failure == any_fail / trials
+        assert any_fail < trials
 
     def test_eval_stream_disjoint_from_scenario_stream(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=5, seed=42))

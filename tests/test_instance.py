@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tugplan
 from tugplan import (InstanceParseError, InstanceValidationError, LayoutGraph,
                      build_network, load_instance, shortest_travel_matrix)
 
@@ -121,6 +126,12 @@ class TestShortestTravelMatrix:
         times = shortest_travel_matrix(ring_layout(), locs, 1.5)
         assert np.allclose(times, times.T)
 
+    def test_parallel_edges_take_the_shortest(self):
+        layout = LayoutGraph(node_ids=("P", "Q"), labels=("P", "Q"),
+                             edges=(("P", "Q", 30.0), ("Q", "P", 12.0), ("P", "Q", 18.0)))
+        times = shortest_travel_matrix(layout, ["P", "Q"], 1.5)
+        assert times[0, 1] == times[1, 0] == 8.0
+
     def test_unreachable_pair_named(self):
         # Bypass construction-time validation to reach the matrix-level guard.
         layout = object.__new__(LayoutGraph)
@@ -129,6 +140,14 @@ class TestShortestTravelMatrix:
         object.__setattr__(layout, "edges", ())
         with pytest.raises(InstanceValidationError, match="'P'.*'Q'"):
             shortest_travel_matrix(layout, ["P", "Q"], 1.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(tugplan.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, tugplan; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert probe.stdout.strip() == "False"
 
 
 class TestBuildNetwork:

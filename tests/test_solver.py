@@ -10,11 +10,9 @@ from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ScenarioConfig, Scenario
                      solve_stochastic, supremum_scenario)
 from tugplan.solver import RoutePlan, assignment_from_solution
 
-from conftest import single_task_dict
+from conftest import instance_dict, single_task_dict
 from instgen import random_network
 from oracle import oracle_solve, oracle_solve_deterministic
-
-from tugplan.benchmarks import tri3_dict
 
 
 class TestSolveDeterministic:
@@ -58,7 +56,7 @@ class TestSolveDeterministic:
                 assert w[k, node] == pytest.approx(expected)
 
     def test_idle_vehicles_cost_nothing(self, tri3_instance):
-        doc = tri3_dict()
+        doc = instance_dict("tri3")
         doc["vehicles"] = 4
         network = build_network(load_instance(json.dumps(doc)))
         solution = solve_deterministic(network)
@@ -97,7 +95,7 @@ class TestSolveStochastic:
         # chain arrival so precisely one sampled scenario breaks the cheap
         # single-vehicle tour; at alpha = 0.1 with ten uniform scenarios the
         # optimum keeps the tour and switches that scenario off.
-        doc = tri3_dict()
+        doc = instance_dict("tri3")
         doc["tasks"][0]["latest_delivery_s"] = 54.0
         doc["tasks"][1]["latest_delivery_s"] = 200.0
         network = build_network(load_instance(json.dumps(doc)))

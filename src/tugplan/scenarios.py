@@ -104,14 +104,25 @@ def scenario_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 def sample_time_matrix(nominal: np.ndarray, rng: np.random.Generator,
                        mean: float = 1.0, std: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """One realization: a fresh multiplier per undirected arc, applied to both
-    directions of `nominal`.  Arcs are drawn in row-major upper-triangle order."""
+    directions of `nominal`.  Arcs are drawn in row-major upper-triangle order.
+
+    The arcs take the positive values of the stream in order, topped up with
+    further draws until every arc has one, so the matrix equals a per-arc
+    `sample_multiplier` loop bit for bit."""
     nv = nominal.shape[0]
+    arcs = nv * (nv - 1) // 2
+    draws = rng.normal(mean, std, arcs)
+    kept = draws[draws > 0.0]
+    while len(kept) < arcs:
+        draws = rng.normal(mean, std, arcs - len(kept))
+        kept = np.concatenate((kept, draws[draws > 0.0]))
+    index = np.arange(nv)
+    upper = index[:, np.newaxis] < index
     mult = np.ones((nv, nv))
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            m = sample_multiplier(rng, mean, std)
-            mult[i, j] = m
-            mult[j, i] = m
+    # Boolean masks fill in row-major order; through the transpose that is
+    # the mirrored lower triangle in the same arc order.
+    mult[upper] = kept
+    mult.T[upper] = kept
     return mult, mult * nominal
 
 

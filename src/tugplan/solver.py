@@ -9,21 +9,31 @@ pruning uses the incumbent against the travelled distance plus an admissible
 completion estimate (each unvisited task node must still be entered by some
 arc, so the cheapest incoming arc per node is a lower bound).
 
+One engine serves every mode; the nominal solve and the fast path are the
+single-scenario case with no ignored mass.  Each node carries a plain-float
+upper bound on its latest scenario time, propagated over the arc-wise maxima
+of the scenario matrices; float addition and max are monotone, so it bounds
+every scenario's time exactly as the per-scenario recursion rounds it.  With
+one scenario the bound is the time itself, so windows and the lookahead are
+decided in float arithmetic alone and any miss prunes.  With several, every
+candidate also steps the per-scenario time vector, the alive mask and the
+dead mass.
+
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
 soon as some onboard delivery `i+n` can no longer be reached in time from the
 current node: `now > latest[cur][i] = b[i+n] + margin - closure[cur][i+n]`,
-where `closure` is the all-pairs shortest-path closure of the engine's own
-time matrices (one Floyd-Warshall per solve).  The closure, not the direct
+where `closure` is the all-pairs shortest-path closure of the search's own
+scenario matrices (one Floyd-Warshall per solve).  The closure, not the direct
 arc, is what makes this exact: sampled scenario matrices and the fast path's
 element-wise supremum break the triangle inequality, so a detour can beat the
 direct arc.  Any completion reaches `i+n` no earlier than `now +
 closure[cur][i+n]`, and the margin (1e-6 s, above the window tolerance) keeps
 float rounding from cutting a branch the exact window checks would accept.
-The vector engine prunes once the dead mass plus the mass of the still-alive
-scenarios so doomed exceeds alpha; it leaves `alive` untouched, and a cheap
-scalar upper bound on the latest scenario time skips the vector test where
-it cannot fire.  Only subtrees without a feasible leaf are cut and the
+With several scenarios the lookahead prunes once the dead mass plus the mass
+of the still-alive scenarios so doomed exceeds alpha; it leaves `alive`
+untouched, and runs the per-scenario test only where the float bound passes
+the earliest cut-off.  Only subtrees without a feasible leaf are cut and the
 exploration order is unchanged, so incumbents, the returned plan and its
 objective are exactly those of the search without the lookahead.
 
@@ -182,26 +192,32 @@ class _TimeUp(Exception):
     pass
 
 
-class _SearchBase:
-    """Shared setup and incumbent handling for both search engines."""
+class _Search:
+    """Depth-first branch and bound over a [S, nv, nv] stack of scenario
+    time matrices.
+
+    Branch state (current route, onboard pickups, unvisited set, pickup
+    times) lives on the instance and is mutated and undone around each
+    recursive call, which keeps the hot path free of allocations.  A node
+    carries `now`, the float upper bound on its latest scenario time (exact
+    at S = 1), and `scen`: None at S = 1, otherwise the per-scenario times,
+    the alive mask and the dead probability mass.
+    """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
                  alpha: float, config: SolveConfig):
         self.network = network
-        self.nv = network.size
         self.n = network.n
         self.terminal = network.terminal
         self.fleet = network.vehicle_count
-        self.a = network.open_time
-        self.b = network.close_time
-        self.dist = network.travel_dist
-        self.scen_count = times.shape[0]
+        self.times = times
         self.probs = probs
         self.alpha = alpha
+        self.vector = times.shape[0] > 1
 
         # Cheapest way to enter each task node (no self-loop, nothing leaves
         # the terminal); admissible completion bound.
-        entering = self.dist.copy()
+        entering = network.travel_dist.copy()
         np.fill_diagonal(entering, math.inf)
         entering[self.terminal] = math.inf
         min_in = entering.min(axis=0)
@@ -209,17 +225,32 @@ class _SearchBase:
         self.todo_full = float(min_in[1:self.terminal].sum())
         # Plain-float copies: list indexing is far cheaper than numpy scalar
         # access on the per-node paths.
-        self.d = self.dist.tolist()
-        self.a_l = self.a.tolist()
-        self.b_l = self.b.tolist()
+        self.d = network.travel_dist.tolist()
+        self.a_l = network.open_time.tolist()
+        self.b_l = network.close_time.tolist()
         self.min_in_l = min_in.tolist()
+        self.t_max = times.max(axis=0).tolist()
 
         # latest[s, cur, i]: the last time at `cur` from which delivery i+n
         # is still reachable by its deadline in scenario s (column 0 unused).
         deliveries = slice(self.n + 1, self.terminal)
         reach = shortest_path_closure(times)[:, :, deliveries]
-        self.latest = np.full((self.scen_count, self.nv, self.n + 1), math.inf)
-        self.latest[:, :, 1:] = self.b[deliveries] + _LOOKAHEAD_MARGIN - reach
+        latest = np.full((times.shape[0], network.size, self.n + 1), math.inf)
+        latest[:, :, 1:] = network.close_time[deliveries] + _LOOKAHEAD_MARGIN - reach
+        # The float side of the lookahead: a node whose `now` passes no
+        # earliest cut-off is safe in every scenario.
+        self.latest_min = latest.min(axis=0).tolist()
+        # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
+        self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
+        self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
+
+        self.route: list[int] = [0]
+        self.routes: list[tuple[int, ...]] = []
+        self.onboard: list[int] = []
+        self.unvisited: set[int] = set(range(1, self.n + 1))
+        self.pickup_order = tuple(range(1, self.n + 1))
+        self.pick_hi = [0.0] * (self.n + 1)
+        self.pick_times: list[np.ndarray | None] = [None] * (self.n + 1)
 
         self.best_obj = math.inf
         self.best_plan: tuple[tuple[int, ...], ...] | None = None
@@ -243,54 +274,64 @@ class _SearchBase:
                            window_prunes=self.window_prunes,
                            lookahead_prunes=self.lookahead_prunes)
 
-
-class _ScalarSearch(_SearchBase):
-    """Search under a single travel-time realization (plain float arithmetic).
-
-    Branch state (current route, onboard pickups, unvisited set, pickup
-    times) lives on the instance and is mutated and undone around each
-    recursive call, which keeps the hot path free of allocations.
-    """
-
-    def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 alpha: float, config: SolveConfig):
-        super().__init__(network, times, probs, alpha, config)
-        self.t = times[0].tolist()
-        self.latest_l = self.latest[0].tolist()
-        self.route: list[int] = [0]
-        self.routes: list[tuple[int, ...]] = []
-        self.onboard: list[int] = []
-        self.unvisited: set[int] = set(range(1, self.n + 1))
-        self.pickup_order = tuple(range(1, self.n + 1))
-        self.pick_time: dict[int, float] = {}
-
     def run(self) -> None:
-        t, a, b = self.t, self.a_l, self.b_l
-        for i in range(1, self.n + 1):
-            if a[i] + t[i][i + self.n] > b[i + self.n] + _EPS:
-                return
+        dead = _forced_dead_scenarios(self.network, self.times)
+        mass = float(self.probs[dead].sum())
+        if mass > self.alpha + _MASS_EPS:
+            return
+        scen = (np.zeros(len(dead)), ~dead, mass) if self.vector else None
         try:
-            self._extend(0, 0, 0.0, 0.0, self.todo_full, 0)
+            self._extend(0, 0, 0.0, scen, 0.0, self.todo_full, 0)
         except _TimeUp:
             self.timed_out = True
 
-    def _extend(self, k: int, cur: int, now: float,
+    def _vector_step(self, scen: tuple, cur: int, j: int) -> tuple | None:
+        """Per-scenario times at `j` after `cur`, or None once the mass of
+        scenarios that miss a window exceeds alpha."""
+        cur_times, alive, dead_mass = scen
+        arr = cur_times + self.t_fs[cur, j]
+        if self.n < j < self.terminal:
+            pick = j - self.n
+            arr = np.maximum(arr, self.pick_times[pick] + self.t_fs[pick, j])
+        new_times = np.maximum(arr, self.a_l[j])
+        violated = alive & (new_times > self.b_l[j] + _EPS)
+        new_mass = dead_mass + float(self.probs[violated].sum())
+        if new_mass > self.alpha + _MASS_EPS:
+            return None
+        return new_times, alive & ~violated, new_mass
+
+    def _doomed(self, scen: tuple, cur: int, now: float) -> bool:
+        """Whether the scenarios that can no longer reach some onboard
+        deadline push the dead mass above alpha."""
+        cur_times, alive, dead_mass = scen
+        latest_min = self.latest_min[cur]
+        doomed = np.zeros(len(alive), dtype=bool)
+        for i in self.onboard:
+            if now > latest_min[i]:
+                doomed |= cur_times > self.latest_fs[cur, i]
+        return (dead_mass + float(self.probs[alive & doomed].sum())
+                > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
+
+    def _extend(self, k: int, cur: int, now: float, scen: tuple | None,
                 travelled: float, todo_bound: float, floor: int) -> None:
         self.nodes += 1
-        if self.nodes % 8192 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _TimeUp
         if travelled + todo_bound > self.best_obj + _EPS:
             self.bound_prunes += 1
             return
         route, onboard, unvisited = self.route, self.onboard, self.unvisited
-        latest = self.latest_l[cur]
+        latest = self.latest_min[cur]
         for i in onboard:
             if now > latest[i]:
-                self.lookahead_prunes += 1
-                return
-        t, a, b = self.t, self.a_l, self.b_l
-        t_cur = t[cur]
+                if scen is None or self._doomed(scen, cur, now):
+                    self.lookahead_prunes += 1
+                    return
+                break
+        vector, t, a, b = self.vector, self.t_max, self.a_l, self.b_l
+        t_cur, pick_hi = t[cur], self.pick_hi
         at_start = len(route) == 1
+        new_scen = None
 
         for j in self.pickup_order:
             if j not in unvisited or (at_start and j <= floor):
@@ -298,177 +339,46 @@ class _ScalarSearch(_SearchBase):
             w = now + t_cur[j]
             if w < a[j]:
                 w = a[j]
-            if w > b[j] + _EPS:
+            if vector:
+                new_scen = self._vector_step(scen, cur, j)
+                if new_scen is None:
+                    self.window_prunes += 1
+                    continue
+                self.pick_times[j] = new_scen[0]
+            elif w > b[j] + _EPS:
                 self.window_prunes += 1
                 continue
             route.append(j)
             onboard.append(j)
             unvisited.remove(j)
-            self.pick_time[j] = w
-            self._extend(k, j, w, travelled + self.d[cur][j],
+            pick_hi[j] = w
+            self._extend(k, j, w, new_scen, travelled + self.d[cur][j],
                          todo_bound - self.min_in_l[j], floor)
-            del self.pick_time[j]
             unvisited.add(j)
             onboard.pop()
             route.pop()
         for i in sorted(onboard):
             j = i + self.n
             w = now + t_cur[j]
-            other = self.pick_time[i] + t[i][j]
+            other = pick_hi[i] + t[i][j]
             if other > w:
                 w = other
             if w < a[j]:
                 w = a[j]
-            if w > b[j] + _EPS:
+            if vector:
+                new_scen = self._vector_step(scen, cur, j)
+                if new_scen is None:
+                    self.window_prunes += 1
+                    continue
+            elif w > b[j] + _EPS:
                 self.window_prunes += 1
                 continue
             idx = onboard.index(i)
             route.append(j)
             del onboard[idx]
-            self._extend(k, j, w, travelled + self.d[cur][j],
+            self._extend(k, j, w, new_scen, travelled + self.d[cur][j],
                          todo_bound - self.min_in_l[j], floor)
             onboard.insert(idx, i)
-            route.pop()
-
-        if onboard:
-            return
-        if unvisited and (k == self.fleet - 1 or at_start):
-            return
-        w = now + t_cur[self.terminal]
-        if w < a[self.terminal]:
-            w = a[self.terminal]
-        if w > b[self.terminal] + _EPS:
-            self.window_prunes += 1
-            return
-        travelled_total = travelled + self.d[cur][self.terminal]
-        closed = tuple(route) + (self.terminal,)
-        if not unvisited:
-            full = tuple(self.routes) + (closed,) + ((0, self.terminal),) * (
-                self.fleet - len(self.routes) - 1)
-            self._offer(full, travelled_total)
-            return
-        # route[1] is this vehicle's first pickup: closing from the start node
-        # with pickups left was rejected above, so the route is non-idle.
-        first_pickup = route[1]
-        self.routes.append(closed)
-        saved_route, self.route = self.route, [0]
-        self._extend(k + 1, 0, 0.0, travelled_total, todo_bound, first_pickup)
-        self.route = saved_route
-        self.routes.pop()
-
-
-class _VectorSearch(_SearchBase):
-    """Search over many realizations at once, tracking per-scenario earliest
-    times and the probability mass of scenarios already failed.
-
-    Structured like the scalar engine (mutable branch state, undone around
-    recursion); the per-candidate work is vectorized over scenarios.
-    """
-
-    def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 alpha: float, config: SolveConfig):
-        super().__init__(network, times, probs, alpha, config)
-        # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
-        self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
-        self.latest_fs = np.ascontiguousarray(self.latest.transpose(1, 2, 0))
-        # Scalar side of the lookahead: `hi` bounds the latest scenario time
-        # at a node from above, and the vector test runs only when `hi`
-        # passes the earliest per-scenario cut-off.
-        self.latest_min = self.latest.min(axis=0).tolist()
-        self.t_max = times.max(axis=0).tolist()
-        self.route: list[int] = [0]
-        self.routes: list[tuple[int, ...]] = []
-        self.onboard: list[int] = []
-        self.unvisited: set[int] = set(range(1, self.n + 1))
-        self.pickup_order = tuple(range(1, self.n + 1))
-        self.pick_time: dict[int, np.ndarray] = {}
-        self.pick_hi = [0.0] * (self.n + 1)
-
-    def run(self) -> None:
-        pre_dead = np.zeros(self.scen_count, dtype=bool)
-        for i in range(1, self.n + 1):
-            j = i + self.n
-            pre_dead |= self.a[i] + self.t_fs[i, j] > self.b[j] + _EPS
-        mass = float(self.probs[pre_dead].sum())
-        if mass > self.alpha + _MASS_EPS:
-            return
-        try:
-            self._extend(0, 0, np.zeros(self.scen_count), 0.0, ~pre_dead, mass,
-                         0.0, self.todo_full, 0)
-        except _TimeUp:
-            self.timed_out = True
-
-    def _step_times(self, cur_times: np.ndarray, cur: int, j: int) -> np.ndarray:
-        arr = cur_times + self.t_fs[cur, j]
-        if self.n < j <= 2 * self.n:
-            pick = j - self.n
-            arr = np.maximum(arr, self.pick_time[pick] + self.t_fs[pick, j])
-        return np.maximum(arr, self.a_l[j])
-
-    def _extend(self, k: int, cur: int, cur_times: np.ndarray, hi: float,
-                alive: np.ndarray, dead_mass: float, travelled: float,
-                todo_bound: float, floor: int) -> None:
-        self.nodes += 1
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _TimeUp
-        if travelled + todo_bound > self.best_obj + _EPS:
-            self.bound_prunes += 1
-            return
-
-        route, onboard, unvisited = self.route, self.onboard, self.unvisited
-        latest_min = self.latest_min[cur]
-        doomed = None
-        for i in onboard:
-            if hi > latest_min[i]:
-                late = cur_times > self.latest_fs[cur, i]
-                doomed = late if doomed is None else doomed | late
-        if doomed is not None and (
-                dead_mass + float(self.probs[alive & doomed].sum())
-                > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN):
-            self.lookahead_prunes += 1
-            return
-
-        at_start = len(route) == 1
-        candidates = [p for p in self.pickup_order
-                      if p in unvisited and not (at_start and p <= floor)]
-        candidates.extend(sorted(i + self.n for i in onboard))
-        a, b = self.a_l, self.b_l
-        t_max_cur, pick_hi = self.t_max[cur], self.pick_hi
-
-        for j in candidates:
-            new_times = self._step_times(cur_times, cur, j)
-            violated = alive & (new_times > b[j] + _EPS)
-            new_mass = dead_mass + float(self.probs[violated].sum())
-            if new_mass > self.alpha + _MASS_EPS:
-                self.window_prunes += 1
-                continue
-            new_alive = alive & ~violated
-            # Float addition and max are monotone, so this bounds the max of
-            # new_times from above exactly as _step_times computes it.
-            new_hi = hi + t_max_cur[j]
-            if new_hi < a[j]:
-                new_hi = a[j]
-            route.append(j)
-            if j <= self.n:
-                onboard.append(j)
-                unvisited.remove(j)
-                self.pick_time[j] = new_times
-                pick_hi[j] = new_hi
-            else:
-                pick = j - self.n
-                other = pick_hi[pick] + self.t_max[pick][j]
-                if other > new_hi:
-                    new_hi = other
-                idx = onboard.index(pick)
-                del onboard[idx]
-            self._extend(k, j, new_times, new_hi, new_alive, new_mass,
-                         travelled + self.d[cur][j], todo_bound - self.min_in_l[j], floor)
-            if j <= self.n:
-                del self.pick_time[j]
-                unvisited.add(j)
-                onboard.pop()
-            else:
-                onboard.insert(idx, j - self.n)
             route.pop()
 
         # Close the route at the terminal: allowed with nothing onboard, and
@@ -478,16 +388,19 @@ class _VectorSearch(_SearchBase):
             return
         if unvisited and (k == self.fleet - 1 or at_start):
             return
-        new_times = self._step_times(cur_times, cur, self.terminal)
-        violated = alive & (new_times > b[self.terminal] + _EPS)
-        new_mass = dead_mass + float(self.probs[violated].sum())
-        if new_mass > self.alpha + _MASS_EPS:
+        w = now + t_cur[self.terminal]
+        if w < a[self.terminal]:
+            w = a[self.terminal]
+        if vector:
+            new_scen = self._vector_step(scen, cur, self.terminal)
+            if new_scen is None:
+                self.window_prunes += 1
+                return
+        elif w > b[self.terminal] + _EPS:
             self.window_prunes += 1
             return
-        new_alive = alive & ~violated
         travelled_total = travelled + self.d[cur][self.terminal]
         closed = tuple(route) + (self.terminal,)
-
         if not unvisited:
             # Remaining vehicles stay idle; the depot-to-depot hop is free in
             # both time and distance, so no window can fail on it.
@@ -495,16 +408,17 @@ class _VectorSearch(_SearchBase):
                 self.fleet - len(self.routes) - 1)
             self._offer(full, travelled_total)
             return
+        if vector:
+            _, alive, dead_mass = new_scen
+            new_scen = (np.zeros(len(alive)), alive, dead_mass)
         # route[1] is this vehicle's first pickup: closing from the start node
         # with pickups left was rejected above, so the route is non-idle.
         first_pickup = route[1]
         self.routes.append(closed)
         saved_route, self.route = self.route, [0]
-        self._extend(k + 1, 0, np.zeros(self.scen_count), 0.0, new_alive, new_mass,
-                     travelled_total, todo_bound, first_pickup)
+        self._extend(k + 1, 0, 0.0, new_scen, travelled_total, todo_bound, first_pickup)
         self.route = saved_route
         self.routes.pop()
-
 
 def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray,
                 close_time: np.ndarray, coupling: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -603,8 +517,7 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
 
 def _solve(network: PdpNetwork, scen_times: np.ndarray, probs: np.ndarray,
            alpha: float, config: SolveConfig, det_schedule: bool) -> Solution:
-    engine = _ScalarSearch if scen_times.shape[0] == 1 else _VectorSearch
-    search = engine(network, scen_times, probs, alpha, config)
+    search = _Search(network, scen_times, probs, alpha, config)
     search.run()
     stats = search.stats()
 

@@ -8,6 +8,7 @@ from tugplan import (ScenarioConfig, ScenarioSet, build_network, generate_scenar
                      load_instance, sample_multiplier, scenario_set_from_dict,
                      scenario_set_to_dict, simulate_route, single_scenario,
                      supremum_scenario)
+from tugplan.scenarios import sample_time_matrix
 
 from conftest import single_task_dict
 
@@ -52,6 +53,25 @@ class TestSampleMultiplier:
         raw_negative_rate = (rng.calls - len(draws)) / rng.calls
         assert 0.020 <= raw_negative_rate <= 0.026
         assert norm.cdf(-2.0) == pytest.approx(0.02275, abs=1e-4)
+
+
+class TestSampleTimeMatrix:
+    @pytest.mark.parametrize("mean", [1.0, 0.1])
+    def test_equals_per_arc_multiplier_loop(self, mean):
+        # A low mean rejects about 40% of the draws, so the block is topped
+        # up several times.
+        for stream in range(100):
+            nv = 2 + stream % 13
+            nominal = np.arange(1.0, nv * nv + 1.0).reshape(nv, nv)
+            nominal = nominal + nominal.T
+            mult, times = sample_time_matrix(nominal, np.random.default_rng(stream), mean, 0.5)
+            rng = np.random.default_rng(stream)
+            expected = np.ones((nv, nv))
+            for i in range(nv):
+                for j in range(i + 1, nv):
+                    expected[i, j] = expected[j, i] = sample_multiplier(rng, mean, 0.5)
+            assert np.array_equal(mult, expected)
+            assert np.array_equal(times, expected * nominal)
 
 
 class TestGenerateScenarios:

@@ -12,7 +12,7 @@ from tugplan.solver import RoutePlan, assignment_from_solution
 
 from conftest import instance_dict, single_task_dict
 from instgen import random_network
-from oracle import oracle_solve, oracle_solve_deterministic
+from oracle import oracle_solve, oracle_solve_deterministic, plan_scenario_feasible
 
 
 class TestSolveDeterministic:
@@ -315,6 +315,57 @@ class TestDeadlineLookahead:
         assert solution.plan.routes == (
             (0, 2, 5, 8, 11, 13), (0, 4, 3, 6, 1, 9, 10, 7, 12, 13),
             (0, 13), (0, 13), (0, 13))
+
+
+class TestOneEngine:
+    def test_two_copies_of_nominal_equal_deterministic(self):
+        # Two identical scenarios run the per-scenario branch of the search;
+        # one nominal scenario runs the float branch.  Both must take the
+        # same decisions at every node, so even the counters agree.
+        rng = np.random.default_rng(515)
+        optima = 0
+        for trial in range(60):
+            tightness = "tight" if trial % 2 == 0 else "loose"
+            network = random_network(rng, max_tasks=4, max_vehicles=2, tightness=tightness)
+            nominal = network.travel_time[np.newaxis]
+            twin = ScenarioSet(multipliers=np.ones((2,) + nominal.shape[1:]),
+                               travel_times=np.concatenate((nominal, nominal)),
+                               probabilities=np.array([0.5, 0.5]),
+                               config=None, seed=None, algorithm="fixed")
+            det = solve_deterministic(network)
+            sto = solve_stochastic(network, twin)
+            assert sto.status == det.status
+            assert sto.objective == det.objective
+            assert sto.stats == det.stats
+            if det.plan is not None:
+                assert sto.plan.routes == det.plan.routes
+                assert not sto.schedule.ignored.any()
+                optima += 1
+        assert optima >= 30
+
+    def test_ignored_set_equals_model_replay(self):
+        # The ignored set of a returned plan is exactly the set of scenarios
+        # the plan fails under the model's recursion, replayed independently.
+        # Some of these plans fail a different set of scenarios without the
+        # pickup-to-delivery coupling.
+        rng = np.random.default_rng(616)
+        plans = with_ignored = 0
+        for trial in range(120):
+            tightness = "tight" if trial % 2 == 0 else "mixed"
+            network = random_network(rng, max_tasks=3, max_vehicles=2, tightness=tightness)
+            scen = generate_scenarios(network, ScenarioConfig(count=6, seed=trial))
+            for alpha in (0.2, 0.5):
+                solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))
+                if solution.plan is None:
+                    continue
+                replay = [not plan_scenario_feasible(solution.plan.routes, times,
+                                                     network.open_time, network.close_time,
+                                                     network.n)
+                          for times in scen.travel_times]
+                assert solution.schedule.ignored.tolist() == replay
+                plans += 1
+                with_ignored += any(replay)
+        assert plans >= 60 and with_ignored >= 30
 
 
 class TestCheckerAgreement:

@@ -152,6 +152,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     provenance = None
     if args.mode == "det":
+        if args.alpha != 0.0:
+            raise CliError("--mode det solves under nominal times and takes no --alpha")
+        if args.scenarios or args.scenario_file:
+            raise CliError("--mode det solves under nominal times and takes no "
+                           "--scenarios or --scenario-file")
         solution = solve_deterministic(network, config)
         system_builder = lambda: build_deterministic(network)
     else:

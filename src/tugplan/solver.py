@@ -15,9 +15,13 @@ upper bound on its latest scenario time, propagated over the arc-wise maxima
 of the scenario matrices; float addition and max are monotone, so it bounds
 every scenario's time exactly as the per-scenario recursion rounds it.  With
 one scenario the bound is the time itself, so windows and the lookahead are
-decided in float arithmetic alone and any miss prunes.  With several, every
-candidate also steps the per-scenario time vector, the alive mask and the
-dead mass.
+decided in float arithmetic alone and any miss prunes.  With several, a
+bound that meets a window meets it in every scenario, so the child keeps its
+parent's alive mask and dead mass and computes its per-scenario times only
+when something reads them: a later step whose bound misses a window, the
+lookahead, or a delivery's coupling to its pickup.  Only a bound that misses
+steps the scenario vector at once.  Each node's vector is computed at most
+once and the decisions are those of stepping every candidate.
 
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
@@ -85,8 +89,8 @@ class SolveConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.time_limit <= 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+        if not (0.0 < self.time_limit < math.inf):
+            raise ValueError(f"time_limit must be positive and finite, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -198,10 +202,13 @@ class _Search:
 
     Branch state (current route, onboard pickups, unvisited set, pickup
     times) lives on the instance and is mutated and undone around each
-    recursive call, which keeps the hot path free of allocations.  A node
+    recursive call instead of being copied per node.  A node
     carries `now`, the float upper bound on its latest scenario time (exact
-    at S = 1), and `scen`: None at S = 1, otherwise the per-scenario times,
-    the alive mask and the dead probability mass.
+    at S = 1), and `scen`: None at S = 1, otherwise the list `[times, alive,
+    mass, parent, cur, j]` of per-scenario times, alive mask and dead
+    probability mass.  `times` is None until `_times` steps it from the
+    parent's `scen` along the arc (cur, j); `pick_scen[i]` is the `scen` of
+    onboard pickup i, which a delivery's coupling reads.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
@@ -250,7 +257,7 @@ class _Search:
         self.unvisited: set[int] = set(range(1, self.n + 1))
         self.pickup_order = tuple(range(1, self.n + 1))
         self.pick_hi = [0.0] * (self.n + 1)
-        self.pick_times: list[np.ndarray | None] = [None] * (self.n + 1)
+        self.pick_scen: list[list | None] = [None] * (self.n + 1)
 
         self.best_obj = math.inf
         self.best_plan: tuple[tuple[int, ...], ...] | None = None
@@ -279,31 +286,45 @@ class _Search:
         mass = float(self.probs[dead].sum())
         if mass > self.alpha + _MASS_EPS:
             return
-        scen = (np.zeros(len(dead)), ~dead, mass) if self.vector else None
+        scen = [np.zeros(len(dead)), ~dead, mass, None, 0, 0] if self.vector else None
         try:
             self._extend(0, 0, 0.0, scen, 0.0, self.todo_full, 0)
         except _TimeUp:
             self.timed_out = True
 
-    def _vector_step(self, scen: tuple, cur: int, j: int) -> tuple | None:
-        """Per-scenario times at `j` after `cur`, or None once the mass of
-        scenarios that miss a window exceeds alpha."""
-        cur_times, alive, dead_mass = scen
+    def _times(self, scen: list) -> np.ndarray:
+        """The node's per-scenario times, stepped from its parent's on first
+        use."""
+        if scen[0] is None:
+            _, _, _, parent, cur, j = scen
+            scen[0] = self._arrive(self._times(parent), cur, j)
+        return scen[0]
+
+    def _arrive(self, cur_times: np.ndarray, cur: int, j: int) -> np.ndarray:
+        """Per-scenario service times at `j` after `cur`, coupling included."""
         arr = cur_times + self.t_fs[cur, j]
         if self.n < j < self.terminal:
+            # The pickup is an ancestor on the current route, so its entry
+            # stays in place for as long as this subtree is searched.
             pick = j - self.n
-            arr = np.maximum(arr, self.pick_times[pick] + self.t_fs[pick, j])
-        new_times = np.maximum(arr, self.a_l[j])
+            arr = np.maximum(arr, self._times(self.pick_scen[pick]) + self.t_fs[pick, j])
+        return np.maximum(arr, self.a_l[j])
+
+    def _vector_step(self, scen: list, cur: int, j: int) -> list | None:
+        """The per-scenario state at `j` after `cur`, or None once the mass
+        of scenarios that miss a window exceeds alpha."""
+        alive, dead_mass = scen[1], scen[2]
+        new_times = self._arrive(self._times(scen), cur, j)
         violated = alive & (new_times > self.b_l[j] + _EPS)
         new_mass = dead_mass + float(self.probs[violated].sum())
         if new_mass > self.alpha + _MASS_EPS:
             return None
-        return new_times, alive & ~violated, new_mass
+        return [new_times, alive & ~violated, new_mass, None, cur, j]
 
-    def _doomed(self, scen: tuple, cur: int, now: float) -> bool:
+    def _doomed(self, scen: list, cur: int, now: float) -> bool:
         """Whether the scenarios that can no longer reach some onboard
         deadline push the dead mass above alpha."""
-        cur_times, alive, dead_mass = scen
+        cur_times, alive, dead_mass = self._times(scen), scen[1], scen[2]
         latest_min = self.latest_min[cur]
         doomed = np.zeros(len(alive), dtype=bool)
         for i in self.onboard:
@@ -312,7 +333,7 @@ class _Search:
         return (dead_mass + float(self.probs[alive & doomed].sum())
                 > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
 
-    def _extend(self, k: int, cur: int, now: float, scen: tuple | None,
+    def _extend(self, k: int, cur: int, now: float, scen: list | None,
                 travelled: float, todo_bound: float, floor: int) -> None:
         self.nodes += 1
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
@@ -333,21 +354,25 @@ class _Search:
         at_start = len(route) == 1
         new_scen = None
 
+        # A bound `w` that meets j's window meets it in every scenario: the
+        # child keeps the alive mask and the dead mass and records where its
+        # times come from.  Only a bound that misses steps the scenarios; at
+        # S = 1 `new_scen` stays None, so any miss prunes.
         for j in self.pickup_order:
             if j not in unvisited or (at_start and j <= floor):
                 continue
             w = now + t_cur[j]
             if w < a[j]:
                 w = a[j]
-            if vector:
-                new_scen = self._vector_step(scen, cur, j)
+            if w > b[j] + _EPS:
+                if vector:
+                    new_scen = self._vector_step(scen, cur, j)
                 if new_scen is None:
                     self.window_prunes += 1
                     continue
-                self.pick_times[j] = new_scen[0]
-            elif w > b[j] + _EPS:
-                self.window_prunes += 1
-                continue
+            elif vector:
+                new_scen = [None, scen[1], scen[2], scen, cur, j]
+            self.pick_scen[j] = new_scen
             route.append(j)
             onboard.append(j)
             unvisited.remove(j)
@@ -365,14 +390,14 @@ class _Search:
                 w = other
             if w < a[j]:
                 w = a[j]
-            if vector:
-                new_scen = self._vector_step(scen, cur, j)
+            if w > b[j] + _EPS:
+                if vector:
+                    new_scen = self._vector_step(scen, cur, j)
                 if new_scen is None:
                     self.window_prunes += 1
                     continue
-            elif w > b[j] + _EPS:
-                self.window_prunes += 1
-                continue
+            elif vector:
+                new_scen = [None, scen[1], scen[2], scen, cur, j]
             idx = onboard.index(i)
             route.append(j)
             del onboard[idx]
@@ -391,14 +416,13 @@ class _Search:
         w = now + t_cur[self.terminal]
         if w < a[self.terminal]:
             w = a[self.terminal]
-        if vector:
-            new_scen = self._vector_step(scen, cur, self.terminal)
+        new_scen = scen
+        if w > b[self.terminal] + _EPS:
+            if vector:
+                new_scen = self._vector_step(scen, cur, self.terminal)
             if new_scen is None:
                 self.window_prunes += 1
                 return
-        elif w > b[self.terminal] + _EPS:
-            self.window_prunes += 1
-            return
         travelled_total = travelled + self.d[cur][self.terminal]
         closed = tuple(route) + (self.terminal,)
         if not unvisited:
@@ -409,8 +433,8 @@ class _Search:
             self._offer(full, travelled_total)
             return
         if vector:
-            _, alive, dead_mass = new_scen
-            new_scen = (np.zeros(len(alive)), alive, dead_mass)
+            alive, dead_mass = new_scen[1], new_scen[2]
+            new_scen = [np.zeros(len(alive)), alive, dead_mass, None, 0, 0]
         # route[1] is this vehicle's first pickup: closing from the start node
         # with pickups left was rejected above, so the route is non-idle.
         first_pickup = route[1]
@@ -419,6 +443,7 @@ class _Search:
         self._extend(k + 1, 0, 0.0, new_scen, travelled_total, todo_bound, first_pickup)
         self.route = saved_route
         self.routes.pop()
+
 
 def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray,
                 close_time: np.ndarray, coupling: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -102,6 +102,28 @@ class TestSolveCommand:
         assert code == 1
         assert "--scenarios" in stderr
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--alpha", "0.3"], "--alpha"),
+        (["--scenarios", "5"], "--scenarios"),
+        (["--scenario-file", "scen.json"], "--scenario-file"),
+    ])
+    def test_det_rejects_stochastic_inputs(self, tmp_path, capsys, extra, flag):
+        out = tmp_path / "o.json"
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "det",
+                              *extra, "--out", str(out))
+        assert code == 1
+        assert flag in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_time_limit_exits_one(self, tmp_path, capsys, limit):
+        out = tmp_path / "o.json"
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--time-limit", limit,
+                              "--out", str(out))
+        assert code == 1
+        assert "time_limit" in stderr and "finite" in stderr
+        assert not out.exists()
+
     def test_lp_export(self, tmp_path, capsys):
         lp = tmp_path / "model.lp"
         code, _, _ = run(capsys, "solve", "--instance", TRI3, "--export-lp", str(lp),

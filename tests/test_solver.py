@@ -367,6 +367,44 @@ class TestOneEngine:
                 with_ignored += any(replay)
         assert plans >= 60 and with_ignored >= 30
 
+    def test_coupling_miss_behind_a_met_bound(self):
+        # Scenario 0 doubles the direct arc from T2's pickup B to its
+        # delivery at C (10 s -> 20 s); the chain 0-1-2-3-4-5 gets there
+        # through T1's co-located delivery (10 s + 0 s).  It reaches B at
+        # 20 s and C at 30 s in every scenario, inside T2's 35 s deadline,
+        # so only the coupling w[4] >= w[2] + t[2][4] = 40 s fails it, and
+        # only in scenario 0.  Scenario 1 slows that arc by a fifth, which
+        # the chain absorbs.  The float bound at T2's delivery must carry the
+        # coupling too, or the search skips the scenario step there: at
+        # alpha = 0 the tasks then need two vehicles, at 0.3 the chain stays
+        # and ignores scenario 0.
+        doc = {
+            "layout": {"nodes": ["DEP", "A", "B", "C"],
+                       "edges": [["DEP", "A", 15.0], ["DEP", "B", 15.0],
+                                 ["A", "B", 15.0], ["B", "C", 15.0]]},
+            "tasks": [{"id": "T1", "from": "A", "to": "C",
+                       "earliest_pickup_s": 0, "latest_delivery_s": 35},
+                      {"id": "T2", "from": "B", "to": "C",
+                       "earliest_pickup_s": 0, "latest_delivery_s": 35}],
+            "vehicles": 2, "depot": "DEP", "speed": 1.5, "horizon": 200,
+        }
+        network = build_network(load_instance(json.dumps(doc)))
+        mults = np.ones((3,) + network.travel_time.shape)
+        mults[0, 2, 4] = mults[0, 4, 2] = 2.0
+        mults[1, 2, 4] = mults[1, 4, 2] = 1.2
+        scen = ScenarioSet(multipliers=mults, travel_times=mults * network.travel_time,
+                           probabilities=np.array([0.25, 0.25, 0.5]),
+                           config=None, seed=None, algorithm="fixed")
+        expected = {0.0: ((0, 1, 3, 5), (0, 2, 4, 5)), 0.3: ((0, 1, 2, 3, 4, 5), (0, 5))}
+        for alpha, plan in expected.items():
+            solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))
+            reference = oracle_solve(network, scen.travel_times, scen.probabilities, alpha)
+            assert reference.plan == plan
+            assert solution.status == reference.status == STATUS_OPTIMAL
+            assert solution.plan.routes == reference.plan
+            assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+            assert tuple(np.flatnonzero(solution.schedule.ignored)) == reference.ignored
+
 
 class TestCheckerAgreement:
     def test_solutions_pass_checker(self, tri3_network):

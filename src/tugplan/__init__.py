@@ -14,7 +14,7 @@ from .formulation import (BigMSet, CheckResult, ConstraintSystem,
                           compute_big_m, objective_value, write_lp_text)
 from .instance import (InstanceParseError, InstanceValidationError, LayoutGraph,
                        PdpInstance, PdpNetwork, TaskSpec, build_network,
-                       instance_to_dict, load_instance, shortest_travel_matrix)
+                       load_instance, shortest_travel_matrix)
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         sample_multiplier, scenario_set_from_dict,
                         scenario_set_to_dict, single_scenario, supremum_scenario)

@@ -157,9 +157,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.scenarios or args.scenario_file:
             raise CliError("--mode det solves under nominal times and takes no "
                            "--scenarios or --scenario-file")
+        if args.seed is not None:
+            raise CliError("--mode det solves under nominal times and takes no --seed")
         solution = solve_deterministic(network, config)
         system_builder = lambda: build_deterministic(network)
     else:
+        # Only the stochastic modes draw, so only their manifests record a seed.
+        if args.seed is None:
+            args.seed = 0
         scen, provenance = _scenario_set_for(args, network)
         if args.mode == "sto-fast":
             if args.alpha != 0.0:
@@ -270,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=["det", "sto", "sto-fast"], default="det")
     solve.add_argument("--alpha", type=float, default=0.0,
                        help="allowed ignored probability mass (stochastic modes)")
-    solve.add_argument("--scenarios", type=int, default=0,
-                       help="number of travel-time scenarios to sample")
-    solve.add_argument("--scenario-file", default=None,
-                       help="replay a scenario artifact instead of sampling")
-    solve.add_argument("--seed", type=int, default=0, help="scenario sampling seed")
+    scenario_source = solve.add_mutually_exclusive_group()
+    scenario_source.add_argument("--scenarios", type=int, default=0,
+                                 help="number of travel-time scenarios to sample")
+    scenario_source.add_argument("--scenario-file", default=None,
+                                 help="replay a scenario artifact instead of sampling")
+    solve.add_argument("--seed", type=int, default=None,
+                       help="scenario sampling seed (stochastic modes, default 0)")
     solve.add_argument("--time-limit", type=float, default=300.0, dest="time_limit")
     solve.add_argument("--out", default=None, help="artifact path")
     solve.add_argument("--export-lp", default=None, dest="export_lp",

@@ -176,10 +176,6 @@ class PdpNetwork:
         return 2 * self.n + 2
 
     @property
-    def source(self) -> int:
-        return 0
-
-    @property
     def terminal(self) -> int:
         return 2 * self.n + 1
 
@@ -389,33 +385,3 @@ def load_instance(text: str) -> PdpInstance:
         horizon=horizon,
         notes=notes,
     )
-
-
-def instance_to_dict(instance: PdpInstance) -> dict:
-    """Inverse of `load_instance`, producing the documented JSON shape."""
-    plain = all(i == l for i, l in zip(instance.layout.node_ids, instance.layout.labels))
-    nodes = (list(instance.layout.node_ids) if plain
-             else [[i, l] for i, l in zip(instance.layout.node_ids, instance.layout.labels)])
-    out = {
-        "layout": {
-            "nodes": nodes,
-            "edges": [[u, v, length] for u, v, length in instance.layout.edges],
-        },
-        "tasks": [
-            {
-                "id": t.task_id,
-                "from": t.origin,
-                "to": t.destination,
-                "earliest_pickup_s": t.earliest_pickup,
-                "latest_delivery_s": t.latest_delivery,
-            }
-            for t in instance.tasks
-        ],
-        "vehicles": instance.vehicle_count,
-        "depot": instance.depot,
-        "speed": instance.speed,
-        "horizon": instance.horizon,
-    }
-    if instance.notes:
-        out["notes"] = instance.notes
-    return out

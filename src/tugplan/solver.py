@@ -9,8 +9,9 @@ pruning uses the incumbent against the travelled distance plus an admissible
 completion estimate (each unvisited task node must still be entered by some
 arc, so the cheapest incoming arc per node is a lower bound).
 
-One engine serves every mode; the nominal solve and the fast path are the
-single-scenario case with no ignored mass.  Each node carries a plain-float
+One engine serves every mode and `_solve` is the one path into it: it
+searches one scenario set (nominal, sampled, or the fast path's supremum)
+and reports the plan on another.  Each node carries a plain-float
 upper bound on its latest scenario time, propagated over the arc-wise maxima
 of the scenario matrices; float addition and max are monotone, so it bounds
 every scenario's time exactly as the per-scenario recursion rounds it.  With
@@ -43,9 +44,11 @@ objective are exactly those of the search without the lookahead.
 
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
-working vehicle increases and idle vehicles trail.  Among equal-distance
-optima the lexicographically smallest plan is kept, which makes results
-deterministic and independent of exploration order.
+working vehicle increases and idle vehicles trail.  Children are tried in
+increasing node order (pickups, deliveries, then the terminal, the largest
+index) and vehicles are filled in order, so complete plans arrive in strictly
+increasing lexicographic order.  Only a strict improvement replaces the
+incumbent, so the first optimum found is the lexicographically smallest one.
 
 For a fixed plan the scenario switches decouple: turning a scenario off never
 pays unless the plan misses one of its windows, so the optimal switch set is
@@ -187,10 +190,6 @@ class Solution:
     infeasible_task: str | None = None
     limiting_scenarios: tuple[int, ...] = ()
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == STATUS_OPTIMAL
-
 
 class _TimeUp(Exception):
     pass
@@ -265,16 +264,9 @@ class _Search:
         self.bound_prunes = 0
         self.window_prunes = 0
         self.lookahead_prunes = 0
+        self.dead_mass = 0.0  # mass of the scenarios no plan satisfies; set by run
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
-
-    def _offer(self, plan: tuple[tuple[int, ...], ...], objective: float) -> None:
-        if objective < self.best_obj - _EPS:
-            self.best_obj = objective
-            self.best_plan = plan
-        elif abs(objective - self.best_obj) <= _EPS and self.best_plan is not None:
-            if plan < self.best_plan:
-                self.best_plan = plan
 
     def stats(self) -> SearchStats:
         return SearchStats(nodes_explored=self.nodes, bound_prunes=self.bound_prunes,
@@ -283,10 +275,10 @@ class _Search:
 
     def run(self) -> None:
         dead = _forced_dead_scenarios(self.network, self.times)
-        mass = float(self.probs[dead].sum())
-        if mass > self.alpha + _MASS_EPS:
+        self.dead_mass = float(self.probs[dead].sum())
+        if self.dead_mass > self.alpha + _MASS_EPS:
             return
-        scen = [np.zeros(len(dead)), ~dead, mass, None, 0, 0] if self.vector else None
+        scen = [np.zeros(len(dead)), ~dead, self.dead_mass, None, 0, 0] if self.vector else None
         try:
             self._extend(0, 0, 0.0, scen, 0.0, self.todo_full, 0)
         except _TimeUp:
@@ -428,9 +420,11 @@ class _Search:
         if not unvisited:
             # Remaining vehicles stay idle; the depot-to-depot hop is free in
             # both time and distance, so no window can fail on it.
-            full = tuple(self.routes) + (closed,) + ((0, self.terminal),) * (
-                self.fleet - len(self.routes) - 1)
-            self._offer(full, travelled_total)
+            # Plans arrive in lexicographic order: keep strict improvements only.
+            if travelled_total < self.best_obj - _EPS:
+                self.best_obj = travelled_total
+                self.best_plan = tuple(self.routes) + (closed,) + ((0, self.terminal),) * (
+                    self.fleet - len(self.routes) - 1)
             return
         if vector:
             alive, dead_mass = new_scen[1], new_scen[2]
@@ -516,15 +510,12 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
 def _solo_infeasible_task(network: PdpNetwork) -> str | None:
     """A task whose window cannot be met even by a dedicated vehicle under
     nominal times, if any."""
-    d = network.travel_time
-    a, b = network.open_time, network.close_time
+    nominal = network.travel_time[np.newaxis]
     for i in network.pickups:
-        dd = network.delivery_of(i)
-        pick = max(a[i], d[0, i])
-        drop = max(a[dd], pick + d[i, dd])
-        if pick > b[i] + _EPS or drop > b[dd] + _EPS:
-            return network.task_ids[i - 1]
-        if drop + d[dd, network.terminal] > b[network.terminal] + _EPS:
+        route = (0, i, network.delivery_of(i), network.terminal)
+        _, late = route_times(route, nominal, network.open_time, network.close_time,
+                              coupling=True)
+        if late.any():
             return network.task_ids[i - 1]
     return None
 
@@ -540,9 +531,13 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
     return dead
 
 
-def _solve(network: PdpNetwork, scen_times: np.ndarray, probs: np.ndarray,
-           alpha: float, config: SolveConfig, det_schedule: bool) -> Solution:
-    search = _Search(network, scen_times, probs, alpha, config)
+def _solve(network: PdpNetwork, search_set: ScenarioSet, alpha: float,
+           config: SolveConfig, report_set: ScenarioSet | None) -> Solution:
+    """Search `search_set`; report the schedule, ignored set and limiting
+    scenarios on `report_set`.  `report_set=None` reports a single realization
+    of the one-scenario search set: a 2-D schedule and no scenario data."""
+    search = _Search(network, search_set.travel_times, search_set.probabilities,
+                     alpha, config)
     search.run()
     stats = search.stats()
 
@@ -551,23 +546,22 @@ def _solve(network: PdpNetwork, scen_times: np.ndarray, probs: np.ndarray,
             return Solution(status=STATUS_TIME_LIMIT_NO_INCUMBENT, plan=None,
                             schedule=None, objective=None, stats=stats, alpha=alpha)
         limiting: tuple[int, ...] = ()
-        if scen_times.shape[0] > 1 or alpha > 0:
-            dead = _forced_dead_scenarios(network, scen_times)
-            if float(probs[dead].sum()) > alpha + _MASS_EPS:
-                limiting = tuple(int(s) for s in np.flatnonzero(dead))
+        if report_set is not None and search.dead_mass > alpha + _MASS_EPS:
+            dead = _forced_dead_scenarios(network, report_set.travel_times)
+            limiting = tuple(int(s) for s in np.flatnonzero(dead))
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
                         objective=None, stats=stats, alpha=alpha,
                         infeasible_task=_solo_infeasible_task(network),
                         limiting_scenarios=limiting)
 
     plan = RoutePlan(routes=search.best_plan, n=network.n)
-    w, feasible = _full_schedule(network, plan, scen_times)
-    ignored = ~feasible
-    assert float(probs[ignored].sum()) <= alpha + _MASS_EPS
-    if det_schedule:
+    shown = search_set if report_set is None else report_set
+    w, feasible = _full_schedule(network, plan, shown.travel_times)
+    assert float(shown.probabilities[~feasible].sum()) <= alpha + _MASS_EPS
+    if report_set is None:
         schedule = Schedule(times=w[:, :, 0].copy())
     else:
-        schedule = Schedule(times=w, ignored=ignored)
+        schedule = Schedule(times=w, ignored=~feasible)
     status = STATUS_TIME_LIMIT_INCUMBENT if search.timed_out else STATUS_OPTIMAL
     return Solution(status=status, plan=plan, schedule=schedule,
                     objective=search.best_obj, stats=stats, alpha=alpha)
@@ -575,10 +569,8 @@ def _solve(network: PdpNetwork, scen_times: np.ndarray, probs: np.ndarray,
 
 def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) -> Solution:
     """Globally minimal total travel distance under nominal times."""
-    config = config or SolveConfig()
-    nominal = single_scenario(network.travel_time)
-    return _solve(network, nominal.travel_times, nominal.probabilities,
-                  alpha=0.0, config=config, det_schedule=True)
+    return _solve(network, single_scenario(network.travel_time), 0.0,
+                  config or SolveConfig(), None)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
@@ -586,10 +578,7 @@ def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
     config = config or SolveConfig()
-    if abs(float(scenarios.probabilities.sum()) - 1.0) > 1e-9:
-        raise ValueError("scenario probabilities must sum to 1")
-    return _solve(network, scenarios.travel_times, scenarios.probabilities,
-                  alpha=config.alpha, config=config, det_schedule=False)
+    return _solve(network, scenarios, config.alpha, config, scenarios)
 
 
 def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
@@ -611,25 +600,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    sup = supremum_scenario(scenarios)
-    solution = _solve(network, sup.travel_times, sup.probabilities,
-                      alpha=0.0, config=config, det_schedule=False)
-    if solution.plan is None:
-        if solution.status != STATUS_INFEASIBLE:
-            return solution
-        # Map the infeasibility diagnosis back to the original scenario indices.
-        dead = _forced_dead_scenarios(network, scenarios.travel_times)
-        limiting = tuple(int(s) for s in np.flatnonzero(dead)) if dead.any() else ()
-        return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
-                        objective=None, stats=solution.stats, alpha=0.0,
-                        infeasible_task=solution.infeasible_task,
-                        limiting_scenarios=limiting)
-    # Report the schedule against the full scenario set, not the collapsed one.
-    w, feasible = _full_schedule(network, solution.plan, scenarios.travel_times)
-    return Solution(status=solution.status, plan=solution.plan,
-                    schedule=Schedule(times=w, ignored=~feasible),
-                    objective=solution.objective, stats=solution.stats,
-                    alpha=0.0)
+    return _solve(network, supremum_scenario(scenarios), 0.0, config, scenarios)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,

@@ -106,6 +106,7 @@ class TestSolveCommand:
         (["--alpha", "0.3"], "--alpha"),
         (["--scenarios", "5"], "--scenarios"),
         (["--scenario-file", "scen.json"], "--scenario-file"),
+        (["--seed", "5"], "--seed"),
     ])
     def test_det_rejects_stochastic_inputs(self, tmp_path, capsys, extra, flag):
         out = tmp_path / "o.json"
@@ -113,6 +114,25 @@ class TestSolveCommand:
                               *extra, "--out", str(out))
         assert code == 1
         assert flag in stderr
+        assert not out.exists()
+
+    def test_seed_only_in_stochastic_manifests(self, tmp_path, capsys):
+        det, sto = tmp_path / "det.json", tmp_path / "sto.json"
+        assert run(capsys, "solve", "--instance", TRI3, "--out", str(det))[0] == 0
+        assert run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                   "--scenarios", "3", "--out", str(sto))[0] == 0
+        assert json.loads(det.read_text())["manifest"]["seed"] is None
+        assert json.loads(sto.read_text())["manifest"]["seed"] == 0
+
+    def test_scenario_count_and_file_are_exclusive(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "4",
+                   "--out", str(scen))[0] == 0
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenarios", "50", "--scenario-file", str(scen),
+                              "--out", str(out))
+        assert code == 1
+        assert "--scenarios" in stderr and "--scenario-file" in stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("limit", ["nan", "inf"])

@@ -134,20 +134,28 @@ class TestSolveStochastic:
                 assert wider.status == STATUS_OPTIMAL
                 assert wider.objective <= base.objective + 1e-9
 
-    def test_infeasible_reports_limiting_scenarios(self, tri3_network):
+    @pytest.mark.parametrize("solve", [solve_stochastic, solve_alpha_zero_fast],
+                             ids=["sto", "sto-fast"])
+    @pytest.mark.parametrize("stretches, limiting", [((1.0, 6.0), (1,)), ((6.0,), (0,))],
+                             ids=["second-dead", "lone-dead"])
+    def test_infeasible_reports_limiting_scenarios(self, tri3_network, solve, stretches,
+                                                   limiting):
+        # A stretch of 6 pushes task 1's pickup-to-delivery coupling far
+        # beyond its deadline, so that scenario must be ignored; alpha 0
+        # forbids that.  The fast path searches the supremum but must name
+        # the culprits by their index in the full set, and a lone forced-dead
+        # scenario is named like any other.
         nv = tri3_network.size
-        mults = np.ones((2, nv, nv))
-        # Scenario 1 stretches the pickup-to-delivery coupling of task 1 far
-        # beyond its deadline, so it must be ignored; alpha 0 forbids that.
-        mults[1] = 6.0
-        np.fill_diagonal(mults[1], 1.0)
+        mults = np.stack([np.full((nv, nv), f) for f in stretches])
+        for m in mults:
+            np.fill_diagonal(m, 1.0)
         scen = ScenarioSet(multipliers=mults,
                            travel_times=mults * tri3_network.travel_time,
-                           probabilities=np.array([0.5, 0.5]),
+                           probabilities=np.full(len(stretches), 1.0 / len(stretches)),
                            config=None, seed=None, algorithm="fixed")
-        solution = solve_stochastic(tri3_network, scen, SolveConfig(alpha=0.0))
+        solution = solve(tri3_network, scen, SolveConfig(alpha=0.0))
         assert solution.status == STATUS_INFEASIBLE
-        assert solution.limiting_scenarios == (1,)
+        assert solution.limiting_scenarios == limiting
 
 
 class TestAlphaZeroFast:

@@ -81,6 +81,8 @@ def _manifest(args: argparse.Namespace, command: str, out: Path) -> dict:
 
 def _scenario_set_for(args: argparse.Namespace, network: PdpNetwork) -> tuple[ScenarioSet, dict]:
     if args.scenario_file:
+        if args.seed is not None:
+            raise CliError("--seed draws nothing with --scenario-file")
         doc = _read_json(Path(args.scenario_file), "scenario")
         try:
             scen = scenario_set_from_dict(doc, network)
@@ -91,6 +93,9 @@ def _scenario_set_for(args: argparse.Namespace, network: PdpNetwork) -> tuple[Sc
         return scen, provenance
     if not args.scenarios:
         raise CliError("stochastic mode needs --scenarios N or --scenario-file PATH")
+    # Only sampling draws, so only a sampled set's manifest records a seed.
+    if args.seed is None:
+        args.seed = 0
     config = ScenarioConfig(count=args.scenarios, seed=args.seed)
     scen = generate_scenarios(network, config)
     provenance = {"source": "sampled", "count": config.count, "seed": config.seed}
@@ -162,9 +167,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution = solve_deterministic(network, config)
         system_builder = lambda: build_deterministic(network)
     else:
-        # Only the stochastic modes draw, so only their manifests record a seed.
-        if args.seed is None:
-            args.seed = 0
         scen, provenance = _scenario_set_for(args, network)
         if args.mode == "sto-fast":
             if args.alpha != 0.0:
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_source.add_argument("--scenario-file", default=None,
                                  help="replay a scenario artifact instead of sampling")
     solve.add_argument("--seed", type=int, default=None,
-                       help="scenario sampling seed (stochastic modes, default 0)")
+                       help="scenario sampling seed (with --scenarios, default 0)")
     solve.add_argument("--time-limit", type=float, default=300.0, dest="time_limit")
     solve.add_argument("--out", default=None, help="artifact path")
     solve.add_argument("--export-lp", default=None, dest="export_lp",
@@ -315,10 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,12 +1,13 @@
 """Out-of-sample validation of fixed route plans.
 
-A plan is executed under freshly sampled travel times with the
-earliest-feasible dispatch policy: leave the depot at time zero, wait at each
-node until its window opens, and serve immediately on arrival otherwise.  A
-vehicle's trial fails as soon as a service time exceeds a window's closing
-time; a plan's trial fails if any vehicle fails.  Trial seeds are derived from
-(seed, evaluation stream, trial index), a stream disjoint from the one used
-for solve-time scenario sampling, so evaluation never reuses in-sample draws.
+A plan, which must be a `RoutePlan` of the network it runs on, is executed
+under freshly sampled travel times with the earliest-feasible dispatch
+policy: leave the depot at time zero, wait at each node until its window
+opens, and serve immediately on arrival otherwise.  A vehicle's trial fails
+as soon as a service time exceeds a window's closing time; a plan's trial
+fails if any vehicle fails.  Trial seeds are derived from (seed, evaluation
+stream, trial index), a stream disjoint from the one used for solve-time
+scenario sampling, so evaluation never reuses in-sample draws.
 
 Dispatch runs the solver's schedule recursion (`route_times`) without the
 model's pickup-to-delivery coupling: a delivery is never held back to its
@@ -100,27 +101,22 @@ def _wald_half_width(p_hat: float, trials: int) -> float:
     return 1.96 * float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
-def _routes_of(plan, network: PdpNetwork) -> tuple[tuple[int, ...], ...]:
-    """Accept a validated plan or bare per-vehicle node sequences."""
-    if isinstance(plan, RoutePlan):
-        return plan.routes
-    routes = tuple(tuple(int(v) for v in route) for route in plan)
-    for route in routes:
-        _check_nodes(route, network.size)
-    return routes
+def _routes_of(plan: RoutePlan, network: PdpNetwork) -> tuple[tuple[int, ...], ...]:
+    """The routes of a validated plan for `network`'s tasks."""
+    if not isinstance(plan, RoutePlan) or plan.n != network.n:
+        raise ValueError(f"plan must be a RoutePlan of the network's {network.n} tasks")
+    return plan.routes
 
 
-def out_of_sample(plan, network: PdpNetwork,
+def out_of_sample(plan: RoutePlan, network: PdpNetwork,
                   config: ScenarioConfig) -> EvaluationReport:
     """Failure frequencies of `plan` over `config.count` fresh realizations.
 
-    `plan` is a RoutePlan or a bare sequence of per-vehicle routes.
     Deterministic given the seed and independent of evaluation order: each
     trial draws its travel times from its own seed-derived stream.
     """
     routes = _routes_of(plan, network)
     trials = config.count
-    std = float(np.sqrt(config.multiplier_variance))
     fails = np.zeros(len(routes), dtype=int)
     any_fail = 0
     block = np.empty((min(trials, _TRIAL_BLOCK), network.size, network.size))
@@ -128,8 +124,7 @@ def out_of_sample(plan, network: PdpNetwork,
         count = min(_TRIAL_BLOCK, trials - start)
         for t in range(count):
             rng = scenario_rng(config.seed, EVALUATION_STREAM, start + t)
-            _, block[t] = sample_time_matrix(network.travel_time, rng,
-                                             config.multiplier_mean, std)
+            _, block[t] = sample_time_matrix(network.travel_time, rng)
         late = _late_routes(routes, block[:count], network)
         fails += late.sum(axis=1)
         any_fail += int(late.any(axis=0).sum())
@@ -145,7 +140,7 @@ def out_of_sample(plan, network: PdpNetwork,
     )
 
 
-def replay_failures(plan, network: PdpNetwork,
+def replay_failures(plan: RoutePlan, network: PdpNetwork,
                     scenarios: ScenarioSet) -> np.ndarray:
     """Per-vehicle failure counts of `plan` replayed on an existing scenario
     set (in-sample check; a robust plan must score zero on its own set)."""

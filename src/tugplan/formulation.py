@@ -304,8 +304,6 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if abs(float(scenarios.probabilities.sum()) - 1.0) > 1e-9:
-        raise ValueError("scenario probabilities must sum to 1")
 
     nv = network.size
     vehicle_count = network.vehicle_count
@@ -385,13 +383,12 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
     )
 
 
-def check_solution(system: ConstraintSystem, assignment: dict[str, float],
-                   tolerance: float = CHECK_TOLERANCE) -> CheckResult:
+def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> CheckResult:
     """Evaluate every constraint of `system` at `assignment`.
 
     The assignment must cover every declared variable; a missing one raises
-    ValueError naming it.  Binary variables must sit within tolerance of 0 or
-    1 (reported under their domain tag).  Returns all violations with their
+    ValueError naming it.  Binary variables must sit within CHECK_TOLERANCE of
+    0 or 1 (reported under their domain tag).  Returns all violations with their
     provenance tags and the violated amount.
     """
     for var in system.variables:
@@ -403,7 +400,7 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float],
         value = assignment[var.name]
         if var.kind == BINARY:
             off = min(abs(value), abs(value - 1.0))
-            if off > tolerance:
+            if off > CHECK_TOLERANCE:
                 violations.append(Violation(
                     constraint=f"domain[{var.name}]", tag=var.domain_tag, amount=off))
 
@@ -415,13 +412,13 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float],
             total += coef * assignment[name]
         residual = total - con.rhs
         if con.relation == "<=":
-            bad = residual > tolerance
+            bad = residual > CHECK_TOLERANCE
             amount = residual
         elif con.relation == ">=":
-            bad = residual < -tolerance
+            bad = residual < -CHECK_TOLERANCE
             amount = -residual
         elif con.relation == "=":
-            bad = abs(residual) > tolerance
+            bad = abs(residual) > CHECK_TOLERANCE
             amount = abs(residual)
         else:
             raise ValueError(f"unknown relation {con.relation!r} in {con.name}")

@@ -1,10 +1,11 @@
 """Sampled travel-time disturbances.
 
 Each scenario perturbs every undirected arc of the routing network with an
-independent positive multiplier drawn from a Normal(1, std 0.5) truncated at
-zero by resampling.  Scenario sets carry uniform probabilities (sample-average
-style) and full provenance (config, seed, generator name) so they can be
-regenerated or replayed bit-identically.
+independent positive multiplier drawn from one fixed sampler, a Normal(1, std
+0.5) truncated at zero by resampling; only the count and the seed vary.
+Scenario sets carry uniform probabilities (sample-average style) and full
+provenance (config, seed, generator name) so they can be regenerated or
+replayed bit-identically; a file naming another sampler is not replayed.
 
 Note on the truncation: discarding non-positive draws shifts the multiplier
 mean up to 1 + 0.5*phi(2)/Phi(2) = 1.0276 (phi/Phi the standard normal pdf/cdf)
@@ -29,27 +30,28 @@ RNG_ALGORITHM = "pcg64-seedsequence"
 SCENARIO_STREAM = 0
 EVALUATION_STREAM = 1
 
+# The multiplier distribution: Normal(mean, std), redrawn while non-positive.
+MULTIPLIER_MEAN = 1.0
+MULTIPLIER_STD = 0.5
+TRUNCATION = "resample-below-zero"
+# How a scenario file names the sampler in its config block.
+_SAMPLER = {"multiplier_mean": MULTIPLIER_MEAN,
+            "multiplier_variance": MULTIPLIER_STD ** 2,
+            "truncation": TRUNCATION}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Sampling parameters: Normal(mean, sqrt(variance)) multipliers,
-    resampled while non-positive, `count` scenarios from `seed`."""
+    """`count` scenarios (or trials) of the fixed sampler from `seed`."""
 
     count: int
     seed: int
-    multiplier_mean: float = 1.0
-    multiplier_variance: float = 0.25
-    truncation: str = "resample-below-zero"
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"scenario count must be >= 1, got {self.count}")
-        if not (self.multiplier_variance > 0):
-            raise ValueError(f"multiplier variance must be > 0, got {self.multiplier_variance}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.truncation != "resample-below-zero":
-            raise ValueError(f"unsupported truncation mode {self.truncation!r}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class ScenarioSet:
         return self.travel_times.shape[0]
 
 
-def sample_multiplier(rng: np.random.Generator,
-                      mean: float = 1.0, std: float = 0.5) -> float:
+def sample_multiplier(rng: np.random.Generator, mean: float = MULTIPLIER_MEAN,
+                      std: float = MULTIPLIER_STD) -> float:
     """One positive travel-time multiplier: Normal(mean, std), redrawn while <= 0."""
     value = rng.normal(mean, std)
     while value <= 0.0:
@@ -102,7 +104,8 @@ def scenario_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 
 
 def sample_time_matrix(nominal: np.ndarray, rng: np.random.Generator,
-                       mean: float = 1.0, std: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                       mean: float = MULTIPLIER_MEAN,
+                       std: float = MULTIPLIER_STD) -> tuple[np.ndarray, np.ndarray]:
     """One realization: a fresh multiplier per undirected arc, applied to both
     directions of `nominal`.  Arcs are drawn in row-major upper-triangle order.
 
@@ -131,14 +134,12 @@ def generate_scenarios(network: PdpNetwork, config: ScenarioConfig) -> ScenarioS
     times, with uniform probabilities.  Fully reproducible from the seed; each
     scenario uses its own seed-derived stream, so the result does not depend on
     generation order or parallelism."""
-    std = float(np.sqrt(config.multiplier_variance))
     nv = network.size
     mults = np.empty((config.count, nv, nv))
     times = np.empty((config.count, nv, nv))
     for s in range(config.count):
         rng = scenario_rng(config.seed, SCENARIO_STREAM, s)
-        mults[s], times[s] = sample_time_matrix(
-            network.travel_time, rng, config.multiplier_mean, std)
+        mults[s], times[s] = sample_time_matrix(network.travel_time, rng)
     probs = np.full(config.count, 1.0 / config.count)
     return ScenarioSet(multipliers=mults, travel_times=times, probabilities=probs,
                        config=config, seed=config.seed)
@@ -183,20 +184,15 @@ def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
     return {
         "algorithm": scenario_set.algorithm,
         "seed": scenario_set.seed,
-        "config": None if cfg is None else {
-            "count": cfg.count,
-            "seed": cfg.seed,
-            "multiplier_mean": cfg.multiplier_mean,
-            "multiplier_variance": cfg.multiplier_variance,
-            "truncation": cfg.truncation,
-        },
+        "config": None if cfg is None else {"count": cfg.count, "seed": cfg.seed, **_SAMPLER},
         "probabilities": scenario_set.probabilities.tolist(),
         "multipliers": scenario_set.multipliers.tolist(),
     }
 
 
 def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
-    """Rebuild a set exported by `scenario_set_to_dict` against `network`."""
+    """Rebuild a set exported by `scenario_set_to_dict` against `network`.
+    A config block that names another sampler raises ValueError."""
     mults = np.asarray(doc["multipliers"], dtype=float)
     if mults.ndim != 3 or mults.shape[1:] != (network.size, network.size):
         raise ValueError(
@@ -207,13 +203,11 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     if probs.shape != (mults.shape[0],):
         raise ValueError("scenario probabilities do not match the multiplier count")
     cfg_doc = doc.get("config")
-    cfg = None if cfg_doc is None else ScenarioConfig(
-        count=cfg_doc["count"],
-        seed=cfg_doc["seed"],
-        multiplier_mean=cfg_doc["multiplier_mean"],
-        multiplier_variance=cfg_doc["multiplier_variance"],
-        truncation=cfg_doc["truncation"],
-    )
+    cfg = None
+    if cfg_doc is not None:
+        if {key: cfg_doc[key] for key in _SAMPLER} != _SAMPLER:
+            raise ValueError(f"scenarios were drawn by another sampler than {_SAMPLER}")
+        cfg = ScenarioConfig(count=cfg_doc["count"], seed=cfg_doc["seed"])
     return ScenarioSet(
         multipliers=mults,
         travel_times=mults * network.travel_time,

@@ -211,14 +211,14 @@ class _Search:
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 alpha: float, config: SolveConfig):
+                 config: SolveConfig):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
         self.fleet = network.vehicle_count
         self.times = times
         self.probs = probs
-        self.alpha = alpha
+        self.alpha = config.alpha
         self.vector = times.shape[0] > 1
 
         # Cheapest way to enter each task node (no self-loop, nothing leaves
@@ -531,54 +531,54 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
     return dead
 
 
-def _solve(network: PdpNetwork, search_set: ScenarioSet, alpha: float,
-           config: SolveConfig, report_set: ScenarioSet | None) -> Solution:
+def _solve(network: PdpNetwork, search_set: ScenarioSet, config: SolveConfig,
+           report_set: ScenarioSet | None) -> Solution:
     """Search `search_set`; report the schedule, ignored set and limiting
     scenarios on `report_set`.  `report_set=None` reports a single realization
     of the one-scenario search set: a 2-D schedule and no scenario data."""
-    search = _Search(network, search_set.travel_times, search_set.probabilities,
-                     alpha, config)
+    search = _Search(network, search_set.travel_times, search_set.probabilities, config)
     search.run()
     stats = search.stats()
 
     if search.best_plan is None:
         if search.timed_out:
             return Solution(status=STATUS_TIME_LIMIT_NO_INCUMBENT, plan=None,
-                            schedule=None, objective=None, stats=stats, alpha=alpha)
+                            schedule=None, objective=None, stats=stats, alpha=config.alpha)
         limiting: tuple[int, ...] = ()
-        if report_set is not None and search.dead_mass > alpha + _MASS_EPS:
+        if report_set is not None and search.dead_mass > config.alpha + _MASS_EPS:
             dead = _forced_dead_scenarios(network, report_set.travel_times)
             limiting = tuple(int(s) for s in np.flatnonzero(dead))
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
-                        objective=None, stats=stats, alpha=alpha,
+                        objective=None, stats=stats, alpha=config.alpha,
                         infeasible_task=_solo_infeasible_task(network),
                         limiting_scenarios=limiting)
 
     plan = RoutePlan(routes=search.best_plan, n=network.n)
     shown = search_set if report_set is None else report_set
     w, feasible = _full_schedule(network, plan, shown.travel_times)
-    assert float(shown.probabilities[~feasible].sum()) <= alpha + _MASS_EPS
+    assert float(shown.probabilities[~feasible].sum()) <= config.alpha + _MASS_EPS
     if report_set is None:
         schedule = Schedule(times=w[:, :, 0].copy())
     else:
         schedule = Schedule(times=w, ignored=~feasible)
     status = STATUS_TIME_LIMIT_INCUMBENT if search.timed_out else STATUS_OPTIMAL
     return Solution(status=status, plan=plan, schedule=schedule,
-                    objective=search.best_obj, stats=stats, alpha=alpha)
+                    objective=search.best_obj, stats=stats, alpha=config.alpha)
 
 
 def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) -> Solution:
     """Globally minimal total travel distance under nominal times."""
-    return _solve(network, single_scenario(network.travel_time), 0.0,
-                  config or SolveConfig(), None)
+    config = config or SolveConfig()
+    if config.alpha != 0.0:
+        raise ValueError("the deterministic solve requires alpha = 0")
+    return _solve(network, single_scenario(network.travel_time), config, None)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      config: SolveConfig | None = None) -> Solution:
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
-    config = config or SolveConfig()
-    return _solve(network, scenarios, config.alpha, config, scenarios)
+    return _solve(network, scenarios, config or SolveConfig(), scenarios)
 
 
 def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
@@ -600,7 +600,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    return _solve(network, supremum_scenario(scenarios), 0.0, config, scenarios)
+    return _solve(network, supremum_scenario(scenarios), config, scenarios)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,

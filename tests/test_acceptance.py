@@ -13,13 +13,13 @@ from scipy.stats import norm
 
 import tugplan as tp
 from tugplan.cli import main as cli_main
+from tugplan.formulation import CHECK_TOLERANCE
 from tugplan.solver import assignment_from_solution
 
 from conftest import INSTANCES, instance_dict
 from instgen import random_network
 from oracle import oracle_solve, oracle_solve_deterministic
 
-CHECK_TOL = 1e-6
 OBJ_TOL = 1e-9
 
 
@@ -133,7 +133,7 @@ def test_criterion_2_checker_cross_validation(oracle_pool, benchmark_pool, fast_
         else:
             system = tp.build_stochastic(network, scen, alpha)
         assignment = assignment_from_solution(system, network, solution)
-        result = tp.check_solution(system, assignment, tolerance=CHECK_TOL)
+        result = tp.check_solution(system, assignment)
         checked += 1
         violations += len(result.violations)
 
@@ -153,7 +153,7 @@ def test_criterion_2_checker_cross_validation(oracle_pool, benchmark_pool, fast_
         "criterion 2",
         ok,
         f"{checked} optimal solutions re-validated by the constraint checker, "
-        f"{violations} violations at {CHECK_TOL} tolerance",
+        f"{violations} violations at {CHECK_TOLERANCE} tolerance",
     )
 
 

@@ -118,11 +118,32 @@ class TestSolveCommand:
 
     def test_seed_only_in_stochastic_manifests(self, tmp_path, capsys):
         det, sto = tmp_path / "det.json", tmp_path / "sto.json"
+        scen, replay = tmp_path / "scen.json", tmp_path / "replay.json"
         assert run(capsys, "solve", "--instance", TRI3, "--out", str(det))[0] == 0
         assert run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
                    "--scenarios", "3", "--out", str(sto))[0] == 0
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "11", "--out", str(scen))[0] == 0
+        assert run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                   "--scenario-file", str(scen), "--out", str(replay))[0] == 0
         assert json.loads(det.read_text())["manifest"]["seed"] is None
         assert json.loads(sto.read_text())["manifest"]["seed"] == 0
+        # A replay draws nothing; its seed is the file's, in the provenance.
+        replayed = json.loads(replay.read_text())
+        assert replayed["manifest"]["seed"] is None
+        assert replayed["scenario_provenance"]["seed"] == 11
+
+    @pytest.mark.parametrize("mode", ["sto", "sto-fast"])
+    def test_seed_rejected_with_scenario_file(self, tmp_path, capsys, mode):
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "11", "--out", str(scen))[0] == 0
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", mode,
+                              "--scenario-file", str(scen), "--seed", "9",
+                              "--out", str(out))
+        assert code == 1
+        assert "--seed" in stderr and "--scenario-file" in stderr
+        assert not out.exists()
 
     def test_scenario_count_and_file_are_exclusive(self, tmp_path, capsys):
         scen, out = tmp_path / "scen.json", tmp_path / "o.json"

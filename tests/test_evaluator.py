@@ -12,6 +12,12 @@ from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rn
 from tugplan.solver import _full_schedule
 
 
+# tri3 with both tasks on the first vehicle and the second one idle.
+TRI3_CHAIN = RoutePlan(routes=((0, 1, 3, 2, 4, 5), (0, 5)), n=2)
+# The one-leg network's only task on its only vehicle.
+ONE_LEG = RoutePlan(routes=((0, 1, 2, 3),), n=1)
+
+
 def one_leg_network():
     """Depot at the pickup location: the only random leg runs pickup to
     delivery, and the deadline equals its nominal travel time (10 s)."""
@@ -93,15 +99,13 @@ def test_model_couples_delivery_to_pickup_but_dispatch_does_not(tri3_wide_networ
 
 class TestOutOfSample:
     def test_idle_routes_never_fail(self, tri3_network):
-        report = out_of_sample([(0, 5), (0, 5)], tri3_network,
-                               ScenarioConfig(count=200, seed=3))
-        assert report.per_vehicle_failure == (0.0, 0.0)
-        assert report.overall_failure == 0.0
+        report = out_of_sample(TRI3_CHAIN, tri3_network, ScenarioConfig(count=200, seed=3))
+        assert report.per_vehicle_failure[1] == 0.0
+        assert report.overall_failure == report.per_vehicle_failure[0]
 
     def test_deadline_equal_leg_failure_rate(self):
         network = one_leg_network()
-        report = out_of_sample([(0, 1, 2, 3)], network,
-                               ScenarioConfig(count=1000, seed=2718))
+        report = out_of_sample(ONE_LEG, network, ScenarioConfig(count=1000, seed=2718))
         # Exceeding the deadline means the multiplier drew above 1; for the
         # zero-truncated Normal(1, 0.5) that has probability 0.5 / Phi(2).
         expected = 0.5 / norm.cdf(2.0)
@@ -139,8 +143,8 @@ class TestOutOfSample:
         network = one_leg_network()
         ratios = []
         for seed in (10, 11, 12):
-            small = out_of_sample([(0, 1, 2, 3)], network, ScenarioConfig(count=500, seed=seed))
-            large = out_of_sample([(0, 1, 2, 3)], network, ScenarioConfig(count=2000, seed=seed))
+            small = out_of_sample(ONE_LEG, network, ScenarioConfig(count=500, seed=seed))
+            large = out_of_sample(ONE_LEG, network, ScenarioConfig(count=2000, seed=seed))
             ratios.append(large.per_vehicle_half_width[0] / small.per_vehicle_half_width[0])
         # Quadrupling the trials halves the half-width (1/sqrt(n) scaling).
         assert np.mean(ratios) == pytest.approx(0.5, abs=0.1)
@@ -172,11 +176,27 @@ class TestOutOfSample:
 
     def test_eval_stream_disjoint_from_scenario_stream(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=5, seed=42))
-        report = out_of_sample([(0, 1, 3, 5)], tri3_network,
-                               ScenarioConfig(count=5, seed=42))
+        report = out_of_sample(TRI3_CHAIN, tri3_network, ScenarioConfig(count=5, seed=42))
         from tugplan.scenarios import EVALUATION_STREAM, SCENARIO_STREAM, scenario_rng
         assert SCENARIO_STREAM != EVALUATION_STREAM
         a = scenario_rng(42, SCENARIO_STREAM, 0).normal(1, 0.5)
         b = scenario_rng(42, EVALUATION_STREAM, 0).normal(1, 0.5)
         assert a != b
         assert report.trials == 5
+
+    @pytest.mark.parametrize("plan", [
+        # A bare route that serves node 1 twice and leaves task 2 unserved.
+        [(0, 1, 1, 3, 5)],
+        # A bare copy of a valid plan: only a RoutePlan is accepted.
+        [list(route) for route in TRI3_CHAIN.routes],
+        # A valid plan for a one-task network.
+        ONE_LEG,
+    ], ids=["invalid-bare", "valid-bare", "other-n"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda plan, net: out_of_sample(plan, net, ScenarioConfig(count=10, seed=1)),
+        lambda plan, net: replay_failures(
+            plan, net, generate_scenarios(net, ScenarioConfig(count=3, seed=1))),
+    ], ids=["out_of_sample", "replay_failures"])
+    def test_rejects_plans_of_other_forms(self, tri3_network, evaluate, plan):
+        with pytest.raises(ValueError, match="RoutePlan"):
+            evaluate(plan, tri3_network)

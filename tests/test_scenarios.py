@@ -182,13 +182,28 @@ def test_single_scenario_wrapper(tri3_network):
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(count=0, seed=1), "count"),
-    (dict(count=3, seed=1, multiplier_variance=0.0), "variance"),
     (dict(count=3, seed=-4), "seed"),
-    (dict(count=3, seed=1, truncation="clamp"), "truncation"),
 ])
 def test_scenario_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("truncation", "clamp"),
+    ("multiplier_mean", 1.1),
+    ("multiplier_variance", 0.3),
+    ("multiplier_variance", 0.0),
+])
+def test_replay_rejects_another_sampler(tri3_network, key, value):
+    doc = scenario_set_to_dict(
+        generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=1)))
+    assert doc["config"] == {"count": 2, "seed": 1, "multiplier_mean": 1.0,
+                             "multiplier_variance": 0.25,
+                             "truncation": "resample-below-zero"}
+    doc["config"][key] = value
+    with pytest.raises(ValueError, match="sampler"):
+        scenario_set_from_dict(doc, tri3_network)
 
 
 def test_scenario_set_rejects_nonpositive_multipliers(tri3_network):

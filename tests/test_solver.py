@@ -64,6 +64,12 @@ class TestSolveDeterministic:
         idle = [r for r in solution.plan.routes if r == (0, network.terminal)]
         assert len(idle) == 3
 
+    def test_requires_alpha_zero(self, tri3_network):
+        # The nominal model ignores no scenario; a positive alpha used to be
+        # solved at alpha = 0 and reported as 0.
+        with pytest.raises(ValueError, match="alpha"):
+            solve_deterministic(tri3_network, SolveConfig(alpha=0.3))
+
     def test_deterministic_reruns_identical(self, tri3_network):
         s1 = solve_deterministic(tri3_network)
         s2 = solve_deterministic(tri3_network)

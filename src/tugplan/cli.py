@@ -116,6 +116,7 @@ def _solution_payload(solution: Solution, network: PdpNetwork, manifest: dict,
             "bound_prunes": solution.stats.bound_prunes,
             "window_prunes": solution.stats.window_prunes,
             "lookahead_prunes": solution.stats.lookahead_prunes,
+            "root_bound_m": solution.stats.root_bound,
         },
     }
     if provenance is not None:

@@ -192,7 +192,8 @@ def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
 
 def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     """Rebuild a set exported by `scenario_set_to_dict` against `network`.
-    A config block that names another sampler raises ValueError."""
+    A config block that names another sampler or another count than the
+    file holds, and a seed other than the config's, raise ValueError."""
     mults = np.asarray(doc["multipliers"], dtype=float)
     if mults.ndim != 3 or mults.shape[1:] != (network.size, network.size):
         raise ValueError(
@@ -208,11 +209,18 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
         if {key: cfg_doc[key] for key in _SAMPLER} != _SAMPLER:
             raise ValueError(f"scenarios were drawn by another sampler than {_SAMPLER}")
         cfg = ScenarioConfig(count=cfg_doc["count"], seed=cfg_doc["seed"])
+        if cfg.count != mults.shape[0]:
+            raise ValueError(f"config count {cfg.count} does not match the "
+                             f"{mults.shape[0]} scenarios in the file")
+    # Only a sampled set has a seed, and it is the one its config drew with.
+    cfg_seed = None if cfg is None else cfg.seed
+    if doc.get("seed") != cfg_seed:
+        raise ValueError(f"seed {doc.get('seed')} does not match the config seed {cfg_seed}")
     return ScenarioSet(
         multipliers=mults,
         travel_times=mults * network.travel_time,
         probabilities=probs,
         config=cfg,
-        seed=doc.get("seed"),
+        seed=cfg_seed,
         algorithm=doc.get("algorithm", RNG_ALGORITHM),
     )

@@ -5,9 +5,16 @@ Routes are built node by node, vehicle by vehicle, in lexicographic order
 feasible service times are propagated per enforced travel-time scenario; a
 scenario dies the moment a window is provably missed, and a branch is pruned
 once the dead probability mass exceeds the reliability level.  Distance
-pruning uses the incumbent against the travelled distance plus an admissible
-completion estimate (each unvisited task node must still be entered by some
-arc, so the cheapest incoming arc per node is a lower bound).
+pruning compares the incumbent with the travelled distance plus a Held-Karp
+table over locations, built once per search: `H[mask][u]` is the shortest
+walk from location `u` through every location in `mask` to the depot.  The
+rest of the current route followed by every later vehicle's route is one
+such walk from the current location over the locations that still host an
+unvisited task node (depot-to-depot hops are free and `travel_dist` is a
+shortest-path metric), so the table bounds every completion; windows,
+precedence and scenarios are dropped, so one table serves every mode.  It
+tracks at most `_TABLE_LOCATIONS` locations, the depot and those hosting the
+most task nodes; the others count for nothing, which keeps it admissible.
 
 One engine serves every mode and `_solve` is the one path into it: it
 searches one scenario set (nominal, sampled, or the fast path's supremum)
@@ -48,7 +55,8 @@ working vehicle increases and idle vehicles trail.  Children are tried in
 increasing node order (pickups, deliveries, then the terminal, the largest
 index) and vehicles are filled in order, so complete plans arrive in strictly
 increasing lexicographic order.  Only a strict improvement replaces the
-incumbent, so the first optimum found is the lexicographically smallest one.
+incumbent, so the first optimum found is the lexicographically smallest one,
+and the distance prune also cuts subtrees that can at best tie it.
 
 For a fixed plan the scenario switches decouple: turning a scenario off never
 pays unless the plan misses one of its windows, so the optimal switch set is
@@ -80,6 +88,12 @@ _MASS_EPS = 1e-12
 # Slack of the deadline lookahead, in seconds for times and in probability
 # for masses: far above the rounding of a sum taken in another order.
 _LOOKAHEAD_MARGIN = 1e-6
+# Locations the completion table tracks, the depot included; it has
+# 2^(_TABLE_LOCATIONS - 1) rows.
+_TABLE_LOCATIONS = 10
+# Slack of the distance prune in meters: covers the rounding between the
+# table's sums and a leaf's sums, far below `_EPS`.
+_TIE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,9 @@ class SearchStats:
     bound_prunes: int
     window_prunes: int
     lookahead_prunes: int = 0
+    # The completion table's bound on the whole plan; 0 if the search never
+    # started.
+    root_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -200,8 +217,9 @@ class _Search:
     time matrices.
 
     Branch state (current route, onboard pickups, unvisited set, pickup
-    times) lives on the instance and is mutated and undone around each
-    recursive call instead of being copied per node.  A node
+    times, unvisited task nodes per location and the mask of locations that
+    still host one) lives on the instance and is mutated and undone around
+    each recursive call instead of being copied per node.  A node
     carries `now`, the float upper bound on its latest scenario time (exact
     at S = 1), and `scen`: None at S = 1, otherwise the list `[times, alive,
     mass, parent, cur, j]` of per-scenario times, alive mask and dead
@@ -221,20 +239,17 @@ class _Search:
         self.alpha = config.alpha
         self.vector = times.shape[0] > 1
 
-        # Cheapest way to enter each task node (no self-loop, nothing leaves
-        # the terminal); admissible completion bound.
-        entering = network.travel_dist.copy()
-        np.fill_diagonal(entering, math.inf)
-        entering[self.terminal] = math.inf
-        min_in = entering.min(axis=0)
-        min_in[[0, self.terminal]] = 0.0
-        self.todo_full = float(min_in[1:self.terminal].sum())
+        self.table, self.loc, self.bit = _walk_table(network)
+        self.left = [0] * len(self.table[0])
+        self.mask = 0
+        for j in range(1, self.terminal):
+            self.left[self.loc[j]] += 1
+            self.mask |= self.bit[j]
         # Plain-float copies: list indexing is far cheaper than numpy scalar
         # access on the per-node paths.
         self.d = network.travel_dist.tolist()
         self.a_l = network.open_time.tolist()
         self.b_l = network.close_time.tolist()
-        self.min_in_l = min_in.tolist()
         self.t_max = times.max(axis=0).tolist()
 
         # latest[s, cur, i]: the last time at `cur` from which delivery i+n
@@ -264,6 +279,7 @@ class _Search:
         self.bound_prunes = 0
         self.window_prunes = 0
         self.lookahead_prunes = 0
+        self.root_bound = 0.0
         self.dead_mass = 0.0  # mass of the scenarios no plan satisfies; set by run
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
@@ -271,7 +287,8 @@ class _Search:
     def stats(self) -> SearchStats:
         return SearchStats(nodes_explored=self.nodes, bound_prunes=self.bound_prunes,
                            window_prunes=self.window_prunes,
-                           lookahead_prunes=self.lookahead_prunes)
+                           lookahead_prunes=self.lookahead_prunes,
+                           root_bound=self.root_bound)
 
     def run(self) -> None:
         dead = _forced_dead_scenarios(self.network, self.times)
@@ -279,8 +296,9 @@ class _Search:
         if self.dead_mass > self.alpha + _MASS_EPS:
             return
         scen = [np.zeros(len(dead)), ~dead, self.dead_mass, None, 0, 0] if self.vector else None
+        self.root_bound = self.table[self.mask][self.loc[0]]
         try:
-            self._extend(0, 0, 0.0, scen, 0.0, self.todo_full, 0)
+            self._extend(0, 0, 0.0, scen, 0.0, 0)
         except _TimeUp:
             self.timed_out = True
 
@@ -326,14 +344,20 @@ class _Search:
                 > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
 
     def _extend(self, k: int, cur: int, now: float, scen: list | None,
-                travelled: float, todo_bound: float, floor: int) -> None:
+                travelled: float, floor: int) -> None:
         self.nodes += 1
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        # The first node reads the clock too: a limit spent in set-up stops
+        # even a search too small to reach the next reading.
+        if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
             raise _TimeUp
-        if travelled + todo_bound > self.best_obj + _EPS:
+        # Cut once no completion can beat the incumbent strictly: only a
+        # strict improvement replaces it, so a tie would be dropped anyway.
+        if (travelled + self.table[self.mask][self.loc[cur]]
+                >= self.best_obj - _EPS + _TIE_SLACK):
             self.bound_prunes += 1
             return
         route, onboard, unvisited = self.route, self.onboard, self.unvisited
+        loc, bit, left = self.loc, self.bit, self.left
         latest = self.latest_min[cur]
         for i in onboard:
             if now > latest[i]:
@@ -369,8 +393,13 @@ class _Search:
             onboard.append(j)
             unvisited.remove(j)
             pick_hi[j] = w
-            self._extend(k, j, w, new_scen, travelled + self.d[cur][j],
-                         todo_bound - self.min_in_l[j], floor)
+            left[loc[j]] -= 1
+            if not left[loc[j]]:
+                self.mask ^= bit[j]
+            self._extend(k, j, w, new_scen, travelled + self.d[cur][j], floor)
+            if not left[loc[j]]:
+                self.mask ^= bit[j]
+            left[loc[j]] += 1
             unvisited.add(j)
             onboard.pop()
             route.pop()
@@ -393,8 +422,13 @@ class _Search:
             idx = onboard.index(i)
             route.append(j)
             del onboard[idx]
-            self._extend(k, j, w, new_scen, travelled + self.d[cur][j],
-                         todo_bound - self.min_in_l[j], floor)
+            left[loc[j]] -= 1
+            if not left[loc[j]]:
+                self.mask ^= bit[j]
+            self._extend(k, j, w, new_scen, travelled + self.d[cur][j], floor)
+            if not left[loc[j]]:
+                self.mask ^= bit[j]
+            left[loc[j]] += 1
             onboard.insert(idx, i)
             route.pop()
 
@@ -434,9 +468,36 @@ class _Search:
         first_pickup = route[1]
         self.routes.append(closed)
         saved_route, self.route = self.route, [0]
-        self._extend(k + 1, 0, 0.0, new_scen, travelled_total, todo_bound, first_pickup)
+        self._extend(k + 1, 0, 0.0, new_scen, travelled_total, first_pickup)
         self.route = saved_route
         self.routes.pop()
+
+
+def _walk_table(network: PdpNetwork) -> tuple[list[list[float]], list[int], list[int]]:
+    """The Held-Karp table of shortest covering walks over locations.
+
+    Returns `(table, loc, bit)`: `loc[v]` indexes node v's location among the
+    distinct `network.locations` (the depot is 0), `bit[v]` is the mask bit
+    of that location (0 for the depot and untracked locations), and
+    `table[mask][u]` is the shortest walk from location `u` through every
+    location in `mask` to the depot.
+    """
+    names = list(dict.fromkeys(network.locations))
+    loc = [names.index(name) for name in network.locations]
+    node_at = [loc.index(u) for u in range(len(names))]
+    dist = network.travel_dist.tolist()
+    d = [[dist[i][j] for j in node_at] for i in node_at]
+    hosted = [loc[1:network.terminal].count(u) for u in range(len(names))]
+    tracked = sorted((u for u in range(1, len(names)) if hosted[u]),
+                     key=lambda u: -hosted[u])[:_TABLE_LOCATIONS - 1]
+    loc_bit = [0] * len(names)
+    for b, u in enumerate(tracked):
+        loc_bit[u] = 1 << b
+    table = [[row[0] for row in d]]
+    for mask in range(1, 1 << len(tracked)):
+        steps = [(u, table[mask ^ loc_bit[u]]) for u in tracked if mask & loc_bit[u]]
+        table.append([min(row[u] + rest[u] for u, rest in steps) for row in d])
+    return table, loc, [loc_bit[u] for u in loc]
 
 
 def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray,

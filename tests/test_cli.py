@@ -28,7 +28,11 @@ class TestSolveCommand:
         assert artifact["manifest"]["command"] == "solve"
         assert artifact["manifest"]["version"]
         assert set(artifact["stats"]) == {"nodes_explored", "bound_prunes",
-                                          "window_prunes", "lookahead_prunes"}
+                                          "window_prunes", "lookahead_prunes",
+                                          "root_bound_m"}
+        # The shortest walk from the depot through A, B and C and back is
+        # the 60 m ring; the windows push the optimum to 90 m.
+        assert artifact["stats"]["root_bound_m"] == pytest.approx(60.0)
         assert "V Nodes" in stdout and "Graph Nodes" in stdout
 
     def test_stochastic_objective_dominates(self, tmp_path, capsys):
@@ -88,6 +92,24 @@ class TestSolveCommand:
                               "--out", str(tmp_path / "o.json"))
         assert code == 1
         assert "non-negative" in stderr
+
+    @pytest.mark.parametrize("field, value", [("config", 500), ("seed", 77)])
+    def test_scenario_file_provenance_mismatch_exits_one(self, tmp_path, capsys, field,
+                                                          value):
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "3", "--out", str(scen))[0] == 0
+        doc = json.loads(scen.read_text())
+        if field == "config":
+            doc["config"]["count"] = value
+        else:
+            doc["seed"] = value
+        scen.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto-fast",
+                              "--scenario-file", str(scen), "--out", str(out))
+        assert code == 1
+        assert str(value) in stderr
+        assert not out.exists()
 
     def test_sto_fast_requires_alpha_zero(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto-fast",

@@ -206,6 +206,26 @@ def test_replay_rejects_another_sampler(tri3_network, key, value):
         scenario_set_from_dict(doc, tri3_network)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"config": {"count": 500}}, "count 500"),
+    ({"seed": 77}, "seed 77"),
+    ({"config": None}, "seed 3"),
+])
+def test_replay_rejects_provenance_that_drew_nothing(tri3_network, edit, message):
+    # The provenance must name the draw that made the file: its config count
+    # is the number of scenarios it holds, and its seed is the config's (a
+    # file without a config has no seed).
+    doc = scenario_set_to_dict(
+        generate_scenarios(tri3_network, ScenarioConfig(count=3, seed=3)))
+    for key, value in edit.items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        scenario_set_from_dict(doc, tri3_network)
+
+
 def test_scenario_set_rejects_nonpositive_multipliers(tri3_network):
     nv = tri3_network.size
     mults = np.ones((1, nv, nv))

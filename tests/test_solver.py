@@ -1,14 +1,18 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ScenarioConfig, ScenarioSet,
-                     SolveConfig, build_network, build_stochastic, check_solution,
-                     generate_scenarios, load_instance, replay_failures,
+from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_NO_INCUMBENT,
+                     ScenarioConfig, ScenarioSet, SolveConfig, build_network,
+                     build_stochastic, check_solution, generate_scenarios,
+                     load_instance, replay_failures,
                      single_scenario, solve_alpha_zero_fast, solve_deterministic,
                      solve_stochastic, supremum_scenario)
-from tugplan.solver import RoutePlan, assignment_from_solution
+from tugplan import solver as solver_module
+from tugplan.solver import RoutePlan, _walk_table, assignment_from_solution
 
 from conftest import instance_dict, single_task_dict
 from instgen import random_network
@@ -69,6 +73,12 @@ class TestSolveDeterministic:
         # solved at alpha = 0 and reported as 0.
         with pytest.raises(ValueError, match="alpha"):
             solve_deterministic(tri3_network, SolveConfig(alpha=0.3))
+
+    def test_limit_spent_in_set_up_stops_a_small_search(self, tri3_network):
+        # tri3's whole search takes 14 nodes, far below the clock's period.
+        solution = solve_deterministic(tri3_network, SolveConfig(time_limit=1e-9))
+        assert solution.status == STATUS_TIME_LIMIT_NO_INCUMBENT
+        assert solution.stats.nodes_explored == 1
 
     def test_deterministic_reruns_identical(self, tri3_network):
         s1 = solve_deterministic(tri3_network)
@@ -329,6 +339,86 @@ class TestDeadlineLookahead:
         assert solution.plan.routes == (
             (0, 2, 5, 8, 11, 13), (0, 4, 3, 6, 1, 9, 10, 7, 12, 13),
             (0, 13), (0, 13), (0, 13))
+
+
+def _tracked_walk(network, loc, bit, mask, start):
+    """Brute force: the shortest walk from location `start` through every
+    location whose bit is in `mask`, ending at the depot."""
+    node_at = {loc[v]: v for v in reversed(range(network.size))}
+    members = sorted({loc[v] for v in range(network.size) if bit[v] & mask})
+    best = math.inf
+    for order in itertools.permutations(members):
+        stops = [node_at[start]] + [node_at[u] for u in order] + [0]
+        best = min(best, sum(network.travel_dist[u, v] for u, v in zip(stops, stops[1:])))
+    return best
+
+
+class TestCompletionTable:
+    def test_entries_equal_brute_force_walks(self):
+        rng = np.random.default_rng(808)
+        for _ in range(25):
+            network = random_network(rng, max_tasks=3, max_vehicles=2)
+            table, loc, bit = _walk_table(network)
+            # Small layouts fit under the cap: every task location is tracked.
+            task_locations = {loc[v] for v in range(1, network.terminal)} - {0}
+            assert len(table) == 2 ** len(task_locations)
+            for mask, row in enumerate(table):
+                assert len(row) == len(set(network.locations))
+                for start, value in enumerate(row):
+                    assert value == pytest.approx(
+                        _tracked_walk(network, loc, bit, mask, start), abs=1e-9)
+            solution = solve_deterministic(network)
+            # A search that never starts reports no bound.
+            started = solution.stats.nodes_explored > 0
+            assert solution.stats.root_bound == (table[-1][0] if started else 0.0)
+            if solution.status == STATUS_OPTIMAL:
+                assert solution.stats.root_bound <= solution.objective + 1e-9
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_layouts_beyond_the_cap_match_oracle(self, monkeypatch, cap):
+        # Locations beyond the cap count for nothing in the table; the bound
+        # stays admissible, so plans still equal the oracle's.
+        monkeypatch.setattr(solver_module, "_TABLE_LOCATIONS", cap)
+        rng = np.random.default_rng(90 + cap)
+        beyond = 0
+        for trial in range(30):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness="loose" if trial % 2 else "tight")
+            _, loc, bit = _walk_table(network)
+            beyond += any(loc[v] != 0 and not bit[v] for v in range(1, network.terminal))
+            scen = generate_scenarios(network, ScenarioConfig(count=2, seed=trial))
+            for solution, reference in (
+                    (solve_deterministic(network), oracle_solve_deterministic(network)),
+                    (solve_stochastic(network, scen),
+                     oracle_solve(network, scen.travel_times, scen.probabilities, 0.0))):
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+        assert beyond >= 10
+
+    def test_equal_cost_subtree_is_cut(self):
+        # Line DEP-A-B at 15 m per edge; T1 and T2 both A->B, one vehicle,
+        # loose windows.  Nodes: 0 DEP, 1 and 2 at A, 3 and 4 at B, 5 DEP.
+        # 0-1-2-3-4-5, 0-1-2-4-3-5, 0-2-1-3-4-5 and 0-2-1-4-3-5 all cost
+        # 60 m; the first is the lexicographically smallest.  Once it is the
+        # incumbent, [0,1,2,4] and [0,2] can only tie it and [0,1,3] can only
+        # lose, so the search visits 8 nodes and makes 3 bound prunes.
+        # Cutting only subtrees that lose would expand both tying ones.
+        doc = {
+            "layout": {"nodes": ["DEP", "A", "B"],
+                       "edges": [["DEP", "A", 15.0], ["A", "B", 15.0]]},
+            "tasks": [{"id": f"T{t}", "from": "A", "to": "B",
+                       "earliest_pickup_s": 0, "latest_delivery_s": 500} for t in (1, 2)],
+            "vehicles": 1, "depot": "DEP", "speed": 1.5, "horizon": 600,
+        }
+        network = build_network(load_instance(json.dumps(doc)))
+        solution = solve_deterministic(network)
+        assert solution.plan.routes == ((0, 1, 2, 3, 4, 5),)
+        assert solution.plan.routes == oracle_solve_deterministic(network).plan
+        assert solution.objective == pytest.approx(60.0)
+        assert solution.stats.nodes_explored == 8
+        assert solution.stats.bound_prunes == 3
 
 
 class TestOneEngine:

@@ -44,6 +44,11 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (bools are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_json(path: Path, what: str) -> dict:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -204,17 +209,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     plan_doc = _read_json(Path(args.plan), "plan")
+    if not isinstance(plan_doc, dict):
+        raise CliError(f"invalid plan {args.plan}: must be a JSON object")
     if "routes_v" not in plan_doc:
         raise CliError(f"plan artifact {args.plan} carries no routes "
                        "(was the solve infeasible?)")
-    if plan_doc.get("task_count") != network.n:
+    task_count = plan_doc.get("task_count")
+    if not _is_int(task_count):
+        raise CliError(f"invalid plan {args.plan}: task_count must be an integer, "
+                       f"got {task_count!r}")
+    if task_count != network.n:
         raise CliError(
-            f"plan/instance mismatch: plan has {plan_doc.get('task_count')} tasks, "
+            f"plan/instance mismatch: plan has {task_count} tasks, "
             f"instance has {network.n}")
+    routes = plan_doc["routes_v"]
+    if not isinstance(routes, list) or not all(isinstance(r, list) for r in routes):
+        raise CliError(f"invalid plan {args.plan}: routes_v must be a list of routes")
+    bad = [v for r in routes for v in r if not _is_int(v)]
+    if bad:
+        raise CliError(f"invalid plan {args.plan}: node {bad[0]!r} is not an integer")
     try:
-        plan = RoutePlan(routes=tuple(tuple(int(v) for v in r) for r in plan_doc["routes_v"]),
-                         n=network.n)
-    except (TypeError, ValueError) as exc:
+        plan = RoutePlan(routes=tuple(tuple(r) for r in routes), n=network.n)
+    except ValueError as exc:
         raise CliError(f"invalid plan {args.plan}: {exc}")
 
     config = ScenarioConfig(count=args.trials, seed=args.seed)

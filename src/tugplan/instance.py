@@ -353,13 +353,14 @@ def load_instance(text: str) -> PdpInstance:
         if not isinstance(entry, dict):
             raise InstanceParseError(f"tasks[{pos}]: must be an object")
         ctx = f"tasks[{pos}]"
-        task_id = _require(entry, "id", ctx)
-        if not isinstance(task_id, str):
-            raise InstanceParseError(f"{ctx}.id: must be a string")
+        ids = {key: _require(entry, key, ctx) for key in ("id", "from", "to")}
+        for key, value in ids.items():
+            if not isinstance(value, str):
+                raise InstanceParseError(f"{ctx}.{key}: must be a string, got {value!r}")
         tasks.append(TaskSpec(
-            task_id=task_id,
-            origin=str(_require(entry, "from", ctx)),
-            destination=str(_require(entry, "to", ctx)),
+            task_id=ids["id"],
+            origin=ids["from"],
+            destination=ids["to"],
             earliest_pickup=_number(_require(entry, "earliest_pickup_s", ctx), f"{ctx}.earliest_pickup_s"),
             latest_delivery=_number(_require(entry, "latest_delivery_s", ctx), f"{ctx}.latest_delivery_s"),
         ))

@@ -6,15 +6,20 @@ feasible service times are propagated per enforced travel-time scenario; a
 scenario dies the moment a window is provably missed, and a branch is pruned
 once the dead probability mass exceeds the reliability level.  Distance
 pruning compares the incumbent with the travelled distance plus a Held-Karp
-table over locations, built once per search: `H[mask][u]` is the shortest
-walk from location `u` through every location in `mask` to the depot.  The
-rest of the current route followed by every later vehicle's route is one
-such walk from the current location over the locations that still host an
-unvisited task node (depot-to-depot hops are free and `travel_dist` is a
-shortest-path metric), so the table bounds every completion; windows,
-precedence and scenarios are dropped, so one table serves every mode.  It
-tracks at most `_TABLE_LOCATIONS` locations, the depot and those hosting the
-most task nodes; the others count for nothing, which keeps it admissible.
+table over locations: `H[mask][u]` is the shortest walk from location `u`
+through every location in `mask` to the depot.  The rest of the current
+route followed by every later vehicle's route is one such walk from the
+current location over the locations that still host an unvisited task node
+(depot-to-depot hops are free and `travel_dist` is a shortest-path metric),
+so the table bounds every completion; windows, precedence and scenarios are
+dropped, so one table serves every mode.  It tracks at most
+`_TABLE_LOCATIONS` locations, the depot and those hosting the most task
+nodes; the others count for nothing, which keeps it admissible.  The table
+depends only on the location distances and the tracked set, so
+`_location_table` memoises the last `_TABLE_MEMO` tables under exactly that
+key, with the locations in a canonical order (depot first, then by name):
+re-planning on one layout builds a table once per tracked set, not once per
+solve.
 
 One engine serves every mode and `_solve` is the one path into it: it
 searches one scenario set (nominal, sampled, or the fast path's supremum)
@@ -68,6 +73,7 @@ the evaluator shares without the pickup-to-delivery coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -91,6 +97,9 @@ _LOOKAHEAD_MARGIN = 1e-6
 # Locations the completion table tracks, the depot included; it has
 # 2^(_TABLE_LOCATIONS - 1) rows.
 _TABLE_LOCATIONS = 10
+# Completion tables `_location_table` keeps; one at the location cap holds
+# about 0.2 MB.
+_TABLE_MEMO = 32
 # Slack of the distance prune in meters: covers the rounding between the
 # table's sums and a leaf's sums, far below `_EPS`.
 _TIE_SLACK = 1e-10
@@ -473,31 +482,47 @@ class _Search:
         self.routes.pop()
 
 
-def _walk_table(network: PdpNetwork) -> tuple[list[list[float]], list[int], list[int]]:
+def _walk_table(network: PdpNetwork) -> tuple[tuple[tuple[float, ...], ...], list[int], list[int]]:
     """The Held-Karp table of shortest covering walks over locations.
 
     Returns `(table, loc, bit)`: `loc[v]` indexes node v's location among the
-    distinct `network.locations` (the depot is 0), `bit[v]` is the mask bit
-    of that location (0 for the depot and untracked locations), and
-    `table[mask][u]` is the shortest walk from location `u` through every
-    location in `mask` to the depot.
+    distinct `network.locations` in canonical order (the depot first, then
+    the others by name), `bit[v]` is the mask bit of that location (0 for
+    the depot and untracked locations), and `table[mask][u]` is the shortest
+    walk from location `u` through every location in `mask` to the depot.
+    The tracked locations are those hosting the most task nodes, ties broken
+    by first appearance; the table itself comes from `_location_table`.
     """
-    names = list(dict.fromkeys(network.locations))
-    loc = [names.index(name) for name in network.locations]
-    node_at = [loc.index(u) for u in range(len(names))]
-    dist = network.travel_dist.tolist()
-    d = [[dist[i][j] for j in node_at] for i in node_at]
-    hosted = [loc[1:network.terminal].count(u) for u in range(len(names))]
-    tracked = sorted((u for u in range(1, len(names)) if hosted[u]),
-                     key=lambda u: -hosted[u])[:_TABLE_LOCATIONS - 1]
+    depot = network.locations[0]
+    names = [depot] + sorted(set(network.locations) - {depot})
+    index = {name: u for u, name in enumerate(names)}
+    loc = [index[name] for name in network.locations]
+    hosted = [u for u in loc[1:network.terminal] if u]
+    busiest = sorted(dict.fromkeys(hosted), key=hosted.count, reverse=True)
+    tracked = sorted(busiest[:_TABLE_LOCATIONS - 1])
     loc_bit = [0] * len(names)
     for b, u in enumerate(tracked):
         loc_bit[u] = 1 << b
-    table = [[row[0] for row in d]]
+    node_at = [network.locations.index(name) for name in names]
+    dist = network.travel_dist.tolist()
+    d = tuple(tuple(dist[i][j] for j in node_at) for i in node_at)
+    return _location_table(d, tuple(tracked)), loc, [loc_bit[u] for u in loc]
+
+
+@functools.lru_cache(maxsize=_TABLE_MEMO)
+def _location_table(d: tuple[tuple[float, ...], ...],
+                    tracked: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
+    """`table[mask][u]` over the location distances `d`, where bit b of
+    `mask` stands for location `tracked[b]`.
+
+    Each entry is a min over the same float sums whatever the numbering of
+    the locations, so the canonical order changes no value.
+    """
+    table = [tuple(row[0] for row in d)]
     for mask in range(1, 1 << len(tracked)):
-        steps = [(u, table[mask ^ loc_bit[u]]) for u in tracked if mask & loc_bit[u]]
-        table.append([min(row[u] + rest[u] for u, rest in steps) for row in d])
-    return table, loc, [loc_bit[u] for u in loc]
+        steps = [(u, table[mask ^ (1 << b)]) for b, u in enumerate(tracked) if mask >> b & 1]
+        table.append(tuple(min(row[u] + rest[u] for u, rest in steps) for row in d))
+    return tuple(table)
 
 
 def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray,

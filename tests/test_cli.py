@@ -229,10 +229,21 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("routes, reason", [
         ([[0, 1, 3, 5], [0, 5]], "not served"),
         ([[0, 3, 1, 2, 4, 5], [0, 5]], "without a prior pickup"),
+        # Each of these would truncate or cast to the valid plan 0-1-3-2-4-5.
+        ([[0, 1.9, 3, 2, 4, 5], [0, 5]], "node 1.9 is not an integer"),
+        ([[0, True, 3, 2, 4, 5], [0, 5]], "node True is not an integer"),
+        ([[0, "1", 3, 2, 4, 5], [0, 5]], "node '1' is not an integer"),
+        ([[0, 1.0, 3, 2, 4, 5], [0, 5]], "node 1.0 is not an integer"),
+        ("0-1-3-2-4-5", "routes_v must be a list of routes"),
+        # A dict is the whole plan document.
+        ({"routes_v": [[0, 1, 3, 2, 4, 5], [0, 5]], "task_count": 2.0},
+         "task_count must be an integer"),
+        ({"routes_v": [[0, 1, 3, 2, 4, 5], [0, 5]]}, "task_count must be an integer"),
     ])
     def test_invalid_plan_rejected(self, tmp_path, capsys, routes, reason):
         plan = tmp_path / "bad.json"
-        plan.write_text(json.dumps({"routes_v": routes, "task_count": 2}))
+        doc = routes if isinstance(routes, dict) else {"routes_v": routes, "task_count": 2}
+        plan.write_text(json.dumps(doc))
         code, _, stderr = run(capsys, "evaluate", "--instance", TRI3, "--plan", str(plan),
                               "--trials", "10", "--out", str(tmp_path / "e.json"))
         assert code == 1

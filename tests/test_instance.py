@@ -63,6 +63,19 @@ class TestLoadInstance:
         with pytest.raises(InstanceValidationError, match="'DEP'.*'A'.*-5"):
             load_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [1, 1.0, None, True, ["1"]])
+    @pytest.mark.parametrize("field", ["from", "to"])
+    def test_non_string_task_location_rejected(self, field, value):
+        # A number must not be read as the location whose id spells it.
+        doc = json.loads(json.dumps(single_task_dict()).replace('"A"', '"1"'))
+        doc["tasks"][0]["from"] = doc["tasks"][0]["to"] = "1"
+        doc["tasks"][0]["to" if field == "from" else "from"] = "B"
+        doc["tasks"][0][field] = value
+        with pytest.raises(InstanceParseError, match=f"tasks\\[0\\].{field}: must be a string"):
+            load_instance(json.dumps(doc))
+        doc["tasks"][0][field] = "1"
+        assert load_instance(json.dumps(doc)).n == 1
+
     def test_malformed_json_is_parse_error(self):
         with pytest.raises(InstanceParseError):
             load_instance("{not json")

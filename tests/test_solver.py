@@ -12,7 +12,7 @@ from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_NO_INC
                      single_scenario, solve_alpha_zero_fast, solve_deterministic,
                      solve_stochastic, supremum_scenario)
 from tugplan import solver as solver_module
-from tugplan.solver import RoutePlan, _walk_table, assignment_from_solution
+from tugplan.solver import RoutePlan, _location_table, _walk_table, assignment_from_solution
 
 from conftest import instance_dict, single_task_dict
 from instgen import random_network
@@ -353,6 +353,26 @@ def _tracked_walk(network, loc, bit, mask, start):
     return best
 
 
+def _first_appearance_table(network):
+    """A fresh build numbered as the network meets its locations: the table a
+    per-solve build without the memo would give."""
+    names = list(dict.fromkeys(network.locations))
+    loc = [names.index(name) for name in network.locations]
+    node_at = [loc.index(u) for u in range(len(names))]
+    d = [[float(network.travel_dist[i, j]) for j in node_at] for i in node_at]
+    hosted = [loc[1:network.terminal].count(u) for u in range(len(names))]
+    tracked = sorted((u for u in range(1, len(names)) if hosted[u]),
+                     key=lambda u: -hosted[u])[:solver_module._TABLE_LOCATIONS - 1]
+    loc_bit = [0] * len(names)
+    for b, u in enumerate(tracked):
+        loc_bit[u] = 1 << b
+    table = [[row[0] for row in d]]
+    for mask in range(1, 1 << len(tracked)):
+        steps = [(u, table[mask ^ loc_bit[u]]) for u in tracked if mask & loc_bit[u]]
+        table.append([min(row[u] + rest[u] for u, rest in steps) for row in d])
+    return table, loc, [loc_bit[u] for u in loc]
+
+
 class TestCompletionTable:
     def test_entries_equal_brute_force_walks(self):
         rng = np.random.default_rng(808)
@@ -396,6 +416,67 @@ class TestCompletionTable:
                     assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
                     assert solution.plan.routes == reference.plan
         assert beyond >= 10
+
+    @pytest.mark.parametrize("cap", [10, 3, 2])
+    def test_memo_serves_a_fresh_build_bit_for_bit(self, monkeypatch, cap):
+        monkeypatch.setattr(solver_module, "_TABLE_LOCATIONS", cap)
+        rng = np.random.default_rng(40 + cap)
+        beyond = 0
+        for _ in range(30):
+            network = random_network(rng, max_tasks=4, max_vehicles=2)
+            _location_table.cache_clear()
+            fresh, loc, bit = _walk_table(network)
+            served, served_loc, served_bit = _walk_table(network)
+            assert _location_table.cache_info().hits == 1
+            assert (served_loc, served_bit) == (loc, bit)
+            assert np.array(served).tobytes() == np.array(fresh).tobytes()
+            # Every lookup the search makes reads the same bits as in a table
+            # numbered by first appearance.
+            ref, ref_loc, ref_bit = _first_appearance_table(network)
+            assert len(ref) == len(served)
+            for ref_mask, row in enumerate(ref):
+                mask = 0
+                for v in range(network.size):
+                    if ref_bit[v] & ref_mask:
+                        mask |= bit[v]
+                for v in range(network.size):
+                    assert (np.float64(served[mask][loc[v]]).tobytes()
+                            == np.float64(row[ref_loc[v]]).tobytes())
+            beyond += len(set(network.locations)) > cap
+        # Random layouts fit under the default cap; below it many do not.
+        assert beyond >= 10 or cap == 10
+
+    def test_same_names_other_distances_get_other_tables(self):
+        doc = single_task_dict()
+        first, loc, _ = _walk_table(build_network(load_instance(json.dumps(doc))))
+        for edge in doc["layout"]["edges"]:
+            edge[2] *= 2.0
+        second, other_loc, _ = _walk_table(build_network(load_instance(json.dumps(doc))))
+        assert other_loc == loc
+        assert second != first
+        assert second == tuple(tuple(2.0 * x for x in row) for row in first)
+
+    def test_one_build_per_location_set(self):
+        # Many task sets on one layout: the table is built once per distinct
+        # set of locations (all under the cap, so all tracked), not per solve.
+        doc = instance_dict("factory6")
+        doc["vehicles"], doc["horizon"] = 2, 1200.0
+        stations = ("A", "B", "C", "D", "J6")
+        rng = np.random.default_rng(11)
+        _location_table.cache_clear()
+        location_sets = set()
+        solves = 60
+        for _ in range(solves):
+            doc["tasks"] = []
+            for t in range(int(rng.integers(2, 4))):
+                a, b = rng.choice(len(stations), size=2, replace=False)
+                doc["tasks"].append({"id": f"T{t}", "from": stations[a], "to": stations[b],
+                                     "earliest_pickup_s": 0.0, "latest_delivery_s": 1000.0})
+            network = build_network(load_instance(json.dumps(doc)))
+            location_sets.add(frozenset(network.locations))
+            assert solve_deterministic(network).status == STATUS_OPTIMAL
+        assert len(location_sets) <= solver_module._TABLE_MEMO
+        assert _location_table.cache_info().misses == len(location_sets) < solves // 4
 
     def test_equal_cost_subtree_is_cut(self):
         # Line DEP-A-B at 15 m per edge; T1 and T2 both A->B, one vehicle,

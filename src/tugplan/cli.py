@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluator import out_of_sample
+from .evaluator import DISPATCH_POLICY, out_of_sample
 from .formulation import build_deterministic, build_stochastic, write_lp_text
 from .instance import (InstanceParseError, InstanceValidationError, PdpNetwork,
-                       build_network, load_instance)
+                       build_network, is_json_int, load_instance)
 from .reporting import evaluation_table, solution_table
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         scenario_set_from_dict, scenario_set_to_dict)
@@ -44,26 +44,28 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _is_int(value) -> bool:
-    """Whether a parsed JSON value is an integer (bools are not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _read_json(path: Path, what: str) -> dict:
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file; one that cannot be read as UTF-8 text is a
+    CliError naming it."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError(f"{what} file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} file {path} is not UTF-8 text: {exc}")
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise CliError(f"{what} file {path} is not valid JSON: {exc}")
 
 
-def _load_network(path_str: str) -> PdpNetwork:
-    path = Path(path_str)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError(f"instance file not found: {path}")
+def _load_network(path: str) -> PdpNetwork:
+    text = _read_text(path, "instance")
     try:
         return build_network(load_instance(text))
     except (InstanceParseError, InstanceValidationError) as exc:
@@ -88,7 +90,7 @@ def _scenario_set_for(args: argparse.Namespace, network: PdpNetwork) -> tuple[Sc
     if args.scenario_file:
         if args.seed is not None:
             raise CliError("--seed draws nothing with --scenario-file")
-        doc = _read_json(Path(args.scenario_file), "scenario")
+        doc = _read_json(args.scenario_file, "scenario")
         try:
             scen = scenario_set_from_dict(doc, network)
         except (KeyError, ValueError) as exc:
@@ -208,14 +210,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
-    plan_doc = _read_json(Path(args.plan), "plan")
+    plan_doc = _read_json(args.plan, "plan")
     if not isinstance(plan_doc, dict):
         raise CliError(f"invalid plan {args.plan}: must be a JSON object")
     if "routes_v" not in plan_doc:
         raise CliError(f"plan artifact {args.plan} carries no routes "
                        "(was the solve infeasible?)")
     task_count = plan_doc.get("task_count")
-    if not _is_int(task_count):
+    if not is_json_int(task_count):
         raise CliError(f"invalid plan {args.plan}: task_count must be an integer, "
                        f"got {task_count!r}")
     if task_count != network.n:
@@ -225,7 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     routes = plan_doc["routes_v"]
     if not isinstance(routes, list) or not all(isinstance(r, list) for r in routes):
         raise CliError(f"invalid plan {args.plan}: routes_v must be a list of routes")
-    bad = [v for r in routes for v in r if not _is_int(v)]
+    bad = [v for r in routes for v in r if not is_json_int(v)]
     if bad:
         raise CliError(f"invalid plan {args.plan}: node {bad[0]!r} is not an integer")
     try:
@@ -244,7 +246,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "manifest": manifest,
         "trials": report.trials,
         "seed": report.seed,
-        "policy": report.policy,
+        "policy": DISPATCH_POLICY,
         "rows": [
             {
                 "vehicle": k + 1,

@@ -52,7 +52,6 @@ class EvaluationReport:
     overall_failure: float
     per_vehicle_half_width: tuple[float, ...]
     overall_half_width: float
-    policy: str = DISPATCH_POLICY
 
     def __post_init__(self):
         for f in self.per_vehicle_failure + (self.overall_failure,):

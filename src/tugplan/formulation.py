@@ -41,7 +41,6 @@ CONTINUOUS = "continuous"
 class Variable:
     name: str
     kind: str
-    index: tuple
     domain_tag: str
 
 
@@ -77,10 +76,6 @@ class ConstraintSystem:
     variables: tuple[Variable, ...]
     constraints: tuple[LinearConstraint, ...]
     objective: dict[str, float]
-    big_m: BigMSet
-    vehicle_count: int
-    node_count: int
-    scenario_count: int
 
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
@@ -243,10 +238,10 @@ def build_deterministic(network: PdpNetwork,
     a, b = network.open_time, network.close_time
 
     variables = [
-        Variable(name=x_name(k, i, j), kind=BINARY, index=(k, i, j), domain_tag="Eq10")
+        Variable(name=x_name(k, i, j), kind=BINARY, domain_tag="Eq10")
         for k in vehicles for (i, j) in arcs
     ] + [
-        Variable(name=w_name(k, i), kind=CONTINUOUS, index=(k, i), domain_tag="Eq9")
+        Variable(name=w_name(k, i), kind=CONTINUOUS, domain_tag="Eq9")
         for k in vehicles for i in range(nv)
     ]
 
@@ -285,10 +280,6 @@ def build_deterministic(network: PdpNetwork,
         variables=tuple(variables),
         constraints=tuple(cons),
         objective=_distance_objective(network, vehicle_count),
-        big_m=big_m,
-        vehicle_count=vehicle_count,
-        node_count=nv,
-        scenario_count=0,
     )
 
 
@@ -315,13 +306,13 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
     p = scenarios.probabilities
 
     variables = [
-        Variable(name=x_name(k, i, j), kind=BINARY, index=(k, i, j), domain_tag="Eq22")
+        Variable(name=x_name(k, i, j), kind=BINARY, domain_tag="Eq22")
         for k in vehicles for (i, j) in arcs
     ] + [
-        Variable(name=w_name(k, i, s), kind=CONTINUOUS, index=(k, i, s), domain_tag="Eq20")
+        Variable(name=w_name(k, i, s), kind=CONTINUOUS, domain_tag="Eq20")
         for k in vehicles for i in range(nv) for s in range(count)
     ] + [
-        Variable(name=z_name(s), kind=BINARY, index=(s,), domain_tag="Eq23")
+        Variable(name=z_name(s), kind=BINARY, domain_tag="Eq23")
         for s in range(count)
     ]
 
@@ -376,10 +367,6 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
         variables=tuple(variables),
         constraints=tuple(cons),
         objective=_distance_objective(network, vehicle_count),
-        big_m=big_m,
-        vehicle_count=vehicle_count,
-        node_count=nv,
-        scenario_count=count,
     )
 
 

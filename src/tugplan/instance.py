@@ -279,6 +279,11 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (bools are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceParseError(f"{context}: expected a number, got {value!r}")
@@ -366,7 +371,7 @@ def load_instance(text: str) -> PdpInstance:
         ))
 
     vehicles = _require(doc, "vehicles", "instance")
-    if isinstance(vehicles, bool) or not isinstance(vehicles, int):
+    if not is_json_int(vehicles):
         raise InstanceParseError(f"vehicles: must be an integer, got {vehicles!r}")
     depot = _require(doc, "depot", "instance")
     if not isinstance(depot, str):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .evaluator import EvaluationReport
+from .evaluator import DISPATCH_POLICY, EvaluationReport
 
 
 def _render(headers: list[str], rows: list[list[str]]) -> str:
@@ -34,6 +34,6 @@ def evaluation_table(routes_v: list[str], routes_labels: list[str],
         rows.append([str(k + 1), v, g, f"{report.per_vehicle_failure[k]:.6g}"])
     table = _render(["MHE", "V Nodes", "Graph Nodes", "% Failure"], rows)
     footer = (f"trials: {report.trials}    seed: {report.seed}    "
-              f"policy: {report.policy}    overall failure: {report.overall_failure:.6g}"
+              f"policy: {DISPATCH_POLICY}    overall failure: {report.overall_failure:.6g}"
               f" (±{report.overall_half_width:.3g})")
     return table + "\n" + footer

@@ -3,9 +3,11 @@
 Each scenario perturbs every undirected arc of the routing network with an
 independent positive multiplier drawn from one fixed sampler, a Normal(1, std
 0.5) truncated at zero by resampling; only the count and the seed vary.
-Scenario sets carry uniform probabilities (sample-average style) and full
-provenance (config, seed, generator name) so they can be regenerated or
-replayed bit-identically; a file naming another sampler is not replayed.
+Sampled sets carry uniform probabilities (sample-average style) and the seed
+they were drawn from.  With the count, that seed is the whole provenance: the
+exported config block and generator name are derived from the two, so a set
+can be regenerated or replayed bit-identically.  A file naming another sampler
+is not replayed.
 
 Note on the truncation: discarding non-positive draws shifts the multiplier
 mean up to 1 + 0.5*phi(2)/Phi(2) = 1.0276 (phi/Phi the standard normal pdf/cdf)
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import PdpNetwork
+from .instance import PdpNetwork, is_json_int
 
 # numpy PCG64 seeded through SeedSequence([seed, stream...]); recorded in
 # provenance so sets are reproducible across machines and worker counts.
@@ -60,15 +62,15 @@ class ScenarioSet:
 
     `multipliers[s, i, j]` scales the nominal time of arc (i, j); matrices are
     symmetric with unit diagonal.  `travel_times[s] = multipliers[s] * nominal`.
-    Probabilities are finite, non-negative and sum to 1 (uniform when sampled).
+    Multipliers are finite and positive; probabilities are finite,
+    non-negative and sum to 1 (uniform when sampled).  `seed` is the seed a
+    sampled set was drawn from, and None for a set that was not drawn.
     """
 
     multipliers: np.ndarray
     travel_times: np.ndarray
     probabilities: np.ndarray
-    config: ScenarioConfig | None
-    seed: int | None
-    algorithm: str = RNG_ALGORITHM
+    seed: int | None = None
 
     def __post_init__(self):
         for arr in (self.multipliers, self.travel_times, self.probabilities):
@@ -78,8 +80,8 @@ class ScenarioSet:
             raise ValueError("scenario probabilities must be finite and non-negative")
         if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
             raise ValueError("scenario probabilities must sum to 1")
-        if not (self.multipliers > 0).all():
-            raise ValueError("scenario multipliers must all be positive")
+        if not (np.isfinite(self.multipliers).all() and (self.multipliers > 0).all()):
+            raise ValueError("scenario multipliers must all be finite and positive")
         for s in range(self.multipliers.shape[0]):
             if not np.array_equal(self.multipliers[s], self.multipliers[s].T):
                 raise ValueError(f"scenario {s} multipliers are not symmetric")
@@ -142,14 +144,14 @@ def generate_scenarios(network: PdpNetwork, config: ScenarioConfig) -> ScenarioS
         mults[s], times[s] = sample_time_matrix(network.travel_time, rng)
     probs = np.full(config.count, 1.0 / config.count)
     return ScenarioSet(multipliers=mults, travel_times=times, probabilities=probs,
-                       config=config, seed=config.seed)
+                       seed=config.seed)
 
 
 def supremum_scenario(scenario_set: ScenarioSet) -> ScenarioSet:
     """Collapse a set to the single element-wise worst case.
 
     Any schedule feasible under the supremum times is feasible under every
-    scenario in the input set.
+    scenario in the input set.  The result was not drawn, so it has no seed.
     """
     sup_mult = scenario_set.multipliers.max(axis=0, keepdims=True).copy()
     sup_time = scenario_set.travel_times.max(axis=0, keepdims=True).copy()
@@ -157,9 +159,6 @@ def supremum_scenario(scenario_set: ScenarioSet) -> ScenarioSet:
         multipliers=sup_mult,
         travel_times=sup_time,
         probabilities=np.array([1.0]),
-        config=scenario_set.config,
-        seed=scenario_set.seed,
-        algorithm=scenario_set.algorithm,
     )
 
 
@@ -171,20 +170,20 @@ def single_scenario(travel_times: np.ndarray) -> ScenarioSet:
         multipliers=mult[np.newaxis].copy(),
         travel_times=nominal[np.newaxis].copy(),
         probabilities=np.array([1.0]),
-        config=None,
-        seed=None,
-        algorithm="fixed",
     )
 
 
 def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
     """JSON-compatible export: multipliers plus provenance.  Travel times are
-    reconstructed against an instance's nominal matrix on import."""
-    cfg = scenario_set.config
+    reconstructed against an instance's nominal matrix on import.  A seeded
+    set exports the config that draws it again; a set without a seed exports
+    none and names its generator "fixed"."""
+    seed = scenario_set.seed
     return {
-        "algorithm": scenario_set.algorithm,
-        "seed": scenario_set.seed,
-        "config": None if cfg is None else {"count": cfg.count, "seed": cfg.seed, **_SAMPLER},
+        "algorithm": "fixed" if seed is None else RNG_ALGORITHM,
+        "seed": seed,
+        "config": None if seed is None else {"count": scenario_set.count, "seed": seed,
+                                             **_SAMPLER},
         "probabilities": scenario_set.probabilities.tolist(),
         "multipliers": scenario_set.multipliers.tolist(),
     }
@@ -192,35 +191,49 @@ def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
 
 def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     """Rebuild a set exported by `scenario_set_to_dict` against `network`.
-    A config block that names another sampler or another count than the
-    file holds, and a seed other than the config's, raise ValueError."""
-    mults = np.asarray(doc["multipliers"], dtype=float)
+    ValueError names what is wrong with a document or config block that is
+    not a JSON object, multipliers or probabilities that are not numbers, a
+    count or seed that is not a JSON integer, a config that names another
+    sampler or another count than the file holds, and a seed other than the
+    config's."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"scenario document must be a JSON object, got {type(doc).__name__}")
+    try:
+        mults = np.asarray(doc["multipliers"], dtype=float)
+        probs = np.asarray(doc["probabilities"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"scenario multipliers and probabilities must be numbers: {exc}")
     if mults.ndim != 3 or mults.shape[1:] != (network.size, network.size):
         raise ValueError(
             f"scenario multipliers have shape {mults.shape}, expected "
             f"(count, {network.size}, {network.size}) for this instance"
         )
-    probs = np.asarray(doc["probabilities"], dtype=float)
     if probs.shape != (mults.shape[0],):
         raise ValueError("scenario probabilities do not match the multiplier count")
     cfg_doc = doc.get("config")
-    cfg = None
+    cfg_seed = None
     if cfg_doc is not None:
+        if not isinstance(cfg_doc, dict):
+            raise ValueError(f"config must be a JSON object or null, got {cfg_doc!r}")
         if {key: cfg_doc[key] for key in _SAMPLER} != _SAMPLER:
             raise ValueError(f"scenarios were drawn by another sampler than {_SAMPLER}")
+        for key in ("count", "seed"):
+            if not is_json_int(cfg_doc[key]):
+                raise ValueError(f"config {key} must be an integer, got {cfg_doc[key]!r}")
         cfg = ScenarioConfig(count=cfg_doc["count"], seed=cfg_doc["seed"])
         if cfg.count != mults.shape[0]:
             raise ValueError(f"config count {cfg.count} does not match the "
                              f"{mults.shape[0]} scenarios in the file")
+        cfg_seed = cfg.seed
     # Only a sampled set has a seed, and it is the one its config drew with.
-    cfg_seed = None if cfg is None else cfg.seed
-    if doc.get("seed") != cfg_seed:
-        raise ValueError(f"seed {doc.get('seed')} does not match the config seed {cfg_seed}")
+    seed = doc.get("seed")
+    if seed is not None and not is_json_int(seed):
+        raise ValueError(f"seed must be an integer or null, got {seed!r}")
+    if seed != cfg_seed:
+        raise ValueError(f"seed {seed} does not match the config seed {cfg_seed}")
     return ScenarioSet(
         multipliers=mults,
         travel_times=mults * network.travel_time,
         probabilities=probs,
-        config=cfg,
         seed=cfg_seed,
-        algorithm=doc.get("algorithm", RNG_ALGORITHM),
     )

@@ -16,6 +16,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _infinite_arc(doc):
+    """A scenario document whose first scenario stretches arc 1-2 to infinity."""
+    doc["multipliers"][0][1][2] = doc["multipliers"][0][2][1] = float("inf")
+    return doc
+
+
 class TestSolveCommand:
     def test_deterministic_solve(self, tmp_path, capsys):
         out = tmp_path / "det.json"
@@ -109,6 +115,28 @@ class TestSolveCommand:
                               "--scenario-file", str(scen), "--out", str(out))
         assert code == 1
         assert str(value) in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: [], "document"),
+        (lambda doc: {**doc, "config": 5}, "config"),
+        (lambda doc: {**doc, "config": {**doc["config"], "count": "3"}}, "config count"),
+        (lambda doc: {**doc, "seed": True, "config": {**doc["config"], "seed": True}},
+         "config seed"),
+        (lambda doc: {**doc, "seed": 3.0, "config": {**doc["config"], "seed": 3.0}},
+         "config seed"),
+        (_infinite_arc, "finite"),
+    ], ids=["list", "config-5", "count-string", "seed-bool", "seed-float", "infinity"])
+    def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, edit, field):
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "3", "--out", str(scen))[0] == 0
+        scen.write_text(json.dumps(edit(json.loads(scen.read_text()))))
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenario-file", str(scen), "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert field in stderr
         assert not out.exists()
 
     def test_sto_fast_requires_alpha_zero(self, tmp_path, capsys):
@@ -262,6 +290,32 @@ class TestEvaluateCommand:
                               "--plan", str(det_plan), "--out", str(tmp_path / "e.json"))
         assert code == 1
         assert "mismatch" in stderr
+
+
+class TestUnreadableInputs:
+    @pytest.fixture(params=["directory", "latin-1"])
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "input.json"
+        if request.param == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"notes": "Förderband"}'.encode("latin-1"))
+        return str(path)
+
+    @pytest.mark.parametrize("flag", ["--instance", "--plan", "--scenario-file"])
+    def test_unreadable_input_exits_one(self, tmp_path, capsys, unreadable, flag):
+        out = str(tmp_path / "o.json")
+        argv = {
+            "--instance": ["solve", "--instance", unreadable],
+            "--plan": ["evaluate", "--instance", TRI3, "--plan", unreadable],
+            "--scenario-file": ["solve", "--instance", TRI3, "--mode", "sto",
+                                "--scenario-file", unreadable],
+        }[flag]
+        code, _, stderr = run(capsys, *argv, "--out", out)
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert unreadable in stderr
+        assert not Path(out).exists()
 
 
 class TestSampleCommand:

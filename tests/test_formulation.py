@@ -119,7 +119,6 @@ class TestBuildStochastic:
                 multipliers=np.ones((2, nv, nv)),
                 travel_times=np.tile(tri3_network.travel_time, (2, 1, 1)),
                 probabilities=np.array([0.5, 0.4]),
-                config=None, seed=None,
             )
 
     def test_degenerate_system_matches_deterministic_feasibility(self):

@@ -122,7 +122,6 @@ class TestSupremum:
             multipliers=mults,
             travel_times=mults * network.travel_time,
             probabilities=np.array([0.5, 0.5]),
-            config=None, seed=None, algorithm="fixed",
         )
 
     def test_max_of_two(self, tri3_network):
@@ -163,7 +162,22 @@ class TestRoundTrip:
         assert np.array_equal(back.multipliers, scen.multipliers)
         assert np.array_equal(back.travel_times, scen.travel_times)
         assert np.array_equal(back.probabilities, scen.probabilities)
-        assert back.config == scen.config
+        assert scenario_set_to_dict(back) == doc
+
+    @pytest.mark.parametrize("derive", [
+        lambda scen, network: supremum_scenario(scen),
+        lambda scen, network: single_scenario(network.travel_time),
+    ], ids=["supremum", "single"])
+    def test_sets_not_drawn_reload(self, tri3_network, derive):
+        # A set that was not drawn exports no config and no seed, so its file
+        # reloads; the supremum of a 30-scenario draw used to export count 30.
+        scen = derive(generate_scenarios(tri3_network, ScenarioConfig(count=30, seed=5)),
+                      tri3_network)
+        doc = json.loads(json.dumps(scenario_set_to_dict(scen)))
+        assert (doc["algorithm"], doc["seed"], doc["config"]) == ("fixed", None, None)
+        back = scenario_set_from_dict(doc, tri3_network)
+        assert np.array_equal(back.travel_times, scen.travel_times)
+        assert back.seed is None
 
     def test_shape_mismatch_rejected(self, tri3_network):
         doc = scenario_set_to_dict(
@@ -210,11 +224,22 @@ def test_replay_rejects_another_sampler(tri3_network, key, value):
     ({"config": {"count": 500}}, "count 500"),
     ({"seed": 77}, "seed 77"),
     ({"config": None}, "seed 3"),
+    ({"config": 5}, "config must be a JSON object"),
+    ({"config": [1, 2]}, "config must be a JSON object"),
+    ({"config": {"count": "3"}}, "config count must be an integer"),
+    ({"config": {"count": 3.0}}, "config count must be an integer"),
+    ({"config": {"count": True}}, "config count must be an integer"),
+    ({"config": {"seed": True}, "seed": True}, "config seed must be an integer"),
+    ({"config": {"seed": 3.0}, "seed": 3.0}, "config seed must be an integer"),
+    ({"seed": 3.0}, "seed must be an integer or null"),
+    ({"seed": "3"}, "seed must be an integer or null"),
+    ({"probabilities": [{}, {}, {}]}, "must be numbers"),
 ])
 def test_replay_rejects_provenance_that_drew_nothing(tri3_network, edit, message):
     # The provenance must name the draw that made the file: its config count
     # is the number of scenarios it holds, and its seed is the config's (a
-    # file without a config has no seed).
+    # file without a config has no seed).  Count and seeds are JSON integers:
+    # a bool or a float would pass the comparisons (True == 1, 3.0 == 3).
     doc = scenario_set_to_dict(
         generate_scenarios(tri3_network, ScenarioConfig(count=3, seed=3)))
     for key, value in edit.items():
@@ -226,13 +251,20 @@ def test_replay_rejects_provenance_that_drew_nothing(tri3_network, edit, message
         scenario_set_from_dict(doc, tri3_network)
 
 
+def test_replay_rejects_a_document_that_is_not_an_object(tri3_network):
+    doc = scenario_set_to_dict(
+        generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=3)))
+    with pytest.raises(ValueError, match="document must be a JSON object"):
+        scenario_set_from_dict([doc], tri3_network)
+
+
 def test_scenario_set_rejects_nonpositive_multipliers(tri3_network):
     nv = tri3_network.size
     mults = np.ones((1, nv, nv))
     mults[0, 0, 1] = mults[0, 1, 0] = 0.0
     with pytest.raises(ValueError, match="positive"):
         ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
-                    probabilities=np.array([1.0]), config=None, seed=None)
+                    probabilities=np.array([1.0]))
 
 
 @pytest.mark.parametrize("probs", [
@@ -247,7 +279,7 @@ def test_scenario_set_rejects_bad_probabilities(tri3_network, probs):
     mults = np.ones((2, nv, nv))
     with pytest.raises(ValueError, match="finite and non-negative"):
         ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
-                    probabilities=np.array(probs), config=None, seed=None)
+                    probabilities=np.array(probs))
 
 
 def test_replayed_negative_probabilities_rejected(tri3_network):
@@ -258,13 +290,23 @@ def test_replayed_negative_probabilities_rejected(tri3_network):
         scenario_set_from_dict(doc, tri3_network)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_scenario_set_rejects_non_finite_multipliers(tri3_network, value):
+    nv = tri3_network.size
+    mults = np.ones((1, nv, nv))
+    mults[0, 0, 1] = mults[0, 1, 0] = value
+    with pytest.raises(ValueError, match="finite and positive"):
+        ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
+                    probabilities=np.array([1.0]))
+
+
 def test_scenario_set_rejects_asymmetry(tri3_network):
     nv = tri3_network.size
     mults = np.ones((1, nv, nv))
     mults[0, 0, 1] = 2.0
     with pytest.raises(ValueError, match="symmetric"):
         ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
-                    probabilities=np.array([1.0]), config=None, seed=None)
+                    probabilities=np.array([1.0]))
 
 
 def test_count_extension_preserves_prefix(tri3_network):

@@ -167,8 +167,7 @@ class TestSolveStochastic:
             np.fill_diagonal(m, 1.0)
         scen = ScenarioSet(multipliers=mults,
                            travel_times=mults * tri3_network.travel_time,
-                           probabilities=np.full(len(stretches), 1.0 / len(stretches)),
-                           config=None, seed=None, algorithm="fixed")
+                           probabilities=np.full(len(stretches), 1.0 / len(stretches)))
         solution = solve(tri3_network, scen, SolveConfig(alpha=0.0))
         assert solution.status == STATUS_INFEASIBLE
         assert solution.limiting_scenarios == limiting
@@ -190,12 +189,10 @@ class TestAlphaZeroFast:
         np.fill_diagonal(mults[0], 1.0)
         scen = ScenarioSet(multipliers=mults,
                            travel_times=mults * tri3_network.travel_time,
-                           probabilities=np.array([0.5, 0.5]),
-                           config=None, seed=None, algorithm="fixed")
+                           probabilities=np.array([0.5, 0.5]))
         dominator = ScenarioSet(multipliers=mults[:1].copy(),
                                 travel_times=(mults[:1] * tri3_network.travel_time).copy(),
-                                probabilities=np.array([1.0]),
-                                config=None, seed=None, algorithm="fixed")
+                                probabilities=np.array([1.0]))
         fast = solve_alpha_zero_fast(tri3_network, scen)
         alone = solve_stochastic(tri3_network, dominator, SolveConfig(alpha=0.0))
         assert fast.status == alone.status == STATUS_OPTIMAL
@@ -292,8 +289,7 @@ class TestDeadlineLookahead:
         mults = np.ones((2, nv, nv))
         mults[0, 2, 3] = mults[0, 3, 2] = 5.0
         scen = ScenarioSet(multipliers=mults, travel_times=mults * network.travel_time,
-                           probabilities=np.array([0.5, 0.5]),
-                           config=None, seed=None, algorithm="fixed")
+                           probabilities=np.array([0.5, 0.5]))
         reference = oracle_solve(network, scen.travel_times, scen.probabilities, 0.0)
         assert reference.plan == ((0, 1, 2, 4, 3, 5), (0, 5))
         assert reference.objective == pytest.approx(90.0)
@@ -515,8 +511,7 @@ class TestOneEngine:
             nominal = network.travel_time[np.newaxis]
             twin = ScenarioSet(multipliers=np.ones((2,) + nominal.shape[1:]),
                                travel_times=np.concatenate((nominal, nominal)),
-                               probabilities=np.array([0.5, 0.5]),
-                               config=None, seed=None, algorithm="fixed")
+                               probabilities=np.array([0.5, 0.5]))
             det = solve_deterministic(network)
             sto = solve_stochastic(network, twin)
             assert sto.status == det.status
@@ -578,8 +573,7 @@ class TestOneEngine:
         mults[0, 2, 4] = mults[0, 4, 2] = 2.0
         mults[1, 2, 4] = mults[1, 4, 2] = 1.2
         scen = ScenarioSet(multipliers=mults, travel_times=mults * network.travel_time,
-                           probabilities=np.array([0.25, 0.25, 0.5]),
-                           config=None, seed=None, algorithm="fixed")
+                           probabilities=np.array([0.25, 0.25, 0.5]))
         expected = {0.0: ((0, 1, 3, 5), (0, 2, 4, 5)), 0.3: ((0, 1, 2, 3, 4, 5), (0, 5))}
         for alpha, plan in expected.items():
             solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))

@@ -93,7 +93,7 @@ def _scenario_set_for(args: argparse.Namespace, network: PdpNetwork) -> tuple[Sc
         doc = _read_json(args.scenario_file, "scenario")
         try:
             scen = scenario_set_from_dict(doc, network)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"invalid scenario file {args.scenario_file}: {exc}")
         provenance = {"source": "file", "path": args.scenario_file,
                       "count": scen.count, "seed": scen.seed}

@@ -189,20 +189,42 @@ def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
     }
 
 
+def _require(obj: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} is missing the key {key!r}")
+
+
+def _numbers(doc: dict, field: str) -> np.ndarray:
+    """Array `field` of a scenario document as floats.  Its entries must be
+    JSON numbers: numpy would read a boolean as 0 or 1 and a string as the
+    number it spells."""
+    value = doc[field]
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scenario {field} must be numbers: {exc}")
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = [entry for row in entries for entry in row]
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(entry for entry in entries if type(entry) not in (int, float))
+        raise ValueError(f"scenario {field} must be numbers, got {bad!r}")
+    return arr
+
+
 def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     """Rebuild a set exported by `scenario_set_to_dict` against `network`.
     ValueError names what is wrong with a document or config block that is
-    not a JSON object, multipliers or probabilities that are not numbers, a
-    count or seed that is not a JSON integer, a config that names another
-    sampler or another count than the file holds, and a seed other than the
-    config's."""
+    not a JSON object or lacks a key, multipliers or probabilities that are
+    not JSON numbers, a count or seed that is not a JSON integer, a config
+    that names another sampler or another count than the file holds, and a
+    seed other than the config's."""
     if not isinstance(doc, dict):
         raise ValueError(f"scenario document must be a JSON object, got {type(doc).__name__}")
-    try:
-        mults = np.asarray(doc["multipliers"], dtype=float)
-        probs = np.asarray(doc["probabilities"], dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"scenario multipliers and probabilities must be numbers: {exc}")
+    _require(doc, ("multipliers", "probabilities"), "scenario document")
+    mults = _numbers(doc, "multipliers")
+    probs = _numbers(doc, "probabilities")
     if mults.ndim != 3 or mults.shape[1:] != (network.size, network.size):
         raise ValueError(
             f"scenario multipliers have shape {mults.shape}, expected "
@@ -215,6 +237,7 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     if cfg_doc is not None:
         if not isinstance(cfg_doc, dict):
             raise ValueError(f"config must be a JSON object or null, got {cfg_doc!r}")
+        _require(cfg_doc, (*_SAMPLER, "count", "seed"), "config")
         if {key: cfg_doc[key] for key in _SAMPLER} != _SAMPLER:
             raise ValueError(f"scenarios were drawn by another sampler than {_SAMPLER}")
         for key in ("count", "seed"):

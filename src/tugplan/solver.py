@@ -12,41 +12,48 @@ route followed by every later vehicle's route is one such walk from the
 current location over the locations that still host an unvisited task node
 (depot-to-depot hops are free and `travel_dist` is a shortest-path metric),
 so the table bounds every completion; windows, precedence and scenarios are
-dropped, so one table serves every mode.  It tracks at most
-`_TABLE_LOCATIONS` locations, the depot and those hosting the most task
-nodes; the others count for nothing, which keeps it admissible.  The table
-depends only on the location distances and the tracked set, so
+dropped, so one table serves every mode.  Each child is tested against it in
+the parent's loop, after its window test and before its state is pushed; a
+cut child counts as a node and reads the clock as if its own call had cut
+it, so the counters are those of a test at the child's entry.  The table
+tracks at most `_TABLE_LOCATIONS` locations, the depot and those hosting the
+most task nodes; the others count for nothing, which keeps it admissible.
+It depends only on the location distances and the tracked set, so
 `_location_table` memoises the last `_TABLE_MEMO` tables under exactly that
 key, with the locations in a canonical order (depot first, then by name):
 re-planning on one layout builds a table once per tracked set, not once per
 solve.
 
 One engine serves every mode and `_solve` is the one path into it: it
-searches one scenario set (nominal, sampled, or the fast path's supremum)
-and reports the plan on another.  Each node carries a plain-float
-upper bound on its latest scenario time, propagated over the arc-wise maxima
-of the scenario matrices; float addition and max are monotone, so it bounds
-every scenario's time exactly as the per-scenario recursion rounds it.  With
-one scenario the bound is the time itself, so windows and the lookahead are
-decided in float arithmetic alone and any miss prunes.  With several, a
-bound that meets a window meets it in every scenario, so the child keeps its
-parent's alive mask and dead mass and computes its per-scenario times only
-when something reads them: a later step whose bound misses a window, the
-lookahead, or a delivery's coupling to its pickup.  Only a bound that misses
-steps the scenario vector at once.  Each node's vector is computed at most
-once and the decisions are those of stepping every candidate.
+searches one stack of scenario matrices (nominal, sampled, or the fast
+path's supremum) and reports the plan on a scenario set.  Each node carries
+a plain-float upper bound on its latest scenario time, propagated over the
+arc-wise maxima of the scenario matrices; float addition and max are
+monotone, so it bounds every scenario's time exactly as the per-scenario
+recursion rounds it.  With one scenario the bound is the time itself, so
+windows and the lookahead are decided in float arithmetic alone and any miss
+prunes.  With several, a bound that meets a window meets it in every
+scenario, so the child keeps its parent's alive mask and dead mass and
+computes its per-scenario times only when something reads them: a later step
+whose bound misses a window, the lookahead, or a delivery's coupling to its
+pickup.  Only a bound that misses steps the scenario vector at once.  Each
+node's vector is computed at most once and the decisions are those of
+stepping every candidate.
 
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
 soon as some onboard delivery `i+n` can no longer be reached in time from the
 current node: `now > latest[cur][i] = b[i+n] + margin - closure[cur][i+n]`,
 where `closure` is the all-pairs shortest-path closure of the search's own
-scenario matrices (one Floyd-Warshall per solve).  The closure, not the direct
-arc, is what makes this exact: sampled scenario matrices and the fast path's
-element-wise supremum break the triangle inequality, so a detour can beat the
-direct arc.  Any completion reaches `i+n` no earlier than `now +
-closure[cur][i+n]`, and the margin (1e-6 s, above the window tolerance) keeps
-float rounding from cutting a branch the exact window checks would accept.
+scenario matrices.  The closure, not the direct arc, is what makes this
+exact: sampled scenario matrices and the fast path's element-wise supremum
+break the triangle inequality, so a detour can beat the direct arc, and
+scenario solves run one Floyd-Warshall each.  Any completion reaches `i+n` no
+earlier than `now + closure[cur][i+n]`, and the margin (1e-6 s, above the
+window tolerance) keeps float rounding from cutting a branch the exact window
+checks would accept.  The nominal matrix holds shortest-path times already
+and is passed as its own closure: the two differ at most by the rounding of a
+sum of quotients, which the margin absorbs.
 With several scenarios the lookahead prunes once the dead mass plus the mass
 of the still-alive scenarios so doomed exceeds alpha; it leaves `alive`
 untouched, and runs the per-scenario test only where the float bound passes
@@ -82,7 +89,7 @@ import numpy as np
 
 from .formulation import ConstraintSystem, arc_list, w_name, x_name, z_name
 from .instance import PdpNetwork, shortest_path_closure
-from .scenarios import ScenarioSet, single_scenario, supremum_scenario
+from .scenarios import ScenarioSet, supremum_scenario
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -238,7 +245,7 @@ class _Search:
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 config: SolveConfig):
+                 closure: np.ndarray, config: SolveConfig):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
@@ -259,20 +266,24 @@ class _Search:
         self.d = network.travel_dist.tolist()
         self.a_l = network.open_time.tolist()
         self.b_l = network.close_time.tolist()
-        self.t_max = times.max(axis=0).tolist()
 
         # latest[s, cur, i]: the last time at `cur` from which delivery i+n
         # is still reachable by its deadline in scenario s (column 0 unused).
         deliveries = slice(self.n + 1, self.terminal)
-        reach = shortest_path_closure(times)[:, :, deliveries]
         latest = np.full((times.shape[0], network.size, self.n + 1), math.inf)
-        latest[:, :, 1:] = network.close_time[deliveries] + _LOOKAHEAD_MARGIN - reach
-        # The float side of the lookahead: a node whose `now` passes no
-        # earliest cut-off is safe in every scenario.
-        self.latest_min = latest.min(axis=0).tolist()
-        # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
-        self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
-        self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
+        latest[:, :, 1:] = (network.close_time[deliveries] + _LOOKAHEAD_MARGIN
+                            - closure[:, :, deliveries])
+        if self.vector:
+            self.t_max = times.max(axis=0).tolist()
+            # The float side of the lookahead: a node whose `now` passes no
+            # earliest cut-off is safe in every scenario.
+            self.latest_min = latest.min(axis=0).tolist()
+            # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
+            self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
+            self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
+        else:
+            self.t_max = times[0].tolist()
+            self.latest_min = latest[0].tolist()
 
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
@@ -306,6 +317,7 @@ class _Search:
             return
         scen = [np.zeros(len(dead)), ~dead, self.dead_mass, None, 0, 0] if self.vector else None
         self.root_bound = self.table[self.mask][self.loc[0]]
+        # With no incumbent yet, the root passes its distance bound.
         try:
             self._extend(0, 0, 0.0, scen, 0.0, 0)
         except _TimeUp:
@@ -354,19 +366,14 @@ class _Search:
 
     def _extend(self, k: int, cur: int, now: float, scen: list | None,
                 travelled: float, floor: int) -> None:
+        # The caller has passed this node's distance bound.  The first node
+        # reads the clock too: a limit spent in set-up stops even a search too
+        # small to reach the next reading.
         self.nodes += 1
-        # The first node reads the clock too: a limit spent in set-up stops
-        # even a search too small to reach the next reading.
         if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
             raise _TimeUp
-        # Cut once no completion can beat the incumbent strictly: only a
-        # strict improvement replaces it, so a tie would be dropped anyway.
-        if (travelled + self.table[self.mask][self.loc[cur]]
-                >= self.best_obj - _EPS + _TIE_SLACK):
-            self.bound_prunes += 1
-            return
         route, onboard, unvisited = self.route, self.onboard, self.unvisited
-        loc, bit, left = self.loc, self.bit, self.left
+        loc, bit, left, table, d_cur = self.loc, self.bit, self.left, self.table, self.d[cur]
         latest = self.latest_min[cur]
         for i in onboard:
             if now > latest[i]:
@@ -397,18 +404,30 @@ class _Search:
                     continue
             elif vector:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
+            # Cut once no completion can beat the incumbent strictly: only a
+            # strict improvement replaces it, so a tie would be dropped
+            # anyway.  The child is tested here rather than in its own call;
+            # it still counts as a node and reads the clock on its turn.
+            u, mask = loc[j], self.mask
+            if left[u] == 1:
+                mask ^= bit[j]
+            child_travelled = travelled + d_cur[j]
+            if child_travelled + table[mask][u] >= self.best_obj - _EPS + _TIE_SLACK:
+                self.nodes += 1
+                if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
+                    raise _TimeUp
+                self.bound_prunes += 1
+                continue
             self.pick_scen[j] = new_scen
             route.append(j)
             onboard.append(j)
             unvisited.remove(j)
             pick_hi[j] = w
-            left[loc[j]] -= 1
-            if not left[loc[j]]:
-                self.mask ^= bit[j]
-            self._extend(k, j, w, new_scen, travelled + self.d[cur][j], floor)
-            if not left[loc[j]]:
-                self.mask ^= bit[j]
-            left[loc[j]] += 1
+            left[u] -= 1
+            saved_mask, self.mask = self.mask, mask
+            self._extend(k, j, w, new_scen, child_travelled, floor)
+            self.mask = saved_mask
+            left[u] += 1
             unvisited.add(j)
             onboard.pop()
             route.pop()
@@ -428,16 +447,24 @@ class _Search:
                     continue
             elif vector:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
+            u, mask = loc[j], self.mask
+            if left[u] == 1:
+                mask ^= bit[j]
+            child_travelled = travelled + d_cur[j]
+            if child_travelled + table[mask][u] >= self.best_obj - _EPS + _TIE_SLACK:
+                self.nodes += 1
+                if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
+                    raise _TimeUp
+                self.bound_prunes += 1
+                continue
             idx = onboard.index(i)
             route.append(j)
             del onboard[idx]
-            left[loc[j]] -= 1
-            if not left[loc[j]]:
-                self.mask ^= bit[j]
-            self._extend(k, j, w, new_scen, travelled + self.d[cur][j], floor)
-            if not left[loc[j]]:
-                self.mask ^= bit[j]
-            left[loc[j]] += 1
+            left[u] -= 1
+            saved_mask, self.mask = self.mask, mask
+            self._extend(k, j, w, new_scen, child_travelled, floor)
+            self.mask = saved_mask
+            left[u] += 1
             onboard.insert(idx, i)
             route.pop()
 
@@ -458,7 +485,7 @@ class _Search:
             if new_scen is None:
                 self.window_prunes += 1
                 return
-        travelled_total = travelled + self.d[cur][self.terminal]
+        travelled_total = travelled + d_cur[self.terminal]
         closed = tuple(route) + (self.terminal,)
         if not unvisited:
             # Remaining vehicles stay idle; the depot-to-depot hop is free in
@@ -468,6 +495,13 @@ class _Search:
                 self.best_obj = travelled_total
                 self.best_plan = tuple(self.routes) + (closed,) + ((0, self.terminal),) * (
                     self.fleet - len(self.routes) - 1)
+            return
+        # The next vehicle starts at the depot, whose location has no mask bit.
+        if travelled_total + table[self.mask][loc[0]] >= self.best_obj - _EPS + _TIE_SLACK:
+            self.nodes += 1
+            if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
+                raise _TimeUp
+            self.bound_prunes += 1
             return
         if vector:
             alive, dead_mass = new_scen[1], new_scen[2]
@@ -609,20 +643,21 @@ def _solo_infeasible_task(network: PdpNetwork) -> str | None:
 def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.ndarray:
     """Scenarios no plan can satisfy: the pickup-to-delivery coupling already
     overshoots the delivery deadline from the pickup's opening time."""
-    dead = np.zeros(scen_times.shape[0], dtype=bool)
-    a, b = network.open_time, network.close_time
-    for i in network.pickups:
-        d = network.delivery_of(i)
-        dead |= a[i] + scen_times[:, i, d] > b[d] + _EPS
-    return dead
+    pickups, deliveries = slice(1, network.n + 1), slice(network.n + 1, network.terminal)
+    # The diagonal of the pickup-to-delivery block holds each task's own arc.
+    own_arc = scen_times[:, pickups, deliveries].diagonal(axis1=1, axis2=2)
+    coupled = network.open_time[pickups] + own_arc
+    return (coupled > network.close_time[deliveries] + _EPS).any(axis=1)
 
 
-def _solve(network: PdpNetwork, search_set: ScenarioSet, config: SolveConfig,
-           report_set: ScenarioSet | None) -> Solution:
-    """Search `search_set`; report the schedule, ignored set and limiting
-    scenarios on `report_set`.  `report_set=None` reports a single realization
-    of the one-scenario search set: a 2-D schedule and no scenario data."""
-    search = _Search(network, search_set.travel_times, search_set.probabilities, config)
+def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, closure: np.ndarray,
+           config: SolveConfig, report_set: ScenarioSet | None) -> Solution:
+    """Search the [S, nv, nv] stack `times` with probabilities `probs`, whose
+    shortest-path closure is `closure`; report the schedule, ignored set and
+    limiting scenarios on `report_set`.  `report_set=None` reports a single
+    realization of the one-matrix stack: a 2-D schedule and no scenario
+    data."""
+    search = _Search(network, times, probs, closure, config)
     search.run()
     stats = search.stats()
 
@@ -640,9 +675,10 @@ def _solve(network: PdpNetwork, search_set: ScenarioSet, config: SolveConfig,
                         limiting_scenarios=limiting)
 
     plan = RoutePlan(routes=search.best_plan, n=network.n)
-    shown = search_set if report_set is None else report_set
-    w, feasible = _full_schedule(network, plan, shown.travel_times)
-    assert float(shown.probabilities[~feasible].sum()) <= config.alpha + _MASS_EPS
+    if report_set is not None:
+        times, probs = report_set.travel_times, report_set.probabilities
+    w, feasible = _full_schedule(network, plan, times)
+    assert float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
     if report_set is None:
         schedule = Schedule(times=w[:, :, 0].copy())
     else:
@@ -657,14 +693,20 @@ def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) 
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the deterministic solve requires alpha = 0")
-    return _solve(network, single_scenario(network.travel_time), config, None)
+    # The nominal matrix is a shortest-path metric already: it is its own
+    # closure up to the rounding of a sum of quotients, which the
+    # lookahead's margin absorbs.
+    nominal = network.travel_time[np.newaxis]
+    return _solve(network, nominal, np.ones(1), nominal, config, None)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      config: SolveConfig | None = None) -> Solution:
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
-    return _solve(network, scenarios, config or SolveConfig(), scenarios)
+    times = scenarios.travel_times
+    return _solve(network, times, scenarios.probabilities, shortest_path_closure(times),
+                  config or SolveConfig(), scenarios)
 
 
 def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
@@ -686,7 +728,8 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    return _solve(network, supremum_scenario(scenarios), config, scenarios)
+    worst = supremum_scenario(scenarios).travel_times
+    return _solve(network, worst, np.ones(1), shortest_path_closure(worst), config, scenarios)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,

@@ -139,6 +139,41 @@ class TestSolveCommand:
         assert field in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["probabilities", "multipliers"])
+    def test_boolean_scenario_numbers_exit_one(self, tmp_path, capsys, field):
+        # numpy reads true as 1.0, which is a valid probability of a
+        # one-scenario file and the diagonal multiplier.
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "1",
+                   "--seed", "3", "--out", str(scen))[0] == 0
+        doc = json.loads(scen.read_text())
+        if field == "probabilities":
+            doc["probabilities"] = [True]
+        else:
+            doc["multipliers"][0][0][0] = True
+        scen.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenario-file", str(scen), "--out", str(out))
+        assert code == 1
+        assert f"scenario {field} must be numbers, got True" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, key", [("config", "truncation"),
+                                            ("scenario document", "multipliers"),
+                                            ("scenario document", "probabilities")])
+    def test_scenario_file_missing_key_exits_one(self, tmp_path, capsys, where, key):
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "3", "--out", str(scen))[0] == 0
+        doc = json.loads(scen.read_text())
+        del (doc["config"] if where == "config" else doc)[key]
+        scen.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenario-file", str(scen), "--out", str(out))
+        assert code == 1
+        assert f"{where} is missing the key '{key}'" in stderr
+        assert not out.exists()
+
     def test_sto_fast_requires_alpha_zero(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto-fast",
                               "--alpha", "0.2", "--scenarios", "5",

@@ -251,6 +251,19 @@ def test_replay_rejects_provenance_that_drew_nothing(tri3_network, edit, message
         scenario_set_from_dict(doc, tri3_network)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # numpy would read "0.5" as 0.5.
+    ("probabilities", ["0.5", 0.5], "scenario probabilities must be numbers, got '0.5'"),
+    ("multipliers", [[[1.0]], [[1.0, 1.0]]], "scenario multipliers must be numbers"),
+], ids=["string", "ragged"])
+def test_replay_names_the_field_of_a_bad_array(tri3_network, field, value, message):
+    doc = scenario_set_to_dict(
+        generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=3)))
+    doc[field] = value
+    with pytest.raises(ValueError, match=message):
+        scenario_set_from_dict(doc, tri3_network)
+
+
 def test_replay_rejects_a_document_that_is_not_an_object(tri3_network):
     doc = scenario_set_to_dict(
         generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=3)))

@@ -12,7 +12,9 @@ from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_NO_INC
                      single_scenario, solve_alpha_zero_fast, solve_deterministic,
                      solve_stochastic, supremum_scenario)
 from tugplan import solver as solver_module
-from tugplan.solver import RoutePlan, _location_table, _walk_table, assignment_from_solution
+from tugplan.instance import shortest_path_closure
+from tugplan.solver import (RoutePlan, SearchStats, _location_table, _walk_table,
+                           assignment_from_solution)
 
 from conftest import instance_dict, single_task_dict
 from instgen import random_network
@@ -583,6 +585,53 @@ class TestOneEngine:
             assert solution.plan.routes == reference.plan
             assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
             assert tuple(np.flatnonzero(solution.schedule.ignored)) == reference.ignored
+
+
+class TestSearchCounters:
+    # Every counter of three factory6 searches, pinned: where the distance
+    # bound is tested and how the set-up is built must not change what the
+    # search visits.
+    @pytest.mark.parametrize("mode, expected", [
+        ("det", SearchStats(nodes_explored=4110, bound_prunes=2097, window_prunes=0,
+                            lookahead_prunes=979, root_bound=123.0)),
+        ("sto-fast", SearchStats(nodes_explored=1374, bound_prunes=122, window_prunes=76,
+                                 lookahead_prunes=820, root_bound=123.0)),
+        ("sto-0.1", SearchStats(nodes_explored=3006, bound_prunes=1315, window_prunes=444,
+                                lookahead_prunes=765, root_bound=123.0)),
+    ])
+    def test_factory6_counters_pinned(self, factory6_network, mode, expected):
+        scen = generate_scenarios(factory6_network, ScenarioConfig(count=30, seed=0))
+        if mode == "det":
+            solution = solve_deterministic(factory6_network)
+        elif mode == "sto-fast":
+            solution = solve_alpha_zero_fast(factory6_network, scen)
+        else:
+            solution = solve_stochastic(factory6_network, scen, SolveConfig(alpha=0.1))
+        assert solution.status == STATUS_OPTIMAL
+        assert solution.stats == expected
+
+    def test_nominal_matrix_is_its_own_closure(self):
+        # The deterministic solve hands the search the nominal matrix as its
+        # own shortest-path closure.  On these layouts the Floyd-Warshall
+        # closure rounds some entries differently, and the lookahead's margin
+        # must absorb that: both searches take the same decision everywhere.
+        rng = np.random.default_rng(11)
+        rounded = looked_ahead = 0
+        for trial in range(32):
+            network = random_network(rng, max_tasks=4, max_vehicles=2,
+                                     tightness="mixed" if trial % 2 == 0 else "loose")
+            nominal = network.travel_time[np.newaxis]
+            closure = shortest_path_closure(nominal)
+            outcomes = []
+            for own in (nominal, closure):
+                search = solver_module._Search(network, nominal, np.ones(1), own, SolveConfig())
+                search.run()
+                outcomes.append((search.best_plan, search.best_obj, search.stats()))
+            assert outcomes[0] == outcomes[1]
+            rounded += not np.array_equal(closure, nominal)
+            looked_ahead += outcomes[0][2].lookahead_prunes > 0
+        assert rounded >= 5
+        assert looked_ahead >= 10
 
 
 class TestCheckerAgreement:

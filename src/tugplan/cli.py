@@ -158,8 +158,6 @@ def _exit_code_for(status: str) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
-    if not (0.0 <= args.alpha < 1.0):
-        raise CliError(f"--alpha must be in [0, 1), got {args.alpha}")
     config = SolveConfig(alpha=args.alpha, time_limit=args.time_limit)
     out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.solution.json")
 
@@ -270,8 +268,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
-    if not args.scenarios or args.scenarios < 1:
-        raise CliError(f"--scenarios must be >= 1, got {args.scenarios}")
     config = ScenarioConfig(count=args.scenarios, seed=args.seed)
     scen = generate_scenarios(network, config)
     out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.scenarios.json")
@@ -303,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="replay a scenario artifact instead of sampling")
     solve.add_argument("--seed", type=int, default=None,
                        help="scenario sampling seed (with --scenarios, default 0)")
-    solve.add_argument("--time-limit", type=float, default=300.0, dest="time_limit")
+    solve.add_argument("--time-limit", type=float, default=SolveConfig.time_limit,
+                       dest="time_limit")
     solve.add_argument("--out", default=None, help="artifact path")
     solve.add_argument("--export-lp", default=None, dest="export_lp",
                        help="also write the constraint system in LP format")

@@ -14,10 +14,10 @@ current location over the locations that still host an unvisited task node
 so the table bounds every completion; windows, precedence and scenarios are
 dropped, so one table serves every mode.  Each child is tested against it in
 the parent's loop, after its window test and before its state is pushed; a
-cut child counts as a node and reads the clock as if its own call had cut
-it, so the counters are those of a test at the child's entry.  The table
-tracks at most `_TABLE_LOCATIONS` locations, the depot and those hosting the
-most task nodes; the others count for nothing, which keeps it admissible.
+cut child is counted as a bound prune only, so the nodes explored are the
+entered nodes plus the bound prunes.  The table tracks at most
+`_TABLE_LOCATIONS` locations, the depot and those hosting the most task
+nodes; the others count for nothing, which keeps it admissible.
 It depends only on the location distances and the tracked set, so
 `_location_table` memoises the last `_TABLE_MEMO` tables under exactly that
 key, with the locations in a canonical order (depot first, then by name):
@@ -262,10 +262,11 @@ class _Search:
             self.left[self.loc[j]] += 1
             self.mask |= self.bit[j]
         # Plain-float copies: list indexing is far cheaper than numpy scalar
-        # access on the per-node paths.
+        # access on the per-node paths.  Closing times carry the window
+        # tolerance, so a window test compares against them directly.
         self.d = network.travel_dist.tolist()
         self.a_l = network.open_time.tolist()
-        self.b_l = network.close_time.tolist()
+        self.b_l = (network.close_time + _EPS).tolist()
 
         # latest[s, cur, i]: the last time at `cur` from which delivery i+n
         # is still reachable by its deadline in scenario s (column 0 unused).
@@ -294,8 +295,11 @@ class _Search:
         self.pick_scen: list[list | None] = [None] * (self.n + 1)
 
         self.best_obj = math.inf
+        # The distance prune cuts at or above `cutoff`; it moves only with
+        # the incumbent.
+        self.cutoff = math.inf
         self.best_plan: tuple[tuple[int, ...], ...] | None = None
-        self.nodes = 0
+        self.calls = 0
         self.bound_prunes = 0
         self.window_prunes = 0
         self.lookahead_prunes = 0
@@ -305,7 +309,8 @@ class _Search:
         self.timed_out = False
 
     def stats(self) -> SearchStats:
-        return SearchStats(nodes_explored=self.nodes, bound_prunes=self.bound_prunes,
+        return SearchStats(nodes_explored=self.calls + self.bound_prunes,
+                           bound_prunes=self.bound_prunes,
                            window_prunes=self.window_prunes,
                            lookahead_prunes=self.lookahead_prunes,
                            root_bound=self.root_bound)
@@ -346,7 +351,7 @@ class _Search:
         of scenarios that miss a window exceeds alpha."""
         alive, dead_mass = scen[1], scen[2]
         new_times = self._arrive(self._times(scen), cur, j)
-        violated = alive & (new_times > self.b_l[j] + _EPS)
+        violated = alive & (new_times > self.b_l[j])
         new_mass = dead_mass + float(self.probs[violated].sum())
         if new_mass > self.alpha + _MASS_EPS:
             return None
@@ -369,8 +374,8 @@ class _Search:
         # The caller has passed this node's distance bound.  The first node
         # reads the clock too: a limit spent in set-up stops even a search too
         # small to reach the next reading.
-        self.nodes += 1
-        if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
+        self.calls += 1
+        if self.calls % 4096 == 1 and time.monotonic() > self.deadline:
             raise _TimeUp
         route, onboard, unvisited = self.route, self.onboard, self.unvisited
         loc, bit, left, table, d_cur = self.loc, self.bit, self.left, self.table, self.d[cur]
@@ -396,7 +401,7 @@ class _Search:
             w = now + t_cur[j]
             if w < a[j]:
                 w = a[j]
-            if w > b[j] + _EPS:
+            if w > b[j]:
                 if vector:
                     new_scen = self._vector_step(scen, cur, j)
                 if new_scen is None:
@@ -405,17 +410,12 @@ class _Search:
             elif vector:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
             # Cut once no completion can beat the incumbent strictly: only a
-            # strict improvement replaces it, so a tie would be dropped
-            # anyway.  The child is tested here rather than in its own call;
-            # it still counts as a node and reads the clock on its turn.
+            # strict improvement replaces it, so a tie would be dropped anyway.
             u, mask = loc[j], self.mask
             if left[u] == 1:
                 mask ^= bit[j]
             child_travelled = travelled + d_cur[j]
-            if child_travelled + table[mask][u] >= self.best_obj - _EPS + _TIE_SLACK:
-                self.nodes += 1
-                if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
-                    raise _TimeUp
+            if child_travelled + table[mask][u] >= self.cutoff:
                 self.bound_prunes += 1
                 continue
             self.pick_scen[j] = new_scen
@@ -439,7 +439,7 @@ class _Search:
                 w = other
             if w < a[j]:
                 w = a[j]
-            if w > b[j] + _EPS:
+            if w > b[j]:
                 if vector:
                     new_scen = self._vector_step(scen, cur, j)
                 if new_scen is None:
@@ -451,10 +451,7 @@ class _Search:
             if left[u] == 1:
                 mask ^= bit[j]
             child_travelled = travelled + d_cur[j]
-            if child_travelled + table[mask][u] >= self.best_obj - _EPS + _TIE_SLACK:
-                self.nodes += 1
-                if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
-                    raise _TimeUp
+            if child_travelled + table[mask][u] >= self.cutoff:
                 self.bound_prunes += 1
                 continue
             idx = onboard.index(i)
@@ -479,7 +476,7 @@ class _Search:
         if w < a[self.terminal]:
             w = a[self.terminal]
         new_scen = scen
-        if w > b[self.terminal] + _EPS:
+        if w > b[self.terminal]:
             if vector:
                 new_scen = self._vector_step(scen, cur, self.terminal)
             if new_scen is None:
@@ -493,14 +490,12 @@ class _Search:
             # Plans arrive in lexicographic order: keep strict improvements only.
             if travelled_total < self.best_obj - _EPS:
                 self.best_obj = travelled_total
+                self.cutoff = travelled_total - _EPS + _TIE_SLACK
                 self.best_plan = tuple(self.routes) + (closed,) + ((0, self.terminal),) * (
                     self.fleet - len(self.routes) - 1)
             return
         # The next vehicle starts at the depot, whose location has no mask bit.
-        if travelled_total + table[self.mask][loc[0]] >= self.best_obj - _EPS + _TIE_SLACK:
-            self.nodes += 1
-            if self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
-                raise _TimeUp
+        if travelled_total + table[self.mask][loc[0]] >= self.cutoff:
             self.bound_prunes += 1
             return
         if vector:

@@ -68,6 +68,50 @@ class TestSolveCommand:
         assert code == 2
         assert "T1" in stderr
 
+    def test_invalid_instance_exits_one(self, tmp_path, capsys):
+        doc = json.loads(Path(TRI3).read_text())
+        doc["tasks"][1]["id"] = doc["tasks"][0]["id"]
+        bad, out = tmp_path / "bad.json", tmp_path / "o.json"
+        bad.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", str(bad), "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "tasks: duplicate task id 'T1'" in stderr
+        assert not out.exists()
+
+    def test_infeasible_sto_names_limiting_scenarios(self, tmp_path, capsys):
+        # Scenario 1 stretches T1's own arc fourfold (10 s -> 40 s): from its
+        # 10 s release the coupling alone overshoots the 40 s deadline, so
+        # alpha = 0 admits no plan.  The artifact then carries no routes,
+        # and evaluating it is a usage error.
+        scen, out = tmp_path / "scen.json", tmp_path / "o.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "3", "--out", str(scen))[0] == 0
+        doc = json.loads(scen.read_text())
+        doc["multipliers"][1][1][3] = doc["multipliers"][1][3][1] = 4.0
+        scen.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenario-file", str(scen), "--out", str(out))
+        assert code == 2
+        artifact = json.loads(out.read_text())
+        assert artifact["status"] == "infeasible"
+        assert artifact["limiting_scenarios"] == [1]
+        assert "limiting scenarios: [1]" in stderr
+        code, _, stderr = run(capsys, "evaluate", "--instance", TRI3, "--plan", str(out),
+                              "--out", str(tmp_path / "e.json"))
+        assert code == 1
+        assert "carries no routes" in stderr
+        assert not (tmp_path / "e.json").exists()
+
+    def test_alpha_out_of_range_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--alpha", "1.5", "--scenarios", "3", "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "alpha" in stderr and "1.5" in stderr
+        assert not out.exists()
+
     def test_time_limit_exits_three(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--instance", FACTORY6,
                          "--time-limit", "1e-6", "--out", str(tmp_path / "o.json"))
@@ -126,7 +170,9 @@ class TestSolveCommand:
         (lambda doc: {**doc, "seed": 3.0, "config": {**doc["config"], "seed": 3.0}},
          "config seed"),
         (_infinite_arc, "finite"),
-    ], ids=["list", "config-5", "count-string", "seed-bool", "seed-float", "infinity"])
+        (lambda doc: {**doc, "probabilities": doc["probabilities"][:2]}, "multiplier count"),
+    ], ids=["list", "config-5", "count-string", "seed-bool", "seed-float", "infinity",
+            "probability-count"])
     def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, edit, field):
         scen, out = tmp_path / "scen.json", tmp_path / "o.json"
         assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
@@ -313,6 +359,15 @@ class TestEvaluateCommand:
         assert reason in stderr
         assert not (tmp_path / "e.json").exists()
 
+    def test_plan_must_be_an_object(self, tmp_path, capsys):
+        plan = tmp_path / "list.json"
+        plan.write_text("[]")
+        code, _, stderr = run(capsys, "evaluate", "--instance", TRI3, "--plan", str(plan),
+                              "--out", str(tmp_path / "e.json"))
+        assert code == 1
+        assert "must be a JSON object" in stderr
+        assert not (tmp_path / "e.json").exists()
+
     def test_zero_trials_usage_error(self, tmp_path, capsys, det_plan):
         code, _, stderr = run(capsys, "evaluate", "--instance", TRI3,
                               "--plan", str(det_plan), "--trials", "0",
@@ -328,13 +383,15 @@ class TestEvaluateCommand:
 
 
 class TestUnreadableInputs:
-    @pytest.fixture(params=["directory", "latin-1"])
+    @pytest.fixture(params=["directory", "latin-1", "not-json"])
     def unreadable(self, request, tmp_path):
         path = tmp_path / "input.json"
         if request.param == "directory":
             path.mkdir()
-        else:
+        elif request.param == "latin-1":
             path.write_bytes('{"notes": "Förderband"}'.encode("latin-1"))
+        else:
+            path.write_text('{"notes": ')
         return str(path)
 
     @pytest.mark.parametrize("flag", ["--instance", "--plan", "--scenario-file"])
@@ -362,6 +419,15 @@ class TestSampleCommand:
                    "--seed", "7", "--out", str(b))[0] == 0
         raw_a, raw_b = a.read_bytes(), b.read_bytes()
         assert raw_a.replace(str(a).encode(), b"") == raw_b.replace(str(b).encode(), b"")
+
+    def test_zero_scenarios_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "scen.json"
+        code, _, stderr = run(capsys, "sample", "--instance", TRI3, "--scenarios", "0",
+                              "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "scenario" in stderr and ">= 1, got 0" in stderr
+        assert not out.exists()
 
     def test_single_scenario_probability(self, tmp_path, capsys):
         out = tmp_path / "one.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tugplan
 from tugplan import (InstanceParseError, InstanceValidationError, LayoutGraph,
-                     build_network, load_instance, shortest_travel_matrix)
+                     PdpInstance, build_network, load_instance, shortest_travel_matrix)
 
 from conftest import single_task_dict
 
@@ -153,6 +153,84 @@ class TestShortestTravelMatrix:
         object.__setattr__(layout, "edges", ())
         with pytest.raises(InstanceValidationError, match="'P'.*'Q'"):
             shortest_travel_matrix(layout, ["P", "Q"], 1.0)
+
+
+def _parsed(edit):
+    """A case that loads the single-task document after `edit` changes it."""
+    def build():
+        doc = single_task_dict()
+        edit(doc)
+        return load_instance(json.dumps(doc))
+    return build
+
+
+def _task(doc):
+    return doc["tasks"][0]
+
+
+# (case, build, error, message start naming the field).  The last four reach
+# checks that the parser's own checks shadow, so only direct construction
+# meets them.
+REJECTIONS = [
+    ("duplicate-node", _parsed(lambda doc: doc["layout"]["nodes"].append("A")),
+     InstanceValidationError, r"layout\.nodes: duplicate node ids \['A'\]"),
+    ("duplicate-task", _parsed(lambda doc: doc["tasks"].append(dict(_task(doc)))),
+     InstanceValidationError, "tasks: duplicate task id 'T1'"),
+    ("edge-from-unknown", _parsed(lambda doc: doc["layout"]["edges"].append(["Z", "A", 5.0])),
+     InstanceValidationError, r"layout\.edges: unknown node 'Z'"),
+    ("edge-to-unknown", _parsed(lambda doc: doc["layout"]["edges"].append(["A", "Z", 5.0])),
+     InstanceValidationError, r"layout\.edges: unknown node 'Z'"),
+    ("task-from-unknown", _parsed(lambda doc: _task(doc).update({"from": "Z"})),
+     InstanceValidationError, "task 'T1': unknown location 'Z'"),
+    ("depot-unknown", _parsed(lambda doc: doc.update(depot="Z")),
+     InstanceValidationError, "depot: unknown location 'Z'"),
+    ("zero-vehicles", _parsed(lambda doc: doc.update(vehicles=0)),
+     InstanceValidationError, "vehicles: must be >= 1"),
+    ("zero-speed", _parsed(lambda doc: doc.update(speed=0)),
+     InstanceValidationError, "speed: must be > 0"),
+    ("from-is-to", _parsed(lambda doc: _task(doc).update({"to": "A"})),
+     InstanceValidationError, "task 'T1': from and to are both 'A'"),
+    ("negative-release", _parsed(lambda doc: _task(doc).update(earliest_pickup_s=-1)),
+     InstanceValidationError, "task 'T1': earliest_pickup_s must be >= 0"),
+    ("document", lambda: load_instance("[]"),
+     InstanceParseError, "instance document must be a JSON object"),
+    ("layout", _parsed(lambda doc: doc.update(layout=[])),
+     InstanceParseError, "layout: must be an object"),
+    ("nodes", _parsed(lambda doc: doc["layout"].update(nodes=[])),
+     InstanceParseError, r"layout\.nodes: must be a non-empty list"),
+    ("edges", _parsed(lambda doc: doc["layout"].update(edges={})),
+     InstanceParseError, r"layout\.edges: must be a list"),
+    ("edge-entry", _parsed(lambda doc: doc["layout"]["edges"].append(["DEP", "A"])),
+     InstanceParseError, r"layout\.edges: expected \[from, to, length_m\]"),
+    ("tasks", _parsed(lambda doc: doc.update(tasks=[])),
+     InstanceParseError, "tasks: must be a non-empty list"),
+    ("task-entry", _parsed(lambda doc: doc.update(tasks=["T1"])),
+     InstanceParseError, r"tasks\[0\]: must be an object"),
+    ("vehicles", _parsed(lambda doc: doc.update(vehicles=1.0)),
+     InstanceParseError, "vehicles: must be an integer"),
+    ("depot", _parsed(lambda doc: doc.update(depot=0)),
+     InstanceParseError, "depot: must be a location id string"),
+    ("notes", _parsed(lambda doc: doc.update(notes=5)),
+     InstanceParseError, "notes: must be a string"),
+    ("non-number", _parsed(lambda doc: doc.update(horizon="200")),
+     InstanceParseError, "horizon: expected a number"),
+    ("layout-labels", lambda: LayoutGraph(node_ids=("A", "B"), labels=("A",), edges=()),
+     InstanceValidationError, r"layout\.nodes: labels must match node ids"),
+    ("no-tasks", lambda: PdpInstance(layout=ring_layout(), tasks=(), vehicle_count=1,
+                                     depot="DEP", horizon=100.0),
+     InstanceValidationError, "tasks: at least one task is required"),
+    ("matrix-speed", lambda: shortest_travel_matrix(ring_layout(), ["DEP"], 0.0),
+     InstanceValidationError, "speed: must be > 0"),
+    ("matrix-location", lambda: shortest_travel_matrix(ring_layout(), ["Z"], 1.5),
+     InstanceValidationError, "locations: unknown location 'Z'"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_rejection_names_the_field(build, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        build()
 
 
 def test_import_leaves_scipy_unloaded():

@@ -17,7 +17,7 @@ from tugplan.solver import (RoutePlan, SearchStats, _location_table, _walk_table
                            assignment_from_solution)
 
 from conftest import instance_dict, single_task_dict
-from instgen import random_network
+from instgen import random_instance_doc, random_network
 from oracle import oracle_solve, oracle_solve_deterministic, plan_scenario_feasible
 
 
@@ -257,6 +257,45 @@ class TestOracleEquivalence:
                 assert solution.plan.routes == reference.plan
                 checked += 1
         assert checked >= 3
+
+    def test_horizon_at_latest_deadline(self):
+        # instgen puts the horizon 50-200 s past the last deadline, where no
+        # pickup or terminal window binds.  Here it is the latest deadline,
+        # so late pickups and route closings miss windows too, and some
+        # results differ from those under the generated horizon.  A pickup
+        # past the horizon also dooms its delivery, so without its window
+        # test the plans stay the same and the lookahead cuts the child
+        # instead: only the pinned counters show that.
+        rng = np.random.default_rng(99)
+        changed = 0
+        prunes = {}
+        for trial in range(60):
+            doc = random_instance_doc(rng, max_tasks=3, max_vehicles=2)
+            wide = build_network(load_instance(json.dumps(doc)))
+            doc["horizon"] = max(task["latest_delivery_s"] for task in doc["tasks"])
+            network = build_network(load_instance(json.dumps(doc)))
+            config = ScenarioConfig(count=6, seed=trial)
+            scen, wide_scen = generate_scenarios(network, config), generate_scenarios(wide, config)
+            cases = [("det", solve_deterministic(network), solve_deterministic(wide),
+                      oracle_solve_deterministic(network))]
+            for alpha in (0.0, 0.34):
+                solve_config = SolveConfig(alpha=alpha)
+                cases.append((f"sto-{alpha}", solve_stochastic(network, scen, solve_config),
+                              solve_stochastic(wide, wide_scen, solve_config),
+                              oracle_solve(network, scen.travel_times, scen.probabilities,
+                                           alpha)))
+            for mode, solution, widened, reference in cases:
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+                changed += (solution.objective, solution.plan) != (widened.objective,
+                                                                   widened.plan)
+                window, lookahead = prunes.get(mode, (0, 0))
+                prunes[mode] = (window + solution.stats.window_prunes,
+                                lookahead + solution.stats.lookahead_prunes)
+        assert changed >= 20
+        assert prunes == {"det": (68, 303), "sto-0.0": (130, 115), "sto-0.34": (186, 264)}
 
 
 def _detour_network():

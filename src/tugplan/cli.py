@@ -12,6 +12,7 @@ Exit codes: 0 success/optimal, 1 usage or input error, 2 infeasible,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -118,13 +119,7 @@ def _solution_payload(solution: Solution, network: PdpNetwork, manifest: dict,
         "task_count": network.n,
         "vehicles": network.vehicle_count,
         "objective_m": solution.objective,
-        "stats": {
-            "nodes_explored": solution.stats.nodes_explored,
-            "bound_prunes": solution.stats.bound_prunes,
-            "window_prunes": solution.stats.window_prunes,
-            "lookahead_prunes": solution.stats.lookahead_prunes,
-            "root_bound_m": solution.stats.root_bound,
-        },
+        "stats": dataclasses.asdict(solution.stats),
     }
     if provenance is not None:
         payload["scenario_provenance"] = provenance

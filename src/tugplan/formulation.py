@@ -4,7 +4,9 @@ Two constraint systems are built from a compiled network: the deterministic
 model over nominal travel times, and the scenario model in which routes are
 shared across all sampled travel-time realizations while service times are
 per-scenario, with binary scenario-ignore switches bounded in probability mass
-by the reliability level `alpha`.
+by the reliability level `alpha`.  Both builders size their big-M constants
+with `compute_big_m` and take no override; the paper's M2 equals m1, so a
+`BigMSet` holds m1, m3 and m4.
 
 Every linear constraint carries a provenance tag (Eq2..Eq10 for the
 deterministic system, Eq13..Eq23 for the scenario system) so checker verdicts
@@ -60,12 +62,12 @@ class BigMSet:
     """Deactivation constants, one per relaxed constraint family.
 
     Sized so that a deactivated constraint admits every service time inside
-    the node windows: m1 (and m2) cover time propagation along an arc, m3 the
-    pickup-before-delivery coupling, m4 the upper window bound.
+    the node windows: m1 covers time propagation along an arc, m3 the
+    pickup-before-delivery coupling, m4 the upper window bound.  The paper's
+    M2, which switches Eq18 off on an ignored scenario, equals m1.
     """
 
     m1: float
-    m2: float
     m3: float
     m4: float
 
@@ -150,7 +152,7 @@ def compute_big_m(network: PdpNetwork, scenarios: ScenarioSet | None) -> BigMSet
                                              a[network.delivery_of(i)]))
     worst_arc = max(worst[i, j] for (i, j) in arcs)
     m4 = worst_arc + (float(b.max()) - float(b.min()))
-    return BigMSet(m1=m1, m2=m1, m3=m3, m4=m4)
+    return BigMSet(m1=m1, m3=m3, m4=m4)
 
 
 def _route_structure_constraints(network: PdpNetwork, vehicle_count: int,
@@ -220,20 +222,16 @@ def _distance_objective(network: PdpNetwork, vehicle_count: int) -> dict[str, fl
     }
 
 
-def build_deterministic(network: PdpNetwork,
-                        big_m: BigMSet | None = None) -> ConstraintSystem:
+def build_deterministic(network: PdpNetwork) -> ConstraintSystem:
     """The single-realization model: minimize total travel distance subject to
     route structure, big-M time propagation, pickup-before-delivery, and the
     node time windows, all under nominal travel times.
-
-    `big_m` overrides the computed deactivation constants (any value at least
-    as large leaves integral verdicts unchanged).
     """
     nv = network.size
     vehicle_count = network.vehicle_count
     arcs = arc_list(nv)
     vehicles = range(vehicle_count)
-    big_m = big_m or compute_big_m(network, None)
+    big_m = compute_big_m(network, None)
     d = network.travel_time
     a, b = network.open_time, network.close_time
 
@@ -283,15 +281,14 @@ def build_deterministic(network: PdpNetwork,
     )
 
 
-def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
-                     big_m: BigMSet | None = None) -> ConstraintSystem:
+def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
+                     alpha: float) -> ConstraintSystem:
     """The scenario model: routes are shared, service times are per scenario,
     and a scenario may be switched off entirely at the price of its
     probability mass, with total switched-off mass at most `alpha`.
 
     The lower window bound is relaxed to zero on ignored scenarios, written as
     w + a_i z >= a_i; this needs a_i >= 0, which holds by construction.
-    `big_m` overrides the computed deactivation constants.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -301,7 +298,7 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
     arcs = arc_list(nv)
     vehicles = range(vehicle_count)
     count = scenarios.count
-    big_m = big_m or compute_big_m(network, scenarios)
+    big_m = compute_big_m(network, scenarios)
     a, b = network.open_time, network.close_time
     p = scenarios.probabilities
 
@@ -320,8 +317,8 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
             "terminal": "Eq16", "flow": "Eq17"}
     cons = _route_structure_constraints(network, vehicle_count, tags)
 
-    # w_js >= w_is + d_ijs - M1 (1 - x_kij) - M2 z_s, written as
-    # w_is - w_js + M1 x_kij - M2 z_s <= M1 - d_ijs
+    # w_js >= w_is + d_ijs - M1 (1 - x_kij) - M2 z_s with M2 = M1, written as
+    # w_is - w_js + M1 x_kij - M1 z_s <= M1 - d_ijs
     for k in vehicles:
         for (i, j) in arcs:
             for s in range(count):
@@ -329,7 +326,7 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet, alpha: float,
                 cons.append(LinearConstraint(
                     name=f"Eq18[k={k},({i},{j}),s={s}]",
                     coeffs={w_name(k, i, s): 1.0, w_name(k, j, s): -1.0,
-                            x_name(k, i, j): big_m.m1, z_name(s): -big_m.m2},
+                            x_name(k, i, j): big_m.m1, z_name(s): -big_m.m1},
                     relation="<=", rhs=big_m.m1 - d_ijs, tag="Eq18"))
 
     # w_is + d_(i,i+n)s <= w_(i+n)s + M3 z_s

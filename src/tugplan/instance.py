@@ -164,8 +164,6 @@ class PdpNetwork:
     close_time: np.ndarray
     travel_time: np.ndarray
     travel_dist: np.ndarray
-    speed: float
-    horizon: float
 
     def __post_init__(self):
         for arr in (self.open_time, self.close_time, self.travel_time, self.travel_dist):
@@ -268,8 +266,6 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
         close_time=close_time,
         travel_time=travel_time,
         travel_dist=travel_dist,
-        speed=instance.speed,
-        horizon=float(instance.horizon),
     )
 
 
@@ -312,9 +308,9 @@ def load_instance(text: str) -> PdpInstance:
         }
 
     Layout nodes may also be given as ``[id, label]`` pairs.  `speed` defaults
-    to 1.5 m/s.  Raises `InstanceParseError` for malformed documents and
-    `InstanceValidationError` for structurally invalid ones, naming the
-    offending field.
+    to `PdpInstance.speed`.  Raises `InstanceParseError` for malformed
+    documents and `InstanceValidationError` for structurally invalid ones,
+    naming the offending field.
     """
     try:
         doc = json.loads(text)
@@ -376,7 +372,7 @@ def load_instance(text: str) -> PdpInstance:
     depot = _require(doc, "depot", "instance")
     if not isinstance(depot, str):
         raise InstanceParseError(f"depot: must be a location id string, got {depot!r}")
-    speed = _number(doc.get("speed", 1.5), "speed")
+    speed = _number(doc.get("speed", PdpInstance.speed), "speed")
     horizon = _number(_require(doc, "horizon", "instance"), "horizon")
     notes = doc.get("notes", "")
     if not isinstance(notes, str):

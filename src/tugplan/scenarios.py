@@ -91,12 +91,11 @@ class ScenarioSet:
         return self.travel_times.shape[0]
 
 
-def sample_multiplier(rng: np.random.Generator, mean: float = MULTIPLIER_MEAN,
-                      std: float = MULTIPLIER_STD) -> float:
-    """One positive travel-time multiplier: Normal(mean, std), redrawn while <= 0."""
-    value = rng.normal(mean, std)
+def sample_multiplier(rng: np.random.Generator) -> float:
+    """One positive travel-time multiplier of the fixed sampler."""
+    value = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD)
     while value <= 0.0:
-        value = rng.normal(mean, std)
+        value = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD)
     return float(value)
 
 
@@ -105,9 +104,8 @@ def scenario_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, index]))
 
 
-def sample_time_matrix(nominal: np.ndarray, rng: np.random.Generator,
-                       mean: float = MULTIPLIER_MEAN,
-                       std: float = MULTIPLIER_STD) -> tuple[np.ndarray, np.ndarray]:
+def sample_time_matrix(nominal: np.ndarray,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One realization: a fresh multiplier per undirected arc, applied to both
     directions of `nominal`.  Arcs are drawn in row-major upper-triangle order.
 
@@ -116,10 +114,10 @@ def sample_time_matrix(nominal: np.ndarray, rng: np.random.Generator,
     `sample_multiplier` loop bit for bit."""
     nv = nominal.shape[0]
     arcs = nv * (nv - 1) // 2
-    draws = rng.normal(mean, std, arcs)
+    draws = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD, arcs)
     kept = draws[draws > 0.0]
     while len(kept) < arcs:
-        draws = rng.normal(mean, std, arcs - len(kept))
+        draws = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD, arcs - len(kept))
         kept = np.concatenate((kept, draws[draws > 0.0]))
     index = np.arange(nv)
     upper = index[:, np.newaxis] < index

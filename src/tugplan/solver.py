@@ -89,7 +89,7 @@ import numpy as np
 
 from .formulation import ConstraintSystem, arc_list, w_name, x_name, z_name
 from .instance import PdpNetwork, shortest_path_closure
-from .scenarios import ScenarioSet, supremum_scenario
+from .scenarios import ScenarioSet
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -209,7 +209,7 @@ class SearchStats:
     lookahead_prunes: int = 0
     # The completion table's bound on the whole plan; 0 if the search never
     # started.
-    root_bound: float = 0.0
+    root_bound_m: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ class _Search:
                            bound_prunes=self.bound_prunes,
                            window_prunes=self.window_prunes,
                            lookahead_prunes=self.lookahead_prunes,
-                           root_bound=self.root_bound)
+                           root_bound_m=self.root_bound)
 
     def run(self) -> None:
         dead = _forced_dead_scenarios(self.network, self.times)
@@ -472,9 +472,9 @@ class _Search:
             return
         if unvisited and (k == self.fleet - 1 or at_start):
             return
+        # The terminal opens no later than it closes, so its opening cannot
+        # change the window test.
         w = now + t_cur[self.terminal]
-        if w < a[self.terminal]:
-            w = a[self.terminal]
         new_scen = scen
         if w > b[self.terminal]:
             if vector:
@@ -723,7 +723,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    worst = supremum_scenario(scenarios).travel_times
+    worst = scenarios.travel_times.max(axis=0, keepdims=True)
     return _solve(network, worst, np.ones(1), shortest_path_closure(worst), config, scenarios)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from tugplan import (RoutePlan, ScenarioConfig, SolveConfig, build_network,
+from tugplan import (EvaluationReport, RoutePlan, ScenarioConfig, SolveConfig, build_network,
                      generate_scenarios, load_instance, out_of_sample, replay_failures,
                      simulate_route, solve_deterministic, solve_stochastic)
 from tugplan.evaluator import _TRIAL_BLOCK
@@ -95,6 +95,20 @@ def test_model_couples_delivery_to_pickup_but_dispatch_does_not(tri3_wide_networ
     assert (late.ok, late.violated_node, late.lateness) == (False, 3, 5.0)
     close[3] = 45.0
     assert simulate_route(route, times, net.open_time, close).ok
+
+
+class TestEvaluationReport:
+    @pytest.mark.parametrize("per_vehicle, overall, message", [
+        ((1.5,), 1.5, r"failure frequency 1.5 outside \[0, 1\]"),
+        ((0.0,), -0.1, r"failure frequency -0.1 outside \[0, 1\]"),
+        ((0.5, 0.2), 0.3, "overall failure cannot be below the worst vehicle"),
+    ], ids=["vehicle-above-one", "overall-negative", "overall-below-worst"])
+    def test_rejects_inconsistent_frequencies(self, per_vehicle, overall, message):
+        with pytest.raises(ValueError, match=message):
+            EvaluationReport(trials=10, seed=0, per_vehicle_failure=per_vehicle,
+                             overall_failure=overall,
+                             per_vehicle_half_width=(0.0,) * len(per_vehicle),
+                             overall_half_width=0.0)
 
 
 class TestOutOfSample:

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tugplan import (BigMSet, ScenarioConfig, Schedule, Solution, build_deterministic,
-                     build_network, build_stochastic, check_solution, compute_big_m,
-                     generate_scenarios, load_instance, objective_value,
-                     single_scenario, write_lp_text)
-from tugplan.formulation import arc_list, propagation_requirement, w_name, x_name, z_name
+from tugplan import (ScenarioConfig, Schedule, Solution, build_deterministic, build_network,
+                     build_stochastic, check_solution, compute_big_m, generate_scenarios,
+                     load_instance, objective_value, single_scenario, write_lp_text)
+from tugplan.formulation import (BINARY, ConstraintSystem, LinearConstraint, Variable, arc_list,
+                                 propagation_requirement, w_name, x_name, z_name)
 from tugplan.solver import RoutePlan, _full_schedule, assignment_from_solution
 
 from conftest import single_task_dict
@@ -153,12 +153,13 @@ class TestComputeBigM:
         assert propagation_requirement(30.0, 20.0, 0.0) == 50.0
 
     def test_uniform_window_bound(self):
-        net = build_network(load_instance(json.dumps(single_task_dict())))
-        horizon = net.horizon
+        doc = single_task_dict()
+        net = build_network(load_instance(json.dumps(doc)))
+        horizon = doc["horizon"]
         assert (net.open_time == 0).all() and (net.close_time == horizon).all()
         assert float(net.travel_time.max()) <= horizon
         big_m = compute_big_m(net, None)
-        for value in (big_m.m1, big_m.m2, big_m.m3, big_m.m4):
+        for value in (big_m.m1, big_m.m3, big_m.m4):
             assert 0.0 <= value <= 2 * horizon
 
     def test_tri3_m1_matches_enumeration(self, tri3_network):
@@ -166,7 +167,6 @@ class TestComputeBigM:
         a, b, d = tri3_network.open_time, tri3_network.close_time, tri3_network.travel_time
         expected = max(max(0.0, b[i] + d[i, j] - a[j]) for i, j in arc_list(tri3_network.size))
         assert big_m.m1 == pytest.approx(expected)
-        assert big_m.m2 == big_m.m1
 
     def test_scenario_supremum_used(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=10, seed=6))
@@ -177,7 +177,7 @@ class TestComputeBigM:
 
     def test_all_values_finite_nonnegative(self, factory6_network):
         big_m = compute_big_m(factory6_network, None)
-        for value in (big_m.m1, big_m.m2, big_m.m3, big_m.m4):
+        for value in (big_m.m1, big_m.m3, big_m.m4):
             assert np.isfinite(value) and value >= 0
 
 
@@ -223,48 +223,24 @@ class TestCheckSolution:
         with pytest.raises(ValueError, match=r"w\[0,2\]"):
             check_solution(system, assignment)
 
+    @pytest.mark.parametrize("coeffs, relation, message", [
+        ({"y": 1.0}, "<=", "assignment is missing variable y"),
+        ({"x": 1.0}, "<", "unknown relation '<' in c"),
+    ], ids=["undeclared-variable", "unknown-relation"])
+    def test_malformed_system_raises(self, coeffs, relation, message):
+        system = ConstraintSystem(
+            model="deterministic", variables=(Variable("x", BINARY, "Eq10"),),
+            constraints=(LinearConstraint("c", coeffs, relation, 1.0, "Eq2"),),
+            objective={"x": 1.0})
+        with pytest.raises(ValueError, match=message):
+            check_solution(system, {"x": 0.0})
+
     def test_fractional_binary_flagged(self, single_task_network):
         system = build_deterministic(single_task_network)
         assignment = zero_assignment(system)
         assignment[x_name(0, 0, 1)] = 0.5
         result = check_solution(system, assignment)
         assert any(v.tag == "Eq10" for v in result.violations)
-
-
-class TestBigMDoubling:
-    def test_doubling_keeps_integral_verdicts(self, tri3_network):
-        from tugplan import SolveConfig, solve_deterministic, solve_stochastic
-        base = compute_big_m(tri3_network, None)
-        doubled = BigMSet(m1=2 * base.m1, m2=2 * base.m2, m3=2 * base.m3, m4=2 * base.m4)
-        sys_base = build_deterministic(tri3_network)
-        sys_doubled = build_deterministic(tri3_network, big_m=doubled)
-
-        solution = solve_deterministic(tri3_network)
-        a1 = assignment_from_solution(sys_base, tri3_network, solution)
-        a2 = assignment_from_solution(sys_doubled, tri3_network, solution)
-        assert check_solution(sys_base, a1).feasible
-        assert check_solution(sys_doubled, a2).feasible
-
-        # A violation in an active (binary-on) constraint survives doubling.
-        bad = dict(a1)
-        first_pickup = w_name(0, 1) if a1[w_name(0, 1)] > 0 else w_name(1, 1)
-        bad[first_pickup] = -5.0
-        bad2 = dict(a2)
-        bad2[first_pickup] = -5.0
-        assert not check_solution(sys_base, bad).feasible
-        assert not check_solution(sys_doubled, bad2).feasible
-
-    def test_doubling_stochastic(self, tri3_network):
-        from tugplan import SolveConfig, solve_stochastic
-        scen = generate_scenarios(tri3_network, ScenarioConfig(count=5, seed=11))
-        base = compute_big_m(tri3_network, scen)
-        doubled = BigMSet(m1=2 * base.m1, m2=2 * base.m2, m3=2 * base.m3, m4=2 * base.m4)
-        solution = solve_stochastic(tri3_network, scen, SolveConfig(alpha=0.2))
-        assert solution.status == "optimal"
-        for system in (build_stochastic(tri3_network, scen, 0.2),
-                       build_stochastic(tri3_network, scen, 0.2, big_m=doubled)):
-            assignment = assignment_from_solution(system, tri3_network, solution)
-            assert check_solution(system, assignment).feasible
 
 
 class TestLpExport:

@@ -248,9 +248,9 @@ class TestBuildNetwork:
         assert net.size == 4
         assert net.open_time[1] == 10.0
         assert net.close_time[2] == 30.0
-        assert net.close_time[1] == net.horizon
+        assert net.close_time[1] == doc["horizon"]
         assert net.open_time[2] == 0.0
-        assert net.open_time[0] == 0.0 and net.close_time[0] == net.horizon
+        assert net.open_time[0] == 0.0 and net.close_time[0] == doc["horizon"]
 
     def test_delivery_index_arithmetic(self, tri3_network):
         assert tri3_network.n == 2

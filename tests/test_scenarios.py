@@ -30,9 +30,9 @@ class _CountingRng:
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def normal(self, mean, std):
+    def normal(self, mean, std, size=None):
         self.calls += 1
-        return self.rng.normal(mean, std)
+        return self.rng.normal(mean, std, size)
 
 
 class TestSampleMultiplier:
@@ -56,22 +56,26 @@ class TestSampleMultiplier:
 
 
 class TestSampleTimeMatrix:
-    @pytest.mark.parametrize("mean", [1.0, 0.1])
-    def test_equals_per_arc_multiplier_loop(self, mean):
-        # A low mean rejects about 40% of the draws, so the block is topped
-        # up several times.
-        for stream in range(100):
-            nv = 2 + stream % 13
+    def test_equals_per_arc_multiplier_loop(self):
+        # Streams of 20 to 40 nodes reject enough draws that some need two or
+        # more top-ups, so the order the top-ups are appended in is checked.
+        sizes = [2 + stream % 13 for stream in range(100)]
+        sizes += [20 + stream % 21 for stream in range(200)]
+        repeated = 0
+        for stream, nv in enumerate(sizes):
             nominal = np.arange(1.0, nv * nv + 1.0).reshape(nv, nv)
             nominal = nominal + nominal.T
-            mult, times = sample_time_matrix(nominal, np.random.default_rng(stream), mean, 0.5)
+            rng = _CountingRng(stream)
+            mult, times = sample_time_matrix(nominal, rng)
+            repeated += rng.calls >= 3
             rng = np.random.default_rng(stream)
             expected = np.ones((nv, nv))
             for i in range(nv):
                 for j in range(i + 1, nv):
-                    expected[i, j] = expected[j, i] = sample_multiplier(rng, mean, 0.5)
+                    expected[i, j] = expected[j, i] = sample_multiplier(rng)
             assert np.array_equal(mult, expected)
             assert np.array_equal(times, expected * nominal)
+        assert repeated >= 20
 
 
 class TestGenerateScenarios:

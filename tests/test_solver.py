@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_NO_INCUMBENT,
-                     ScenarioConfig, ScenarioSet, SolveConfig, build_network,
-                     build_stochastic, check_solution, generate_scenarios,
-                     load_instance, replay_failures,
+                     ScenarioConfig, ScenarioSet, Solution, SolveConfig,
+                     build_deterministic, build_network, build_stochastic, check_solution,
+                     generate_scenarios, load_instance, replay_failures,
                      single_scenario, solve_alpha_zero_fast, solve_deterministic,
                      solve_stochastic, supremum_scenario)
 from tugplan import solver as solver_module
@@ -427,9 +427,9 @@ class TestCompletionTable:
             solution = solve_deterministic(network)
             # A search that never starts reports no bound.
             started = solution.stats.nodes_explored > 0
-            assert solution.stats.root_bound == (table[-1][0] if started else 0.0)
+            assert solution.stats.root_bound_m == (table[-1][0] if started else 0.0)
             if solution.status == STATUS_OPTIMAL:
-                assert solution.stats.root_bound <= solution.objective + 1e-9
+                assert solution.stats.root_bound_m <= solution.objective + 1e-9
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_layouts_beyond_the_cap_match_oracle(self, monkeypatch, cap):
@@ -632,11 +632,11 @@ class TestSearchCounters:
     # search visits.
     @pytest.mark.parametrize("mode, expected", [
         ("det", SearchStats(nodes_explored=4110, bound_prunes=2097, window_prunes=0,
-                            lookahead_prunes=979, root_bound=123.0)),
+                            lookahead_prunes=979, root_bound_m=123.0)),
         ("sto-fast", SearchStats(nodes_explored=1374, bound_prunes=122, window_prunes=76,
-                                 lookahead_prunes=820, root_bound=123.0)),
+                                 lookahead_prunes=820, root_bound_m=123.0)),
         ("sto-0.1", SearchStats(nodes_explored=3006, bound_prunes=1315, window_prunes=444,
-                                lookahead_prunes=765, root_bound=123.0)),
+                                lookahead_prunes=765, root_bound_m=123.0)),
     ])
     def test_factory6_counters_pinned(self, factory6_network, mode, expected):
         scen = generate_scenarios(factory6_network, ScenarioConfig(count=30, seed=0))
@@ -690,6 +690,28 @@ class TestCheckerAgreement:
         assert result.feasible, result.violations
 
 
+def _infeasible():
+    return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None, objective=None,
+                    stats=SearchStats(0, 0, 0), alpha=0.0)
+
+
+def _sto(network):
+    scen = generate_scenarios(network, ScenarioConfig(count=3, seed=2))
+    return build_stochastic(network, scen, 0.0), solve_stochastic(network, scen)
+
+
+class TestAssignmentShapes:
+    @pytest.mark.parametrize("make, message", [
+        (lambda net: (build_deterministic(net), _infeasible()), "carries no plan"),
+        (lambda net: (build_deterministic(net), _sto(net)[1]), "single-realization"),
+        (lambda net: (_sto(net)[0], solve_deterministic(net)), "per-scenario"),
+    ], ids=["no-plan", "det-system-sto-schedule", "sto-system-det-schedule"])
+    def test_rejects_a_solution_of_another_shape(self, tri3_network, make, message):
+        system, solution = make(tri3_network)
+        with pytest.raises(ValueError, match=message):
+            assignment_from_solution(system, tri3_network, solution)
+
+
 class TestRoutePlanValidation:
     def test_rejects_delivery_before_pickup(self):
         with pytest.raises(ValueError, match="delivery"):
@@ -703,6 +725,19 @@ class TestRoutePlanValidation:
         with pytest.raises(ValueError, match="more than once"):
             RoutePlan(routes=((0, 1, 3, 5), (0, 1, 3, 2, 4, 5)), n=2)
 
+    @pytest.mark.parametrize("routes, message", [
+        (((), (0, 1, 3, 2, 4, 5)), "must start at 0 and end at 5"),
+        (((1, 3, 5), (0, 2, 4, 5)), "must start at 0 and end at 5"),
+        (((0, 1, 3), (0, 2, 4, 5)), "must start at 0 and end at 5"),
+        (((0, 1, 3, 7, 5), (0, 2, 4, 5)), "node 7 is not a task node"),
+        (((0, 1, 3, 0, 5), (0, 2, 4, 5)), "node 0 is not a task node"),
+        (((0, 1, 2, 4, 5), (0, 5)), r"undelivered pickups \[1\]"),
+    ], ids=["empty", "bad-start", "bad-end", "beyond-deliveries", "depot-inside",
+            "undelivered"])
+    def test_rejects_malformed_route(self, routes, message):
+        with pytest.raises(ValueError, match=message):
+            RoutePlan(routes=routes, n=2)
+
     def test_route_strings(self, tri3_network):
         plan = RoutePlan(routes=((0, 1, 3, 5), (0, 2, 4, 5)), n=2)
         assert plan.route_strings() == ["0-1-3-5", "0-2-4-5"]
@@ -714,15 +749,13 @@ def _widen_deadlines(network):
     from tugplan.instance import PdpNetwork
     close = network.close_time.copy()
     close[network.n + 1:] = close[network.n + 1:] * 1.5
-    horizon = float(max(network.horizon, close.max()))
-    close[0] = close[network.terminal] = horizon
+    close[0] = close[network.terminal] = close.max()
     return PdpNetwork(
         n=network.n, vehicle_count=network.vehicle_count,
         locations=network.locations, labels=network.labels,
         task_ids=network.task_ids, open_time=network.open_time.copy(),
         close_time=close, travel_time=network.travel_time.copy(),
-        travel_dist=network.travel_dist.copy(), speed=network.speed,
-        horizon=horizon)
+        travel_dist=network.travel_dist.copy())
 
 
 class TestPermutationInvariance:

@@ -24,14 +24,19 @@ def truncated_moments(mean=1.0, std=0.5):
 
 
 class _CountingRng:
-    """Wraps a generator to count raw draws, exposing rejection frequency."""
+    """Wraps a generator to count raw draws, exposing rejection frequency.
+    Given a `location`, every draw is centred there instead of where the
+    caller asks, so a sampler with a fixed mean can be run at another one."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, location=None):
         self.rng = np.random.default_rng(seed)
+        self.location = location
         self.calls = 0
 
     def normal(self, mean, std, size=None):
         self.calls += 1
+        if self.location is not None:
+            mean = self.location
         return self.rng.normal(mean, std, size)
 
 
@@ -56,19 +61,23 @@ class TestSampleMultiplier:
 
 
 class TestSampleTimeMatrix:
-    def test_equals_per_arc_multiplier_loop(self):
-        # Streams of 20 to 40 nodes reject enough draws that some need two or
-        # more top-ups, so the order the top-ups are appended in is checked.
+    @pytest.mark.parametrize("mean", [1.0, 0.1])
+    def test_equals_per_arc_multiplier_loop(self, mean):
+        # The stream draws at `mean`.  At 1.0, streams of 20 to 40 nodes reject
+        # enough draws that some need two or more top-ups; a mean of 0.1
+        # rejects about 40% of the draws, so blocks are topped up several
+        # times on small streams too.  Either way the order the top-ups are
+        # appended in is checked.
         sizes = [2 + stream % 13 for stream in range(100)]
         sizes += [20 + stream % 21 for stream in range(200)]
         repeated = 0
         for stream, nv in enumerate(sizes):
             nominal = np.arange(1.0, nv * nv + 1.0).reshape(nv, nv)
             nominal = nominal + nominal.T
-            rng = _CountingRng(stream)
+            rng = _CountingRng(stream, mean)
             mult, times = sample_time_matrix(nominal, rng)
             repeated += rng.calls >= 3
-            rng = np.random.default_rng(stream)
+            rng = _CountingRng(stream, mean)
             expected = np.ones((nv, nv))
             for i in range(nv):
                 for j in range(i + 1, nv):

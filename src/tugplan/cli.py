@@ -39,10 +39,17 @@ class CliError(Exception):
     """Usage or input problem; message goes to stderr, exit code 1."""
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file; one that cannot be written is a CliError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -178,7 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         system_builder = lambda: build_stochastic(network, scen, args.alpha)
 
     if args.export_lp:
-        Path(args.export_lp).write_text(write_lp_text(system_builder()), encoding="utf-8")
+        _write_text(Path(args.export_lp), write_lp_text(system_builder()))
 
     manifest = _manifest(args, "solve", out)
     _write_json(out, _solution_payload(solution, network, manifest, provenance))

@@ -101,9 +101,11 @@ def _wald_half_width(p_hat: float, trials: int) -> float:
 
 
 def _routes_of(plan: RoutePlan, network: PdpNetwork) -> tuple[tuple[int, ...], ...]:
-    """The routes of a validated plan for `network`'s tasks."""
-    if not isinstance(plan, RoutePlan) or plan.n != network.n:
-        raise ValueError(f"plan must be a RoutePlan of the network's {network.n} tasks")
+    """The routes of a validated plan for `network`'s tasks and fleet."""
+    if (not isinstance(plan, RoutePlan) or plan.n != network.n
+            or plan.vehicle_count > network.vehicle_count):
+        raise ValueError(f"plan must be a RoutePlan of the network's {network.n} tasks "
+                         f"on at most {network.vehicle_count} vehicles")
     return plan.routes
 
 

@@ -62,9 +62,9 @@ class ScenarioSet:
 
     `multipliers[s, i, j]` scales the nominal time of arc (i, j); matrices are
     symmetric with unit diagonal.  `travel_times[s] = multipliers[s] * nominal`.
-    Multipliers are finite and positive; probabilities are finite,
-    non-negative and sum to 1 (uniform when sampled).  `seed` is the seed a
-    sampled set was drawn from, and None for a set that was not drawn.
+    Multipliers are finite and positive, travel times finite; probabilities
+    are finite, non-negative and sum to 1 (uniform when sampled).  `seed` is
+    the seed a sampled set was drawn from, and None for a set not drawn.
     """
 
     multipliers: np.ndarray
@@ -82,6 +82,8 @@ class ScenarioSet:
             raise ValueError("scenario probabilities must sum to 1")
         if not (np.isfinite(self.multipliers).all() and (self.multipliers > 0).all()):
             raise ValueError("scenario multipliers must all be finite and positive")
+        if not np.isfinite(self.travel_times).all():
+            raise ValueError("scenario travel times must all be finite")
         for s in range(self.multipliers.shape[0]):
             if not np.array_equal(self.multipliers[s], self.multipliers[s].T):
                 raise ValueError(f"scenario {s} multipliers are not symmetric")
@@ -252,9 +254,9 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
         raise ValueError(f"seed must be an integer or null, got {seed!r}")
     if seed != cfg_seed:
         raise ValueError(f"seed {seed} does not match the config seed {cfg_seed}")
-    return ScenarioSet(
-        multipliers=mults,
-        travel_times=mults * network.travel_time,
-        probabilities=probs,
-        seed=cfg_seed,
-    )
+    # A finite multiplier can still overflow its travel time: ScenarioSet
+    # rejects the infinity, so numpy need not warn about it.
+    with np.errstate(over="ignore"):
+        times = mults * network.travel_time
+    return ScenarioSet(multipliers=mults, travel_times=times, probabilities=probs,
+                       seed=cfg_seed)

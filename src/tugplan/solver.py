@@ -80,6 +80,7 @@ the evaluator shares without the pickup-to-delivery coupling.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -139,22 +140,22 @@ class RoutePlan:
         for route in self.routes:
             if not route or route[0] != 0 or route[-1] != terminal:
                 raise ValueError(f"route {route} must start at 0 and end at {terminal}")
-            onboard: set[int] = set()
+            loaded: set[int] = set()
             for node in route[1:-1]:
                 if node in seen:
                     raise ValueError(f"node {node} visited more than once")
                 seen.add(node)
                 if 1 <= node <= self.n:
-                    onboard.add(node)
+                    loaded.add(node)
                 elif self.n + 1 <= node <= 2 * self.n:
-                    if node - self.n not in onboard:
+                    if node - self.n not in loaded:
                         raise ValueError(
                             f"delivery {node} without a prior pickup on the same route")
-                    onboard.remove(node - self.n)
+                    loaded.remove(node - self.n)
                 else:
                     raise ValueError(f"node {node} is not a task node")
-            if onboard:
-                raise ValueError(f"route {route} ends with undelivered pickups {sorted(onboard)}")
+            if loaded:
+                raise ValueError(f"route {route} ends with undelivered pickups {sorted(loaded)}")
         missing = set(range(1, self.n + 1)) - seen
         if missing:
             raise ValueError(f"pickups {sorted(missing)} are not served by any route")
@@ -232,16 +233,17 @@ class _Search:
     """Depth-first branch and bound over a [S, nv, nv] stack of scenario
     time matrices.
 
-    Branch state (current route, onboard pickups, unvisited set, pickup
-    times, unvisited task nodes per location and the mask of locations that
-    still host one) lives on the instance and is mutated and undone around
-    each recursive call instead of being copied per node.  A node
-    carries `now`, the float upper bound on its latest scenario time (exact
-    at S = 1), and `scen`: None at S = 1, otherwise the list `[times, alive,
-    mass, parent, cur, j]` of per-scenario times, alive mask and dead
-    probability mass.  `times` is None until `_times` steps it from the
-    parent's `scen` along the arc (cur, j); `pick_scen[i]` is the `scen` of
-    onboard pickup i, which a delivery's coupling reads.
+    Branch state (closed routes, whose count is the vehicle index, current
+    route, onboard pickups in index order, unvisited set, pickup times and
+    unvisited task nodes per location) lives on the instance and is mutated
+    and undone around each recursive call instead of being copied per node.
+    A node carries `cur`, `now` (the float upper bound on its latest scenario
+    time, exact at S = 1), `scen`, `travelled` and `mask` (the tracked
+    locations still hosting an unvisited task node).  `scen` is None at
+    S = 1, else `[times, alive, mass, parent, cur, j]`: per-scenario times,
+    alive mask and dead mass, with `times` None until `_times` steps it from
+    the parent's `scen` along the arc (cur, j).  `pick_scen[i]` is onboard
+    pickup i's `scen`, which a delivery's coupling reads.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
@@ -256,11 +258,9 @@ class _Search:
         self.vector = times.shape[0] > 1
 
         self.table, self.loc, self.bit = _walk_table(network)
-        self.left = [0] * len(self.table[0])
-        self.mask = 0
-        for j in range(1, self.terminal):
-            self.left[self.loc[j]] += 1
-            self.mask |= self.bit[j]
+        # left[u]: the unvisited task nodes at location u.
+        hosted = self.loc[1:self.terminal]
+        self.left = [hosted.count(u) for u in range(len(self.table[0]))]
         # Plain-float copies: list indexing is far cheaper than numpy scalar
         # access on the per-node paths.  Closing times carry the window
         # tolerance, so a window test compares against them directly.
@@ -290,7 +290,6 @@ class _Search:
         self.routes: list[tuple[int, ...]] = []
         self.onboard: list[int] = []
         self.unvisited: set[int] = set(range(1, self.n + 1))
-        self.pickup_order = tuple(range(1, self.n + 1))
         self.pick_hi = [0.0] * (self.n + 1)
         self.pick_scen: list[list | None] = [None] * (self.n + 1)
 
@@ -321,10 +320,12 @@ class _Search:
         if self.dead_mass > self.alpha + _MASS_EPS:
             return
         scen = [np.zeros(len(dead)), ~dead, self.dead_mass, None, 0, 0] if self.vector else None
-        self.root_bound = self.table[self.mask][self.loc[0]]
+        # Every tracked location hosts a task node, so the root's mask, the
+        # table's last row, holds them all.
+        self.root_bound = self.table[-1][self.loc[0]]
         # With no incumbent yet, the root passes its distance bound.
         try:
-            self._extend(0, 0, 0.0, scen, 0.0, 0)
+            self._extend(0, 0.0, scen, 0.0, len(self.table) - 1)
         except _TimeUp:
             self.timed_out = True
 
@@ -369,8 +370,8 @@ class _Search:
         return (dead_mass + float(self.probs[alive & doomed].sum())
                 > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
 
-    def _extend(self, k: int, cur: int, now: float, scen: list | None,
-                travelled: float, floor: int) -> None:
+    def _extend(self, cur: int, now: float, scen: list | None, travelled: float,
+                mask: int) -> None:
         # The caller has passed this node's distance bound.  The first node
         # reads the clock too: a limit spent in set-up stops even a search too
         # small to reach the next reading.
@@ -388,15 +389,17 @@ class _Search:
                 break
         vector, t, a, b = self.vector, self.t_max, self.a_l, self.b_l
         t_cur, pick_hi = t[cur], self.pick_hi
-        at_start = len(route) == 1
+        # Canonical labeling: a route start takes only pickups above the
+        # previous route's first one.
+        floor = self.routes[-1][1] if cur == 0 and self.routes else 0
         new_scen = None
 
         # A bound `w` that meets j's window meets it in every scenario: the
         # child keeps the alive mask and the dead mass and records where its
         # times come from.  Only a bound that misses steps the scenarios; at
         # S = 1 `new_scen` stays None, so any miss prunes.
-        for j in self.pickup_order:
-            if j not in unvisited or (at_start and j <= floor):
+        for j in range(floor + 1, self.n + 1):
+            if j not in unvisited:
                 continue
             w = now + t_cur[j]
             if w < a[j]:
@@ -411,27 +414,27 @@ class _Search:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
             # Cut once no completion can beat the incumbent strictly: only a
             # strict improvement replaces it, so a tie would be dropped anyway.
-            u, mask = loc[j], self.mask
+            u, child_mask = loc[j], mask
             if left[u] == 1:
-                mask ^= bit[j]
+                child_mask ^= bit[j]
             child_travelled = travelled + d_cur[j]
-            if child_travelled + table[mask][u] >= self.cutoff:
+            if child_travelled + table[child_mask][u] >= self.cutoff:
                 self.bound_prunes += 1
                 continue
             self.pick_scen[j] = new_scen
+            idx = bisect.bisect(onboard, j)
             route.append(j)
-            onboard.append(j)
+            onboard.insert(idx, j)
             unvisited.remove(j)
             pick_hi[j] = w
             left[u] -= 1
-            saved_mask, self.mask = self.mask, mask
-            self._extend(k, j, w, new_scen, child_travelled, floor)
-            self.mask = saved_mask
+            self._extend(j, w, new_scen, child_travelled, child_mask)
             left[u] += 1
             unvisited.add(j)
-            onboard.pop()
+            del onboard[idx]
             route.pop()
-        for i in sorted(onboard):
+        # Each child restores `onboard` before the next index is read.
+        for idx, i in enumerate(onboard):
             j = i + self.n
             w = now + t_cur[j]
             other = pick_hi[i] + t[i][j]
@@ -447,20 +450,17 @@ class _Search:
                     continue
             elif vector:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
-            u, mask = loc[j], self.mask
+            u, child_mask = loc[j], mask
             if left[u] == 1:
-                mask ^= bit[j]
+                child_mask ^= bit[j]
             child_travelled = travelled + d_cur[j]
-            if child_travelled + table[mask][u] >= self.cutoff:
+            if child_travelled + table[child_mask][u] >= self.cutoff:
                 self.bound_prunes += 1
                 continue
-            idx = onboard.index(i)
             route.append(j)
             del onboard[idx]
             left[u] -= 1
-            saved_mask, self.mask = self.mask, mask
-            self._extend(k, j, w, new_scen, child_travelled, floor)
-            self.mask = saved_mask
+            self._extend(j, w, new_scen, child_travelled, child_mask)
             left[u] += 1
             onboard.insert(idx, i)
             route.pop()
@@ -470,7 +470,7 @@ class _Search:
         # (an idle close forces all later vehicles idle by canonical labeling).
         if onboard:
             return
-        if unvisited and (k == self.fleet - 1 or at_start):
+        if unvisited and (len(self.routes) == self.fleet - 1 or cur == 0):
             return
         # The terminal opens no later than it closes, so its opening cannot
         # change the window test.
@@ -495,18 +495,17 @@ class _Search:
                     self.fleet - len(self.routes) - 1)
             return
         # The next vehicle starts at the depot, whose location has no mask bit.
-        if travelled_total + table[self.mask][loc[0]] >= self.cutoff:
+        if travelled_total + table[mask][loc[0]] >= self.cutoff:
             self.bound_prunes += 1
             return
         if vector:
             alive, dead_mass = new_scen[1], new_scen[2]
             new_scen = [np.zeros(len(alive)), alive, dead_mass, None, 0, 0]
-        # route[1] is this vehicle's first pickup: closing from the start node
-        # with pickups left was rejected above, so the route is non-idle.
-        first_pickup = route[1]
+        # Closing from the start node with pickups left was rejected above, so
+        # the closed route is non-idle and `closed[1]` is its first pickup.
         self.routes.append(closed)
         saved_route, self.route = self.route, [0]
-        self._extend(k + 1, 0, 0.0, new_scen, travelled_total, first_pickup)
+        self._extend(0, 0.0, new_scen, travelled_total, mask)
         self.route = saved_route
         self.routes.pop()
 

@@ -22,6 +22,14 @@ def _infinite_arc(doc):
     return doc
 
 
+def _overflowing_arcs(doc):
+    """A scenario document whose finite multipliers overflow every travel time."""
+    for matrix in doc["multipliers"]:
+        for i, row in enumerate(matrix):
+            row[:] = [1.0 if i == j else 1e307 for j in range(len(row))]
+    return doc
+
+
 class TestSolveCommand:
     def test_deterministic_solve(self, tmp_path, capsys):
         out = tmp_path / "det.json"
@@ -170,9 +178,10 @@ class TestSolveCommand:
         (lambda doc: {**doc, "seed": 3.0, "config": {**doc["config"], "seed": 3.0}},
          "config seed"),
         (_infinite_arc, "finite"),
+        (_overflowing_arcs, "finite"),
         (lambda doc: {**doc, "probabilities": doc["probabilities"][:2]}, "multiplier count"),
     ], ids=["list", "config-5", "count-string", "seed-bool", "seed-float", "infinity",
-            "probability-count"])
+            "overflow", "probability-count"])
     def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, edit, field):
         scen, out = tmp_path / "scen.json", tmp_path / "o.json"
         assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
@@ -348,6 +357,8 @@ class TestEvaluateCommand:
         ({"routes_v": [[0, 1, 3, 2, 4, 5], [0, 5]], "task_count": 2.0},
          "task_count must be an integer"),
         ({"routes_v": [[0, 1, 3, 2, 4, 5], [0, 5]]}, "task_count must be an integer"),
+        # tri3 has two vehicles.
+        ([[0, 1, 3, 5], [0, 2, 4, 5], [0, 5]], "at most 2 vehicles"),
     ])
     def test_invalid_plan_rejected(self, tmp_path, capsys, routes, reason):
         plan = tmp_path / "bad.json"
@@ -408,6 +419,37 @@ class TestUnreadableInputs:
         assert stderr.startswith("error:") and stderr.count("\n") == 1
         assert unreadable in stderr
         assert not Path(out).exists()
+
+
+class TestUnwritableOutputs:
+    @pytest.fixture(params=["directory", "under-a-file"])
+    def unwritable(self, request, tmp_path):
+        if request.param == "directory":
+            path = tmp_path / "taken"
+            path.mkdir()
+            return str(path)
+        (tmp_path / "file").write_text("")
+        return str(tmp_path / "file" / "sub" / "o.json")
+
+    @pytest.mark.parametrize("flag", ["solve --out", "solve --export-lp", "evaluate --out",
+                                      "sample --out"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, unwritable, flag):
+        plan = tmp_path / "det.json"
+        assert run(capsys, "solve", "--instance", TRI3, "--out", str(plan))[0] == 0
+        out = str(tmp_path / "o.json")
+        argv = {
+            "solve --out": ["solve", "--instance", TRI3, "--out", unwritable],
+            "solve --export-lp": ["solve", "--instance", TRI3, "--out", out,
+                                  "--export-lp", unwritable],
+            "evaluate --out": ["evaluate", "--instance", TRI3, "--plan", str(plan),
+                               "--trials", "10", "--out", unwritable],
+            "sample --out": ["sample", "--instance", TRI3, "--scenarios", "2",
+                             "--out", unwritable],
+        }[flag]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert unwritable in stderr
 
 
 class TestSampleCommand:

@@ -205,7 +205,9 @@ class TestOutOfSample:
         [list(route) for route in TRI3_CHAIN.routes],
         # A valid plan for a one-task network.
         ONE_LEG,
-    ], ids=["invalid-bare", "valid-bare", "other-n"])
+        # A valid plan on one vehicle more than tri3 has.
+        RoutePlan(routes=TRI3_CHAIN.routes + ((0, 5),), n=2),
+    ], ids=["invalid-bare", "valid-bare", "other-n", "extra-vehicle"])
     @pytest.mark.parametrize("evaluate", [
         lambda plan, net: out_of_sample(plan, net, ScenarioConfig(count=10, seed=1)),
         lambda plan, net: replay_failures(

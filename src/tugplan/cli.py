@@ -33,16 +33,31 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIME_LIMIT = 3
+_EXIT_CODES = {STATUS_OPTIMAL: EXIT_OK, STATUS_INFEASIBLE: EXIT_INFEASIBLE,
+               STATUS_TIME_LIMIT_INCUMBENT: EXIT_TIME_LIMIT,
+               STATUS_TIME_LIMIT_NO_INCUMBENT: EXIT_TIME_LIMIT}
 
 
 class CliError(Exception):
     """Usage or input problem; message goes to stderr, exit code 1."""
 
 
+def _writable(name: str) -> Path:
+    """Output file `name`, checked before any work: a directory, or a path
+    whose parent directory cannot be created, is a CliError."""
+    path = Path(name)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+    if path.is_dir():
+        raise CliError(f"cannot write {path}: Is a directory")
+    return path
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write an output file; one that cannot be written is a CliError."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}")
@@ -94,7 +109,9 @@ def _manifest(args: argparse.Namespace, command: str, out: Path) -> dict:
     return manifest
 
 
-def _scenario_set_for(args: argparse.Namespace, network: PdpNetwork) -> tuple[ScenarioSet, dict]:
+def _scenario_source(args: argparse.Namespace,
+                     network: PdpNetwork) -> tuple[ScenarioSet | ScenarioConfig, dict]:
+    """The set `--scenario-file` replays, or the config `--scenarios` draws."""
     if args.scenario_file:
         if args.seed is not None:
             raise CliError("--seed draws nothing with --scenario-file")
@@ -103,18 +120,15 @@ def _scenario_set_for(args: argparse.Namespace, network: PdpNetwork) -> tuple[Sc
             scen = scenario_set_from_dict(doc, network)
         except ValueError as exc:
             raise CliError(f"invalid scenario file {args.scenario_file}: {exc}")
-        provenance = {"source": "file", "path": args.scenario_file,
+        return scen, {"source": "file", "path": args.scenario_file,
                       "count": scen.count, "seed": scen.seed}
-        return scen, provenance
     if not args.scenarios:
         raise CliError("stochastic mode needs --scenarios N or --scenario-file PATH")
     # Only sampling draws, so only a sampled set's manifest records a seed.
     if args.seed is None:
         args.seed = 0
     config = ScenarioConfig(count=args.scenarios, seed=args.seed)
-    scen = generate_scenarios(network, config)
-    provenance = {"source": "sampled", "count": config.count, "seed": config.seed}
-    return scen, provenance
+    return config, {"source": "sampled", "count": config.count, "seed": config.seed}
 
 
 def _solution_payload(solution: Solution, network: PdpNetwork, manifest: dict,
@@ -149,21 +163,9 @@ def _solution_payload(solution: Solution, network: PdpNetwork, manifest: dict,
     return payload
 
 
-def _exit_code_for(status: str) -> int:
-    return {
-        STATUS_OPTIMAL: EXIT_OK,
-        STATUS_INFEASIBLE: EXIT_INFEASIBLE,
-        STATUS_TIME_LIMIT_INCUMBENT: EXIT_TIME_LIMIT,
-        STATUS_TIME_LIMIT_NO_INCUMBENT: EXIT_TIME_LIMIT,
-    }[status]
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
     config = SolveConfig(alpha=args.alpha, time_limit=args.time_limit)
-    out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.solution.json")
-
-    provenance = None
     if args.mode == "det":
         if args.alpha != 0.0:
             raise CliError("--mode det solves under nominal times and takes no --alpha")
@@ -172,20 +174,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
                            "--scenarios or --scenario-file")
         if args.seed is not None:
             raise CliError("--mode det solves under nominal times and takes no --seed")
+    elif args.mode == "sto-fast" and args.alpha != 0.0:
+        raise CliError("--mode sto-fast requires --alpha 0")
+    source, provenance = (None, None) if args.mode == "det" else _scenario_source(args, network)
+    # After the argument and input checks, so a usage error leaves nothing
+    # behind; before sampling, so an unwritable output costs no work.
+    out = _writable(args.out or f"{Path(args.instance).stem}.solution.json")
+    lp_path = args.export_lp and _writable(args.export_lp)
+
+    if source is None:
         solution = solve_deterministic(network, config)
         system_builder = lambda: build_deterministic(network)
     else:
-        scen, provenance = _scenario_set_for(args, network)
-        if args.mode == "sto-fast":
-            if args.alpha != 0.0:
-                raise CliError("--mode sto-fast requires --alpha 0")
-            solution = solve_alpha_zero_fast(network, scen, config)
-        else:
-            solution = solve_stochastic(network, scen, config)
+        scen = source if isinstance(source, ScenarioSet) else generate_scenarios(network, source)
+        solve = solve_alpha_zero_fast if args.mode == "sto-fast" else solve_stochastic
+        solution = solve(network, scen, config)
         system_builder = lambda: build_stochastic(network, scen, args.alpha)
 
-    if args.export_lp:
-        _write_text(Path(args.export_lp), write_lp_text(system_builder()))
+    if lp_path:
+        _write_text(lp_path, write_lp_text(system_builder()))
 
     manifest = _manifest(args, "solve", out)
     _write_json(out, _solution_payload(solution, network, manifest, provenance))
@@ -203,7 +210,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(f"limiting scenarios: {list(solution.limiting_scenarios)}",
                   file=sys.stderr)
     print(f"artifact: {out}")
-    return _exit_code_for(solution.status)
+    return _EXIT_CODES[solution.status]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -236,9 +243,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"invalid plan {args.plan}: {exc}")
 
     config = ScenarioConfig(count=args.trials, seed=args.seed)
+    out = _writable(args.out or f"{Path(args.plan).stem}.evaluation.json")
     report = out_of_sample(plan, network, config)
 
-    out = Path(args.out) if args.out else Path(f"{Path(args.plan).stem}.evaluation.json")
     manifest = _manifest(args, "evaluate", out)
     routes_v = plan.route_strings()
     routes_labels = plan.label_strings(network)
@@ -271,8 +278,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
     config = ScenarioConfig(count=args.scenarios, seed=args.seed)
+    out = _writable(args.out or f"{Path(args.instance).stem}.scenarios.json")
     scen = generate_scenarios(network, config)
-    out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.scenarios.json")
     payload = scenario_set_to_dict(scen)
     payload["manifest"] = _manifest(args, "sample", out)
     _write_json(out, payload)

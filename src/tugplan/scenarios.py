@@ -18,7 +18,7 @@ than renormalizing the mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,21 +60,31 @@ class ScenarioConfig:
 class ScenarioSet:
     """Realized travel times per scenario.
 
-    `multipliers[s, i, j]` scales the nominal time of arc (i, j); matrices are
-    symmetric with unit diagonal.  `travel_times[s] = multipliers[s] * nominal`.
-    Multipliers are finite and positive, travel times finite; probabilities
-    are finite, non-negative and sum to 1 (uniform when sampled).  `seed` is
-    the seed a sampled set was drawn from, and None for a set not drawn.
+    `multipliers[s, i, j]`, of shape (count, nv, nv), scales `nominal[i, j]`;
+    matrices are symmetric with unit diagonal.  The set derives the read-only
+    `travel_times = multipliers * nominal` itself and keeps its own copy of
+    `nominal`.  Multipliers are finite and positive, travel times finite;
+    probabilities, of shape (count,), are finite, non-negative and sum to 1
+    (uniform when sampled).  `seed` is the seed a sampled set was drawn from,
+    and None for a set not drawn.
     """
 
     multipliers: np.ndarray
-    travel_times: np.ndarray
+    nominal: np.ndarray
     probabilities: np.ndarray
     seed: int | None = None
+    travel_times: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for arr in (self.multipliers, self.travel_times, self.probabilities):
-            arr.setflags(write=False)
+        nominal = np.array(self.nominal, dtype=float)
+        nv = nominal.shape[0] if nominal.ndim else 0
+        if nominal.shape != (nv, nv):
+            raise ValueError(f"nominal times have shape {nominal.shape}, expected a square matrix")
+        if self.multipliers.ndim != 3 or self.multipliers.shape[1:] != (nv, nv):
+            raise ValueError(f"scenario multipliers have shape {self.multipliers.shape}, expected "
+                             f"(count, {nv}, {nv}) for this instance")
+        if self.probabilities.shape != self.multipliers.shape[:1]:
+            raise ValueError("scenario probabilities do not match the multiplier count")
         # The solver's mass pruning is exact only for non-negative masses.
         if not (np.isfinite(self.probabilities).all() and (self.probabilities >= 0).all()):
             raise ValueError("scenario probabilities must be finite and non-negative")
@@ -82,15 +92,23 @@ class ScenarioSet:
             raise ValueError("scenario probabilities must sum to 1")
         if not (np.isfinite(self.multipliers).all() and (self.multipliers > 0).all()):
             raise ValueError("scenario multipliers must all be finite and positive")
-        if not np.isfinite(self.travel_times).all():
+        asymmetric = (self.multipliers != self.multipliers.transpose(0, 2, 1)).any(axis=(1, 2))
+        if asymmetric.any():
+            raise ValueError(f"scenario {asymmetric.argmax()} multipliers are not symmetric")
+        # A finite multiplier can still overflow its travel time: the check
+        # below rejects the infinity, so numpy need not warn about it.
+        with np.errstate(over="ignore"):
+            times = self.multipliers * nominal
+        if not np.isfinite(times).all():
             raise ValueError("scenario travel times must all be finite")
-        for s in range(self.multipliers.shape[0]):
-            if not np.array_equal(self.multipliers[s], self.multipliers[s].T):
-                raise ValueError(f"scenario {s} multipliers are not symmetric")
+        object.__setattr__(self, "nominal", nominal)
+        object.__setattr__(self, "travel_times", times)
+        for arr in (self.multipliers, nominal, self.probabilities, times):
+            arr.setflags(write=False)
 
     @property
     def count(self) -> int:
-        return self.travel_times.shape[0]
+        return self.multipliers.shape[0]
 
 
 def sample_multiplier(rng: np.random.Generator) -> float:
@@ -138,12 +156,11 @@ def generate_scenarios(network: PdpNetwork, config: ScenarioConfig) -> ScenarioS
     generation order or parallelism."""
     nv = network.size
     mults = np.empty((config.count, nv, nv))
-    times = np.empty((config.count, nv, nv))
     for s in range(config.count):
         rng = scenario_rng(config.seed, SCENARIO_STREAM, s)
-        mults[s], times[s] = sample_time_matrix(network.travel_time, rng)
+        mults[s], _ = sample_time_matrix(network.travel_time, rng)
     probs = np.full(config.count, 1.0 / config.count)
-    return ScenarioSet(multipliers=mults, travel_times=times, probabilities=probs,
+    return ScenarioSet(multipliers=mults, nominal=network.travel_time, probabilities=probs,
                        seed=config.seed)
 
 
@@ -151,26 +168,18 @@ def supremum_scenario(scenario_set: ScenarioSet) -> ScenarioSet:
     """Collapse a set to the single element-wise worst case.
 
     Any schedule feasible under the supremum times is feasible under every
-    scenario in the input set.  The result was not drawn, so it has no seed.
+    scenario in the input set.  Its times are the element-wise max of the
+    input's (rounding is monotone, nominal times non-negative).  The result
+    was not drawn, so it has no seed.
     """
-    sup_mult = scenario_set.multipliers.max(axis=0, keepdims=True).copy()
-    sup_time = scenario_set.travel_times.max(axis=0, keepdims=True).copy()
-    return ScenarioSet(
-        multipliers=sup_mult,
-        travel_times=sup_time,
-        probabilities=np.array([1.0]),
-    )
+    return ScenarioSet(multipliers=scenario_set.multipliers.max(axis=0, keepdims=True),
+                       nominal=scenario_set.nominal, probabilities=np.array([1.0]))
 
 
 def single_scenario(travel_times: np.ndarray) -> ScenarioSet:
     """Wrap one fixed time matrix (typically the nominal one) as a set."""
-    nominal = np.asarray(travel_times, dtype=float)
-    mult = np.ones_like(nominal)
-    return ScenarioSet(
-        multipliers=mult[np.newaxis].copy(),
-        travel_times=nominal[np.newaxis].copy(),
-        probabilities=np.array([1.0]),
-    )
+    return ScenarioSet(multipliers=np.ones((1,) + np.shape(travel_times)),
+                       nominal=travel_times, probabilities=np.array([1.0]))
 
 
 def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
@@ -202,11 +211,9 @@ def _numbers(doc: dict, field: str) -> np.ndarray:
     value = doc[field]
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"scenario {field} must be numbers: {exc}")
-    entries = [value]
-    for _ in range(arr.ndim):
-        entries = [entry for row in entries for entry in row]
+    entries = np.asarray(value, dtype=object).ravel()
     if not set(map(type, entries)) <= {int, float}:
         bad = next(entry for entry in entries if type(entry) not in (int, float))
         raise ValueError(f"scenario {field} must be numbers, got {bad!r}")
@@ -218,20 +225,11 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     ValueError names what is wrong with a document or config block that is
     not a JSON object or lacks a key, multipliers or probabilities that are
     not JSON numbers, a count or seed that is not a JSON integer, a config
-    that names another sampler or another count than the file holds, and a
-    seed other than the config's."""
+    that names another sampler or another count than the file holds, a seed
+    other than the config's, and anything `ScenarioSet` rejects."""
     if not isinstance(doc, dict):
         raise ValueError(f"scenario document must be a JSON object, got {type(doc).__name__}")
     _require(doc, ("multipliers", "probabilities"), "scenario document")
-    mults = _numbers(doc, "multipliers")
-    probs = _numbers(doc, "probabilities")
-    if mults.ndim != 3 or mults.shape[1:] != (network.size, network.size):
-        raise ValueError(
-            f"scenario multipliers have shape {mults.shape}, expected "
-            f"(count, {network.size}, {network.size}) for this instance"
-        )
-    if probs.shape != (mults.shape[0],):
-        raise ValueError("scenario probabilities do not match the multiplier count")
     cfg_doc = doc.get("config")
     cfg_seed = None
     if cfg_doc is not None:
@@ -243,20 +241,16 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
         for key in ("count", "seed"):
             if not is_json_int(cfg_doc[key]):
                 raise ValueError(f"config {key} must be an integer, got {cfg_doc[key]!r}")
-        cfg = ScenarioConfig(count=cfg_doc["count"], seed=cfg_doc["seed"])
-        if cfg.count != mults.shape[0]:
-            raise ValueError(f"config count {cfg.count} does not match the "
-                             f"{mults.shape[0]} scenarios in the file")
-        cfg_seed = cfg.seed
+        cfg_seed = ScenarioConfig(count=cfg_doc["count"], seed=cfg_doc["seed"]).seed
     # Only a sampled set has a seed, and it is the one its config drew with.
     seed = doc.get("seed")
     if seed is not None and not is_json_int(seed):
         raise ValueError(f"seed must be an integer or null, got {seed!r}")
     if seed != cfg_seed:
         raise ValueError(f"seed {seed} does not match the config seed {cfg_seed}")
-    # A finite multiplier can still overflow its travel time: ScenarioSet
-    # rejects the infinity, so numpy need not warn about it.
-    with np.errstate(over="ignore"):
-        times = mults * network.travel_time
-    return ScenarioSet(multipliers=mults, travel_times=times, probabilities=probs,
-                       seed=cfg_seed)
+    scen = ScenarioSet(multipliers=_numbers(doc, "multipliers"), nominal=network.travel_time,
+                       probabilities=_numbers(doc, "probabilities"), seed=cfg_seed)
+    if cfg_doc is not None and cfg_doc["count"] != scen.count:
+        raise ValueError(f"config count {cfg_doc['count']} does not match the "
+                         f"{scen.count} scenarios in the file")
+    return scen

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tugplan import cli
 from tugplan.cli import main
 
 INSTANCES = Path(__file__).parent.parent / "instances"
@@ -180,8 +181,12 @@ class TestSolveCommand:
         (_infinite_arc, "finite"),
         (_overflowing_arcs, "finite"),
         (lambda doc: {**doc, "probabilities": doc["probabilities"][:2]}, "multiplier count"),
+        (lambda doc: {**doc, "multipliers": 1.0}, "shape ()"),
+        (lambda doc: {**doc, "probabilities": [10 ** 400, 0, 0]}, "probabilities"),
+        (lambda doc: {**doc, "multipliers": [[[10 ** 400]]]}, "multipliers"),
     ], ids=["list", "config-5", "count-string", "seed-bool", "seed-float", "infinity",
-            "overflow", "probability-count"])
+            "overflow", "probability-count", "scalar-multipliers", "huge-int",
+            "huge-int-multiplier"])
     def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, edit, field):
         scen, out = tmp_path / "scen.json", tmp_path / "o.json"
         assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
@@ -432,24 +437,42 @@ class TestUnwritableOutputs:
         return str(tmp_path / "file" / "sub" / "o.json")
 
     @pytest.mark.parametrize("flag", ["solve --out", "solve --export-lp", "evaluate --out",
-                                      "sample --out"])
-    def test_unwritable_output_exits_one(self, tmp_path, capsys, unwritable, flag):
-        plan = tmp_path / "det.json"
+                                      "sample --out", "sto --out", "replay --export-lp"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch, unwritable,
+                                         flag):
+        plan, scen = tmp_path / "det.json", tmp_path / "scen.json"
         assert run(capsys, "solve", "--instance", TRI3, "--out", str(plan))[0] == 0
-        out = str(tmp_path / "o.json")
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "2",
+                   "--out", str(scen))[0] == 0
+        out, lp = tmp_path / "o.json", tmp_path / "m.lp"
         argv = {
-            "solve --out": ["solve", "--instance", TRI3, "--out", unwritable],
-            "solve --export-lp": ["solve", "--instance", TRI3, "--out", out,
+            "solve --out": ["solve", "--instance", TRI3, "--out", unwritable,
+                            "--export-lp", str(lp)],
+            "solve --export-lp": ["solve", "--instance", TRI3, "--out", str(out),
                                   "--export-lp", unwritable],
             "evaluate --out": ["evaluate", "--instance", TRI3, "--plan", str(plan),
                                "--trials", "10", "--out", unwritable],
             "sample --out": ["sample", "--instance", TRI3, "--scenarios", "2",
                              "--out", unwritable],
+            "sto --out": ["solve", "--instance", TRI3, "--mode", "sto", "--scenarios", "2",
+                          "--out", unwritable, "--export-lp", str(lp)],
+            "replay --export-lp": ["solve", "--instance", TRI3, "--mode", "sto-fast",
+                                   "--scenario-file", str(scen), "--out", str(out),
+                                   "--export-lp", unwritable],
         }[flag]
+
+        # The outputs are checked before any sampling, search or LP text.
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the outputs were checked")
+
+        for name in ("generate_scenarios", "solve_deterministic", "solve_stochastic",
+                     "solve_alpha_zero_fast", "out_of_sample", "write_lp_text"):
+            monkeypatch.setattr(cli, name, never)
         code, _, stderr = run(capsys, *argv)
         assert code == 1
         assert stderr.startswith("error:") and stderr.count("\n") == 1
-        assert unwritable in stderr
+        assert f"cannot write {unwritable}:" in stderr
+        assert not out.exists() and not lp.exists()
 
 
 class TestSampleCommand:

@@ -117,7 +117,7 @@ class TestBuildStochastic:
         with pytest.raises(ValueError, match="sum to 1"):
             ScenarioSet(
                 multipliers=np.ones((2, nv, nv)),
-                travel_times=np.tile(tri3_network.travel_time, (2, 1, 1)),
+                nominal=tri3_network.travel_time,
                 probabilities=np.array([0.5, 0.4]),
             )
 

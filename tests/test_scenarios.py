@@ -133,7 +133,7 @@ class TestSupremum:
         mults[1, 0, 1] = mults[1, 1, 0] = high
         return ScenarioSet(
             multipliers=mults,
-            travel_times=mults * network.travel_time,
+            nominal=network.travel_time,
             probabilities=np.array([0.5, 0.5]),
         )
 
@@ -153,6 +153,13 @@ class TestSupremum:
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=1000, seed=21))
         sup = supremum_scenario(scen)
         assert (sup.travel_times[0] >= scen.travel_times).all()
+
+    def test_times_equal_the_max_of_times(self, factory6_network):
+        # The fast path searches the element-wise max of a set's times; the
+        # supremum derives its times from the max multiplier instead.
+        scen = generate_scenarios(factory6_network, ScenarioConfig(count=300, seed=0))
+        assert np.array_equal(supremum_scenario(scen).travel_times,
+                              scen.travel_times.max(axis=0, keepdims=True))
 
     def test_feasible_under_sup_implies_feasible_everywhere(self, tri3_network):
         # Any route meeting its windows under the supremum times meets them
@@ -289,7 +296,7 @@ def test_scenario_set_rejects_nonpositive_multipliers(tri3_network):
     mults = np.ones((1, nv, nv))
     mults[0, 0, 1] = mults[0, 1, 0] = 0.0
     with pytest.raises(ValueError, match="positive"):
-        ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
+        ScenarioSet(multipliers=mults, nominal=tri3_network.travel_time,
                     probabilities=np.array([1.0]))
 
 
@@ -304,7 +311,7 @@ def test_scenario_set_rejects_bad_probabilities(tri3_network, probs):
     nv = tri3_network.size
     mults = np.ones((2, nv, nv))
     with pytest.raises(ValueError, match="finite and non-negative"):
-        ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
+        ScenarioSet(multipliers=mults, nominal=tri3_network.travel_time,
                     probabilities=np.array(probs))
 
 
@@ -322,7 +329,7 @@ def test_scenario_set_rejects_non_finite_multipliers(tri3_network, value):
     mults = np.ones((1, nv, nv))
     mults[0, 0, 1] = mults[0, 1, 0] = value
     with pytest.raises(ValueError, match="finite and positive"):
-        ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
+        ScenarioSet(multipliers=mults, nominal=tri3_network.travel_time,
                     probabilities=np.array([1.0]))
 
 
@@ -331,8 +338,41 @@ def test_scenario_set_rejects_asymmetry(tri3_network):
     mults = np.ones((1, nv, nv))
     mults[0, 0, 1] = 2.0
     with pytest.raises(ValueError, match="symmetric"):
-        ScenarioSet(multipliers=mults, travel_times=mults * tri3_network.travel_time,
+        ScenarioSet(multipliers=mults, nominal=tri3_network.travel_time,
                     probabilities=np.array([1.0]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda nominal: (np.array(1.0), nominal, [1.0]), r"multipliers have shape \(\)"),
+    (lambda nominal: (np.ones(nominal.shape), nominal, [1.0]), "multipliers have shape"),
+    (lambda nominal: (np.ones((1,) + nominal.shape), nominal[:-1, :-1], [1.0]),
+     "multipliers have shape"),
+    (lambda nominal: (np.ones((1,) + nominal.shape), nominal[0], [1.0]),
+     "nominal times have shape"),
+    (lambda nominal: (np.ones((2,) + nominal.shape), nominal, [1.0]),
+     "do not match the multiplier count"),
+], ids=["0-D", "2-D", "other-size-nominal", "1-D-nominal", "probability-count"])
+def test_scenario_set_rejects_bad_shapes(tri3_network, make, message):
+    mults, nominal, probs = make(tri3_network.travel_time)
+    with pytest.raises(ValueError, match=message):
+        ScenarioSet(multipliers=mults, nominal=nominal, probabilities=np.array(probs))
+
+
+def test_scenario_set_derives_its_travel_times(tri3_network):
+    nominal = tri3_network.travel_time.copy()
+    mults = np.full((2,) + nominal.shape, 1.5)
+    for m in mults:
+        np.fill_diagonal(m, 1.0)
+    scen = ScenarioSet(multipliers=mults, nominal=nominal, probabilities=np.array([0.5, 0.5]))
+    assert np.array_equal(scen.travel_times, mults * nominal)
+    for arr in (scen.multipliers, scen.nominal, scen.probabilities, scen.travel_times):
+        assert not arr.flags.writeable
+    # The caller's matrix stays writable and no longer reaches the set.
+    nominal[0, 1] = 99.0
+    assert scen.nominal[0, 1] == tri3_network.travel_time[0, 1]
+    with pytest.raises(TypeError):
+        ScenarioSet(multipliers=mults, nominal=nominal, probabilities=np.array([0.5, 0.5]),
+                    travel_times=mults * nominal)
 
 
 def test_count_extension_preserves_prefix(tri3_network):

@@ -168,7 +168,7 @@ class TestSolveStochastic:
         for m in mults:
             np.fill_diagonal(m, 1.0)
         scen = ScenarioSet(multipliers=mults,
-                           travel_times=mults * tri3_network.travel_time,
+                           nominal=tri3_network.travel_time,
                            probabilities=np.full(len(stretches), 1.0 / len(stretches)))
         solution = solve(tri3_network, scen, SolveConfig(alpha=0.0))
         assert solution.status == STATUS_INFEASIBLE
@@ -190,10 +190,10 @@ class TestAlphaZeroFast:
         mults[0] = 1.4
         np.fill_diagonal(mults[0], 1.0)
         scen = ScenarioSet(multipliers=mults,
-                           travel_times=mults * tri3_network.travel_time,
+                           nominal=tri3_network.travel_time,
                            probabilities=np.array([0.5, 0.5]))
         dominator = ScenarioSet(multipliers=mults[:1].copy(),
-                                travel_times=(mults[:1] * tri3_network.travel_time).copy(),
+                                nominal=tri3_network.travel_time,
                                 probabilities=np.array([1.0]))
         fast = solve_alpha_zero_fast(tri3_network, scen)
         alone = solve_stochastic(tri3_network, dominator, SolveConfig(alpha=0.0))
@@ -329,7 +329,7 @@ class TestDeadlineLookahead:
         nv = network.size
         mults = np.ones((2, nv, nv))
         mults[0, 2, 3] = mults[0, 3, 2] = 5.0
-        scen = ScenarioSet(multipliers=mults, travel_times=mults * network.travel_time,
+        scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
                            probabilities=np.array([0.5, 0.5]))
         reference = oracle_solve(network, scen.travel_times, scen.probabilities, 0.0)
         assert reference.plan == ((0, 1, 2, 4, 3, 5), (0, 5))
@@ -549,9 +549,8 @@ class TestOneEngine:
         for trial in range(60):
             tightness = "tight" if trial % 2 == 0 else "loose"
             network = random_network(rng, max_tasks=4, max_vehicles=2, tightness=tightness)
-            nominal = network.travel_time[np.newaxis]
-            twin = ScenarioSet(multipliers=np.ones((2,) + nominal.shape[1:]),
-                               travel_times=np.concatenate((nominal, nominal)),
+            twin = ScenarioSet(multipliers=np.ones((2,) + network.travel_time.shape),
+                               nominal=network.travel_time,
                                probabilities=np.array([0.5, 0.5]))
             det = solve_deterministic(network)
             sto = solve_stochastic(network, twin)
@@ -613,7 +612,7 @@ class TestOneEngine:
         mults = np.ones((3,) + network.travel_time.shape)
         mults[0, 2, 4] = mults[0, 4, 2] = 2.0
         mults[1, 2, 4] = mults[1, 4, 2] = 1.2
-        scen = ScenarioSet(multipliers=mults, travel_times=mults * network.travel_time,
+        scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
                            probabilities=np.array([0.25, 0.25, 0.5]))
         expected = {0.0: ((0, 1, 3, 5), (0, 2, 4, 5)), 0.3: ((0, 1, 2, 3, 4, 5), (0, 5))}
         for alpha, plan in expected.items():

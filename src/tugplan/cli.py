@@ -215,8 +215,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     network = _load_network(args.instance)
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
+    config = ScenarioConfig(count=args.trials, seed=args.seed)
     plan_doc = _read_json(args.plan, "plan")
     if not isinstance(plan_doc, dict):
         raise CliError(f"invalid plan {args.plan}: must be a JSON object")
@@ -242,7 +241,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"invalid plan {args.plan}: {exc}")
 
-    config = ScenarioConfig(count=args.trials, seed=args.seed)
     out = _writable(args.out or f"{Path(args.plan).stem}.evaluation.json")
     report = out_of_sample(plan, network, config)
 

@@ -13,8 +13,9 @@ Dispatch runs the solver's schedule recursion (`route_times`) without the
 model's pickup-to-delivery coupling: a delivery is never held back to its
 pickup time plus the direct pickup arc.  Sampled realizations are not metric,
 so that arc can be longer than the route's own way round, and the model then
-times the delivery later than dispatch does.  Trials are sampled one by one
-and evaluated in blocks of `_TRIAL_BLOCK`, so memory does not grow with the
+times the delivery later than dispatch does.  Trials are sampled together
+by `sample_multipliers`, each still on its own stream, and both sampled and
+evaluated in blocks of `_TRIAL_BLOCK`, so memory does not grow with the
 trial count.
 """
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import PdpNetwork
-from .scenarios import (EVALUATION_STREAM, ScenarioConfig, ScenarioSet,
-                        sample_time_matrix, scenario_rng)
+from .scenarios import EVALUATION_STREAM, ScenarioConfig, ScenarioSet, sample_multipliers
+from .scenarios import sample_time_matrix  # noqa: F401 (perfbench traces it as scenarios.matrix)
 from .solver import RoutePlan, route_times
 
 _EPS = 1e-9
@@ -123,10 +124,10 @@ def out_of_sample(plan: RoutePlan, network: PdpNetwork,
     block = np.empty((min(trials, _TRIAL_BLOCK), network.size, network.size))
     for start in range(0, trials, _TRIAL_BLOCK):
         count = min(_TRIAL_BLOCK, trials - start)
-        for t in range(count):
-            rng = scenario_rng(config.seed, EVALUATION_STREAM, start + t)
-            _, block[t] = sample_time_matrix(network.travel_time, rng)
-        late = _late_routes(routes, block[:count], network)
+        times = sample_multipliers(network.travel_time, config.seed, EVALUATION_STREAM, start,
+                                   count, out=block[:count])
+        times *= network.travel_time
+        late = _late_routes(routes, times, network)
         fails += late.sum(axis=1)
         any_fail += int(late.any(axis=0).sum())
     per_vehicle = tuple(float(f) / trials for f in fails)

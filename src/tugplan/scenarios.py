@@ -7,7 +7,8 @@ Sampled sets carry uniform probabilities (sample-average style) and the seed
 they were drawn from.  With the count, that seed is the whole provenance: the
 exported config block and generator name are derived from the two, so a set
 can be regenerated or replayed bit-identically.  A file naming another sampler
-is not replayed.
+is not replayed.  `sample_multipliers` draws a block of scenarios or trials
+at once, equal bit for bit to the one-stream reference `sample_time_matrix`.
 
 Note on the truncation: discarding non-positive draws shifts the multiplier
 mean up to 1 + 0.5*phi(2)/Phi(2) = 1.0276 (phi/Phi the standard normal pdf/cdf)
@@ -32,6 +33,21 @@ RNG_ALGORITHM = "pcg64-seedsequence"
 SCENARIO_STREAM = 0
 EVALUATION_STREAM = 1
 
+# numpy's SeedSequence hash constants and PCG64's LCG multiplier, which
+# `sample_multipliers` reproduces (O'Neill 2014, PCG, HMC-CS-2014-0905).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# Normals drawn per trial beyond one per arc.  A trial short of positive
+# draws takes the reference sampler: that happens with probability 1e-25 at
+# factory6's 91 arcs, 1e-10 at 351 arcs (27 nodes) and 0.3% at 820 (41).
+_PAD = 32
+# Trials drawn per chunk of the block sampler, which bounds its temporaries.
+_CHUNK = 128
+
 # The multiplier distribution: Normal(mean, std), redrawn while non-positive.
 MULTIPLIER_MEAN = 1.0
 MULTIPLIER_STD = 0.5
@@ -51,12 +67,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError(f"scenario count must be >= 1, got {self.count}")
+            raise ValueError(f"count of scenarios or trials must be >= 1, got {self.count}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
     """Realized travel times per scenario.
 
@@ -66,7 +82,8 @@ class ScenarioSet:
     `nominal`.  Multipliers are finite and positive, travel times finite;
     probabilities, of shape (count,), are finite, non-negative and sum to 1
     (uniform when sampled).  `seed` is the seed a sampled set was drawn from,
-    and None for a set not drawn.
+    and None for a set not drawn.  Sets compare and hash by identity: arrays
+    have no single truth value.
     """
 
     multipliers: np.ndarray
@@ -131,7 +148,11 @@ def sample_time_matrix(nominal: np.ndarray,
 
     The arcs take the positive values of the stream in order, topped up with
     further draws until every arc has one, so the matrix equals a per-arc
-    `sample_multiplier` loop bit for bit."""
+    `sample_multiplier` loop bit for bit.
+
+    This is the reference sampler, one stream at a time: `sample_multipliers`
+    must equal it on `scenario_rng(seed, stream, index)`, and falls back to it
+    where its block path does not apply."""
     nv = nominal.shape[0]
     arcs = nv * (nv - 1) // 2
     draws = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD, arcs)
@@ -149,16 +170,118 @@ def sample_time_matrix(nominal: np.ndarray,
     return mult, mult * nominal
 
 
+def _seed_states(seed: int, stream: int, indices: np.ndarray) -> np.ndarray:
+    """`SeedSequence([seed, stream, i]).generate_state(4, np.uint64)` for each
+    i of `indices`, as rows of a (len(indices), 4) array; seed, stream and
+    every index must be below 2**32, so that each is one entropy word.
+
+    numpy's SeedSequence hashes the three words and a zero into a pool of
+    four uint32 words, mixes every pool word into every other, then hashes
+    the pool out cyclically into eight words, read as little-endian pairs.
+    The hash constants advance the same way whatever the data, so one pass
+    of uint32 array arithmetic (which wraps without a warning) serves the
+    whole block."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ result >> np.uint32(16)
+
+    words = (np.full(indices.shape, seed, np.uint32), np.full(indices.shape, stream, np.uint32),
+             indices.astype(np.uint32), np.zeros(indices.shape, np.uint32))
+    pool = [hashmix(word) for word in words]
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = _INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % len(pool)] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ value >> np.uint32(16)).astype(np.uint64))
+    return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> dict:
+    """The state `PCG64` seeds itself to from the four `SeedSequence` words:
+    the first two are the initial state and the last two the stream, and
+    seeding takes two steps of the 128-bit LCG."""
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _kept_draws(states: list, arcs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `arcs` positive multiplier draws of each trial whose
+    `SeedSequence` words are a row of `states`, as a (len(states), arcs)
+    array, and the indices of the trials short of positive draws, whose rows
+    hold placeholders.
+
+    One generator is reseeded per trial.  Each trial draws `arcs + _PAD`
+    normals at once and keeps its first `arcs` positive ones, which is the
+    reference's top-up loop on its own stream."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    draws = np.empty((len(states), arcs + _PAD))
+    for row, words in zip(draws, states):
+        bitgen.state = _pcg64_state(*words)
+        row[:] = gen.normal(MULTIPLIER_MEAN, MULTIPLIER_STD, arcs + _PAD)
+    keep = draws > 0.0
+    keep &= np.cumsum(keep, axis=1) <= arcs
+    short = np.flatnonzero(keep.sum(axis=1) < arcs)
+    keep[short, :arcs] = True
+    keep[short, arcs:] = False
+    return draws[keep].reshape(len(states), arcs), short
+
+
+def sample_multipliers(nominal: np.ndarray, seed: int, stream: int, first: int, count: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Multipliers of scenarios (or trials) `first` to `first + count - 1` of
+    `(seed, stream)`, as a (count, nv, nv) array, written into `out` if given.
+
+    Row t equals `sample_time_matrix(nominal, scenario_rng(seed, stream,
+    first + t))[0]` bit for bit.  The trials' `SeedSequence` states are
+    computed together (`_seed_states`) and drawn in chunks of `_CHUNK`
+    (`_kept_draws`), which bounds the temporary arrays.  Two cases take the
+    reference itself: a seed, stream or index of 2**32 or more, whose
+    entropy spans several words, and a trial short of positive draws."""
+    nv = nominal.shape[0]
+    arcs = nv * (nv - 1) // 2
+    mult = np.empty((count, nv, nv)) if out is None else out
+    bulk = max(0, min(count, 2 ** 32 - first)) if max(seed, stream) < 2 ** 32 else 0
+    states = _seed_states(seed, stream, np.arange(first, first + bulk)) if bulk else None
+    rows, cols = np.triu_indices(nv, 1)
+    diagonal = np.arange(nv)
+    fallback = []
+    for lo in range(0, bulk, _CHUNK):
+        hi = min(lo + _CHUNK, bulk)
+        kept, short = _kept_draws(states[lo:hi].tolist(), arcs)
+        mult[lo:hi, rows, cols] = kept
+        mult[lo:hi, cols, rows] = kept
+        mult[lo:hi, diagonal, diagonal] = 1.0
+        fallback.extend((lo + short).tolist())
+    for t in fallback + list(range(bulk, count)):
+        mult[t], _ = sample_time_matrix(nominal, scenario_rng(seed, stream, first + t))
+    return mult
+
+
 def generate_scenarios(network: PdpNetwork, config: ScenarioConfig) -> ScenarioSet:
     """Sample `config.count` independent realizations of the network's travel
     times, with uniform probabilities.  Fully reproducible from the seed; each
     scenario uses its own seed-derived stream, so the result does not depend on
     generation order or parallelism."""
-    nv = network.size
-    mults = np.empty((config.count, nv, nv))
-    for s in range(config.count):
-        rng = scenario_rng(config.seed, SCENARIO_STREAM, s)
-        mults[s], _ = sample_time_matrix(network.travel_time, rng)
+    mults = sample_multipliers(network.travel_time, config.seed, SCENARIO_STREAM, 0,
+                               config.count)
     probs = np.full(config.count, 1.0 / config.count)
     return ScenarioSet(multipliers=mults, nominal=network.travel_time, probabilities=probs,
                        seed=config.seed)

@@ -391,6 +391,16 @@ class TestEvaluateCommand:
         assert code == 1
         assert "trials" in stderr
 
+    def test_zero_trials_rejected_before_the_plan_is_read(self, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        code, _, stderr = run(capsys, "evaluate", "--instance", TRI3,
+                              "--plan", str(tmp_path / "missing.json"), "--trials", "0",
+                              "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "trials" in stderr and ">= 1, got 0" in stderr
+        assert not out.exists()
+
     def test_task_count_mismatch(self, tmp_path, capsys, det_plan):
         code, _, stderr = run(capsys, "evaluate", "--instance", FACTORY6,
                               "--plan", str(det_plan), "--out", str(tmp_path / "e.json"))

@@ -7,7 +7,7 @@ from scipy.stats import norm
 from tugplan import (EvaluationReport, RoutePlan, ScenarioConfig, SolveConfig, build_network,
                      generate_scenarios, load_instance, out_of_sample, replay_failures,
                      simulate_route, solve_deterministic, solve_stochastic)
-from tugplan.evaluator import _TRIAL_BLOCK
+from tugplan.evaluator import _TRIAL_BLOCK, _late_routes
 from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rng
 from tugplan.solver import _full_schedule
 
@@ -187,6 +187,22 @@ class TestOutOfSample:
         assert report.per_vehicle_failure == tuple(float(f) / trials for f in fails)
         assert report.overall_failure == any_fail / trials
         assert any_fail < trials
+
+    @pytest.mark.parametrize("seed", [4, 2**32 + 4])
+    def test_blocks_equal_per_trial_reference_sampling(self, factory6_network, seed):
+        # Two full blocks and a partial one, sampled in bulk or, at a seed
+        # of two entropy words, trial by trial.
+        net = factory6_network
+        plan = solve_deterministic(net).plan
+        trials = 2 * _TRIAL_BLOCK + 3
+        times = np.array([sample_time_matrix(net.travel_time,
+                                             scenario_rng(seed, EVALUATION_STREAM, t))[1]
+                          for t in range(trials)])
+        late = _late_routes(plan.routes, times, net)
+        report = out_of_sample(plan, net, ScenarioConfig(count=trials, seed=seed))
+        assert report.per_vehicle_failure == tuple(float(f) / trials for f in late.sum(axis=1))
+        assert report.overall_failure == float(late.any(axis=0).sum()) / trials
+        assert 0 < report.overall_failure < 1
 
     def test_eval_stream_disjoint_from_scenario_stream(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=5, seed=42))

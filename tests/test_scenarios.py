@@ -8,7 +8,9 @@ from tugplan import (ScenarioConfig, ScenarioSet, build_network, generate_scenar
                      load_instance, sample_multiplier, scenario_set_from_dict,
                      scenario_set_to_dict, simulate_route, single_scenario,
                      supremum_scenario)
-from tugplan.scenarios import sample_time_matrix
+from tugplan import scenarios
+from tugplan.scenarios import (SCENARIO_STREAM, _pcg64_state, _seed_states, sample_multipliers,
+                               sample_time_matrix, scenario_rng)
 
 from conftest import single_task_dict
 
@@ -87,7 +89,93 @@ class TestSampleTimeMatrix:
         assert repeated >= 20
 
 
+def reference_multipliers(nominal, seed, stream, first, count):
+    """The per-trial reference: one generator and one matrix per index."""
+    return np.array([sample_time_matrix(nominal, scenario_rng(seed, stream, first + t))[0]
+                     for t in range(count)])
+
+
+class TestSampleMultipliers:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64]
+    INDICES = [0, 1, 1023, 1024, 2**32 - 2, 2**32 - 1]
+
+    @pytest.fixture
+    def reference_calls(self, monkeypatch):
+        """The generators the block sampler hands to the reference sampler."""
+        calls = []
+
+        def counting(nominal, rng):
+            calls.append(rng)
+            return sample_time_matrix(nominal, rng)
+
+        monkeypatch.setattr(scenarios, "sample_time_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [s for s in SEEDS if s < 2**32])
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_bulk_states_equal_seed_sequence(self, seed, stream):
+        expected = np.array([np.random.SeedSequence([seed, stream, i]).generate_state(4, np.uint64)
+                             for i in self.INDICES])
+        states = _seed_states(seed, stream, np.array(self.INDICES))
+        assert states.dtype == np.uint64
+        assert np.array_equal(states, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_entropy_of_several_words_takes_the_reference(self, tri3_network, seed,
+                                                          reference_calls):
+        # Only single-word seeds and indices have bulk states.
+        sample_multipliers(tri3_network.travel_time, seed, 0, 2**32 - 2, 5)
+        assert len(reference_calls) == (5 if seed >= 2**32 else 3)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1])
+    @pytest.mark.parametrize("index", [0, 1023, 2**32 - 1])
+    def test_reseeded_generator_equals_scenario_rng(self, seed, index):
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        gen.normal(size=3)
+        for stream in (0, 1):
+            words = _seed_states(seed, stream, np.array([index])).tolist()[0]
+            bitgen.state = _pcg64_state(*words)
+            reference = scenario_rng(seed, stream, index)
+            assert bitgen.state == reference.bit_generator.state
+            assert np.array_equal(gen.normal(1.0, 0.5, 200), reference.normal(1.0, 0.5, 200))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("first, count", [(0, 1030), (2**32 - 2, 5)],
+                             ids=["across-1024", "into-fallback"])
+    def test_blocks_equal_the_reference_bit_for_bit(self, factory6_network, seed, stream,
+                                                    first, count):
+        nominal = factory6_network.travel_time
+        got = sample_multipliers(nominal, seed, stream, first, count)
+        expected = reference_multipliers(nominal, seed, stream, first, count)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_writes_into_the_given_buffer(self, tri3_network):
+        nominal = tri3_network.travel_time
+        out = np.full((7, 6, 6), np.nan)
+        assert sample_multipliers(nominal, 9, 1, 40, 7, out=out) is out
+        assert out.tobytes() == reference_multipliers(nominal, 9, 1, 40, 7).tobytes()
+
+    def test_short_rows_fall_back_to_the_reference(self, factory6_network, monkeypatch,
+                                                   reference_calls):
+        # Without padding every row with a non-positive draw among its first
+        # 91 (about 88% of them) is short and takes the reference sampler.
+        monkeypatch.setattr(scenarios, "_PAD", 0)
+        nominal = factory6_network.travel_time
+        got = sample_multipliers(nominal, 11, 1, 500, 300)
+        assert 0 < len(reference_calls) < 300
+        assert got.tobytes() == reference_multipliers(nominal, 11, 1, 500, 300).tobytes()
+
+
 class TestGenerateScenarios:
+    @pytest.mark.parametrize("seed", [5, 2**32 + 5])
+    def test_equals_the_per_scenario_reference(self, factory6_network, seed):
+        scen = generate_scenarios(factory6_network, ScenarioConfig(count=300, seed=seed))
+        expected = reference_multipliers(factory6_network.travel_time, seed, SCENARIO_STREAM,
+                                         0, 300)
+        assert scen.multipliers.tobytes() == expected.tobytes()
+
     def test_single_scenario_probability(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=1, seed=5))
         assert scen.probabilities.tolist() == [1.0]
@@ -381,3 +469,11 @@ def test_count_extension_preserves_prefix(tri3_network):
     small = generate_scenarios(tri3_network, ScenarioConfig(count=5, seed=64))
     large = generate_scenarios(tri3_network, ScenarioConfig(count=12, seed=64))
     assert np.array_equal(large.multipliers[:5], small.multipliers)
+
+
+def test_scenario_sets_compare_and_hash_by_identity(tri3_network):
+    first = generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=1))
+    second = generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=1))
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2

@@ -118,8 +118,8 @@ class PdpInstance:
             raise InstanceValidationError("tasks: at least one task is required")
         if self.vehicle_count < 1:
             raise InstanceValidationError(f"vehicles: must be >= 1, got {self.vehicle_count}")
-        if not (self.speed > 0):
-            raise InstanceValidationError(f"speed: must be > 0, got {self.speed}")
+        if not (0 < self.speed < math.inf):
+            raise InstanceValidationError(f"speed: must be > 0 and finite, got {self.speed}")
         known = set(self.layout.node_ids)
         if self.depot not in known:
             raise InstanceValidationError(f"depot: unknown location {self.depot!r}")
@@ -144,7 +144,7 @@ class PdpInstance:
         return len(self.tasks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdpNetwork:
     """Compiled routing network over V = {0, .., 2n+1}.
 
@@ -152,7 +152,8 @@ class PdpNetwork:
     the pickup of task i-1 and node i+n its delivery.  `travel_time` is the
     shortest-path time matrix in seconds (symmetric, zero diagonal, metric),
     `travel_dist` the same in meters.  `open_time`/`close_time` are the window
-    bounds per node.
+    bounds per node.  Networks compare and hash by identity: arrays have no
+    single truth value.
     """
 
     n: int
@@ -191,11 +192,13 @@ class PdpNetwork:
 
 def shortest_path_closure(lengths: np.ndarray) -> np.ndarray:
     """All-pairs shortest path lengths (Floyd-Warshall) over the last two axes
-    of an [..., m, m] stack; `inf` marks a missing arc."""
+    of an [..., m, m] stack; `inf` marks a missing arc, and a path whose sum
+    overflows the float range is `inf` too."""
     closure = np.array(lengths, dtype=float)
-    for via in range(closure.shape[-1]):
-        np.minimum(closure, closure[..., :, via:via + 1] + closure[..., via:via + 1, :],
-                   out=closure)
+    with np.errstate(over="ignore"):
+        for via in range(closure.shape[-1]):
+            np.minimum(closure, closure[..., :, via:via + 1] + closure[..., via:via + 1, :],
+                       out=closure)
     return closure
 
 
@@ -204,10 +207,12 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
     """Pairwise shortest-path travel times in seconds between `locations`.
 
     Times are shortest-path meters divided by `speed`; the result is symmetric
-    with a zero diagonal and satisfies the triangle inequality.
+    with a zero diagonal and satisfies the triangle inequality.  A pair with
+    no path, or whose time or distance overflows the float range, is
+    rejected by name.
     """
-    if not (speed > 0):
-        raise InstanceValidationError(f"speed: must be > 0, got {speed}")
+    if not (0 < speed < math.inf):
+        raise InstanceValidationError(f"speed: must be > 0 and finite, got {speed}")
     index = {v: i for i, v in enumerate(layout.node_ids)}
     for loc in locations:
         if loc not in index:
@@ -222,16 +227,21 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
             lengths[i, j] = lengths[j, i] = length
     wanted = [index[loc] for loc in locations]
     dist = shortest_path_closure(lengths)[np.ix_(wanted, wanted)]
-    if np.isinf(dist).any():
-        i, j = np.argwhere(np.isinf(dist))[0]
-        raise InstanceValidationError(
-            f"layout: no path between {locations[i]!r} and {locations[j]!r}"
-        )
     # Sums taken in another order may round apart; the metric itself is
     # symmetric, so enforce it exactly.
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
-    return dist / speed
+    with np.errstate(over="ignore"):
+        times = dist / speed
+        # `build_network` scales the times back to meters, which can round
+        # past the float range too.
+        overflow = ~np.isfinite(times * speed)
+    if overflow.any():
+        i, j = np.argwhere(overflow)[0]
+        raise InstanceValidationError(
+            f"layout: no finite travel time between {locations[i]!r} and {locations[j]!r}"
+        )
+    return times
 
 
 def build_network(instance: PdpInstance) -> PdpNetwork:

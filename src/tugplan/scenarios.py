@@ -287,18 +287,6 @@ def generate_scenarios(network: PdpNetwork, config: ScenarioConfig) -> ScenarioS
                        seed=config.seed)
 
 
-def supremum_scenario(scenario_set: ScenarioSet) -> ScenarioSet:
-    """Collapse a set to the single element-wise worst case.
-
-    Any schedule feasible under the supremum times is feasible under every
-    scenario in the input set.  Its times are the element-wise max of the
-    input's (rounding is monotone, nominal times non-negative).  The result
-    was not drawn, so it has no seed.
-    """
-    return ScenarioSet(multipliers=scenario_set.multipliers.max(axis=0, keepdims=True),
-                       nominal=scenario_set.nominal, probabilities=np.array([1.0]))
-
-
 def single_scenario(travel_times: np.ndarray) -> ScenarioSet:
     """Wrap one fixed time matrix (typically the nominal one) as a set."""
     return ScenarioSet(multipliers=np.ones((1,) + np.shape(travel_times)),

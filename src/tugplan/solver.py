@@ -182,7 +182,7 @@ class RoutePlan:
         return ["-".join(network.labels[v] for v in route) for route in self.routes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Earliest-feasible service times.
 
@@ -190,7 +190,8 @@ class Schedule:
     [vehicles, nodes, scenarios] for scenario solves; `ignored` marks the
     switched-off scenarios (None for single-realization solves).  Times for
     vehicles at nodes they do not visit are completed canonically so the full
-    assignment satisfies the corresponding constraint system.
+    assignment satisfies the corresponding constraint system.  Schedules
+    compare and hash by identity: arrays have no single truth value.
     """
 
     times: np.ndarray
@@ -234,12 +235,13 @@ class _Search:
     time matrices.
 
     Branch state (closed routes, whose count is the vehicle index, current
-    route, onboard pickups in index order, unvisited set, pickup times and
-    unvisited task nodes per location) lives on the instance and is mutated
-    and undone around each recursive call instead of being copied per node.
-    A node carries `cur`, `now` (the float upper bound on its latest scenario
-    time, exact at S = 1), `scen`, `travelled` and `mask` (the tracked
-    locations still hosting an unvisited task node).  `scen` is None at
+    route, onboard pickups in index order, pickup times and unvisited task
+    nodes per location) lives on the instance and is mutated and undone
+    around each recursive call instead of being copied per node.  A node
+    carries `cur`, `now` (the float upper bound on its latest scenario time,
+    exact at S = 1), `scen`, `travelled`, `mask` (the tracked locations still
+    hosting an unvisited task node) and `todo` (bit j set while pickup j is
+    unvisited; a pickup child clears its bit).  `scen` is None at
     S = 1, else `[times, alive, mass, parent, cur, j]`: per-scenario times,
     alive mask and dead mass, with `times` None until `_times` steps it from
     the parent's `scen` along the arc (cur, j).  `pick_scen[i]` is onboard
@@ -289,7 +291,6 @@ class _Search:
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
         self.onboard: list[int] = []
-        self.unvisited: set[int] = set(range(1, self.n + 1))
         self.pick_hi = [0.0] * (self.n + 1)
         self.pick_scen: list[list | None] = [None] * (self.n + 1)
 
@@ -325,7 +326,7 @@ class _Search:
         self.root_bound = self.table[-1][self.loc[0]]
         # With no incumbent yet, the root passes its distance bound.
         try:
-            self._extend(0, 0.0, scen, 0.0, len(self.table) - 1)
+            self._extend(0, 0.0, scen, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
         except _TimeUp:
             self.timed_out = True
 
@@ -371,14 +372,14 @@ class _Search:
                 > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
 
     def _extend(self, cur: int, now: float, scen: list | None, travelled: float,
-                mask: int) -> None:
+                mask: int, todo: int) -> None:
         # The caller has passed this node's distance bound.  The first node
         # reads the clock too: a limit spent in set-up stops even a search too
         # small to reach the next reading.
         self.calls += 1
         if self.calls % 4096 == 1 and time.monotonic() > self.deadline:
             raise _TimeUp
-        route, onboard, unvisited = self.route, self.onboard, self.unvisited
+        route, onboard = self.route, self.onboard
         loc, bit, left, table, d_cur = self.loc, self.bit, self.left, self.table, self.d[cur]
         latest = self.latest_min[cur]
         for i in onboard:
@@ -399,7 +400,7 @@ class _Search:
         # times come from.  Only a bound that misses steps the scenarios; at
         # S = 1 `new_scen` stays None, so any miss prunes.
         for j in range(floor + 1, self.n + 1):
-            if j not in unvisited:
+            if not todo >> j & 1:
                 continue
             w = now + t_cur[j]
             if w < a[j]:
@@ -425,12 +426,10 @@ class _Search:
             idx = bisect.bisect(onboard, j)
             route.append(j)
             onboard.insert(idx, j)
-            unvisited.remove(j)
             pick_hi[j] = w
             left[u] -= 1
-            self._extend(j, w, new_scen, child_travelled, child_mask)
+            self._extend(j, w, new_scen, child_travelled, child_mask, todo ^ 1 << j)
             left[u] += 1
-            unvisited.add(j)
             del onboard[idx]
             route.pop()
         # Each child restores `onboard` before the next index is read.
@@ -460,7 +459,7 @@ class _Search:
             route.append(j)
             del onboard[idx]
             left[u] -= 1
-            self._extend(j, w, new_scen, child_travelled, child_mask)
+            self._extend(j, w, new_scen, child_travelled, child_mask, todo)
             left[u] += 1
             onboard.insert(idx, i)
             route.pop()
@@ -470,7 +469,7 @@ class _Search:
         # (an idle close forces all later vehicles idle by canonical labeling).
         if onboard:
             return
-        if unvisited and (len(self.routes) == self.fleet - 1 or cur == 0):
+        if todo and (len(self.routes) == self.fleet - 1 or cur == 0):
             return
         # The terminal opens no later than it closes, so its opening cannot
         # change the window test.
@@ -484,7 +483,7 @@ class _Search:
                 return
         travelled_total = travelled + d_cur[self.terminal]
         closed = tuple(route) + (self.terminal,)
-        if not unvisited:
+        if not todo:
             # Remaining vehicles stay idle; the depot-to-depot hop is free in
             # both time and distance, so no window can fail on it.
             # Plans arrive in lexicographic order: keep strict improvements only.
@@ -505,7 +504,7 @@ class _Search:
         # the closed route is non-idle and `closed[1]` is its first pickup.
         self.routes.append(closed)
         saved_route, self.route = self.route, [0]
-        self._extend(0, 0.0, new_scen, travelled_total, mask)
+        self._extend(0, 0.0, new_scen, travelled_total, mask, todo)
         self.route = saved_route
         self.routes.pop()
 

@@ -48,6 +48,19 @@ def single_task_dict(earliest=0.0, latest=200.0, horizon=200.0, vehicles=1):
     return doc
 
 
+def overflowing_time_dict(case):
+    """One task A -> B, depot DEP, on a path whose travel time overflows the
+    float range: two 1e308 m edges in series, or one crossed at 0.5 m/s."""
+    doc = single_task_dict()
+    doc["layout"]["nodes"] = ["DEP", "A", "B"]
+    if case == "series":
+        doc["layout"]["edges"] = [["DEP", "A", 1e308], ["A", "B", 1e308]]
+    else:
+        doc["layout"]["edges"] = [["DEP", "A", 10.0], ["A", "B", 1e308]]
+        doc["speed"] = 0.5
+    return doc
+
+
 @pytest.fixture
 def single_task_network():
     return build_network(load_instance(json.dumps(single_task_dict())))

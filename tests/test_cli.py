@@ -6,6 +6,8 @@ import pytest
 from tugplan import cli
 from tugplan.cli import main
 
+from conftest import overflowing_time_dict
+
 INSTANCES = Path(__file__).parent.parent / "instances"
 TRI3 = str(INSTANCES / "tri3.json")
 FACTORY6 = str(INSTANCES / "factory6.json")
@@ -111,6 +113,16 @@ class TestSolveCommand:
         assert code == 1
         assert "carries no routes" in stderr
         assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("case", ["series", "slow"])
+    def test_overflowing_travel_time_exits_one(self, tmp_path, capsys, case):
+        bad, out = tmp_path / "bad.json", tmp_path / "o.json"
+        bad.write_text(json.dumps(overflowing_time_dict(case)))
+        code, _, stderr = run(capsys, "solve", "--instance", str(bad), "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "no finite travel time between 'DEP' and 'B'" in stderr
+        assert not out.exists()
 
     def test_alpha_out_of_range_exits_one(self, tmp_path, capsys):
         out = tmp_path / "o.json"

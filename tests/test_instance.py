@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import tugplan
 from tugplan import (InstanceParseError, InstanceValidationError, LayoutGraph,
                      PdpInstance, build_network, load_instance, shortest_travel_matrix)
 
-from conftest import single_task_dict
+from conftest import overflowing_time_dict, single_task_dict
 
 
 def ring_layout():
@@ -164,11 +166,16 @@ def _parsed(edit):
     return build
 
 
+def _built(case):
+    """A case that builds the network of `overflowing_time_dict(case)`."""
+    return lambda: build_network(load_instance(json.dumps(overflowing_time_dict(case))))
+
+
 def _task(doc):
     return doc["tasks"][0]
 
 
-# (case, build, error, message start naming the field).  The last four reach
+# (case, build, error, message start naming the field).  The last six reach
 # checks that the parser's own checks shadow, so only direct construction
 # meets them.
 REJECTIONS = [
@@ -214,6 +221,10 @@ REJECTIONS = [
      InstanceParseError, "notes: must be a string"),
     ("non-number", _parsed(lambda doc: doc.update(horizon="200")),
      InstanceParseError, "horizon: expected a number"),
+    ("time-overflow-series", _built("series"),
+     InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
+    ("time-overflow-slow", _built("slow"),
+     InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
     ("layout-labels", lambda: LayoutGraph(node_ids=("A", "B"), labels=("A",), edges=()),
      InstanceValidationError, r"layout\.nodes: labels must match node ids"),
     ("no-tasks", lambda: PdpInstance(layout=ring_layout(), tasks=(), vehicle_count=1,
@@ -223,6 +234,11 @@ REJECTIONS = [
      InstanceValidationError, "speed: must be > 0"),
     ("matrix-location", lambda: shortest_travel_matrix(ring_layout(), ["Z"], 1.5),
      InstanceValidationError, "locations: unknown location 'Z'"),
+    ("infinite-speed", lambda: dataclasses.replace(load_instance(json.dumps(single_task_dict())),
+                                                   speed=math.inf),
+     InstanceValidationError, "speed: must be > 0 and finite"),
+    ("matrix-infinite-speed", lambda: shortest_travel_matrix(ring_layout(), ["DEP"], math.inf),
+     InstanceValidationError, "speed: must be > 0 and finite"),
 ]
 
 
@@ -262,6 +278,12 @@ class TestBuildNetwork:
 
     def test_depot_nodes_colocated(self, tri3_network):
         assert tri3_network.travel_time[0, tri3_network.terminal] == 0.0
+
+    def test_networks_compare_and_hash_by_identity(self, tri3_instance):
+        first, second = build_network(tri3_instance), build_network(tri3_instance)
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
 
     def test_deterministic_rebuild(self, tri3_instance):
         n1 = build_network(tri3_instance)

@@ -6,8 +6,7 @@ from scipy.stats import norm
 
 from tugplan import (ScenarioConfig, ScenarioSet, build_network, generate_scenarios,
                      load_instance, sample_multiplier, scenario_set_from_dict,
-                     scenario_set_to_dict, simulate_route, single_scenario,
-                     supremum_scenario)
+                     scenario_set_to_dict, simulate_route, single_scenario)
 from tugplan import scenarios
 from tugplan.scenarios import (SCENARIO_STREAM, _pcg64_state, _seed_states, sample_multipliers,
                                sample_time_matrix, scenario_rng)
@@ -214,50 +213,23 @@ class TestGenerateScenarios:
 
 
 class TestSupremum:
-    def _two_scenario_set(self, network, low, high):
-        nv = network.size
-        mults = np.ones((2, nv, nv))
-        mults[0, 0, 1] = mults[0, 1, 0] = low
-        mults[1, 0, 1] = mults[1, 1, 0] = high
-        return ScenarioSet(
-            multipliers=mults,
-            nominal=network.travel_time,
-            probabilities=np.array([0.5, 0.5]),
-        )
-
-    def test_max_of_two(self, tri3_network):
-        scen = self._two_scenario_set(tri3_network, 0.9, 1.3)
-        sup = supremum_scenario(scen)
-        assert sup.count == 1
-        assert sup.multipliers[0, 0, 1] == pytest.approx(1.3)
-        assert sup.probabilities.tolist() == [1.0]
-
-    def test_single_scenario_is_identity(self, tri3_network):
-        scen = generate_scenarios(tri3_network, ScenarioConfig(count=1, seed=8))
-        sup = supremum_scenario(scen)
-        assert np.array_equal(sup.travel_times, scen.travel_times)
+    # The fast path searches `travel_times.max(axis=0)`, the element-wise
+    # worst case of a set.
 
     def test_dominates_every_scenario(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=1000, seed=21))
-        sup = supremum_scenario(scen)
-        assert (sup.travel_times[0] >= scen.travel_times).all()
-
-    def test_times_equal_the_max_of_times(self, factory6_network):
-        # The fast path searches the element-wise max of a set's times; the
-        # supremum derives its times from the max multiplier instead.
-        scen = generate_scenarios(factory6_network, ScenarioConfig(count=300, seed=0))
-        assert np.array_equal(supremum_scenario(scen).travel_times,
-                              scen.travel_times.max(axis=0, keepdims=True))
+        sup = scen.travel_times.max(axis=0)
+        assert (sup >= scen.travel_times).all()
 
     def test_feasible_under_sup_implies_feasible_everywhere(self, tri3_network):
         # Any route meeting its windows under the supremum times meets them
         # under each sampled scenario (simulation is monotone in travel time).
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=25, seed=33))
-        sup = supremum_scenario(scen)
+        sup = scen.travel_times.max(axis=0)
         a, b = tri3_network.open_time, tri3_network.close_time
         routes = [(0, 1, 3, 5), (0, 2, 4, 5), (0, 1, 2, 3, 4, 5), (0, 2, 1, 4, 3, 5)]
         for route in routes:
-            if simulate_route(route, sup.travel_times[0], a, b).ok:
+            if simulate_route(route, sup, a, b).ok:
                 for s in range(scen.count):
                     assert simulate_route(route, scen.travel_times[s], a, b).ok
 
@@ -273,12 +245,11 @@ class TestRoundTrip:
         assert scenario_set_to_dict(back) == doc
 
     @pytest.mark.parametrize("derive", [
-        lambda scen, network: supremum_scenario(scen),
         lambda scen, network: single_scenario(network.travel_time),
-    ], ids=["supremum", "single"])
+    ], ids=["single"])
     def test_sets_not_drawn_reload(self, tri3_network, derive):
         # A set that was not drawn exports no config and no seed, so its file
-        # reloads; the supremum of a 30-scenario draw used to export count 30.
+        # reloads.
         scen = derive(generate_scenarios(tri3_network, ScenarioConfig(count=30, seed=5)),
                       tri3_network)
         doc = json.loads(json.dumps(scenario_set_to_dict(scen)))

@@ -10,7 +10,7 @@ from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_NO_INC
                      build_deterministic, build_network, build_stochastic, check_solution,
                      generate_scenarios, load_instance, replay_failures,
                      single_scenario, solve_alpha_zero_fast, solve_deterministic,
-                     solve_stochastic, supremum_scenario)
+                     solve_stochastic)
 from tugplan import solver as solver_module
 from tugplan.instance import shortest_path_closure
 from tugplan.solver import (RoutePlan, SearchStats, _location_table, _walk_table,
@@ -29,6 +29,13 @@ class TestSolveDeterministic:
         assert solution.objective == pytest.approx(15 + 15 + 30)
         reference = oracle_solve_deterministic(single_task_network)
         assert reference.objective == pytest.approx(solution.objective)
+
+    def test_solutions_compare_and_hash_by_identity(self, tri3_network):
+        # A solution holds a schedule, whose arrays have no single truth value.
+        first, second = solve_deterministic(tri3_network), solve_deterministic(tri3_network)
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
 
     def test_tri3_objective_matches_oracle(self, tri3_network):
         solution = solve_deterministic(tri3_network)
@@ -350,11 +357,11 @@ class TestDeadlineLookahead:
         for trial in range(80):
             network = random_network(rng, max_tasks=3, max_vehicles=2, tightness="tight")
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
-            sup = supremum_scenario(scen)
             cases = [("det", solve_deterministic(network),
                       oracle_solve_deterministic(network)),
                      ("sto-fast", solve_alpha_zero_fast(network, scen),
-                      oracle_solve(network, sup.travel_times, sup.probabilities, 0.0))]
+                      oracle_solve(network, scen.travel_times.max(axis=0, keepdims=True),
+                                   np.ones(1), 0.0))]
             for name, alpha in (("sto-0", 0.0), ("sto-1/3", 1.0 / 3.0)):
                 cases.append((name, solve_stochastic(network, scen, SolveConfig(alpha=alpha)),
                               oracle_solve(network, scen.travel_times, scen.probabilities,

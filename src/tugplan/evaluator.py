@@ -17,10 +17,15 @@ times the delivery later than dispatch does.  Trials are sampled together
 by `sample_multipliers`, each still on its own stream, and both sampled and
 evaluated in blocks of `_TRIAL_BLOCK`, so memory does not grow with the
 trial count.
+
+Each failure share comes with the half-width of its 95% Wilson score
+interval, which stays positive when no trial fails; the interval is centred
+at `(p + z^2 / 2N) / (1 + z^2 / N)`, not at the share `p` itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,8 @@ from .solver import RoutePlan, route_times
 
 _EPS = 1e-9
 _TRIAL_BLOCK = 1024
+# The normal quantile of a two-sided 95% interval.
+_Z95 = 1.96
 
 DISPATCH_POLICY = "earliest-feasible"
 
@@ -97,8 +104,11 @@ def _late_routes(routes, times: np.ndarray, network: PdpNetwork) -> np.ndarray:
     return late
 
 
-def _wald_half_width(p_hat: float, trials: int) -> float:
-    return 1.96 * float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+def _wilson_half_width(p_hat: float, trials: int) -> float:
+    """Half the width of the 95% Wilson score interval of a share `p_hat`
+    observed in `trials` trials."""
+    z2 = _Z95 * _Z95 / trials
+    return _Z95 / (1.0 + z2) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials))
 
 
 def _routes_of(plan: RoutePlan, network: PdpNetwork) -> tuple[tuple[int, ...], ...]:
@@ -137,8 +147,8 @@ def out_of_sample(plan: RoutePlan, network: PdpNetwork,
         seed=config.seed,
         per_vehicle_failure=per_vehicle,
         overall_failure=overall,
-        per_vehicle_half_width=tuple(_wald_half_width(p, trials) for p in per_vehicle),
-        overall_half_width=_wald_half_width(overall, trials),
+        per_vehicle_half_width=tuple(_wilson_half_width(p, trials) for p in per_vehicle),
+        overall_half_width=_wilson_half_width(overall, trials),
     )
 
 

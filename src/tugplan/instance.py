@@ -266,6 +266,21 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
         close_time[1 + n + i] = t.latest_delivery
     travel_time = shortest_travel_matrix(instance.layout, locations, instance.speed)
     travel_dist = travel_time * instance.speed
+    # A plan has at most 3n arcs (one route per task), and the search adds
+    # a completion bound of at most one arc more to a partial plan; its
+    # times add the same legs to at most the horizon.  Float sums past the
+    # range would turn to `inf` silently and lose every plan.
+    arcs = 3 * n + 1
+    longest_m = arcs * float(travel_dist.max())
+    latest_s = float(instance.horizon) + arcs * float(travel_time.max())
+    if not math.isfinite(longest_m):
+        raise InstanceValidationError(
+            f"layout: {arcs} legs of the longest distance, {travel_dist.max():g} m, "
+            f"overflow the float range")
+    if not math.isfinite(latest_s):
+        raise InstanceValidationError(
+            f"horizon: {instance.horizon:g} s plus {arcs} legs of the longest travel time, "
+            f"{travel_time.max():g} s, overflows the float range")
     return PdpNetwork(
         n=n,
         vehicle_count=instance.vehicle_count,

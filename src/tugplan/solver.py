@@ -24,6 +24,15 @@ key, with the locations in a canonical order (depot first, then by name):
 re-planning on one layout builds a table once per tracked set, not once per
 solve.
 
+Before the exact pass, `_nearest_next` builds one plan greedily from the
+search's own float bounds, vehicle by vehicle, always moving to the nearest
+node that passes the search's window, coupling and lookahead tests.  Its
+distance `c_h` starts the distance prune at `c_h + _SEED_SLACK`, strictly
+above every plan of the seed's cost, while the incumbent stays empty: the
+exact pass cuts only subtrees that cannot reach the seed's cost and returns
+the plan it returns without the seed.  A pass that times out with no
+incumbent of its own returns the seed plan instead.
+
 One engine serves every mode and `_solve` is the one path into it: it
 searches one stack of scenario matrices (nominal, sampled, or the fast
 path's supremum) and reports the plan on a scenario set.  Each node carries
@@ -111,6 +120,9 @@ _TABLE_MEMO = 32
 # Slack of the distance prune in meters: covers the rounding between the
 # table's sums and a leaf's sums, far below `_EPS`.
 _TIE_SLACK = 1e-10
+# The seed's cutoff sits this far above its distance, in meters: the exact
+# pass still meets every plan of the seed's cost, the seed's own included.
+_SEED_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -212,6 +224,9 @@ class SearchStats:
     # The completion table's bound on the whole plan; 0 if the search never
     # started.
     root_bound_m: float = 0.0
+    # The nearest-next seed's distance, the search's starting cutoff; None
+    # if no seed was found.
+    seed_m: float | None = None
 
 
 @dataclass(frozen=True)
@@ -295,8 +310,8 @@ class _Search:
         self.pick_scen: list[list | None] = [None] * (self.n + 1)
 
         self.best_obj = math.inf
-        # The distance prune cuts at or above `cutoff`; it moves only with
-        # the incumbent.
+        # The distance prune cuts at or above `cutoff`; `run` starts it above
+        # the seed's distance, and then it moves only with the incumbent.
         self.cutoff = math.inf
         self.best_plan: tuple[tuple[int, ...], ...] | None = None
         self.calls = 0
@@ -304,6 +319,7 @@ class _Search:
         self.window_prunes = 0
         self.lookahead_prunes = 0
         self.root_bound = 0.0
+        self.seed_m: float | None = None
         self.dead_mass = 0.0  # mass of the scenarios no plan satisfies; set by run
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
@@ -313,7 +329,7 @@ class _Search:
                            bound_prunes=self.bound_prunes,
                            window_prunes=self.window_prunes,
                            lookahead_prunes=self.lookahead_prunes,
-                           root_bound_m=self.root_bound)
+                           root_bound_m=self.root_bound, seed_m=self.seed_m)
 
     def run(self) -> None:
         dead = _forced_dead_scenarios(self.network, self.times)
@@ -324,11 +340,91 @@ class _Search:
         # Every tracked location hosts a task node, so the root's mask, the
         # table's last row, holds them all.
         self.root_bound = self.table[-1][self.loc[0]]
+        seed = self._nearest_next()
+        if seed is not None and seed[0] + _SEED_SLACK > seed[0]:
+            self.seed_m = seed[0]
+            self.cutoff = seed[0] + _SEED_SLACK
         # With no incumbent yet, the root passes its distance bound.
         try:
             self._extend(0, 0.0, scen, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
         except _TimeUp:
             self.timed_out = True
+        # Without a time-out the exact pass meets the seed's own plan below
+        # the cutoff, unless rounding of sums of its size puts it above;
+        # either way the seed is the best plan known.
+        if self.best_plan is None and self.seed_m is not None:
+            self.best_obj, self.best_plan = seed
+
+    def _nearest_next(self) -> tuple[float, tuple[tuple[int, ...], ...]] | None:
+        """A plan built greedily by the search's own float bounds, with its
+        distance, or None.
+
+        Vehicle by vehicle, each route moves to the nearest node (ties to
+        the lower index) among the unvisited pickups and onboard deliveries
+        whose bound time passes the tests of `_extend`: the node's window,
+        a delivery's coupling to its pickup and the onboard-deadline
+        lookahead; a route closes at the terminal, within its window, once
+        no node fits.  A bound time that passes every test meets every
+        scenario's window, so the plan ignores no mass and is a leaf of the
+        exact pass in every mode.  No plan if a route cannot close, a route
+        start fits no pickup (every later vehicle starts alike) or the fleet
+        runs out with pickups left.
+        """
+        n, terminal = self.n, self.terminal
+        t, a, b, d, latest = self.t_max, self.a_l, self.b_l, self.d, self.latest_min
+        todo = list(range(1, n + 1))
+        pick_hi = [0.0] * (n + 1)
+        routes: list[tuple[int, ...]] = []
+        travelled = 0.0
+        while todo:
+            if len(routes) == self.fleet:
+                return None
+            route, onboard, cur, now = [0], [], 0, 0.0
+            while True:
+                # Candidates in index order, so a tie keeps the lower index.
+                best, best_w, best_d = 0, 0.0, math.inf
+                d_cur, t_cur = d[cur], t[cur]
+                for j in todo + [i + n for i in onboard]:
+                    if d_cur[j] >= best_d:
+                        continue
+                    w = now + t_cur[j]
+                    if j > n:
+                        other = pick_hi[j - n] + t[j - n][j]
+                        if other > w:
+                            w = other
+                    if w < a[j]:
+                        w = a[j]
+                    if w > b[j]:
+                        continue
+                    # A delivery meets its own pickup's cut-off with its
+                    # window; a pickup adds its own.
+                    late = latest[j]
+                    if j <= n and w > late[j]:
+                        continue
+                    for i in onboard:
+                        if w > late[i]:
+                            break
+                    else:
+                        best, best_w, best_d = j, w, d_cur[j]
+                if not best:
+                    break
+                travelled += best_d
+                route.append(best)
+                cur, now = best, best_w
+                if best <= n:
+                    todo.remove(best)
+                    bisect.insort(onboard, best)
+                    pick_hi[best] = best_w
+                else:
+                    onboard.remove(best - n)
+            if onboard or cur == 0 or now + t[cur][terminal] > b[terminal]:
+                return None
+            travelled += d[cur][terminal]
+            routes.append(tuple(route) + (terminal,))
+        # The search's canonical labeling: first pickups increase, idle
+        # vehicles trail.
+        idle = ((0, terminal),) * (self.fleet - len(routes))
+        return travelled, tuple(sorted(routes)) + idle
 
     def _times(self, scen: list) -> np.ndarray:
         """The node's per-scenario times, stepped from its parent's on first

@@ -61,6 +61,19 @@ def overflowing_time_dict(case):
     return doc
 
 
+def overflowing_sum_dict(case):
+    """One task A -> B, depot DEP, every travel time finite, but a plan's
+    sum is not: DEP-A is 1e308 m, the task due at 1e308 s and the horizon
+    1.5e308 s ("plan"), or DEP-A is 1e306 m and both at 1.79e308 s
+    ("window")."""
+    length, latest, horizon = ((1e308, 1e308, 1.5e308) if case == "plan"
+                               else (1e306, 1.79e308, 1.79e308))
+    doc = single_task_dict(latest=latest, horizon=horizon)
+    doc["layout"]["nodes"] = ["DEP", "A", "B"]
+    doc["layout"]["edges"] = [["DEP", "A", length], ["A", "B", 10.0]]
+    return doc
+
+
 @pytest.fixture
 def single_task_network():
     return build_network(load_instance(json.dumps(single_task_dict())))

@@ -6,7 +6,7 @@ import pytest
 from tugplan import cli
 from tugplan.cli import main
 
-from conftest import overflowing_time_dict
+from conftest import overflowing_sum_dict, overflowing_time_dict
 
 INSTANCES = Path(__file__).parent.parent / "instances"
 TRI3 = str(INSTANCES / "tri3.json")
@@ -46,7 +46,7 @@ class TestSolveCommand:
         assert artifact["manifest"]["version"]
         assert set(artifact["stats"]) == {"nodes_explored", "bound_prunes",
                                           "window_prunes", "lookahead_prunes",
-                                          "root_bound_m"}
+                                          "root_bound_m", "seed_m"}
         # The shortest walk from the depot through A, B and C and back is
         # the 60 m ring; the windows push the optimum to 90 m.
         assert artifact["stats"]["root_bound_m"] == pytest.approx(60.0)
@@ -123,6 +123,38 @@ class TestSolveCommand:
         assert stderr.startswith("error:") and stderr.count("\n") == 1
         assert "no finite travel time between 'DEP' and 'B'" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("case, field", [("plan", "layout: 4 legs"),
+                                             ("window", "horizon: 1.79e+308 s plus 4 legs")])
+    @pytest.mark.parametrize("mode", [["--mode", "det"], ["--mode", "sto"],
+                                      ["--mode", "sto-fast"],
+                                      ["--mode", "det", "--export-lp", "m.lp"]],
+                             ids=["det", "sto", "sto-fast", "export-lp"])
+    def test_overflowing_plan_sum_exits_one(self, tmp_path, capsys, monkeypatch, case, field,
+                                            mode):
+        # Every travel time is finite, but a plan's distance or times are
+        # not: each mode used to report `infeasible`, and the LP export to
+        # overflow while computing its big-M constants.
+        monkeypatch.chdir(tmp_path)
+        bad, out = tmp_path / "bad.json", tmp_path / "o.json"
+        bad.write_text(json.dumps(overflowing_sum_dict(case)))
+        code, _, stderr = run(capsys, "solve", "--instance", str(bad), *mode, "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert field in stderr and "overflow" in stderr
+        assert not out.exists() and not (tmp_path / "m.lp").exists()
+
+    def test_time_out_returns_the_seed_plan(self, tmp_path, capsys):
+        # tri3's search stops at its first node; the nearest-next seed is the
+        # plan it reports.
+        out = tmp_path / "o.json"
+        code, _, _ = run(capsys, "solve", "--instance", TRI3, "--time-limit", "1e-9",
+                         "--out", str(out))
+        assert code == 3
+        artifact = json.loads(out.read_text())
+        assert artifact["status"] == "time-limit-with-incumbent"
+        assert artifact["routes_v"] == [[0, 1, 3, 2, 4, 5], [0, 5]]
+        assert artifact["objective_m"] == artifact["stats"]["seed_m"] == pytest.approx(90.0)
 
     def test_alpha_out_of_range_exits_one(self, tmp_path, capsys):
         out = tmp_path / "o.json"

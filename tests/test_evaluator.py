@@ -2,12 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import binomtest, norm
 
 from tugplan import (EvaluationReport, RoutePlan, ScenarioConfig, SolveConfig, build_network,
                      generate_scenarios, load_instance, out_of_sample, replay_failures,
                      simulate_route, solve_deterministic, solve_stochastic)
-from tugplan.evaluator import _TRIAL_BLOCK, _late_routes
+from tugplan.evaluator import _TRIAL_BLOCK, _late_routes, _wilson_half_width
 from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rng
 from tugplan.solver import _full_schedule
 
@@ -162,6 +162,22 @@ class TestOutOfSample:
             ratios.append(large.per_vehicle_half_width[0] / small.per_vehicle_half_width[0])
         # Quadrupling the trials halves the half-width (1/sqrt(n) scaling).
         assert np.mean(ratios) == pytest.approx(0.5, abs=0.1)
+
+    def test_half_width_positive_without_failures(self, tri3_wide_network):
+        plan = solve_deterministic(tri3_wide_network).plan
+        report = out_of_sample(plan, tri3_wide_network, ScenarioConfig(count=500, seed=3))
+        assert report.overall_failure == 0.0
+        assert report.overall_half_width > 0.0
+        assert all(width > 0.0 for width in report.per_vehicle_half_width)
+
+    @pytest.mark.parametrize("failures, trials", [(0, 500), (1, 500), (37, 500), (500, 500),
+                                                  (3, 7)])
+    def test_half_width_is_wilsons(self, failures, trials):
+        interval = binomtest(failures, trials).proportion_ci(confidence_level=0.95,
+                                                            method="wilson")
+        # scipy takes the exact quantile 1.95996..., the report 1.96.
+        assert _wilson_half_width(failures / trials, trials) == pytest.approx(
+            (interval.high - interval.low) / 2, rel=2e-4)
 
     def test_trial_blocks_match_per_trial_simulation(self, factory6_network):
         net = factory6_network

@@ -15,7 +15,7 @@ import tugplan
 from tugplan import (InstanceParseError, InstanceValidationError, LayoutGraph,
                      PdpInstance, build_network, load_instance, shortest_travel_matrix)
 
-from conftest import overflowing_time_dict, single_task_dict
+from conftest import overflowing_sum_dict, overflowing_time_dict, single_task_dict
 
 
 def ring_layout():
@@ -167,8 +167,10 @@ def _parsed(edit):
 
 
 def _built(case):
-    """A case that builds the network of `overflowing_time_dict(case)`."""
-    return lambda: build_network(load_instance(json.dumps(overflowing_time_dict(case))))
+    """A case that builds the network of `overflowing_time_dict(case)`, or
+    of `overflowing_sum_dict` for the cases "plan" and "window"."""
+    make = overflowing_sum_dict if case in ("plan", "window") else overflowing_time_dict
+    return lambda: build_network(load_instance(json.dumps(make(case))))
 
 
 def _task(doc):
@@ -225,6 +227,10 @@ REJECTIONS = [
      InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
     ("time-overflow-slow", _built("slow"),
      InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
+    ("plan-overflow", _built("plan"),
+     InstanceValidationError, r"layout: 4 legs of the longest distance, 1e\+308 m, overflow"),
+    ("window-overflow", _built("window"),
+     InstanceValidationError, r"horizon: 1\.79e\+308 s plus 4 legs of the longest travel time"),
     ("layout-labels", lambda: LayoutGraph(node_ids=("A", "B"), labels=("A",), edges=()),
      InstanceValidationError, r"layout\.nodes: labels must match node ids"),
     ("no-tasks", lambda: PdpInstance(layout=ring_layout(), tasks=(), vehicle_count=1,

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_NO_INCUMBENT,
+from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
+                     STATUS_TIME_LIMIT_NO_INCUMBENT,
                      ScenarioConfig, ScenarioSet, Solution, SolveConfig,
                      build_deterministic, build_network, build_stochastic, check_solution,
                      generate_scenarios, load_instance, replay_failures,
@@ -85,8 +86,9 @@ class TestSolveDeterministic:
 
     def test_limit_spent_in_set_up_stops_a_small_search(self, tri3_network):
         # tri3's whole search takes 14 nodes, far below the clock's period.
+        # It stops at its first node, with only the seed plan to return.
         solution = solve_deterministic(tri3_network, SolveConfig(time_limit=1e-9))
-        assert solution.status == STATUS_TIME_LIMIT_NO_INCUMBENT
+        assert solution.status == STATUS_TIME_LIMIT_INCUMBENT
         assert solution.stats.nodes_explored == 1
 
     def test_deterministic_reruns_identical(self, tri3_network):
@@ -302,7 +304,7 @@ class TestOracleEquivalence:
                 prunes[mode] = (window + solution.stats.window_prunes,
                                 lookahead + solution.stats.lookahead_prunes)
         assert changed >= 20
-        assert prunes == {"det": (68, 303), "sto-0.0": (130, 115), "sto-0.34": (186, 264)}
+        assert prunes == {"det": (61, 269), "sto-0.0": (130, 115), "sto-0.34": (186, 264)}
 
 
 def _detour_network():
@@ -350,12 +352,16 @@ class TestDeadlineLookahead:
     def test_tight_instances_match_oracle(self):
         # Tight deadlines are where the lookahead fires; every engine and
         # mode must still return the oracle's plan.  Each mode must also
-        # have optimal solves on which the lookahead pruned something.
+        # have optimal solves on which the lookahead pruned something.  On
+        # all-tight instances the seed's cutoff leaves the scenario modes
+        # nothing to look ahead on, so every other instance has mixed
+        # deadlines.
         rng = np.random.default_rng(4242)
         optima = 0
         fired = {"det": 0, "sto-0": 0, "sto-1/3": 0, "sto-fast": 0}
-        for trial in range(80):
-            network = random_network(rng, max_tasks=3, max_vehicles=2, tightness="tight")
+        for trial in range(160):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness="tight" if trial % 2 == 0 else "mixed")
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
             cases = [("det", solve_deterministic(network),
                       oracle_solve_deterministic(network)),
@@ -632,13 +638,101 @@ class TestOneEngine:
             assert tuple(np.flatnonzero(solution.schedule.ignored)) == reference.ignored
 
 
+def _seed_of(network):
+    """The nearest-next seed `(distance, plan)` of the nominal search, or
+    None."""
+    nominal = network.travel_time[np.newaxis]
+    return solver_module._Search(network, nominal, np.ones(1), nominal,
+                                 SolveConfig())._nearest_next()
+
+
+class TestNearestNextSeed:
+    def test_seeded_solves_match_oracle_in_every_mode(self):
+        # The seed only moves the starting cutoff: every mode still returns
+        # the oracle's plan, and no seed undercuts the optimum.
+        rng = np.random.default_rng(8181)
+        seeded = seed_optimal = optima = 0
+        for trial in range(90):
+            tightness = ("tight", "loose", "mixed")[trial % 3]
+            network = random_network(rng, max_tasks=3, max_vehicles=2, tightness=tightness)
+            scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
+            cases = [(solve_deterministic(network), oracle_solve_deterministic(network)),
+                     (solve_alpha_zero_fast(network, scen),
+                      oracle_solve(network, scen.travel_times.max(axis=0, keepdims=True),
+                                   np.ones(1), 0.0))]
+            for alpha in (0.0, 1.0 / 3.0):
+                cases.append((solve_stochastic(network, scen, SolveConfig(alpha=alpha)),
+                              oracle_solve(network, scen.travel_times, scen.probabilities,
+                                           alpha)))
+            for solution, reference in cases:
+                assert solution.status == reference.status
+                if reference.status != STATUS_OPTIMAL:
+                    assert solution.stats.seed_m is None
+                    continue
+                assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                assert solution.plan.routes == reference.plan
+                optima += 1
+                if solution.stats.seed_m is not None:
+                    assert solution.stats.seed_m >= solution.objective - 1e-9
+                    seeded += 1
+                    seed_optimal += solution.stats.seed_m <= solution.objective + 1e-9
+        assert optima >= 150
+        assert seeded > seed_optimal > 0
+
+    def test_optimal_seed_still_returns_the_smallest_plan(self, tri3_network):
+        # tri3's seed is optimal, but the exact pass still returns the
+        # lexicographically smaller plan of the same cost.
+        assert _seed_of(tri3_network) == (90.0, ((0, 1, 3, 2, 4, 5), (0, 5)))
+        solution = solve_deterministic(tri3_network)
+        assert solution.stats.seed_m == solution.objective == 90.0
+        assert solution.plan.routes == ((0, 1, 2, 3, 4, 5), (0, 5))
+        assert solution.plan.routes == oracle_solve_deterministic(tri3_network).plan
+
+    def test_greedy_trap_has_no_seed(self):
+        # D-B-DEP-A-C; T1 A->C is loose, T2 B->D is due at 35 s, one vehicle.
+        # The seed takes the nearer A first and then cannot reach B in time,
+        # so there is none; only B first serves both.
+        doc = {"layout": {"nodes": ["DEP", "A", "B", "C", "D"],
+                          "edges": [["DEP", "A", 15.0], ["A", "C", 15.0], ["DEP", "B", 30.0],
+                                    ["B", "D", 15.0]]},
+               "tasks": [{"id": "T1", "from": "A", "to": "C",
+                          "earliest_pickup_s": 0, "latest_delivery_s": 1000},
+                         {"id": "T2", "from": "B", "to": "D",
+                          "earliest_pickup_s": 0, "latest_delivery_s": 35}],
+               "vehicles": 1, "depot": "DEP", "speed": 1.5, "horizon": 2000}
+        network = build_network(load_instance(json.dumps(doc)))
+        assert _seed_of(network) is None
+        solution = solve_deterministic(network)
+        assert solution.status == STATUS_OPTIMAL and solution.stats.seed_m is None
+        assert solution.plan.routes == ((0, 2, 4, 1, 3, 5),)
+        assert solution.objective == pytest.approx(150.0)
+        # Without a seed, a limit spent in set-up still returns no plan.
+        stopped = solve_deterministic(network, SolveConfig(time_limit=1e-9))
+        assert stopped.status == STATUS_TIME_LIMIT_NO_INCUMBENT and stopped.plan is None
+
+    def test_time_out_returns_the_seed_plan(self, tri3_network):
+        # The search stops at its first node, before a plan of its own.
+        solution = solve_deterministic(tri3_network, SolveConfig(time_limit=1e-9))
+        assert solution.status == STATUS_TIME_LIMIT_INCUMBENT
+        assert (solution.objective, solution.plan.routes) == _seed_of(tri3_network)
+        assert solution.stats.seed_m == 90.0
+
+    def test_seed_cutoff_below_rounding_is_dropped(self, tri3_network, monkeypatch):
+        # A slack lost to rounding would cut the seed's own plan and every
+        # tie with it: no seed.
+        monkeypatch.setattr(solver_module, "_SEED_SLACK", math.ulp(90.0) / 4)
+        solution = solve_deterministic(tri3_network)
+        assert solution.stats.seed_m is None
+        assert solution.plan.routes == ((0, 1, 2, 3, 4, 5), (0, 5))
+
+
 class TestSearchCounters:
     # Every counter of three factory6 searches, pinned: where the distance
     # bound is tested and how the set-up is built must not change what the
     # search visits.
     @pytest.mark.parametrize("mode, expected", [
-        ("det", SearchStats(nodes_explored=4110, bound_prunes=2097, window_prunes=0,
-                            lookahead_prunes=979, root_bound_m=123.0)),
+        ("det", SearchStats(nodes_explored=4069, bound_prunes=2078, window_prunes=0,
+                            lookahead_prunes=979, root_bound_m=123.0, seed_m=270.0)),
         ("sto-fast", SearchStats(nodes_explored=1374, bound_prunes=122, window_prunes=76,
                                  lookahead_prunes=820, root_bound_m=123.0)),
         ("sto-0.1", SearchStats(nodes_explored=3006, bound_prunes=1315, window_prunes=444,

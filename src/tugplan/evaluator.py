@@ -20,7 +20,9 @@ trial count.
 
 Each failure share comes with the half-width of its 95% Wilson score
 interval, which stays positive when no trial fails; the interval is centred
-at `(p + z^2 / 2N) / (1 + z^2 / N)`, not at the share `p` itself.
+at `(p + z^2 / 2N) / (1 + z^2 / N)`, not at the share `p` itself, so reports
+print its bounds (`wilson_interval`) rather than `p` plus or minus the
+half-width.
 """
 
 from __future__ import annotations
@@ -109,6 +111,25 @@ def _wilson_half_width(p_hat: float, trials: int) -> float:
     observed in `trials` trials."""
     z2 = _Z95 * _Z95 / trials
     return _Z95 / (1.0 + z2) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials))
+
+
+def wilson_interval(p_hat: float, trials: int) -> tuple[float, float]:
+    """The bounds of the 95% Wilson score interval of a share `p_hat`
+    observed in `trials` trials.
+
+    The bounds are the roots of `(1 + z2) x^2 - (2p + z2) x + p^2` with
+    `z2 = z^2 / N`.  The lower one is taken from the roots' product and the
+    upper root (centre plus half-width), and the upper one likewise from the
+    failures' mirror image `1 - p`, so each is exact where the share sits at
+    its end of [0, 1]: centre minus half-width leaves rounding noise there.
+    """
+    z2 = _Z95 * _Z95 / trials
+
+    def lower(p: float) -> float:
+        upper = (p + z2 / 2.0) / (1.0 + z2) + _wilson_half_width(p, trials)
+        return p * p / ((1.0 + z2) * upper)
+
+    return lower(p_hat), 1.0 - lower(1.0 - p_hat)
 
 
 def _routes_of(plan: RoutePlan, network: PdpNetwork) -> tuple[tuple[int, ...], ...]:

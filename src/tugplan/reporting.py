@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .evaluator import DISPATCH_POLICY, EvaluationReport
+from .evaluator import DISPATCH_POLICY, EvaluationReport, wilson_interval
 
 
 def _render(headers: list[str], rows: list[list[str]]) -> str:
@@ -33,7 +33,8 @@ def evaluation_table(routes_v: list[str], routes_labels: list[str],
     for k, (v, g) in enumerate(zip(routes_v, routes_labels)):
         rows.append([str(k + 1), v, g, f"{report.per_vehicle_failure[k]:.6g}"])
     table = _render(["MHE", "V Nodes", "Graph Nodes", "% Failure"], rows)
+    low, high = wilson_interval(report.overall_failure, report.trials)
     footer = (f"trials: {report.trials}    seed: {report.seed}    "
               f"policy: {DISPATCH_POLICY}    overall failure: {report.overall_failure:.6g}"
-              f" (±{report.overall_half_width:.3g})")
+              f" (95% CI [{low:.2g}, {high:.2g}])")
     return table + "\n" + footer

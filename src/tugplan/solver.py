@@ -20,9 +20,9 @@ entered nodes plus the bound prunes.  The table tracks at most
 nodes; the others count for nothing, which keeps it admissible.
 It depends only on the location distances and the tracked set, so
 `_location_table` memoises the last `_TABLE_MEMO` tables under exactly that
-key, with the locations in a canonical order (depot first, then by name):
-re-planning on one layout builds a table once per tracked set, not once per
-solve.
+key, with the locations in a canonical order (depot first, then by name) and
+their distances as the bytes of one float64 matrix: re-planning on one
+layout builds a table once per tracked set, not once per solve.
 
 Before the exact pass, `_nearest_next` builds one plan greedily from the
 search's own float bounds, vehicle by vehicle, always moving to the nearest
@@ -84,7 +84,12 @@ pays unless the plan misses one of its windows, so the optimal switch set is
 exactly the set of scenarios the plan fails, and no explicit branching over
 switches is needed.  The fixed plan's service times come from `route_times`,
 one earliest-time recursion per route over the whole scenario stack, which
-the evaluator shares without the pickup-to-delivery coupling.
+the evaluator shares without the pickup-to-delivery coupling.  Its rows hold
+one time per scenario: a plain float for a one-matrix stack (det, sto-fast's
+search matrix, one evaluation trial), where a numpy call per position would
+cost more than the arithmetic, and a numpy vector otherwise.  Both take the
+same float operations in the same order, so a one-matrix result equals its
+column of any stack bit for bit.
 """
 
 from __future__ import annotations
@@ -333,7 +338,7 @@ class _Search:
 
     def run(self) -> None:
         dead = _forced_dead_scenarios(self.network, self.times)
-        self.dead_mass = float(self.probs[dead].sum())
+        self.dead_mass = float(self.probs[dead].sum()) if dead.any() else 0.0
         if self.dead_mass > self.alpha + _MASS_EPS:
             return
         scen = [np.zeros(len(dead)), ~dead, self.dead_mass, None, 0, 0] if self.vector else None
@@ -627,20 +632,21 @@ def _walk_table(network: PdpNetwork) -> tuple[tuple[tuple[float, ...], ...], lis
     for b, u in enumerate(tracked):
         loc_bit[u] = 1 << b
     node_at = [network.locations.index(name) for name in names]
-    dist = network.travel_dist.tolist()
-    d = tuple(tuple(dist[i][j] for j in node_at) for i in node_at)
-    return _location_table(d, tuple(tracked)), loc, [loc_bit[u] for u in loc]
+    dist = network.travel_dist[node_at][:, node_at].tobytes()
+    return _location_table(dist, tuple(tracked)), loc, [loc_bit[u] for u in loc]
 
 
 @functools.lru_cache(maxsize=_TABLE_MEMO)
-def _location_table(d: tuple[tuple[float, ...], ...],
-                    tracked: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
-    """`table[mask][u]` over the location distances `d`, where bit b of
-    `mask` stands for location `tracked[b]`.
+def _location_table(dist: bytes, tracked: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
+    """`table[mask][u]` over the location distances `dist`, the bytes of a
+    square float64 matrix, where bit b of `mask` stands for location
+    `tracked[b]`.
 
     Each entry is a min over the same float sums whatever the numbering of
     the locations, so the canonical order changes no value.
     """
+    count = math.isqrt(len(dist) // 8)
+    d = np.frombuffer(dist).reshape(count, count).tolist()
     table = [tuple(row[0] for row in d)]
     for mask in range(1, 1 << len(tracked)):
         steps = [(u, table[mask ^ (1 << b)]) for b, u in enumerate(tracked) if mask >> b & 1]
@@ -659,22 +665,30 @@ def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray
     as in the model (`w[n+i] >= w[i] + t[i][n+i]`); without it the recursion
     is the physical dispatch policy.  Returns `w[pos, s]` and `late[pos, s]`,
     whether position `pos` misses its closing time in scenario `s`.
+
+    Each position's row holds one time per scenario.  With one matrix the
+    row is a plain float: Python's float addition and `max` round exactly as
+    numpy's do on one-element rows, without a numpy call per position.
     """
     n = (times.shape[-1] - 2) // 2
     nodes = list(route)
-    w = np.empty((len(nodes), times.shape[0]))
-    w[0] = max(0.0, open_time[nodes[0]])
+    a = open_time.tolist()
+    if times.shape[0] == 1:
+        t, hold, w = times[0].tolist(), max, [0.0] * len(nodes)
+    else:
+        t, hold, w = times.transpose(1, 2, 0), np.maximum, np.empty((len(nodes), times.shape[0]))
+    w[0] = max(0.0, a[nodes[0]])
     picked: dict[int, int] = {}
     for pos in range(1, len(nodes)):
         prev, node = nodes[pos - 1], nodes[pos]
-        here = w[pos]
-        np.add(w[pos - 1], times[:, prev, node], out=here)
+        here = w[pos - 1] + t[prev][node]
         pick = node - n
         if coupling and pick in picked:
-            np.maximum(here, w[picked[pick]] + times[:, pick, node], out=here)
-        np.maximum(here, open_time[node], out=here)
+            here = hold(here, w[picked[pick]] + t[pick][node])
+        w[pos] = hold(here, a[node])
         if 1 <= node <= n:
             picked[node] = pos
+    w = np.asarray(w).reshape(len(nodes), -1)
     late = w > close_time[nodes, np.newaxis] + _EPS
     return w, late
 
@@ -695,12 +709,12 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
     """
     n, terminal = network.n, network.terminal
     a, b = network.open_time, network.close_time
-    pickups = np.arange(1, n + 1)
+    # The diagonal of the pickup-to-delivery block holds each task's own arc.
+    own_arc = scen_times[:, 1:n + 1, n + 1:terminal].diagonal(axis1=1, axis2=2)
     w = np.empty((plan.vehicle_count, network.size, scen_times.shape[0]))
     w[:] = a[np.newaxis, :, np.newaxis]
-    w[:, n + 1:terminal] = np.maximum(
-        a[n + 1:terminal, np.newaxis],
-        a[1:n + 1, np.newaxis] + scen_times[:, pickups, pickups + n].T)
+    w[:, n + 1:terminal] = np.maximum(a[n + 1:terminal, np.newaxis],
+                                      a[1:n + 1, np.newaxis] + own_arc.T)
     feasible = np.ones(scen_times.shape[0], dtype=bool)
     # An idle route keeps the window openings: the depot hop takes no time
     # in any scenario, and both depots open at 0.
@@ -710,7 +724,8 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
             continue
         route_w, late = route_times(route, scen_times, a, b, coupling=True)
         w[k, list(route)] = route_w
-        feasible &= ~late.any(axis=0)
+        if late.any():
+            feasible &= ~late.any(axis=0)
     if not feasible.all():
         w[:, :, ~feasible] = a[np.newaxis, :, np.newaxis]
     return w, feasible
@@ -767,7 +782,7 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, closure: n
     if report_set is not None:
         times, probs = report_set.travel_times, report_set.probabilities
     w, feasible = _full_schedule(network, plan, times)
-    assert float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
+    assert feasible.all() or float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
     if report_set is None:
         schedule = Schedule(times=w[:, :, 0].copy())
     else:

@@ -10,6 +10,7 @@ from conftest import overflowing_sum_dict, overflowing_time_dict
 
 INSTANCES = Path(__file__).parent.parent / "instances"
 TRI3 = str(INSTANCES / "tri3.json")
+TRI3_WIDE = str(INSTANCES / "tri3_wide.json")
 FACTORY6 = str(INSTANCES / "factory6.json")
 
 
@@ -381,6 +382,22 @@ class TestEvaluateCommand:
         assert artifact["trials"] == 1000
         assert len(artifact["rows"]) == 2
         assert artifact["overall"]["failure"] >= max(r["failure"] for r in artifact["rows"]) - 1e-9
+
+    def test_overall_failure_prints_the_wilson_bounds(self, tmp_path, capsys):
+        # No trial fails: the interval is [0, z^2/N / (1 + z^2/N)], not the
+        # share plus or minus the half-width.
+        plan = tmp_path / "det.json"
+        run(capsys, "solve", "--instance", TRI3_WIDE, "--mode", "det", "--out", str(plan))
+        out = tmp_path / "eval.json"
+        code, stdout, _ = run(capsys, "evaluate", "--instance", TRI3_WIDE, "--plan", str(plan),
+                              "--trials", "500", "--out", str(out))
+        assert code == 0
+        assert "overall failure: 0 (95% CI [0, 0.0076])" in stdout
+        assert "±" not in stdout
+        # The artifact keeps the share and its half-width.
+        overall = json.loads(out.read_text())["overall"]
+        assert overall["failure"] == 0.0
+        assert overall["half_width"] == pytest.approx(0.00381, abs=1e-5)
 
     def test_idle_routes_report_zero(self, tmp_path, capsys):
         plan = tmp_path / "idle.json"

@@ -7,7 +7,7 @@ from scipy.stats import binomtest, norm
 from tugplan import (EvaluationReport, RoutePlan, ScenarioConfig, SolveConfig, build_network,
                      generate_scenarios, load_instance, out_of_sample, replay_failures,
                      simulate_route, solve_deterministic, solve_stochastic)
-from tugplan.evaluator import _TRIAL_BLOCK, _late_routes, _wilson_half_width
+from tugplan.evaluator import _TRIAL_BLOCK, _late_routes, _wilson_half_width, wilson_interval
 from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rng
 from tugplan.solver import _full_schedule
 
@@ -171,13 +171,37 @@ class TestOutOfSample:
         assert all(width > 0.0 for width in report.per_vehicle_half_width)
 
     @pytest.mark.parametrize("failures, trials", [(0, 500), (1, 500), (37, 500), (500, 500),
-                                                  (3, 7)])
+                                                  (3, 7), (0, 11), (0, 1), (1, 1)])
     def test_half_width_is_wilsons(self, failures, trials):
         interval = binomtest(failures, trials).proportion_ci(confidence_level=0.95,
                                                             method="wilson")
         # scipy takes the exact quantile 1.95996..., the report 1.96.
         assert _wilson_half_width(failures / trials, trials) == pytest.approx(
             (interval.high - interval.low) / 2, rel=2e-4)
+        low, high = wilson_interval(failures / trials, trials)
+        assert 0.0 <= low <= failures / trials <= high <= 1.0
+        assert (low, high) == pytest.approx((interval.low, interval.high), rel=2e-4, abs=1e-12)
+        # A share at an end of [0, 1] puts that bound there exactly (at 0 of
+        # 11, centre minus half-width is 2.8e-17).
+        if failures == 0:
+            assert low == 0.0
+        if failures == trials:
+            assert high == 1.0
+
+    def test_one_trial_block_equals_its_column(self, factory6_network):
+        # A block of one trial takes float rows, a larger one numpy rows:
+        # out_of_sample's last block at _TRIAL_BLOCK + 1 trials is the former.
+        net = factory6_network
+        plan = solve_deterministic(net).plan
+        times = np.array([sample_time_matrix(net.travel_time,
+                                             scenario_rng(5, EVALUATION_STREAM, t))[1]
+                          for t in range(60)])
+        block = _late_routes(plan.routes, times, net)
+        assert block.any() and not block.all()
+        for t in range(len(times)):
+            alone = _late_routes(plan.routes, times[t:t + 1], net)
+            assert alone.shape == (plan.vehicle_count, 1)
+            assert (alone[:, 0] == block[:, t]).all()
 
     def test_trial_blocks_match_per_trial_simulation(self, factory6_network):
         net = factory6_network

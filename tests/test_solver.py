@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
                      STATUS_TIME_LIMIT_NO_INCUMBENT,
@@ -15,7 +17,7 @@ from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMB
 from tugplan import solver as solver_module
 from tugplan.instance import shortest_path_closure
 from tugplan.solver import (RoutePlan, SearchStats, _location_table, _walk_table,
-                           assignment_from_solution)
+                           assignment_from_solution, route_times)
 
 from conftest import instance_dict, single_task_dict
 from instgen import random_instance_doc, random_network
@@ -895,3 +897,71 @@ class TestPermutationInvariance:
                 assert relaxed.objective <= base.objective + 1e-9
                 improved += 1
         assert improved >= 3
+
+
+# Arc times, window openings and slacks drawn often from a few round values,
+# so that zero-length co-located arcs, ties and waits at an opening occur.
+_ARC = st.sampled_from([0.0, 0.1, 1.0 / 3.0, 2.5, 7.0, 40.0]) | st.floats(0.0, 100.0)
+_OPENING = st.sampled_from([0.0, 5.0, 30.0]) | st.floats(0.0, 150.0)
+_SLACK = st.sampled_from([0.0, math.inf]) | st.floats(0.0, 200.0)
+
+
+@st.composite
+def route_stacks(draw):
+    """(route, [S, nv, nv] times with S >= 2, openings, closings): a route
+    from the source to the terminal over some tasks, each pickup before its
+    delivery."""
+    n = draw(st.integers(1, 3))
+    nv = 2 * n + 2
+    tasks = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    order = draw(st.permutations(tasks + [i + n for i in tasks]))
+    for i in tasks:
+        p, q = order.index(i), order.index(i + n)
+        if q < p:
+            order[p], order[q] = i + n, i
+    count = draw(st.integers(2, 4))
+    times = np.array(draw(st.lists(_ARC, min_size=count * nv * nv, max_size=count * nv * nv)))
+    opening = np.array(draw(st.lists(_OPENING, min_size=nv, max_size=nv)))
+    closing = opening + np.array(draw(st.lists(_SLACK, min_size=nv, max_size=nv)))
+    return (0, *order, nv - 1), times.reshape(count, nv, nv), opening, closing
+
+
+class TestRouteTimes:
+    @settings(max_examples=150, deadline=None)
+    @given(route_stacks(), st.booleans())
+    def test_one_matrix_equals_its_column_bit_for_bit(self, case, coupling):
+        # One matrix takes float rows, several take numpy rows; each column
+        # of the stack is the one-matrix result, to the last bit.
+        route, times, opening, closing = case
+        w, late = route_times(route, times, opening, closing, coupling)
+        assert w.shape == late.shape == (len(route), times.shape[0])
+        for s in range(times.shape[0]):
+            w_s, late_s = route_times(route, times[s:s + 1], opening, closing, coupling)
+            assert w_s.shape == late_s.shape == (len(route), 1)
+            assert w_s.dtype == w.dtype and late_s.dtype == late.dtype
+            assert w_s[:, 0].tobytes() == w[:, s].tobytes()
+            assert late_s[:, 0].tobytes() == late[:, s].tobytes()
+
+    def test_holds_waits_and_zero_arcs_agree(self):
+        # Nodes: 0 source, pickups 1 and 2 at one location, deliveries 3
+        # and 4, terminal 5.  Pickup 2 waits for its opening at 20, and
+        # delivery 3 is held by pickup 1's direct arc (5 + 30 = 35 against
+        # 24 along the route), which makes it late for its closing at 30.
+        route = (0, 1, 2, 4, 3, 5)
+        nominal = np.full((6, 6), 50.0)
+        for i, j, t in [(0, 1, 5.0), (1, 2, 0.0), (2, 4, 3.0), (4, 3, 1.0), (3, 5, 2.0),
+                        (1, 3, 30.0)]:
+            nominal[i, j] = t
+        opening = np.array([0.0, 0.0, 20.0, 0.0, 0.0, 0.0])
+        closing = np.array([0.0, 100.0, 100.0, 30.0, 100.0, 100.0])
+        stack = np.stack([nominal, 2.0 * nominal])
+        held, free = (route_times(route, nominal[np.newaxis], opening, closing, coupling)
+                      for coupling in (True, False))
+        assert held[0][:, 0].tolist() == [0.0, 5.0, 20.0, 23.0, 35.0, 37.0]
+        assert free[0][:, 0].tolist() == [0.0, 5.0, 20.0, 23.0, 24.0, 26.0]
+        assert held[1][:, 0].tolist() == [False, False, False, False, True, False]
+        assert not free[1].any()
+        for coupling, (w, late) in ((True, held), (False, free)):
+            w_stack, late_stack = route_times(route, stack, opening, closing, coupling)
+            assert w[:, 0].tobytes() == w_stack[:, 0].tobytes()
+            assert (late[:, 0] == late_stack[:, 0]).all()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,6 @@ class EvaluationReport:
     seed: int
     per_vehicle_failure: tuple[float, ...]
     overall_failure: float
-    per_vehicle_half_width: tuple[float, ...]
-    overall_half_width: float
 
     def __post_init__(self):
         for f in self.per_vehicle_failure + (self.overall_failure,):
@@ -69,6 +68,17 @@ class EvaluationReport:
                 raise ValueError(f"failure frequency {f} outside [0, 1]")
         if self.per_vehicle_failure and self.overall_failure < max(self.per_vehicle_failure) - _EPS:
             raise ValueError("overall failure cannot be below the worst vehicle")
+
+    # The half-widths derive from the shares and the trial count, so they
+    # cannot disagree with them.  The tuple is cached because the CLI indexes
+    # it once per vehicle.
+    @cached_property
+    def per_vehicle_half_width(self) -> tuple[float, ...]:
+        return tuple(_wilson_half_width(p, self.trials) for p in self.per_vehicle_failure)
+
+    @property
+    def overall_half_width(self) -> float:
+        return _wilson_half_width(self.overall_failure, self.trials)
 
 
 def _check_nodes(route, nv: int) -> None:
@@ -161,15 +171,11 @@ def out_of_sample(plan: RoutePlan, network: PdpNetwork,
         late = _late_routes(routes, times, network)
         fails += late.sum(axis=1)
         any_fail += int(late.any(axis=0).sum())
-    per_vehicle = tuple(float(f) / trials for f in fails)
-    overall = float(any_fail) / trials
     return EvaluationReport(
         trials=trials,
         seed=config.seed,
-        per_vehicle_failure=per_vehicle,
-        overall_failure=overall,
-        per_vehicle_half_width=tuple(_wilson_half_width(p, trials) for p in per_vehicle),
-        overall_half_width=_wilson_half_width(overall, trials),
+        per_vehicle_failure=tuple(float(f) / trials for f in fails),
+        overall_failure=float(any_fail) / trials,
     )
 
 

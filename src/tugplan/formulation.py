@@ -1,12 +1,14 @@
 """Explicit MILP descriptions of the routing models, plus a solution checker.
 
-Two constraint systems are built from a compiled network: the deterministic
-model over nominal travel times, and the scenario model in which routes are
-shared across all sampled travel-time realizations while service times are
-per-scenario, with binary scenario-ignore switches bounded in probability mass
-by the reliability level `alpha`.  Both builders size their big-M constants
-with `compute_big_m` and take no override; the paper's M2 equals m1, so a
-`BigMSet` holds m1, m3 and m4.
+One builder states both constraint systems over a compiled network and a list
+of travel-time realizations.  The scenario model has one realization per
+sampled scenario: routes are shared across them, service times are
+per-scenario, and each scenario has a binary ignore switch whose probability
+mass is bounded by the reliability level `alpha`.  The deterministic model is
+the same system over the single nominal realization, without switches and
+without the mass row.  Big-M constants are sized with `compute_big_m` and
+take no override; the paper's M2 equals m1, so a `BigMSet` holds m1, m3 and
+m4.
 
 Every linear constraint carries a provenance tag (Eq2..Eq10 for the
 deterministic system, Eq13..Eq23 for the scenario system) so checker verdicts
@@ -155,6 +157,15 @@ def compute_big_m(network: PdpNetwork, scenarios: ScenarioSet | None) -> BigMSet
     return BigMSet(m1=m1, m3=m3, m4=m4)
 
 
+_DETERMINISTIC_TAGS = {
+    "coverage": "Eq2", "pairing": "Eq3", "source": "Eq4", "terminal": "Eq5", "flow": "Eq6",
+    "propagation": "Eq7", "coupling": "Eq8", "window": "Eq9", "arc": "Eq10"}
+_STOCHASTIC_TAGS = {
+    "coverage": "Eq13", "pairing": "Eq14", "source": "Eq15", "terminal": "Eq16", "flow": "Eq17",
+    "propagation": "Eq18", "coupling": "Eq19", "window": "Eq20", "mass": "Eq21", "arc": "Eq22",
+    "switch": "Eq23"}
+
+
 def _route_structure_constraints(network: PdpNetwork, vehicle_count: int,
                                  tags: dict[str, str]) -> list[LinearConstraint]:
     """The scenario-independent route constraints: pickup coverage, pickup and
@@ -168,6 +179,12 @@ def _route_structure_constraints(network: PdpNetwork, vehicle_count: int,
         out_arcs[i].append((i, j))
         in_arcs[j].append((i, j))
 
+    def signed(k: int, plus: list[tuple[int, int]],
+               minus: list[tuple[int, int]]) -> dict[str, float]:
+        # The two arc lists never share an arc, so no coefficient is summed.
+        return {x_name(k, i, j): sign
+                for sign, group in ((1.0, plus), (-1.0, minus)) for (i, j) in group}
+
     cons: list[LinearConstraint] = []
     vehicles = range(vehicle_count)
 
@@ -179,15 +196,10 @@ def _route_structure_constraints(network: PdpNetwork, vehicle_count: int,
 
     for k in vehicles:
         for i in network.pickups:
-            coeffs: dict[str, float] = {}
-            for (_, j) in out_arcs[i]:
-                coeffs[x_name(k, i, j)] = coeffs.get(x_name(k, i, j), 0.0) + 1.0
-            d = network.delivery_of(i)
-            for (_, j) in out_arcs[d]:
-                coeffs[x_name(k, d, j)] = coeffs.get(x_name(k, d, j), 0.0) - 1.0
             cons.append(LinearConstraint(
-                name=f"{tags['pairing']}[k={k},i={i}]", coeffs=coeffs, relation="=",
-                rhs=0.0, tag=tags["pairing"]))
+                name=f"{tags['pairing']}[k={k},i={i}]",
+                coeffs=signed(k, out_arcs[i], out_arcs[network.delivery_of(i)]),
+                relation="=", rhs=0.0, tag=tags["pairing"]))
 
     for k in vehicles:
         cons.append(LinearConstraint(
@@ -201,25 +213,98 @@ def _route_structure_constraints(network: PdpNetwork, vehicle_count: int,
 
     for k in vehicles:
         for i in list(network.pickups) + list(network.deliveries):
-            coeffs = {}
-            for (_, j) in out_arcs[i]:
-                coeffs[x_name(k, i, j)] = coeffs.get(x_name(k, i, j), 0.0) + 1.0
-            for (j, _) in in_arcs[i]:
-                coeffs[x_name(k, j, i)] = coeffs.get(x_name(k, j, i), 0.0) - 1.0
             cons.append(LinearConstraint(
-                name=f"{tags['flow']}[k={k},i={i}]", coeffs=coeffs, relation="=",
-                rhs=0.0, tag=tags["flow"]))
+                name=f"{tags['flow']}[k={k},i={i}]", coeffs=signed(k, out_arcs[i], in_arcs[i]),
+                relation="=", rhs=0.0, tag=tags["flow"]))
 
     return cons
 
 
-def _distance_objective(network: PdpNetwork, vehicle_count: int) -> dict[str, float]:
+def _build(network: PdpNetwork, scenarios: ScenarioSet | None, alpha: float) -> ConstraintSystem:
+    """One builder for both models.  A realization is (scenario, travel times,
+    name suffix, switch variable); the deterministic model has the single
+    nominal realization without a switch, and no mass row."""
+    nv = network.size
+    vehicle_count = network.vehicle_count
+    arcs = arc_list(nv)
+    vehicles = range(vehicle_count)
+    big_m = compute_big_m(network, scenarios)
+    a, b = network.open_time, network.close_time
+    if scenarios is None:
+        tags = _DETERMINISTIC_TAGS
+        realizations = [(None, network.travel_time, "", None)]
+    else:
+        tags = _STOCHASTIC_TAGS
+        realizations = [(s, scenarios.travel_times[s], f",s={s}", z_name(s))
+                        for s in range(scenarios.count)]
+
+    variables = [
+        Variable(name=x_name(k, i, j), kind=BINARY, domain_tag=tags["arc"])
+        for k in vehicles for (i, j) in arcs
+    ] + [
+        Variable(name=w_name(k, i, s), kind=CONTINUOUS, domain_tag=tags["window"])
+        for k in vehicles for i in range(nv) for (s, _, _, _) in realizations
+    ] + [
+        Variable(name=z, kind=BINARY, domain_tag=tags["switch"])
+        for (_, _, _, z) in realizations if z is not None
+    ]
+
+    cons = _route_structure_constraints(network, vehicle_count, tags)
+
+    # w_js >= w_is + d_ijs - M1 (1 - x_kij) - M2 z_s with M2 = M1, written as
+    # w_is - w_js + M1 x_kij - M1 z_s <= M1 - d_ijs
+    for k in vehicles:
+        for (i, j) in arcs:
+            for (s, d, suffix, z) in realizations:
+                coeffs = {w_name(k, i, s): 1.0, w_name(k, j, s): -1.0, x_name(k, i, j): big_m.m1}
+                if z is not None:
+                    coeffs[z] = -big_m.m1
+                cons.append(LinearConstraint(
+                    name=f"{tags['propagation']}[k={k},({i},{j}){suffix}]", coeffs=coeffs,
+                    relation="<=", rhs=big_m.m1 - float(d[i, j]), tag=tags["propagation"]))
+
+    # w_is + d_(i,i+n)s <= w_(i+n)s + M3 z_s
+    for k in vehicles:
+        for i in network.pickups:
+            j = network.delivery_of(i)
+            for (s, d, suffix, z) in realizations:
+                coeffs = {w_name(k, i, s): 1.0, w_name(k, j, s): -1.0}
+                if z is not None:
+                    coeffs[z] = -big_m.m3
+                cons.append(LinearConstraint(
+                    name=f"{tags['coupling']}[k={k},i={i}{suffix}]", coeffs=coeffs,
+                    relation="<=", rhs=-float(d[i, j]), tag=tags["coupling"]))
+
+    # a_i (1 - z_s) <= w_is <= b_i + M4 z_s; the lower bound, written as
+    # w + a_i z >= a_i, needs a_i >= 0, which holds by construction.
+    for k in vehicles:
+        for i in range(nv):
+            for (s, _, suffix, z) in realizations:
+                lo = {w_name(k, i, s): 1.0}
+                hi = {w_name(k, i, s): 1.0}
+                if z is not None:
+                    lo[z] = float(a[i])
+                    hi[z] = -big_m.m4
+                cons.append(LinearConstraint(
+                    name=f"{tags['window']}[k={k},i={i}{suffix},lo]", coeffs=lo,
+                    relation=">=", rhs=float(a[i]), tag=tags["window"]))
+                cons.append(LinearConstraint(
+                    name=f"{tags['window']}[k={k},i={i}{suffix},hi]", coeffs=hi,
+                    relation="<=", rhs=float(b[i]), tag=tags["window"]))
+
+    if scenarios is not None:
+        p = scenarios.probabilities
+        cons.append(LinearConstraint(
+            name=tags["mass"], coeffs={z_name(s): float(p[s]) for s in range(scenarios.count)},
+            relation="<=", rhs=float(alpha), tag=tags["mass"]))
+
     dist = network.travel_dist
-    return {
-        x_name(k, i, j): float(dist[i, j])
-        for k in range(vehicle_count)
-        for (i, j) in arc_list(network.size)
-    }
+    return ConstraintSystem(
+        model="deterministic" if scenarios is None else "stochastic",
+        variables=tuple(variables),
+        constraints=tuple(cons),
+        objective={x_name(k, i, j): float(dist[i, j]) for k in vehicles for (i, j) in arcs},
+    )
 
 
 def build_deterministic(network: PdpNetwork) -> ConstraintSystem:
@@ -227,58 +312,7 @@ def build_deterministic(network: PdpNetwork) -> ConstraintSystem:
     route structure, big-M time propagation, pickup-before-delivery, and the
     node time windows, all under nominal travel times.
     """
-    nv = network.size
-    vehicle_count = network.vehicle_count
-    arcs = arc_list(nv)
-    vehicles = range(vehicle_count)
-    big_m = compute_big_m(network, None)
-    d = network.travel_time
-    a, b = network.open_time, network.close_time
-
-    variables = [
-        Variable(name=x_name(k, i, j), kind=BINARY, domain_tag="Eq10")
-        for k in vehicles for (i, j) in arcs
-    ] + [
-        Variable(name=w_name(k, i), kind=CONTINUOUS, domain_tag="Eq9")
-        for k in vehicles for i in range(nv)
-    ]
-
-    tags = {"coverage": "Eq2", "pairing": "Eq3", "source": "Eq4",
-            "terminal": "Eq5", "flow": "Eq6"}
-    cons = _route_structure_constraints(network, vehicle_count, tags)
-
-    # w_j >= w_i + d_ij - M (1 - x_kij), written as
-    # w_i - w_j + M x_kij <= M - d_ij
-    for k in vehicles:
-        for (i, j) in arcs:
-            cons.append(LinearConstraint(
-                name=f"Eq7[k={k},({i},{j})]",
-                coeffs={w_name(k, i): 1.0, w_name(k, j): -1.0, x_name(k, i, j): big_m.m1},
-                relation="<=", rhs=big_m.m1 - float(d[i, j]), tag="Eq7"))
-
-    for k in vehicles:
-        for i in network.pickups:
-            j = network.delivery_of(i)
-            cons.append(LinearConstraint(
-                name=f"Eq8[k={k},i={i}]",
-                coeffs={w_name(k, i): 1.0, w_name(k, j): -1.0},
-                relation="<=", rhs=-float(d[i, j]), tag="Eq8"))
-
-    for k in vehicles:
-        for i in range(nv):
-            cons.append(LinearConstraint(
-                name=f"Eq9[k={k},i={i},lo]", coeffs={w_name(k, i): 1.0},
-                relation=">=", rhs=float(a[i]), tag="Eq9"))
-            cons.append(LinearConstraint(
-                name=f"Eq9[k={k},i={i},hi]", coeffs={w_name(k, i): 1.0},
-                relation="<=", rhs=float(b[i]), tag="Eq9"))
-
-    return ConstraintSystem(
-        model="deterministic",
-        variables=tuple(variables),
-        constraints=tuple(cons),
-        objective=_distance_objective(network, vehicle_count),
-    )
+    return _build(network, None, 0.0)
 
 
 def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
@@ -286,85 +320,10 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
     """The scenario model: routes are shared, service times are per scenario,
     and a scenario may be switched off entirely at the price of its
     probability mass, with total switched-off mass at most `alpha`.
-
-    The lower window bound is relaxed to zero on ignored scenarios, written as
-    w + a_i z >= a_i; this needs a_i >= 0, which holds by construction.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-
-    nv = network.size
-    vehicle_count = network.vehicle_count
-    arcs = arc_list(nv)
-    vehicles = range(vehicle_count)
-    count = scenarios.count
-    big_m = compute_big_m(network, scenarios)
-    a, b = network.open_time, network.close_time
-    p = scenarios.probabilities
-
-    variables = [
-        Variable(name=x_name(k, i, j), kind=BINARY, domain_tag="Eq22")
-        for k in vehicles for (i, j) in arcs
-    ] + [
-        Variable(name=w_name(k, i, s), kind=CONTINUOUS, domain_tag="Eq20")
-        for k in vehicles for i in range(nv) for s in range(count)
-    ] + [
-        Variable(name=z_name(s), kind=BINARY, domain_tag="Eq23")
-        for s in range(count)
-    ]
-
-    tags = {"coverage": "Eq13", "pairing": "Eq14", "source": "Eq15",
-            "terminal": "Eq16", "flow": "Eq17"}
-    cons = _route_structure_constraints(network, vehicle_count, tags)
-
-    # w_js >= w_is + d_ijs - M1 (1 - x_kij) - M2 z_s with M2 = M1, written as
-    # w_is - w_js + M1 x_kij - M1 z_s <= M1 - d_ijs
-    for k in vehicles:
-        for (i, j) in arcs:
-            for s in range(count):
-                d_ijs = float(scenarios.travel_times[s, i, j])
-                cons.append(LinearConstraint(
-                    name=f"Eq18[k={k},({i},{j}),s={s}]",
-                    coeffs={w_name(k, i, s): 1.0, w_name(k, j, s): -1.0,
-                            x_name(k, i, j): big_m.m1, z_name(s): -big_m.m1},
-                    relation="<=", rhs=big_m.m1 - d_ijs, tag="Eq18"))
-
-    # w_is + d_(i,i+n)s <= w_(i+n)s + M3 z_s
-    for k in vehicles:
-        for i in network.pickups:
-            j = network.delivery_of(i)
-            for s in range(count):
-                d_ijs = float(scenarios.travel_times[s, i, j])
-                cons.append(LinearConstraint(
-                    name=f"Eq19[k={k},i={i},s={s}]",
-                    coeffs={w_name(k, i, s): 1.0, w_name(k, j, s): -1.0,
-                            z_name(s): -big_m.m3},
-                    relation="<=", rhs=-d_ijs, tag="Eq19"))
-
-    # a_i (1 - z_s) <= w_is <= b_i + M4 z_s
-    for k in vehicles:
-        for i in range(nv):
-            for s in range(count):
-                cons.append(LinearConstraint(
-                    name=f"Eq20[k={k},i={i},s={s},lo]",
-                    coeffs={w_name(k, i, s): 1.0, z_name(s): float(a[i])},
-                    relation=">=", rhs=float(a[i]), tag="Eq20"))
-                cons.append(LinearConstraint(
-                    name=f"Eq20[k={k},i={i},s={s},hi]",
-                    coeffs={w_name(k, i, s): 1.0, z_name(s): -big_m.m4},
-                    relation="<=", rhs=float(b[i]), tag="Eq20"))
-
-    cons.append(LinearConstraint(
-        name="Eq21",
-        coeffs={z_name(s): float(p[s]) for s in range(count)},
-        relation="<=", rhs=float(alpha), tag="Eq21"))
-
-    return ConstraintSystem(
-        model="stochastic",
-        variables=tuple(variables),
-        constraints=tuple(cons),
-        objective=_distance_objective(network, vehicle_count),
-    )
+    return _build(network, scenarios, alpha)
 
 
 def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> CheckResult:
@@ -373,7 +332,8 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> Ch
     The assignment must cover every declared variable; a missing one raises
     ValueError naming it.  Binary variables must sit within CHECK_TOLERANCE of
     0 or 1 (reported under their domain tag).  Returns all violations with their
-    provenance tags and the violated amount.
+    provenance tags and the violated amount.  A NaN violates every constraint
+    and domain it enters: each test reads "not amount <= CHECK_TOLERANCE".
     """
     for var in system.variables:
         if var.name not in assignment:
@@ -384,7 +344,7 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> Ch
         value = assignment[var.name]
         if var.kind == BINARY:
             off = min(abs(value), abs(value - 1.0))
-            if off > CHECK_TOLERANCE:
+            if not off <= CHECK_TOLERANCE:
                 violations.append(Violation(
                     constraint=f"domain[{var.name}]", tag=var.domain_tag, amount=off))
 
@@ -396,17 +356,14 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> Ch
             total += coef * assignment[name]
         residual = total - con.rhs
         if con.relation == "<=":
-            bad = residual > CHECK_TOLERANCE
             amount = residual
         elif con.relation == ">=":
-            bad = residual < -CHECK_TOLERANCE
             amount = -residual
         elif con.relation == "=":
-            bad = abs(residual) > CHECK_TOLERANCE
             amount = abs(residual)
         else:
             raise ValueError(f"unknown relation {con.relation!r} in {con.name}")
-        if bad:
+        if not amount <= CHECK_TOLERANCE:
             violations.append(Violation(constraint=con.name, tag=con.tag, amount=amount))
 
     return CheckResult(feasible=not violations, violations=tuple(violations))

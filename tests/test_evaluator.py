@@ -106,9 +106,7 @@ class TestEvaluationReport:
     def test_rejects_inconsistent_frequencies(self, per_vehicle, overall, message):
         with pytest.raises(ValueError, match=message):
             EvaluationReport(trials=10, seed=0, per_vehicle_failure=per_vehicle,
-                             overall_failure=overall,
-                             per_vehicle_half_width=(0.0,) * len(per_vehicle),
-                             overall_half_width=0.0)
+                             overall_failure=overall)
 
 
 class TestOutOfSample:

@@ -1,11 +1,14 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tugplan import (ScenarioConfig, Schedule, Solution, build_deterministic, build_network,
                      build_stochastic, check_solution, compute_big_m, generate_scenarios,
-                     load_instance, objective_value, single_scenario, write_lp_text)
+                     load_instance, objective_value, single_scenario, solve_deterministic,
+                     write_lp_text)
 from tugplan.formulation import (BINARY, ConstraintSystem, LinearConstraint, Variable, arc_list,
                                  propagation_requirement, w_name, x_name, z_name)
 from tugplan.solver import RoutePlan, _full_schedule, assignment_from_solution
@@ -242,6 +245,29 @@ class TestCheckSolution:
         result = check_solution(system, assignment)
         assert any(v.tag == "Eq10" for v in result.violations)
 
+    def test_all_nan_violates_everything(self, tri3_network):
+        system = build_deterministic(tri3_network)
+        result = check_solution(system, {v.name: math.nan for v in system.variables})
+        assert not result.feasible
+        binaries = [v for v in system.variables if v.kind == BINARY]
+        assert len(result.violations) == len(system.constraints) + len(binaries)
+
+    @pytest.mark.parametrize("variable", ["w", "x"])
+    def test_one_nan_flags_only_what_contains_it(self, tri3_network, variable):
+        system = build_deterministic(tri3_network)
+        assignment = assignment_from_solution(system, tri3_network,
+                                              solve_deterministic(tri3_network))
+        assert check_solution(system, assignment).feasible
+        pickup = tri3_network.pickups[0]
+        name = w_name(0, pickup) if variable == "w" else x_name(0, 0, pickup)
+        assignment[name] = math.nan
+        result = check_solution(system, assignment)
+        expected = [f"domain[{name}]"] if variable == "x" else []
+        expected += [c.name for c in system.constraints if name in c.coeffs]
+        assert [v.constraint for v in result.violations] == expected
+        if variable == "w":
+            assert {v.tag for v in result.violations} == {"Eq7", "Eq8", "Eq9"}
+
 
 class TestLpExport:
     def test_structure(self, single_task_network):
@@ -256,3 +282,16 @@ class TestLpExport:
     def test_deterministic_output(self, tri3_network):
         system = build_deterministic(tri3_network)
         assert write_lp_text(system) == write_lp_text(system)
+
+    @pytest.mark.parametrize("model, digest", [
+        ("det", "b0d4a94d0b9e45e4f07d711047e5edd6d968e7c7407517c2ab09e95650ef6e86"),
+        ("sto", "f17f2e719428dfa265769a2e31ca9a32ba395bfc0bb713225627a5ce2f6a0253"),
+    ])
+    def test_pinned_bytes(self, tri3_network, tri3_wide_network, model, digest):
+        # A changed name, order, coefficient or number format changes the digest.
+        if model == "det":
+            system = build_deterministic(tri3_network)
+        else:
+            scen = generate_scenarios(tri3_wide_network, ScenarioConfig(3, 4))
+            system = build_stochastic(tri3_wide_network, scen, 0.34)
+        assert hashlib.sha256(write_lp_text(system).encode()).hexdigest() == digest

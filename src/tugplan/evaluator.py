@@ -34,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .instance import PdpNetwork
-from .scenarios import EVALUATION_STREAM, ScenarioConfig, ScenarioSet, sample_multipliers
+from .scenarios import (EVALUATION_STREAM, ScenarioConfig, ScenarioSet, check_network,
+                        sample_multipliers)
 from .scenarios import sample_time_matrix  # noqa: F401 (perfbench traces it as scenarios.matrix)
 from .solver import RoutePlan, route_times
 
@@ -183,5 +184,6 @@ def replay_failures(plan: RoutePlan, network: PdpNetwork,
                     scenarios: ScenarioSet) -> np.ndarray:
     """Per-vehicle failure counts of `plan` replayed on an existing scenario
     set (in-sample check; a robust plan must score zero on its own set)."""
+    check_network(scenarios, network)
     return _late_routes(_routes_of(plan, network), scenarios.travel_times,
                         network).sum(axis=1)

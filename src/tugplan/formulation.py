@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import PdpNetwork
-from .scenarios import ScenarioSet
+from .scenarios import ScenarioSet, check_network
 
 CHECK_TOLERANCE = 1e-6
 
@@ -144,6 +144,7 @@ def compute_big_m(network: PdpNetwork, scenarios: ScenarioSet | None) -> BigMSet
     if scenarios is None:
         worst = network.travel_time
     else:
+        check_network(scenarios, network)
         worst = scenarios.travel_times.max(axis=0)
     a, b = network.open_time, network.close_time
     arcs = arc_list(network.size)

@@ -152,8 +152,9 @@ class PdpNetwork:
     the pickup of task i-1 and node i+n its delivery.  `travel_time` is the
     shortest-path time matrix in seconds (symmetric, zero diagonal, metric),
     `travel_dist` the same in meters.  `open_time`/`close_time` are the window
-    bounds per node.  Networks compare and hash by identity: arrays have no
-    single truth value.
+    bounds per node; deliveries and depots open at 0, and the depot hop is
+    free in time and distance.  Networks compare and hash by identity:
+    arrays have no single truth value.
     """
 
     n: int
@@ -169,6 +170,15 @@ class PdpNetwork:
     def __post_init__(self):
         for arr in (self.open_time, self.close_time, self.travel_time, self.travel_dist):
             arr.setflags(write=False)
+        for v in (0, *self.deliveries, self.terminal):
+            if self.open_time[v] != 0:
+                raise ValueError(f"node {v} opens at {self.open_time[v]:g} s; deliveries and "
+                                 f"depots must open at 0")
+        hop = (0, self.terminal), (self.terminal, 0)
+        if (self.locations[0] != self.locations[self.terminal]
+                or any(self.travel_time[h] or self.travel_dist[h] for h in hop)):
+            raise ValueError(f"depot nodes 0 and {self.terminal} must be one location, "
+                             f"with zero travel time and distance between them")
 
     @property
     def size(self) -> int:

@@ -128,6 +128,15 @@ class ScenarioSet:
         return self.multipliers.shape[0]
 
 
+def check_network(scenarios: ScenarioSet, network: PdpNetwork) -> None:
+    """Reject a set whose nominal times are not `network.travel_time`: a set
+    drawn for another network."""
+    nominal, own = scenarios.nominal, network.travel_time
+    if nominal.shape != own.shape or not np.array_equal(nominal, own):
+        raise ValueError(f"scenario set of nominal times with shape {nominal.shape} does not "
+                         f"belong to this network, whose travel times have shape {own.shape}")
+
+
 def sample_multiplier(rng: np.random.Generator) -> float:
     """One positive travel-time multiplier of the fixed sampler."""
     value = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD)

@@ -104,7 +104,7 @@ import numpy as np
 
 from .formulation import ConstraintSystem, arc_list, w_name, x_name, z_name
 from .instance import PdpNetwork, shortest_path_closure
-from .scenarios import ScenarioSet
+from .scenarios import ScenarioSet, check_network
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -397,7 +397,7 @@ class _Search:
                         other = pick_hi[j - n] + t[j - n][j]
                         if other > w:
                             w = other
-                    if w < a[j]:
+                    elif w < a[j]:
                         w = a[j]
                     if w > b[j]:
                         continue
@@ -440,14 +440,16 @@ class _Search:
         return scen[0]
 
     def _arrive(self, cur_times: np.ndarray, cur: int, j: int) -> np.ndarray:
-        """Per-scenario service times at `j` after `cur`, coupling included."""
+        """Per-scenario service times at `j` after `cur`, opening or coupling included."""
         arr = cur_times + self.t_fs[cur, j]
-        if self.n < j < self.terminal:
+        if j <= self.n:
+            return np.maximum(arr, self.a_l[j])
+        if j < self.terminal:
             # The pickup is an ancestor on the current route, so its entry
             # stays in place for as long as this subtree is searched.
             pick = j - self.n
             arr = np.maximum(arr, self._times(self.pick_scen[pick]) + self.t_fs[pick, j])
-        return np.maximum(arr, self.a_l[j])
+        return arr
 
     def _vector_step(self, scen: list, cur: int, j: int) -> list | None:
         """The per-scenario state at `j` after `cur`, or None once the mass
@@ -540,8 +542,6 @@ class _Search:
             other = pick_hi[i] + t[i][j]
             if other > w:
                 w = other
-            if w < a[j]:
-                w = a[j]
             if w > b[j]:
                 if vector:
                     new_scen = self._vector_step(scen, cur, j)
@@ -572,8 +572,6 @@ class _Search:
             return
         if todo and (len(self.routes) == self.fleet - 1 or cur == 0):
             return
-        # The terminal opens no later than it closes, so its opening cannot
-        # change the window test.
         w = now + t_cur[self.terminal]
         new_scen = scen
         if w > b[self.terminal]:
@@ -701,10 +699,9 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
     Visited nodes take their earliest-feasible route times under the model's
     recursion (pickup-to-delivery coupling included).  A vehicle's time at a
     node it does not visit is completed canonically: window opening for
-    pickups and depots, and for deliveries the opening pushed by the direct
-    pickup arc from the (unvisited, so window-opening) pickup, which
-    satisfies the pickup-before-delivery constraint whenever the serving
-    vehicle can.  Scenarios the plan fails are reported infeasible and their
+    pickups and depots, and for deliveries the direct pickup arc after the
+    (unvisited, so window-opening) pickup, which satisfies the
+    pickup-before-delivery constraint whenever the serving vehicle can.  Scenarios the plan fails are reported infeasible and their
     times pinned to the window openings.
     """
     n, terminal = network.n, network.terminal
@@ -713,14 +710,11 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
     own_arc = scen_times[:, 1:n + 1, n + 1:terminal].diagonal(axis1=1, axis2=2)
     w = np.empty((plan.vehicle_count, network.size, scen_times.shape[0]))
     w[:] = a[np.newaxis, :, np.newaxis]
-    w[:, n + 1:terminal] = np.maximum(a[n + 1:terminal, np.newaxis],
-                                      a[1:n + 1, np.newaxis] + own_arc.T)
+    w[:, n + 1:terminal] = a[1:n + 1, np.newaxis] + own_arc.T
     feasible = np.ones(scen_times.shape[0], dtype=bool)
-    # An idle route keeps the window openings: the depot hop takes no time
-    # in any scenario, and both depots open at 0.
-    idle_free = not scen_times[:, 0, terminal].any()
     for k, route in enumerate(plan.routes):
-        if idle_free and len(route) == 2:
+        # An idle route keeps the window openings: the depot hop is free.
+        if len(route) == 2:
             continue
         route_w, late = route_times(route, scen_times, a, b, coupling=True)
         w[k, list(route)] = route_w
@@ -808,6 +802,7 @@ def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      config: SolveConfig | None = None) -> Solution:
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
+    check_network(scenarios, network)
     times = scenarios.travel_times
     return _solve(network, times, scenarios.probabilities, shortest_path_closure(times),
                   config or SolveConfig(), scenarios)
@@ -832,6 +827,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
+    check_network(scenarios, network)
     worst = scenarios.travel_times.max(axis=0, keepdims=True)
     return _solve(network, worst, np.ones(1), shortest_path_closure(worst), config, scenarios)
 
@@ -850,17 +846,15 @@ def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
     if system.model == "deterministic":
         if schedule.times.ndim != 2:
             raise ValueError("deterministic system needs a single-realization schedule")
-        for k in range(plan.vehicle_count):
-            for i in range(network.size):
-                assignment[w_name(k, i)] = float(schedule.times[k, i])
+        times, realizations = schedule.times[:, :, np.newaxis], [None]
     else:
         if schedule.times.ndim != 3 or schedule.ignored is None:
             raise ValueError("stochastic system needs a per-scenario schedule")
-        count = schedule.times.shape[2]
-        for k in range(plan.vehicle_count):
-            for i in range(network.size):
-                for s in range(count):
-                    assignment[w_name(k, i, s)] = float(schedule.times[k, i, s])
-        for s in range(count):
+        times, realizations = schedule.times, range(schedule.times.shape[2])
+        for s in realizations:
             assignment[z_name(s)] = 1.0 if schedule.ignored[s] else 0.0
+    for k in range(plan.vehicle_count):
+        for i in range(network.size):
+            for col, s in enumerate(realizations):
+                assignment[w_name(k, i, s)] = float(times[k, i, col])
     return assignment

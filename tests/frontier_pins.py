@@ -1,0 +1,44 @@
+"""Pin nominal plans at the solver's frontier, outside the tier-1 suite.
+
+Checks the status, the objective and the sha256 of the routes of det solves
+on generated factory instances with nine tight-window and ten loose-window
+tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller ones.  Each
+solve takes about 0.2-2.6 s.  Run from the repository root:
+
+    PYTHONPATH=src python tests/frontier_pins.py
+
+Exits 1 and names every case whose outcome moved.
+"""
+
+import sys
+
+from test_pinned_plans import outcome
+
+PINS = [
+    ("tight", 9, 0, "optimal", 300.0,
+     "900bd8f7c3dc3b31f1d1c42f8d0611bcfa0c7c40e45bc5826d0320db6d644f8c"),
+    ("tight", 9, 1, "optimal", 330.0,
+     "cd7e32017b969e0b2aa30094c32592abf9281de45e131ff6e8e0392cfadd7267"),
+    ("tight", 9, 2, "optimal", 183.0,
+     "57dceb6e31b4fad23cac19d51ed5a03506f6b427b37b8ed179d5dd4b66633e8f"),
+    ("loose", 10, 0, "optimal", 177.0,
+     "b80bcf9cad89e02dc1cd37c5f25d420173d71415cff6263144f3d0b253b218d7"),
+    ("loose", 10, 1, "optimal", 168.0,
+     "cb00b513663e90a6a4543dfa2abb7e519e98068eb3caf431abde463cb38da5a1"),
+    ("loose", 10, 2, "optimal", 165.0,
+     "e3c511c0be06de145703e6c190ae246f0f4c12284c1ed0ac3b457f03f0190de1"),
+]
+
+
+def main() -> int:
+    moved = 0
+    for windows, n, seed, *pinned in PINS:
+        got = outcome("det", windows, n, seed)
+        ok = got == tuple(pinned)
+        moved += not ok
+        print(f"det {windows} n={n} seed={seed}: {'ok' if ok else f'moved to {got}'}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

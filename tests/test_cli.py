@@ -1,3 +1,4 @@
+import errno
 import json
 from pathlib import Path
 
@@ -544,6 +545,18 @@ class TestUnwritableOutputs:
         assert stderr.startswith("error:") and stderr.count("\n") == 1
         assert f"cannot write {unwritable}:" in stderr
         assert not out.exists() and not lp.exists()
+
+    def test_failed_write_exits_one(self, tmp_path, capsys, monkeypatch):
+        # An output that passes the up-front check can still fail to write,
+        # on a full disk for one.
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "det.json"
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--out", str(out))
+        assert code == 1
+        assert stderr == f"error: cannot write {out}: No space left on device\n"
 
 
 class TestSampleCommand:

@@ -279,10 +279,6 @@ class TestLpExport:
         assert text.rstrip().endswith("End")
         assert "x_0_0_1" in text
 
-    def test_deterministic_output(self, tri3_network):
-        system = build_deterministic(tri3_network)
-        assert write_lp_text(system) == write_lp_text(system)
-
     @pytest.mark.parametrize("model, digest", [
         ("det", "b0d4a94d0b9e45e4f07d711047e5edd6d968e7c7407517c2ab09e95650ef6e86"),
         ("sto", "f17f2e719428dfa265769a2e31ca9a32ba395bfc0bb713225627a5ce2f6a0253"),

@@ -370,3 +370,33 @@ class TestParserDefaults:
         doc["layout"]["nodes"] = [["DEP"], "A", "B", "C"]
         with pytest.raises(InstanceParseError, match=r"\[id, label\]"):
             load_instance(json.dumps(doc))
+
+
+class TestNetworkFixedWindows:
+    """Every network states the facts the search relies on: deliveries and
+    depots open at 0, and the depot hop is free."""
+
+    @pytest.mark.parametrize("node", [0, 3, 4, 5])
+    def test_late_opening_rejected(self, tri3_network, node):
+        # tri3 has two tasks: deliveries 3 and 4, terminal depot 5.
+        open_time = tri3_network.open_time.copy()
+        open_time[node] = 5.0
+        with pytest.raises(ValueError, match=f"node {node} opens at 5 s"):
+            dataclasses.replace(tri3_network, open_time=open_time)
+
+    @pytest.mark.parametrize("hop_s, hop_m", [(5.0, 7.5), (5.0, 0.0), (0.0, 7.5)])
+    def test_paid_depot_hop_rejected(self, tri3_network, hop_s, hop_m):
+        # The search pads idle vehicles in at no cost, so it would leave a
+        # paid hop out of the objective: at 5 s and 7.5 m, 90 m for a plan
+        # of 97.5 m.
+        terminal = tri3_network.terminal
+        times, dists = tri3_network.travel_time.copy(), tri3_network.travel_dist.copy()
+        times[0, terminal] = times[terminal, 0] = hop_s
+        dists[0, terminal] = dists[terminal, 0] = hop_m
+        with pytest.raises(ValueError, match=f"depot nodes 0 and {terminal}"):
+            dataclasses.replace(tri3_network, travel_time=times, travel_dist=dists)
+
+    def test_depots_at_two_locations_rejected(self, tri3_network):
+        locations = tri3_network.locations[:-1] + (tri3_network.locations[1],)
+        with pytest.raises(ValueError, match="must be one location"):
+            dataclasses.replace(tri3_network, locations=locations)

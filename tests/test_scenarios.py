@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from tugplan import (ScenarioConfig, ScenarioSet, build_network, generate_scenarios,
-                     load_instance, sample_multiplier, scenario_set_from_dict,
-                     scenario_set_to_dict, simulate_route, single_scenario)
+from tugplan import (RoutePlan, ScenarioConfig, ScenarioSet, build_network, build_stochastic,
+                     compute_big_m, generate_scenarios, load_instance, replay_failures,
+                     sample_multiplier, scenario_set_from_dict, scenario_set_to_dict,
+                     simulate_route, single_scenario, solve_alpha_zero_fast, solve_stochastic)
 from tugplan import scenarios
 from tugplan.scenarios import (SCENARIO_STREAM, _pcg64_state, _seed_states, sample_multipliers,
                                sample_time_matrix, scenario_rng)
@@ -448,3 +450,28 @@ def test_scenario_sets_compare_and_hash_by_identity(tri3_network):
     assert first == first and first != second
     assert hash(first) == hash(first)
     assert len({first, second, first}) == 2
+
+
+# Every entry point that takes a network and a scenario set, as (network, set).
+_ENTRIES = {
+    "solve_stochastic": solve_stochastic,
+    "solve_alpha_zero_fast": solve_alpha_zero_fast,
+    "compute_big_m": compute_big_m,
+    "build_stochastic": lambda network, scen: build_stochastic(network, scen, 0.0),
+    "replay_failures": lambda network, scen: replay_failures(
+        RoutePlan(routes=((0, 1, 3, 2, 4, 5),), n=2), network, scen),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_set_of_another_network_rejected(tri3_network, factory6_network, entry):
+    foreign = generate_scenarios(factory6_network, ScenarioConfig(count=3, seed=1))
+    with pytest.raises(ValueError, match=r"shape \(14, 14\).*shape \(6, 6\)"):
+        _ENTRIES[entry](tri3_network, foreign)
+
+
+def test_set_of_other_times_rejected(tri3_network):
+    slower = dataclasses.replace(tri3_network, travel_time=tri3_network.travel_time * 2)
+    foreign = generate_scenarios(slower, ScenarioConfig(count=3, seed=1))
+    with pytest.raises(ValueError, match="does not belong to this network"):
+        solve_stochastic(tri3_network, foreign)

@@ -153,7 +153,9 @@ class PdpNetwork:
     shortest-path time matrix in seconds (symmetric, zero diagonal, metric),
     `travel_dist` the same in meters.  `open_time`/`close_time` are the window
     bounds per node; deliveries and depots open at 0, and the depot hop is
-    free in time and distance.  Networks compare and hash by identity:
+    free in time and distance.  Every per-node field has one entry per node
+    and `task_ids` one per task; a network that breaks a shape or a fixed
+    window raises `ValueError`.  Networks compare and hash by identity:
     arrays have no single truth value.
     """
 
@@ -168,6 +170,16 @@ class PdpNetwork:
     travel_dist: np.ndarray
 
     def __post_init__(self):
+        nv = self.size
+        for name, shape in (("open_time", (nv,)), ("close_time", (nv,)),
+                            ("travel_time", (nv, nv)), ("travel_dist", (nv, nv)),
+                            ("locations", (nv,)), ("labels", (nv,)), ("task_ids", (self.n,))):
+            value = getattr(self, name)
+            # len() spares the name tuples a conversion to an array.
+            got = (len(value),) if isinstance(value, tuple) else np.shape(value)
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}; a network of {self.n} tasks "
+                                 f"needs {shape}")
         for arr in (self.open_time, self.close_time, self.travel_time, self.travel_dist):
             arr.setflags(write=False)
         for v in (0, *self.deliveries, self.terminal):

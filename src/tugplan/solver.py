@@ -41,13 +41,17 @@ arc-wise maxima of the scenario matrices; float addition and max are
 monotone, so it bounds every scenario's time exactly as the per-scenario
 recursion rounds it.  With one scenario the bound is the time itself, so
 windows and the lookahead are decided in float arithmetic alone and any miss
-prunes.  With several, a bound that meets a window meets it in every
-scenario, so the child keeps its parent's alive mask and dead mass and
-computes its per-scenario times only when something reads them: a later step
-whose bound misses a window, the lookahead, or a delivery's coupling to its
-pickup.  Only a bound that misses steps the scenario vector at once.  Each
-node's vector is computed at most once and the decisions are those of
-stepping every candidate.
+prunes.  With several, a node's `alive` vector holds each scenario's
+probability, 0.0 once the scenario has missed a window, so a mass test is
+one dot product with the mask of scenarios it tests.  A bound that meets a
+window meets it in every scenario, so the child shares its parent's `alive`
+vector and dead mass and computes its per-scenario times only when something
+reads them: a later step whose bound misses a window, the lookahead, or a
+delivery's coupling to its pickup.  Only a bound that misses steps the
+scenario vector at once, and only a step that loses live mass copies
+`alive`.  Each node's vector is computed at most once, a pickup's coupled
+row at most once per pickup node, and the decisions are those of stepping
+every candidate.
 
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
@@ -56,19 +60,26 @@ current node: `now > latest[cur][i] = b[i+n] + margin - closure[cur][i+n]`,
 where `closure` is the all-pairs shortest-path closure of the search's own
 scenario matrices.  The closure, not the direct arc, is what makes this
 exact: sampled scenario matrices and the fast path's element-wise supremum
-break the triangle inequality, so a detour can beat the direct arc, and
-scenario solves run one Floyd-Warshall each.  Any completion reaches `i+n` no
-earlier than `now + closure[cur][i+n]`, and the margin (1e-6 s, above the
-window tolerance) keeps float rounding from cutting a branch the exact window
-checks would accept.  The nominal matrix holds shortest-path times already
-and is passed as its own closure: the two differ at most by the rounding of a
-sum of quotients, which the margin absorbs.
+break the triangle inequality, so a detour can beat the direct arc.  Any
+completion reaches `i+n` no earlier than `now + closure[cur][i+n]`, and the
+margin (1e-6 s, above the window tolerance) keeps float rounding from cutting
+a branch the exact window checks would accept.  The nominal matrix holds
+shortest-path times already and is passed as its own closure: the two differ
+at most by the rounding of a sum of quotients, which the margin absorbs.
 With several scenarios the lookahead prunes once the dead mass plus the mass
 of the still-alive scenarios so doomed exceeds alpha; it leaves `alive`
 untouched, and runs the per-scenario test only where the float bound passes
-the earliest cut-off.  Only subtrees without a feasible leaf are cut and the
-exploration order is unchanged, so incumbents, the returned plan and its
-objective are exactly those of the search without the lookahead.
+the earliest cut-off.  The stack's closure is built on first use: the search
+starts from the cut-offs of the closure of the arc-wise maxima, one matrix
+that dominates every scenario's, so by the monotonicity of float addition
+and min its cut-offs lie at or below every scenario's.  The first time a
+node's bound or the seed's passes one of them, one Floyd-Warshall over the
+stack replaces them with the exact earliest cut-offs and builds the
+per-scenario ones, and the test is taken again; a search whose bounds pass
+none, as on loose windows, never closes the stack.  Only subtrees without a
+feasible leaf are cut and the exploration order is unchanged, so incumbents,
+the returned plan and its objective are exactly those of the search without
+the lookahead.
 
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
@@ -112,6 +123,10 @@ STATUS_TIME_LIMIT_INCUMBENT = "time-limit-with-incumbent"
 STATUS_TIME_LIMIT_NO_INCUMBENT = "time-limit-no-incumbent"
 
 _EPS = 1e-9
+# Slack of every mass test against alpha.  A mass is a sum of at most S
+# probabilities; taken in another order (numpy's pairwise sum, a dot
+# product) it moves by a few ulps of itself, about 1e-16, so only a mass
+# within that distance of alpha + _MASS_EPS could be decided otherwise.
 _MASS_EPS = 1e-12
 # Slack of the deadline lookahead, in seconds for times and in probability
 # for masses: far above the rounding of a sum taken in another order.
@@ -262,14 +277,22 @@ class _Search:
     exact at S = 1), `scen`, `travelled`, `mask` (the tracked locations still
     hosting an unvisited task node) and `todo` (bit j set while pickup j is
     unvisited; a pickup child clears its bit).  `scen` is None at
-    S = 1, else `[times, alive, mass, parent, cur, j]`: per-scenario times,
-    alive mask and dead mass, with `times` None until `_times` steps it from
-    the parent's `scen` along the arc (cur, j).  `pick_scen[i]` is onboard
-    pickup i's `scen`, which a delivery's coupling reads.
+    S = 1, else `[times, alive, mass, parent, cur, j, coupled]`:
+    per-scenario times, the probability vector of the alive scenarios (0.0
+    for a dead one) and the dead mass, with `times` None until `_times`
+    steps it from the parent's `scen` along the arc (cur, j).  A pickup's
+    `coupled` is None until `_coupled` sets it to `times + t[i][i+n]`, the
+    row its delivery's coupling reads.  `pick_scen[i]` is onboard pickup i's
+    `scen`.
+
+    `closure` is the shortest-path closure of the arc-wise maxima of
+    `times`, an [nv, nv] matrix, or None to build it here.  It alone gives
+    the lookahead's cut-offs at S = 1; at S > 1 it gives the starting
+    earliest cut-offs, and `_close_stack` makes them exact on first use.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 closure: np.ndarray, config: SolveConfig):
+                 closure: np.ndarray | None, config: SolveConfig):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
@@ -290,23 +313,21 @@ class _Search:
         self.a_l = network.open_time.tolist()
         self.b_l = (network.close_time + _EPS).tolist()
 
-        # latest[s, cur, i]: the last time at `cur` from which delivery i+n
-        # is still reachable by its deadline in scenario s (column 0 unused).
-        deliveries = slice(self.n + 1, self.terminal)
-        latest = np.full((times.shape[0], network.size, self.n + 1), math.inf)
-        latest[:, :, 1:] = (network.close_time[deliveries] + _LOOKAHEAD_MARGIN
-                            - closure[:, :, deliveries])
+        t_max = times.max(axis=0) if self.vector else times[0]
+        self.t_max = t_max.tolist()
+        if closure is None:
+            closure = shortest_path_closure(t_max)
+        # The float side of the lookahead: a node whose `now` passes no
+        # earliest cut-off is safe in every scenario.  At S > 1 these start
+        # at or below the exact ones until `_close_stack`.
+        self.latest_min = self._cutoffs(closure).tolist()
+        # latest_fs[cur, i, s]: the cut-off of scenario s, None until the
+        # stack is closed; at S = 1 the cut-offs are exact from the start.
+        self.latest_fs: np.ndarray | None = None
+        self.closed = not self.vector
         if self.vector:
-            self.t_max = times.max(axis=0).tolist()
-            # The float side of the lookahead: a node whose `now` passes no
-            # earliest cut-off is safe in every scenario.
-            self.latest_min = latest.min(axis=0).tolist()
             # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
             self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
-            self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
-        else:
-            self.t_max = times[0].tolist()
-            self.latest_min = latest[0].tolist()
 
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
@@ -329,6 +350,40 @@ class _Search:
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
 
+    def _cutoffs(self, closure: np.ndarray) -> np.ndarray:
+        """`latest[..., cur, i]`: the last time at `cur` from which delivery
+        i+n is still reachable by its deadline over the [..., nv, nv]
+        `closure` (column 0 unused)."""
+        deliveries = slice(self.n + 1, self.terminal)
+        latest = np.full(closure.shape[:-1] + (self.n + 1,), math.inf)
+        latest[..., 1:] = (self.network.close_time[deliveries] + _LOOKAHEAD_MARGIN
+                           - closure[..., deliveries])
+        return latest
+
+    def _close_stack(self) -> None:
+        """Replace the starting cut-offs with the exact earliest ones and
+        build the per-scenario cut-offs: one Floyd-Warshall over the
+        stack."""
+        latest = self._cutoffs(shortest_path_closure(self.times))
+        self.latest_min = latest.min(axis=0).tolist()
+        self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
+        self.closed = True
+
+    def _meets_cutoffs(self, j: int, w: float, onboard: list[int]) -> bool:
+        """Whether the bound `w` at `j` meets the exact earliest cut-off of
+        every onboard delivery and, for a pickup, of its own."""
+        late = self.latest_min[j]
+        if not (j <= self.n and w > late[j]):
+            for i in onboard:
+                if w > late[i]:
+                    break
+            else:
+                return True
+        if self.closed:
+            return False
+        self._close_stack()
+        return self._meets_cutoffs(j, w, onboard)
+
     def stats(self) -> SearchStats:
         return SearchStats(nodes_explored=self.calls + self.bound_prunes,
                            bound_prunes=self.bound_prunes,
@@ -341,7 +396,10 @@ class _Search:
         self.dead_mass = float(self.probs[dead].sum()) if dead.any() else 0.0
         if self.dead_mass > self.alpha + _MASS_EPS:
             return
-        scen = [np.zeros(len(dead)), ~dead, self.dead_mass, None, 0, 0] if self.vector else None
+        scen = None
+        if self.vector:
+            scen = [np.zeros(len(dead)), np.where(dead, 0.0, self.probs), self.dead_mass,
+                    None, 0, 0, None]
         # Every tracked location hosts a task node, so the root's mask, the
         # table's last row, holds them all.
         self.root_bound = self.table[-1][self.loc[0]]
@@ -376,7 +434,7 @@ class _Search:
         runs out with pickups left.
         """
         n, terminal = self.n, self.terminal
-        t, a, b, d, latest = self.t_max, self.a_l, self.b_l, self.d, self.latest_min
+        t, a, b, d = self.t_max, self.a_l, self.b_l, self.d
         todo = list(range(1, n + 1))
         pick_hi = [0.0] * (n + 1)
         routes: list[tuple[int, ...]] = []
@@ -403,13 +461,7 @@ class _Search:
                         continue
                     # A delivery meets its own pickup's cut-off with its
                     # window; a pickup adds its own.
-                    late = latest[j]
-                    if j <= n and w > late[j]:
-                        continue
-                    for i in onboard:
-                        if w > late[i]:
-                            break
-                    else:
+                    if self._meets_cutoffs(j, w, onboard):
                         best, best_w, best_d = j, w, d_cur[j]
                 if not best:
                     break
@@ -435,44 +487,59 @@ class _Search:
         """The node's per-scenario times, stepped from its parent's on first
         use."""
         if scen[0] is None:
-            _, _, _, parent, cur, j = scen
+            parent, cur, j = scen[3:6]
             scen[0] = self._arrive(self._times(parent), cur, j)
         return scen[0]
+
+    def _coupled(self, pick: int) -> np.ndarray:
+        """Onboard pickup `pick`'s times plus its direct arc to its
+        delivery, computed on first use."""
+        scen = self.pick_scen[pick]
+        if scen[6] is None:
+            scen[6] = self._times(scen) + self.t_fs[pick, pick + self.n]
+        return scen[6]
 
     def _arrive(self, cur_times: np.ndarray, cur: int, j: int) -> np.ndarray:
         """Per-scenario service times at `j` after `cur`, opening or coupling included."""
         arr = cur_times + self.t_fs[cur, j]
         if j <= self.n:
-            return np.maximum(arr, self.a_l[j])
+            return np.maximum(arr, self.a_l[j], out=arr)
         if j < self.terminal:
             # The pickup is an ancestor on the current route, so its entry
             # stays in place for as long as this subtree is searched.
-            pick = j - self.n
-            arr = np.maximum(arr, self._times(self.pick_scen[pick]) + self.t_fs[pick, j])
+            np.maximum(arr, self._coupled(j - self.n), out=arr)
         return arr
 
     def _vector_step(self, scen: list, cur: int, j: int) -> list | None:
         """The per-scenario state at `j` after `cur`, or None once the mass
         of scenarios that miss a window exceeds alpha."""
-        alive, dead_mass = scen[1], scen[2]
+        alive = scen[1]
         new_times = self._arrive(self._times(scen), cur, j)
-        violated = alive & (new_times > self.b_l[j])
-        new_mass = dead_mass + float(self.probs[violated].sum())
+        violated = new_times > self.b_l[j]
+        lost = alive.dot(violated)
+        new_mass = scen[2] + lost
         if new_mass > self.alpha + _MASS_EPS:
             return None
-        return [new_times, alive & ~violated, new_mass, None, cur, j]
+        if lost:
+            alive = np.where(violated, 0.0, alive)
+        return [new_times, alive, new_mass, None, cur, j, None]
 
     def _doomed(self, scen: list, cur: int, now: float) -> bool:
         """Whether the scenarios that can no longer reach some onboard
         deadline push the dead mass above alpha."""
-        cur_times, alive, dead_mass = self._times(scen), scen[1], scen[2]
-        latest_min = self.latest_min[cur]
-        doomed = np.zeros(len(alive), dtype=bool)
+        if not self.closed:
+            self._close_stack()
+        cur_times, latest_min = self._times(scen), self.latest_min[cur]
+        doomed = None
         for i in self.onboard:
             if now > latest_min[i]:
-                doomed |= cur_times > self.latest_fs[cur, i]
-        return (dead_mass + float(self.probs[alive & doomed].sum())
-                > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
+                late = cur_times > self.latest_fs[cur, i]
+                if doomed is None:
+                    doomed = late
+                else:
+                    doomed |= late
+        return (doomed is not None
+                and scen[2] + scen[1].dot(doomed) > self.alpha + _MASS_EPS + _LOOKAHEAD_MARGIN)
 
     def _extend(self, cur: int, now: float, scen: list | None, travelled: float,
                 mask: int, todo: int) -> None:
@@ -515,7 +582,7 @@ class _Search:
                     self.window_prunes += 1
                     continue
             elif vector:
-                new_scen = [None, scen[1], scen[2], scen, cur, j]
+                new_scen = [None, scen[1], scen[2], scen, cur, j, None]
             # Cut once no completion can beat the incumbent strictly: only a
             # strict improvement replaces it, so a tie would be dropped anyway.
             u, child_mask = loc[j], mask
@@ -549,7 +616,7 @@ class _Search:
                     self.window_prunes += 1
                     continue
             elif vector:
-                new_scen = [None, scen[1], scen[2], scen, cur, j]
+                new_scen = [None, scen[1], scen[2], scen, cur, j, None]
             u, child_mask = loc[j], mask
             if left[u] == 1:
                 child_mask ^= bit[j]
@@ -598,7 +665,7 @@ class _Search:
             return
         if vector:
             alive, dead_mass = new_scen[1], new_scen[2]
-            new_scen = [np.zeros(len(alive)), alive, dead_mass, None, 0, 0]
+            new_scen = [np.zeros(len(alive)), alive, dead_mass, None, 0, 0, None]
         # Closing from the start node with pickups left was rejected above, so
         # the closed route is non-idle and `closed[1]` is its first pickup.
         self.routes.append(closed)
@@ -748,11 +815,13 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
     return (coupled > network.close_time[deliveries] + _EPS).any(axis=1)
 
 
-def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, closure: np.ndarray,
-           config: SolveConfig, report_set: ScenarioSet | None) -> Solution:
+def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
+           closure: np.ndarray | None, config: SolveConfig,
+           report_set: ScenarioSet | None) -> Solution:
     """Search the [S, nv, nv] stack `times` with probabilities `probs`, whose
-    shortest-path closure is `closure`; report the schedule, ignored set and
-    limiting scenarios on `report_set`.  `report_set=None` reports a single
+    arc-wise maxima have the shortest-path closure `closure` (None: the
+    search builds it); report the schedule, ignored set and limiting
+    scenarios on `report_set`.  `report_set=None` reports a single
     realization of the one-matrix stack: a 2-D schedule and no scenario
     data."""
     search = _Search(network, times, probs, closure, config)
@@ -794,8 +863,8 @@ def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) 
     # The nominal matrix is a shortest-path metric already: it is its own
     # closure up to the rounding of a sum of quotients, which the
     # lookahead's margin absorbs.
-    nominal = network.travel_time[np.newaxis]
-    return _solve(network, nominal, np.ones(1), nominal, config, None)
+    return _solve(network, network.travel_time[np.newaxis], np.ones(1), network.travel_time,
+                  config, None)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
@@ -803,8 +872,7 @@ def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
     check_network(scenarios, network)
-    times = scenarios.travel_times
-    return _solve(network, times, scenarios.probabilities, shortest_path_closure(times),
+    return _solve(network, scenarios.travel_times, scenarios.probabilities, None,
                   config or SolveConfig(), scenarios)
 
 
@@ -829,7 +897,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
         raise ValueError("the fast path requires alpha = 0")
     check_network(scenarios, network)
     worst = scenarios.travel_times.max(axis=0, keepdims=True)
-    return _solve(network, worst, np.ones(1), shortest_path_closure(worst), config, scenarios)
+    return _solve(network, worst, np.ones(1), None, config, scenarios)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,

@@ -1,9 +1,11 @@
-"""Pin nominal plans at the solver's frontier, outside the tier-1 suite.
+"""Pin plans at the solver's frontier, outside the tier-1 suite.
 
 Checks the status, the objective and the sha256 of the routes of det solves
 on generated factory instances with nine tight-window and ten loose-window
-tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller ones.  Each
-solve takes about 0.2-2.6 s.  Run from the repository root:
+tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller ones, and of
+sto solves on 30 scenarios of eight tight-window tasks, seed 2, at alpha 0
+and 0.1: the scenario search's largest pinned trees, 110k and 132k nodes.
+Each solve takes about 0.2-2.6 s.  Run from the repository root:
 
     PYTHONPATH=src python tests/frontier_pins.py
 
@@ -29,14 +31,26 @@ PINS = [
      "e3c511c0be06de145703e6c190ae246f0f4c12284c1ed0ac3b457f03f0190de1"),
 ]
 
+# sto rows lead with alpha.
+STO_PINS = [
+    (0.0, "tight", 8, 2, "optimal", 207.0,
+     "fc16e6a40bafdff7c63a8eaadcc84c055dcf98827dd5c8e7f45ba94ad0bcb8a3"),
+    (0.1, "tight", 8, 2, "optimal", 207.0,
+     "c3f735c06eda8a18ac6d0e393ab6b23a36dd424ffec33126ad5815831275e84f"),
+]
+
 
 def main() -> int:
+    cases = [(f"det {windows}", ("det", windows, n, seed), row)
+             for windows, n, seed, *row in PINS]
+    cases += [(f"sto alpha={alpha} {windows}", ("sto", windows, n, seed, alpha), row)
+              for alpha, windows, n, seed, *row in STO_PINS]
     moved = 0
-    for windows, n, seed, *pinned in PINS:
-        got = outcome("det", windows, n, seed)
+    for label, args, pinned in cases:
+        got = outcome(*args)
         ok = got == tuple(pinned)
         moved += not ok
-        print(f"det {windows} n={n} seed={seed}: {'ok' if ok else f'moved to {got}'}")
+        print(f"{label} n={args[2]} seed={args[3]}: {'ok' if ok else f'moved to {got}'}")
     return 1 if moved else 0
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -400,3 +401,29 @@ class TestNetworkFixedWindows:
         locations = tri3_network.locations[:-1] + (tri3_network.locations[1],)
         with pytest.raises(ValueError, match="must be one location"):
             dataclasses.replace(tri3_network, locations=locations)
+
+
+# (field, a value for tri3, its shape, the shape tri3 needs); tri3 has two
+# tasks and six nodes.
+_SHAPE_CASES = [
+    ("open_time", np.zeros(3), "(3,)", "(6,)"),
+    ("close_time", np.full(3, 200.0), "(3,)", "(6,)"),
+    ("travel_time", np.zeros((3, 3)), "(3, 3)", "(6, 6)"),
+    ("travel_dist", np.zeros((3, 3)), "(3, 3)", "(6, 6)"),
+    ("locations", ("DEP", "A", "DEP"), "(3,)", "(6,)"),
+    ("labels", ("Depot",), "(1,)", "(6,)"),
+    ("task_ids", ("T1", "T2", "T3"), "(3,)", "(2,)"),
+]
+
+
+class TestNetworkShapes:
+    """A field of another size is rejected by name before any window test
+    reads it: a short `open_time` or travel matrix used to raise a bare
+    IndexError, and a short `close_time` passed."""
+
+    @pytest.mark.parametrize("field, value, got, want", _SHAPE_CASES,
+                             ids=[case[0] for case in _SHAPE_CASES])
+    def test_wrong_shape_named(self, tri3_network, field, value, got, want):
+        message = f"{field} has shape {got}; a network of 2 tasks needs {want}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(tri3_network, **{field: value})

@@ -27,9 +27,9 @@ gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen)
 
 
-def outcome(mode: str, windows: str, n: int, seed: int) -> tuple:
+def outcome(mode: str, windows: str, n: int, seed: int, alpha: float = 0.1) -> tuple:
     """(status, objective, sha256 of the routes' JSON) of one solve; the
-    digest is None without a plan.  `mode` "sto" solves at alpha = 0.1 and
+    digest is None without a plan.  `mode` "sto" solves at `alpha` and
     "sto-fast" at 0, both on 30 scenarios."""
     doc = gen.factory_instance(seed, n, windows)
     network = build_network(load_instance(json.dumps(doc)))
@@ -38,7 +38,7 @@ def outcome(mode: str, windows: str, n: int, seed: int) -> tuple:
     else:
         scenarios = generate_scenarios(network, ScenarioConfig(count=30, seed=seed))
         if mode == "sto":
-            solution = solve_stochastic(network, scenarios, SolveConfig(alpha=0.1))
+            solution = solve_stochastic(network, scenarios, SolveConfig(alpha=alpha))
         else:
             solution = solve_alpha_zero_fast(network, scenarios)
     digest = None

@@ -640,11 +640,151 @@ class TestOneEngine:
             assert tuple(np.flatnonzero(solution.schedule.ignored)) == reference.ignored
 
 
+def _weighted(network, scen, rng, alpha):
+    """`scen`'s draws under non-uniform probabilities: scenario 0 gets none,
+    the last exactly `alpha`, and the others share the rest by a Dirichlet
+    draw."""
+    probs = np.zeros(scen.count)
+    probs[-1] = alpha
+    probs[1:-1] = (1.0 - alpha) * rng.dirichlet(np.ones(scen.count - 2))
+    return ScenarioSet(multipliers=scen.multipliers, nominal=network.travel_time,
+                       probabilities=probs)
+
+
+def _closure_shapes(monkeypatch):
+    """The shapes the solver's Floyd-Warshall calls close, in call order."""
+    shapes = []
+
+    def counted(lengths):
+        shapes.append(lengths.shape)
+        return shortest_path_closure(lengths)
+
+    monkeypatch.setattr(solver_module, "shortest_path_closure", counted)
+    return shapes
+
+
+class TestScenarioVector:
+    def test_weighted_scenarios_match_oracle(self):
+        # Every mass test reads the probabilities themselves: a zero-mass
+        # scenario may fail freely, one of mass alpha may fail alone, and
+        # the others weigh unequally.
+        rng = np.random.default_rng(2024)
+        optima = window = lookahead = 0
+        for trial in range(60):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness=("tight", "mixed")[trial % 2])
+            count = int(rng.integers(3, 6))
+            drawn = generate_scenarios(network, ScenarioConfig(count=count, seed=trial))
+            for alpha in (0.0, 0.34):
+                scen = _weighted(network, drawn, rng, alpha)
+                solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))
+                reference = oracle_solve(network, scen.travel_times, scen.probabilities, alpha)
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+                    optima += 1
+                window += solution.stats.window_prunes
+                lookahead += solution.stats.lookahead_prunes
+        assert optima >= 30
+        assert window > 0 and lookahead > 0
+
+    def test_lazy_closure_decides_as_closing_up_front(self):
+        # The search starts from the cut-offs of the arc-wise maxima and
+        # closes the stack the first time a bound passes one; a search that
+        # closes it before its seed takes every decision alike, the seed's
+        # included.
+        rng = np.random.default_rng(515)
+        closed = 0
+        for trial in range(90):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness=("tight", "mixed", "loose")[trial % 3])
+            scen = generate_scenarios(network, ScenarioConfig(count=4, seed=trial))
+            config = SolveConfig(alpha=(0.0, 0.25)[trial % 2])
+            outcomes = []
+            for up_front in (False, True):
+                search = solver_module._Search(network, scen.travel_times, scen.probabilities,
+                                               None, config)
+                if up_front:
+                    search._close_stack()
+                else:
+                    lazy = search
+                search.run()
+                outcomes.append((search.best_plan, search.best_obj, search.stats()))
+            closed += lazy.closed
+            assert outcomes[0] == outcomes[1]
+        assert 0 < closed < 90
+
+    def test_seed_retests_a_passed_cutoff(self):
+        # Line DEP-A-B with C and D off B; B-C is 10 s direct or through D.
+        # T1 A->C is due at 35 s, T2 B->D at 100 s.  Scenario 0 slows B-C
+        # and scenario 1 D-C fivefold, so each still reaches C from B in
+        # 10 s, but the arc-wise maxima take 30 s: the starting cut-off at B
+        # for T1 is 5 s, the exact one 25 s.  The seed meets B at 20 s after
+        # A, must close the stack and keep B, and then finds no delivery in
+        # time: no seed.  Cutting B on the starting cut-off would seed
+        # 0-1-3-2-4-5.
+        doc = {"layout": {"nodes": ["DEP", "A", "B", "C", "D"],
+                          "edges": [["DEP", "A", 15.0], ["A", "B", 15.0], ["B", "C", 15.0],
+                                    ["B", "D", 7.5], ["D", "C", 7.5]]},
+               "tasks": [{"id": "T1", "from": "A", "to": "C",
+                          "earliest_pickup_s": 0, "latest_delivery_s": 35},
+                         {"id": "T2", "from": "B", "to": "D",
+                          "earliest_pickup_s": 0, "latest_delivery_s": 100}],
+               "vehicles": 2, "depot": "DEP", "speed": 1.5, "horizon": 200}
+        network = build_network(load_instance(json.dumps(doc)))
+        nv = network.size
+        mults = np.ones((2, nv, nv))
+        mults[0, 2, 3] = mults[0, 3, 2] = 5.0
+        mults[1, 3, 4] = mults[1, 4, 3] = 5.0
+        scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
+                           probabilities=np.array([0.5, 0.5]))
+        search = solver_module._Search(network, scen.travel_times, scen.probabilities, None,
+                                       SolveConfig())
+        assert search.latest_min[2][1] < 20.0 and not search.closed
+        assert search._nearest_next() is None
+        assert search.closed and search.latest_min[2][1] > 20.0
+        solution = solve_stochastic(network, scen)
+        reference = oracle_solve(network, scen.travel_times, scen.probabilities, 0.0)
+        assert solution.plan.routes == reference.plan == ((0, 1, 3, 2, 4, 5), (0, 5))
+        assert solution.stats.seed_m is None
+
+    def test_loose_solve_closes_one_matrix(self, tri3_wide_network, monkeypatch):
+        # No bound passes a cut-off of tri3_wide's far deadlines, so the
+        # stack is never closed.
+        shapes = _closure_shapes(monkeypatch)
+        scen = generate_scenarios(tri3_wide_network, ScenarioConfig(count=30, seed=0))
+        solution = solve_stochastic(tri3_wide_network, scen)
+        assert solution.status == STATUS_OPTIMAL
+        assert shapes == [(6, 6)]
+
+    def test_factory6_closes_the_stack_once(self, factory6_network, monkeypatch):
+        shapes = _closure_shapes(monkeypatch)
+        scen = generate_scenarios(factory6_network, ScenarioConfig(count=30, seed=0))
+        solution = solve_stochastic(factory6_network, scen, SolveConfig(alpha=0.1))
+        assert solution.status == STATUS_OPTIMAL and solution.stats.lookahead_prunes > 0
+        assert shapes == [(14, 14), (30, 14, 14)]
+
+    def test_forced_dead_solve_closes_no_stack(self, tri3_network, monkeypatch):
+        # A stretch of 6 overshoots task 1's deadline on its own arc: the
+        # dead mass stops the solve before its search.
+        shapes = _closure_shapes(monkeypatch)
+        nv = tri3_network.size
+        mults = np.ones((2, nv, nv))
+        mults[1] = 6.0
+        np.fill_diagonal(mults[1], 1.0)
+        scen = ScenarioSet(multipliers=mults, nominal=tri3_network.travel_time,
+                           probabilities=np.full(2, 0.5))
+        solution = solve_stochastic(tri3_network, scen)
+        assert solution.status == STATUS_INFEASIBLE and solution.limiting_scenarios == (1,)
+        assert shapes == [(6, 6)]
+
+
 def _seed_of(network):
     """The nearest-next seed `(distance, plan)` of the nominal search, or
     None."""
     nominal = network.travel_time[np.newaxis]
-    return solver_module._Search(network, nominal, np.ones(1), nominal,
+    return solver_module._Search(network, nominal, np.ones(1), network.travel_time,
                                  SolveConfig())._nearest_next()
 
 
@@ -762,14 +902,14 @@ class TestSearchCounters:
             network = random_network(rng, max_tasks=4, max_vehicles=2,
                                      tightness="mixed" if trial % 2 == 0 else "loose")
             nominal = network.travel_time[np.newaxis]
-            closure = shortest_path_closure(nominal)
+            closure = shortest_path_closure(network.travel_time)
             outcomes = []
-            for own in (nominal, closure):
+            for own in (network.travel_time, closure):
                 search = solver_module._Search(network, nominal, np.ones(1), own, SolveConfig())
                 search.run()
                 outcomes.append((search.best_plan, search.best_obj, search.stats()))
             assert outcomes[0] == outcomes[1]
-            rounded += not np.array_equal(closure, nominal)
+            rounded += not np.array_equal(closure, network.travel_time)
             looked_ahead += outcomes[0][2].lookahead_prunes > 0
         assert rounded >= 5
         assert looked_ahead >= 10

@@ -10,19 +10,20 @@ table over locations: `H[mask][u]` is the shortest walk from location `u`
 through every location in `mask` to the depot.  The rest of the current
 route followed by every later vehicle's route is one such walk from the
 current location over the locations that still host an unvisited task node
-(depot-to-depot hops are free and `travel_dist` is a shortest-path metric),
-so the table bounds every completion; windows, precedence and scenarios are
-dropped, so one table serves every mode.  Each child is tested against it in
-the parent's loop, after its window test and before its state is pushed; a
-cut child is counted as a bound prune only, so the nodes explored are the
-entered nodes plus the bound prunes.  The table tracks at most
-`_TABLE_LOCATIONS` locations, the depot and those hosting the most task
-nodes; the others count for nothing, which keeps it admissible.
-It depends only on the location distances and the tracked set, so
-`_location_table` memoises the last `_TABLE_MEMO` tables under exactly that
-key, with the locations in a canonical order (depot first, then by name) and
-their distances as the bytes of one float64 matrix: re-planning on one
-layout builds a table once per tracked set, not once per solve.
+(depot-to-depot hops are free, and the table hops over the shortest-path
+closure of the location distances), so the table bounds every completion;
+windows, precedence and scenarios are dropped, so one table serves every
+mode.  Each child is tested against it in the parent's loop, after its
+window test and before its state is pushed; a cut child is counted as a
+bound prune only, so the nodes explored are the entered nodes plus the
+bound prunes.  The table tracks at most `_TABLE_LOCATIONS` locations, the
+depot and those hosting the most task nodes; the others count for nothing,
+which keeps it admissible.  It depends only on the location distances and
+the tracked set, so `_location_table` memoises the last `_TABLE_MEMO`
+tables under exactly that key, with the locations in a canonical order
+(depot first, then by name) and their distances as the bytes of one float64
+matrix: re-planning on one layout builds a table once per tracked set, not
+once per solve.
 
 Before the exact pass, `_nearest_next` builds one plan greedily from the
 search's own float bounds, vehicle by vehicle, always moving to the nearest
@@ -63,23 +64,25 @@ exact: sampled scenario matrices and the fast path's element-wise supremum
 break the triangle inequality, so a detour can beat the direct arc.  Any
 completion reaches `i+n` no earlier than `now + closure[cur][i+n]`, and the
 margin (1e-6 s, above the window tolerance) keeps float rounding from cutting
-a branch the exact window checks would accept.  The nominal matrix holds
-shortest-path times already and is passed as its own closure: the two differ
-at most by the rounding of a sum of quotients, which the margin absorbs.
-With several scenarios the lookahead prunes once the dead mass plus the mass
-of the still-alive scenarios so doomed exceeds alpha; it leaves `alive`
-untouched, and runs the per-scenario test only where the float bound passes
-the earliest cut-off.  The stack's closure is built on first use: the search
-starts from the cut-offs of the closure of the arc-wise maxima, one matrix
-that dominates every scenario's, so by the monotonicity of float addition
-and min its cut-offs lie at or below every scenario's.  The first time a
-node's bound or the seed's passes one of them, one Floyd-Warshall over the
-stack replaces them with the exact earliest cut-offs and builds the
-per-scenario ones, and the test is taken again; a search whose bounds pass
-none, as on loose windows, never closes the stack.  Only subtrees without a
-feasible leaf are cut and the exploration order is unchanged, so incumbents,
-the returned plan and its objective are exactly those of the search without
-the lookahead.
+a branch the exact window checks would accept.  With several scenarios the
+lookahead prunes once the dead mass plus the mass of the still-alive
+scenarios so doomed exceeds alpha; it leaves `alive` untouched, and runs the
+per-scenario test only where the float bound passes the earliest cut-off.
+
+The closure is built on first use, by one rule.  Every search starts from
+the cut-offs of its arc-wise maxima themselves: each scenario's closure lies
+at or below its matrix and so at or below the maxima, so these cut-offs lie
+at or below every scenario's.  The first time a node's bound or the seed's
+passes one of them, one Floyd-Warshall over the stack replaces them with the
+exact earliest cut-offs (and at S > 1 builds the per-scenario ones), and the
+test is taken again; a search whose bounds pass none, as on loose windows,
+never closes its stack.  Only det's stack starts closed, recognised by
+identity as a view of the network's nominal matrix, which holds
+shortest-path times already: it differs from its Floyd-Warshall closure at
+most by the rounding of a sum of quotients, which the margin absorbs.  Only
+subtrees without a feasible leaf are cut and the exploration order is
+unchanged, so incumbents, the returned plan and its objective are exactly
+those of the search without the lookahead.
 
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
@@ -284,15 +287,10 @@ class _Search:
     `coupled` is None until `_coupled` sets it to `times + t[i][i+n]`, the
     row its delivery's coupling reads.  `pick_scen[i]` is onboard pickup i's
     `scen`.
-
-    `closure` is the shortest-path closure of the arc-wise maxima of
-    `times`, an [nv, nv] matrix, or None to build it here.  It alone gives
-    the lookahead's cut-offs at S = 1; at S > 1 it gives the starting
-    earliest cut-offs, and `_close_stack` makes them exact on first use.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 closure: np.ndarray | None, config: SolveConfig):
+                 config: SolveConfig):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
@@ -315,16 +313,15 @@ class _Search:
 
         t_max = times.max(axis=0) if self.vector else times[0]
         self.t_max = t_max.tolist()
-        if closure is None:
-            closure = shortest_path_closure(t_max)
         # The float side of the lookahead: a node whose `now` passes no
-        # earliest cut-off is safe in every scenario.  At S > 1 these start
-        # at or below the exact ones until `_close_stack`.
-        self.latest_min = self._cutoffs(closure).tolist()
-        # latest_fs[cur, i, s]: the cut-off of scenario s, None until the
-        # stack is closed; at S = 1 the cut-offs are exact from the start.
+        # earliest cut-off is safe in every scenario.  They start at or below
+        # the exact ones until `_close_stack`, except on det's stack: a view
+        # of the network's own shortest-path times, its own closure.
+        self.latest_min = self._cutoffs(t_max).tolist()
+        # latest_fs[cur, i, s]: the cut-off of scenario s at S > 1, None
+        # until the stack is closed.
         self.latest_fs: np.ndarray | None = None
-        self.closed = not self.vector
+        self.closed = times.base is network.travel_time
         if self.vector:
             # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
             self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
@@ -361,12 +358,13 @@ class _Search:
         return latest
 
     def _close_stack(self) -> None:
-        """Replace the starting cut-offs with the exact earliest ones and
-        build the per-scenario cut-offs: one Floyd-Warshall over the
-        stack."""
+        """Replace the starting cut-offs with the exact earliest ones and,
+        at S > 1, build the per-scenario cut-offs: one Floyd-Warshall over
+        the stack."""
         latest = self._cutoffs(shortest_path_closure(self.times))
         self.latest_min = latest.min(axis=0).tolist()
-        self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
+        if self.vector:
+            self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
         self.closed = True
 
     def _meets_cutoffs(self, j: int, w: float, onboard: list[int]) -> bool:
@@ -524,9 +522,12 @@ class _Search:
             alive = np.where(violated, 0.0, alive)
         return [new_times, alive, new_mass, None, cur, j, None]
 
-    def _doomed(self, scen: list, cur: int, now: float) -> bool:
-        """Whether the scenarios that can no longer reach some onboard
-        deadline push the dead mass above alpha."""
+    def _doomed(self, scen: list | None, cur: int, now: float) -> bool:
+        """Whether the node can no longer reach some onboard deadline: in
+        its one scenario at S = 1, in scenarios that push the dead mass above
+        alpha at S > 1.  Closes the stack first."""
+        if scen is None:
+            return not self._meets_cutoffs(cur, now, self.onboard)
         if not self.closed:
             self._close_stack()
         cur_times, latest_min = self._times(scen), self.latest_min[cur]
@@ -554,7 +555,7 @@ class _Search:
         latest = self.latest_min[cur]
         for i in onboard:
             if now > latest[i]:
-                if scen is None or self._doomed(scen, cur, now):
+                if scen is None and self.closed or self._doomed(scen, cur, now):
                     self.lookahead_prunes += 1
                     return
                 break
@@ -711,7 +712,9 @@ def _location_table(dist: bytes, tracked: tuple[int, ...]) -> tuple[tuple[float,
     the locations, so the canonical order changes no value.
     """
     count = math.isqrt(len(dist) // 8)
-    d = np.frombuffer(dist).reshape(count, count).tolist()
+    # Over the closure, every walk's hops bound it even where the distances
+    # break the triangle inequality.
+    d = shortest_path_closure(np.frombuffer(dist).reshape(count, count)).tolist()
     table = [tuple(row[0] for row in d)]
     for mask in range(1, 1 << len(tracked)):
         steps = [(u, table[mask ^ (1 << b)]) for b, u in enumerate(tracked) if mask >> b & 1]
@@ -815,16 +818,13 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
     return (coupled > network.close_time[deliveries] + _EPS).any(axis=1)
 
 
-def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-           closure: np.ndarray | None, config: SolveConfig,
+def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: SolveConfig,
            report_set: ScenarioSet | None) -> Solution:
-    """Search the [S, nv, nv] stack `times` with probabilities `probs`, whose
-    arc-wise maxima have the shortest-path closure `closure` (None: the
-    search builds it); report the schedule, ignored set and limiting
-    scenarios on `report_set`.  `report_set=None` reports a single
-    realization of the one-matrix stack: a 2-D schedule and no scenario
-    data."""
-    search = _Search(network, times, probs, closure, config)
+    """Search the [S, nv, nv] stack `times` with probabilities `probs`;
+    report the schedule, ignored set and limiting scenarios on
+    `report_set`.  `report_set=None` reports a single realization of the
+    one-matrix stack: a 2-D schedule and no scenario data."""
+    search = _Search(network, times, probs, config)
     search.run()
     stats = search.stats()
 
@@ -860,11 +860,9 @@ def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) 
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the deterministic solve requires alpha = 0")
-    # The nominal matrix is a shortest-path metric already: it is its own
-    # closure up to the rounding of a sum of quotients, which the
-    # lookahead's margin absorbs.
-    return _solve(network, network.travel_time[np.newaxis], np.ones(1), network.travel_time,
-                  config, None)
+    # A view, not a copy: only the network's own matrix starts the search's
+    # stack closed.
+    return _solve(network, network.travel_time[np.newaxis], np.ones(1), config, None)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
@@ -872,7 +870,7 @@ def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
     check_network(scenarios, network)
-    return _solve(network, scenarios.travel_times, scenarios.probabilities, None,
+    return _solve(network, scenarios.travel_times, scenarios.probabilities,
                   config or SolveConfig(), scenarios)
 
 
@@ -897,7 +895,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
         raise ValueError("the fast path requires alpha = 0")
     check_network(scenarios, network)
     worst = scenarios.travel_times.max(axis=0, keepdims=True)
-    return _solve(network, worst, np.ones(1), None, config, scenarios)
+    return _solve(network, worst, np.ones(1), config, scenarios)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,

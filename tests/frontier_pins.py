@@ -2,10 +2,13 @@
 
 Checks the status, the objective and the sha256 of the routes of det solves
 on generated factory instances with nine tight-window and ten loose-window
-tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller ones, and of
+tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller ones; of
 sto solves on 30 scenarios of eight tight-window tasks, seed 2, at alpha 0
-and 0.1: the scenario search's largest pinned trees, 110k and 132k nodes.
-Each solve takes about 0.2-2.6 s.  Run from the repository root:
+and 0.1: the scenario search's largest pinned trees, 110k and 132k nodes;
+and of sto-fast solves on the same 30 scenarios of eight tight-window tasks,
+seeds 8 and 10: the one-matrix search's largest pinned trees, 92.5k and
+110k nodes, about half of them lookahead prunes.  Each solve takes about
+0.2-2.6 s.  Run from the repository root:
 
     PYTHONPATH=src python tests/frontier_pins.py
 
@@ -39,12 +42,21 @@ STO_PINS = [
      "c3f735c06eda8a18ac6d0e393ab6b23a36dd424ffec33126ad5815831275e84f"),
 ]
 
+FAST_PINS = [
+    ("tight", 8, 8, "optimal", 300.0,
+     "aa41d5851362815099ca1fa826ba0ca6be7f414898b04a11278f68b6bfd552ca"),
+    ("tight", 8, 10, "optimal", 330.0,
+     "4b38d1ec3ac0c58dc343ef8c6b971f6df55f591beea7e05e928b59cfe4185fe7"),
+]
+
 
 def main() -> int:
     cases = [(f"det {windows}", ("det", windows, n, seed), row)
              for windows, n, seed, *row in PINS]
     cases += [(f"sto alpha={alpha} {windows}", ("sto", windows, n, seed, alpha), row)
               for alpha, windows, n, seed, *row in STO_PINS]
+    cases += [(f"sto-fast {windows}", ("sto-fast", windows, n, seed), row)
+              for windows, n, seed, *row in FAST_PINS]
     moved = 0
     for label, args, pinned in cases:
         got = outcome(*args)

@@ -86,6 +86,10 @@ PINS = [
     ("sto-fast", "tight", 7, 1, "infeasible", None, None),
     ("sto-fast", "tight", 7, 2, "optimal", 246.0,
      "4b09ea475c3e79c31e731e6bfdb7a195fbdaa4518ee835326a060fcff1424bf5"),
+    ("sto-fast", "tight", 7, 8, "optimal", 246.0,
+     "860d642c839730e4c82389a55c43f83ccd0b23525ff48f3f4c21b2bdf59cda92"),
+    ("sto-fast", "tight", 7, 10, "optimal", 297.0,
+     "77c58ffc87fbf0c1207689446c4c133348677e823cf103f8819bc96315687cdd"),
 ]
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -425,7 +427,42 @@ def _first_appearance_table(network):
     return table, loc, [loc_bit[u] for u in loc]
 
 
+def _stretched(network, rng):
+    """`network` with each pair of locations' distances scaled by its own
+    factor in [1, 3); co-located nodes stay 0 m apart."""
+    names = sorted(set(network.locations))
+    at = [names.index(name) for name in network.locations]
+    factors = np.triu(rng.uniform(1.0, 3.0, (len(names), len(names))), 1)
+    scale = (factors + factors.T)[np.ix_(at, at)]
+    return dataclasses.replace(network, travel_dist=network.travel_dist * scale)
+
+
 class TestCompletionTable:
+    def test_non_metric_distances_match_oracle(self):
+        # Stretched distances break the triangle inequality: a detour
+        # through a third location can beat the direct hop.  The table hops
+        # over the closure of the distances, so it still bounds every
+        # completion, and det and sto on the one nominal scenario return the
+        # oracle's plan.  A table over the raw distances overshoots: on
+        # trials 83 and 146 both solves return 164.6 m and 87.6 m where the
+        # oracle finds 141.1 m and 53.3 m.
+        rng = np.random.default_rng(17)
+        detours = 0
+        for trial in range(150):
+            network = _stretched(
+                random_network(rng, max_tasks=3, max_vehicles=2,
+                               tightness=("tight", "mixed", "loose")[trial % 3]), rng)
+            detours += not np.array_equal(shortest_path_closure(network.travel_dist),
+                                          network.travel_dist)
+            reference = oracle_solve_deterministic(network)
+            for solution in (solve_deterministic(network),
+                             solve_stochastic(network, single_scenario(network.travel_time))):
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+        assert detours >= 50
+
     def test_entries_equal_brute_force_walks(self):
         rng = np.random.default_rng(808)
         for _ in range(25):
@@ -652,11 +689,14 @@ def _weighted(network, scen, rng, alpha):
 
 
 def _closure_shapes(monkeypatch):
-    """The shapes the solver's Floyd-Warshall calls close, in call order."""
+    """The shapes the search's Floyd-Warshall calls close, in call order.
+    The completion table's closures are left out: its memo makes them
+    depend on test order."""
     shapes = []
 
     def counted(lengths):
-        shapes.append(lengths.shape)
+        if sys._getframe(1).f_code.co_name != "_location_table":
+            shapes.append(lengths.shape)
         return shortest_path_closure(lengths)
 
     monkeypatch.setattr(solver_module, "shortest_path_closure", counted)
@@ -693,27 +733,30 @@ class TestScenarioVector:
         # The search starts from the cut-offs of the arc-wise maxima and
         # closes the stack the first time a bound passes one; a search that
         # closes it before its seed takes every decision alike, the seed's
-        # included.
+        # included.  So does sto-fast's one-matrix stack.
         rng = np.random.default_rng(515)
-        closed = 0
+        closed = {"sto": 0, "sto-fast": 0}
         for trial in range(90):
             network = random_network(rng, max_tasks=3, max_vehicles=2,
                                      tightness=("tight", "mixed", "loose")[trial % 3])
             scen = generate_scenarios(network, ScenarioConfig(count=4, seed=trial))
-            config = SolveConfig(alpha=(0.0, 0.25)[trial % 2])
-            outcomes = []
-            for up_front in (False, True):
-                search = solver_module._Search(network, scen.travel_times, scen.probabilities,
-                                               None, config)
-                if up_front:
-                    search._close_stack()
-                else:
-                    lazy = search
-                search.run()
-                outcomes.append((search.best_plan, search.best_obj, search.stats()))
-            closed += lazy.closed
-            assert outcomes[0] == outcomes[1]
-        assert 0 < closed < 90
+            stacks = {"sto": (scen.travel_times, scen.probabilities,
+                              SolveConfig(alpha=(0.0, 0.25)[trial % 2])),
+                      "sto-fast": (scen.travel_times.max(axis=0, keepdims=True), np.ones(1),
+                                   SolveConfig())}
+            for mode, (times, probs, config) in stacks.items():
+                outcomes = []
+                for up_front in (False, True):
+                    search = solver_module._Search(network, times, probs, config)
+                    if up_front:
+                        search._close_stack()
+                    else:
+                        lazy = search
+                    search.run()
+                    outcomes.append((search.best_plan, search.best_obj, search.stats()))
+                closed[mode] += lazy.closed
+                assert outcomes[0] == outcomes[1]
+        assert all(0 < count < 90 for count in closed.values()), closed
 
     def test_seed_retests_a_passed_cutoff(self):
         # Line DEP-A-B with C and D off B; B-C is 10 s direct or through D.
@@ -739,7 +782,7 @@ class TestScenarioVector:
         mults[1, 3, 4] = mults[1, 4, 3] = 5.0
         scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
                            probabilities=np.array([0.5, 0.5]))
-        search = solver_module._Search(network, scen.travel_times, scen.probabilities, None,
+        search = solver_module._Search(network, scen.travel_times, scen.probabilities,
                                        SolveConfig())
         assert search.latest_min[2][1] < 20.0 and not search.closed
         assert search._nearest_next() is None
@@ -749,21 +792,42 @@ class TestScenarioVector:
         assert solution.plan.routes == reference.plan == ((0, 1, 3, 2, 4, 5), (0, 5))
         assert solution.stats.seed_m is None
 
-    def test_loose_solve_closes_one_matrix(self, tri3_wide_network, monkeypatch):
+    @pytest.mark.parametrize("solve", [solve_stochastic, solve_alpha_zero_fast],
+                             ids=["sto", "sto-fast"])
+    def test_loose_solve_closes_nothing(self, tri3_wide_network, monkeypatch, solve):
         # No bound passes a cut-off of tri3_wide's far deadlines, so the
         # stack is never closed.
         shapes = _closure_shapes(monkeypatch)
         scen = generate_scenarios(tri3_wide_network, ScenarioConfig(count=30, seed=0))
-        solution = solve_stochastic(tri3_wide_network, scen)
+        solution = solve(tri3_wide_network, scen)
         assert solution.status == STATUS_OPTIMAL
-        assert shapes == [(6, 6)]
+        assert shapes == []
 
-    def test_factory6_closes_the_stack_once(self, factory6_network, monkeypatch):
+    @pytest.mark.parametrize("solve, shape", [
+        (lambda net, scen: solve_stochastic(net, scen, SolveConfig(alpha=0.1)), (30, 14, 14)),
+        (solve_alpha_zero_fast, (1, 14, 14)),
+    ], ids=["sto-0.1", "sto-fast"])
+    def test_factory6_closes_the_stack_once(self, factory6_network, monkeypatch, solve, shape):
         shapes = _closure_shapes(monkeypatch)
         scen = generate_scenarios(factory6_network, ScenarioConfig(count=30, seed=0))
-        solution = solve_stochastic(factory6_network, scen, SolveConfig(alpha=0.1))
+        solution = solve(factory6_network, scen)
         assert solution.status == STATUS_OPTIMAL and solution.stats.lookahead_prunes > 0
-        assert shapes == [(14, 14), (30, 14, 14)]
+        assert shapes == [shape]
+
+    def test_only_the_nominal_view_starts_closed(self, factory6_network, monkeypatch):
+        # det's stack is a view of the network's shortest-path times and is
+        # trusted as its own closure; a one-scenario set of unit multipliers
+        # is equal in value, but not the network's matrix, so its search
+        # closes its stack like any other.
+        shapes = _closure_shapes(monkeypatch)
+        det = solve_deterministic(factory6_network)
+        assert shapes == [] and det.stats.lookahead_prunes > 0
+        unit = single_scenario(factory6_network.travel_time)
+        assert np.array_equal(unit.travel_times[0], factory6_network.travel_time)
+        sto = solve_stochastic(factory6_network, unit)
+        assert shapes == [(1, 14, 14)]
+        assert (sto.plan.routes, sto.objective, sto.stats) == (
+            det.plan.routes, det.objective, det.stats)
 
     def test_forced_dead_solve_closes_no_stack(self, tri3_network, monkeypatch):
         # A stretch of 6 overshoots task 1's deadline on its own arc: the
@@ -777,15 +841,14 @@ class TestScenarioVector:
                            probabilities=np.full(2, 0.5))
         solution = solve_stochastic(tri3_network, scen)
         assert solution.status == STATUS_INFEASIBLE and solution.limiting_scenarios == (1,)
-        assert shapes == [(6, 6)]
+        assert shapes == []
 
 
 def _seed_of(network):
     """The nearest-next seed `(distance, plan)` of the nominal search, or
     None."""
     nominal = network.travel_time[np.newaxis]
-    return solver_module._Search(network, nominal, np.ones(1), network.travel_time,
-                                 SolveConfig())._nearest_next()
+    return solver_module._Search(network, nominal, np.ones(1), SolveConfig())._nearest_next()
 
 
 class TestNearestNextSeed:
@@ -892,23 +955,27 @@ class TestSearchCounters:
         assert solution.stats == expected
 
     def test_nominal_matrix_is_its_own_closure(self):
-        # The deterministic solve hands the search the nominal matrix as its
-        # own shortest-path closure.  On these layouts the Floyd-Warshall
+        # The deterministic search trusts the nominal matrix as its own
+        # shortest-path closure.  On these layouts the Floyd-Warshall
         # closure rounds some entries differently, and the lookahead's margin
-        # must absorb that: both searches take the same decision everywhere.
+        # must absorb that: a search that closes the stack before its seed
+        # takes the same decision everywhere.
         rng = np.random.default_rng(11)
         rounded = looked_ahead = 0
         for trial in range(32):
             network = random_network(rng, max_tasks=4, max_vehicles=2,
                                      tightness="mixed" if trial % 2 == 0 else "loose")
             nominal = network.travel_time[np.newaxis]
-            closure = shortest_path_closure(network.travel_time)
             outcomes = []
-            for own in (network.travel_time, closure):
-                search = solver_module._Search(network, nominal, np.ones(1), own, SolveConfig())
+            for up_front in (False, True):
+                search = solver_module._Search(network, nominal, np.ones(1), SolveConfig())
+                assert search.closed
+                if up_front:
+                    search._close_stack()
                 search.run()
                 outcomes.append((search.best_plan, search.best_obj, search.stats()))
             assert outcomes[0] == outcomes[1]
+            closure = shortest_path_closure(network.travel_time)
             rounded += not np.array_equal(closure, network.travel_time)
             looked_ahead += outcomes[0][2].lookahead_prunes > 0
         assert rounded >= 5

@@ -76,13 +76,11 @@ at or below every scenario's.  The first time a node's bound or the seed's
 passes one of them, one Floyd-Warshall over the stack replaces them with the
 exact earliest cut-offs (and at S > 1 builds the per-scenario ones), and the
 test is taken again; a search whose bounds pass none, as on loose windows,
-never closes its stack.  Only det's stack starts closed, recognised by
-identity as a view of the network's nominal matrix, which holds
-shortest-path times already: it differs from its Floyd-Warshall closure at
-most by the rounding of a sum of quotients, which the margin absorbs.  Only
-subtrees without a feasible leaf are cut and the exploration order is
-unchanged, so incumbents, the returned plan and its objective are exactly
-those of the search without the lookahead.
+never closes its stack.  det's stack is no exception: `build_network`
+gives shortest-path times, but a hand-built network need not.  Only subtrees
+without a feasible leaf are cut and the exploration order is unchanged, so
+incumbents, the returned plan and its objective are exactly those of the
+search without the lookahead.
 
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
@@ -315,13 +313,12 @@ class _Search:
         self.t_max = t_max.tolist()
         # The float side of the lookahead: a node whose `now` passes no
         # earliest cut-off is safe in every scenario.  They start at or below
-        # the exact ones until `_close_stack`, except on det's stack: a view
-        # of the network's own shortest-path times, its own closure.
+        # the exact ones until `_close_stack`.
         self.latest_min = self._cutoffs(t_max).tolist()
         # latest_fs[cur, i, s]: the cut-off of scenario s at S > 1, None
         # until the stack is closed.
         self.latest_fs: np.ndarray | None = None
-        self.closed = times.base is network.travel_time
+        self.closed = False
         if self.vector:
             # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
             self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
@@ -522,12 +519,10 @@ class _Search:
             alive = np.where(violated, 0.0, alive)
         return [new_times, alive, new_mass, None, cur, j, None]
 
-    def _doomed(self, scen: list | None, cur: int, now: float) -> bool:
-        """Whether the node can no longer reach some onboard deadline: in
-        its one scenario at S = 1, in scenarios that push the dead mass above
-        alpha at S > 1.  Closes the stack first."""
-        if scen is None:
-            return not self._meets_cutoffs(cur, now, self.onboard)
+    def _doomed(self, scen: list, cur: int, now: float) -> bool:
+        """Whether the node can no longer reach some onboard deadline in
+        scenarios that push the dead mass above alpha.  Closes the stack
+        first."""
         if not self.closed:
             self._close_stack()
         cur_times, latest_min = self._times(scen), self.latest_min[cur]
@@ -555,7 +550,8 @@ class _Search:
         latest = self.latest_min[cur]
         for i in onboard:
             if now > latest[i]:
-                if scen is None and self.closed or self._doomed(scen, cur, now):
+                if ((self.closed or not self._meets_cutoffs(cur, now, onboard))
+                        if scen is None else self._doomed(scen, cur, now)):
                     self.lookahead_prunes += 1
                     return
                 break
@@ -860,8 +856,6 @@ def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) 
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the deterministic solve requires alpha = 0")
-    # A view, not a copy: only the network's own matrix starts the search's
-    # stack closed.
     return _solve(network, network.travel_time[np.newaxis], np.ones(1), config, None)
 
 

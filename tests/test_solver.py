@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -353,6 +352,30 @@ class TestDeadlineLookahead:
             assert solution.plan.routes == reference.plan
             assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
 
+    def test_non_metric_nominal_times_match_oracle(self):
+        # Stretched times break the triangle inequality in the nominal
+        # matrix itself, so det's lookahead must cut on its closure like
+        # any other stack's.  Trial 430 (3 tasks, 2 vehicles) is where a
+        # det that trusted the network's times as their own closure cut the
+        # oracle's 88 m plan and returned 112 m.
+        rng = np.random.default_rng(17)
+        for trial in range(431):
+            network = _stretched(
+                random_network(rng, max_tasks=3, max_vehicles=2,
+                               tightness=("tight", "mixed", "loose")[trial % 3]),
+                rng, "travel_time")
+            reference = oracle_solve_deterministic(network)
+            for solution in (solve_deterministic(network),
+                             solve_stochastic(network, single_scenario(network.travel_time))):
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+        assert (network.n, network.vehicle_count) == (3, 2)
+        assert reference.objective == pytest.approx(88.0)
+        assert not np.array_equal(shortest_path_closure(network.travel_time),
+                                  network.travel_time)
+
     def test_tight_instances_match_oracle(self):
         # Tight deadlines are where the lookahead fires; every engine and
         # mode must still return the oracle's plan.  Each mode must also
@@ -427,14 +450,15 @@ def _first_appearance_table(network):
     return table, loc, [loc_bit[u] for u in loc]
 
 
-def _stretched(network, rng):
-    """`network` with each pair of locations' distances scaled by its own
-    factor in [1, 3); co-located nodes stay 0 m apart."""
+def _stretched(network, rng, field="travel_dist"):
+    """`network` with each pair of locations' distances (or the matrix
+    `field`) scaled by its own factor in [1, 3); co-located nodes stay
+    0 apart."""
     names = sorted(set(network.locations))
     at = [names.index(name) for name in network.locations]
     factors = np.triu(rng.uniform(1.0, 3.0, (len(names), len(names))), 1)
     scale = (factors + factors.T)[np.ix_(at, at)]
-    return dataclasses.replace(network, travel_dist=network.travel_dist * scale)
+    return dataclasses.replace(network, **{field: getattr(network, field) * scale})
 
 
 class TestCompletionTable:
@@ -689,17 +713,17 @@ def _weighted(network, scen, rng, alpha):
 
 
 def _closure_shapes(monkeypatch):
-    """The shapes the search's Floyd-Warshall calls close, in call order.
-    The completion table's closures are left out: its memo makes them
+    """The shapes of the stacks the searches close, in call order.  The
+    completion table's closures are not counted: its memo makes them
     depend on test order."""
     shapes = []
+    close_stack = solver_module._Search._close_stack
 
-    def counted(lengths):
-        if sys._getframe(1).f_code.co_name != "_location_table":
-            shapes.append(lengths.shape)
-        return shortest_path_closure(lengths)
+    def counted(search):
+        shapes.append(search.times.shape)
+        close_stack(search)
 
-    monkeypatch.setattr(solver_module, "shortest_path_closure", counted)
+    monkeypatch.setattr(solver_module._Search, "_close_stack", counted)
     return shapes
 
 
@@ -814,18 +838,17 @@ class TestScenarioVector:
         assert solution.status == STATUS_OPTIMAL and solution.stats.lookahead_prunes > 0
         assert shapes == [shape]
 
-    def test_only_the_nominal_view_starts_closed(self, factory6_network, monkeypatch):
-        # det's stack is a view of the network's shortest-path times and is
-        # trusted as its own closure; a one-scenario set of unit multipliers
-        # is equal in value, but not the network's matrix, so its search
-        # closes its stack like any other.
+    def test_det_closes_like_a_unit_scenario(self, factory6_network, monkeypatch):
+        # No stack starts closed, det's included: det and a one-scenario set
+        # of unit multipliers search equal matrices, close them once each
+        # and take the same decisions.
         shapes = _closure_shapes(monkeypatch)
         det = solve_deterministic(factory6_network)
-        assert shapes == [] and det.stats.lookahead_prunes > 0
+        assert shapes == [(1, 14, 14)] and det.stats.lookahead_prunes > 0
         unit = single_scenario(factory6_network.travel_time)
         assert np.array_equal(unit.travel_times[0], factory6_network.travel_time)
         sto = solve_stochastic(factory6_network, unit)
-        assert shapes == [(1, 14, 14)]
+        assert shapes == [(1, 14, 14)] * 2
         assert (sto.plan.routes, sto.objective, sto.stats) == (
             det.plan.routes, det.objective, det.stats)
 
@@ -955,11 +978,12 @@ class TestSearchCounters:
         assert solution.stats == expected
 
     def test_nominal_matrix_is_its_own_closure(self):
-        # The deterministic search trusts the nominal matrix as its own
-        # shortest-path closure.  On these layouts the Floyd-Warshall
-        # closure rounds some entries differently, and the lookahead's margin
-        # must absorb that: a search that closes the stack before its seed
-        # takes the same decision everywhere.
+        # On `build_network` inputs the nominal matrix holds shortest-path
+        # times.  On these layouts the Floyd-Warshall closure rounds some
+        # entries differently, and the lookahead's margin must absorb that:
+        # a det search that trusts the matrix as its own closure, one that
+        # closes it lazily and one that closes it before its seed take the
+        # same decision everywhere.
         rng = np.random.default_rng(11)
         rounded = looked_ahead = 0
         for trial in range(32):
@@ -967,14 +991,15 @@ class TestSearchCounters:
                                      tightness="mixed" if trial % 2 == 0 else "loose")
             nominal = network.travel_time[np.newaxis]
             outcomes = []
-            for up_front in (False, True):
+            for start in ("trusted", "lazy", "up-front"):
                 search = solver_module._Search(network, nominal, np.ones(1), SolveConfig())
-                assert search.closed
-                if up_front:
+                if start == "trusted":
+                    search.closed = True
+                elif start == "up-front":
                     search._close_stack()
                 search.run()
                 outcomes.append((search.best_plan, search.best_obj, search.stats()))
-            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == outcomes[1] == outcomes[2]
             closure = shortest_path_closure(network.travel_time)
             rounded += not np.array_equal(closure, network.travel_time)
             looked_ahead += outcomes[0][2].lookahead_prunes > 0

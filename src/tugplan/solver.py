@@ -74,13 +74,33 @@ the cut-offs of its arc-wise maxima themselves: each scenario's closure lies
 at or below its matrix and so at or below the maxima, so these cut-offs lie
 at or below every scenario's.  The first time a node's bound or the seed's
 passes one of them, one Floyd-Warshall over the stack replaces them with the
-exact earliest cut-offs (and at S > 1 builds the per-scenario ones), and the
-test is taken again; a search whose bounds pass none, as on loose windows,
-never closes its stack.  det's stack is no exception: `build_network`
-gives shortest-path times, but a hand-built network need not.  Only subtrees
-without a feasible leaf are cut and the exploration order is unchanged, so
-incumbents, the returned plan and its objective are exactly those of the
-search without the lookahead.
+exact earliest cut-offs (and builds the per-scenario ones at S > 1, the
+split ones below at S = 1), and the test is taken again; a search whose
+bounds pass none, as on loose windows, never closes its stack.  det's stack
+is no exception: `build_network` gives shortest-path times, but a
+hand-built network need not.  Only subtrees without a feasible leaf are cut
+and the exploration order is unchanged, so incumbents, the returned plan and
+its objective are exactly those of the search without the lookahead.
+
+At S = 1 the completion bound is also split by vehicle, a state-space
+relaxation (Christofides, Mingozzi & Toth 1981, Networks 11).  At a node
+past the route start, unvisited pickup `i` is late when `now` passes its
+split cut-off `latest[i][i] - closure[cur][i]`: the current vehicle reaches
+it no earlier than `now + closure[cur][i]`, too late to deliver it in time.
+A later vehicle must serve a late task, so on the last vehicle the node is
+cut.  Otherwise the rest of this route is a walk from the current location
+through its onboard deliveries' locations to the depot, and the later routes
+chain into one depot-to-depot walk through the late tasks' locations, so the
+node is cut once `travelled + H[onboard][cur] + H[late][depot]` reaches the
+cutoff, with the distance prune's tie rule; both count as split prunes.
+Column 0 of `latest[cur]`, unused by the lookahead, holds the row's smallest
+split cut-off (inf at the route start and at S > 1), so a node pays one
+float comparison unless it passes one.  The split cut-offs follow the
+closing rule: column 0 starts from those of the searched matrix itself, at
+or below the exact ones, and the first node that passes one closes the
+stack and tests again, so every search decides as one closed up front.  At
+S > 1 a task late in some scenarios may still be served in the others, so
+the scenario search does not split.
 
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
@@ -248,6 +268,9 @@ class SearchStats:
     # The nearest-next seed's distance, the search's starting cutoff; None
     # if no seed was found.
     seed_m: float | None = None
+    # Nodes cut because a task the current vehicle can no longer serve
+    # leaves it to a later vehicle (S = 1 only).
+    split_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -313,11 +336,17 @@ class _Search:
         self.t_max = t_max.tolist()
         # The float side of the lookahead: a node whose `now` passes no
         # earliest cut-off is safe in every scenario.  They start at or below
-        # the exact ones until `_close_stack`.
-        self.latest_min = self._cutoffs(t_max).tolist()
-        # latest_fs[cur, i, s]: the cut-off of scenario s at S > 1, None
-        # until the stack is closed.
+        # the exact ones until `_close_stack`, and so does the smallest split
+        # cut-off in column 0 at S = 1.
+        latest = self._cutoffs(t_max)
+        if not self.vector:
+            self._split_cutoffs(latest, t_max)
+        self.latest_min = latest.tolist()
+        # latest_fs[cur, i, s]: the cut-off of scenario s at S > 1, and
+        # split[cur][i - 1]: pickup i's split cut-off at S = 1; None until
+        # the stack is closed.
         self.latest_fs: np.ndarray | None = None
+        self.split: list | None = None
         self.closed = False
         if self.vector:
             # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
@@ -338,6 +367,7 @@ class _Search:
         self.bound_prunes = 0
         self.window_prunes = 0
         self.lookahead_prunes = 0
+        self.split_prunes = 0
         self.root_bound = 0.0
         self.seed_m: float | None = None
         self.dead_mass = 0.0  # mass of the scenarios no plan satisfies; set by run
@@ -347,21 +377,41 @@ class _Search:
     def _cutoffs(self, closure: np.ndarray) -> np.ndarray:
         """`latest[..., cur, i]`: the last time at `cur` from which delivery
         i+n is still reachable by its deadline over the [..., nv, nv]
-        `closure` (column 0 unused)."""
+        `closure`; column 0 is inf until `_split_cutoffs` fills it."""
         deliveries = slice(self.n + 1, self.terminal)
         latest = np.full(closure.shape[:-1] + (self.n + 1,), math.inf)
         latest[..., 1:] = (self.network.close_time[deliveries] + _LOOKAHEAD_MARGIN
                            - closure[..., deliveries])
         return latest
 
+    def _split_cutoffs(self, latest: np.ndarray, closure: np.ndarray) -> np.ndarray:
+        """At S = 1, `split[cur, i - 1] = latest[i, i] - closure[cur, i]`:
+        the last time at `cur` from which the current vehicle still reaches
+        pickup i in time to deliver it, over the [nv, nv] `closure`.  Writes
+        each row's smallest to column 0 of `latest`, inf at the route start.
+
+        A pickup opening past `latest[i, i]` would also be late, but then
+        its own arc already misses the delivery's deadline and the search
+        does not run."""
+        pickups = slice(1, self.n + 1)
+        split = latest[pickups, pickups].diagonal() - closure[:, pickups]
+        latest[:, 0] = split.min(axis=1)
+        latest[0, 0] = math.inf
+        return split
+
     def _close_stack(self) -> None:
-        """Replace the starting cut-offs with the exact earliest ones and,
-        at S > 1, build the per-scenario cut-offs: one Floyd-Warshall over
-        the stack."""
-        latest = self._cutoffs(shortest_path_closure(self.times))
-        self.latest_min = latest.min(axis=0).tolist()
+        """Replace the starting cut-offs with the exact earliest ones and
+        build the per-scenario cut-offs at S > 1 or the split cut-offs at
+        S = 1: one Floyd-Warshall over the stack."""
+        closure = shortest_path_closure(self.times)
+        latest = self._cutoffs(closure)
         if self.vector:
             self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
+            latest = latest.min(axis=0)
+        else:
+            latest = latest[0]
+            self.split = self._split_cutoffs(latest, closure[0]).tolist()
+        self.latest_min = latest.tolist()
         self.closed = True
 
     def _meets_cutoffs(self, j: int, w: float, onboard: list[int]) -> bool:
@@ -379,12 +429,37 @@ class _Search:
         self._close_stack()
         return self._meets_cutoffs(j, w, onboard)
 
+    def _splits(self, cur: int, now: float, travelled: float, todo: int) -> bool:
+        """Whether some unvisited task is late for the current vehicle and
+        the split bound cuts the node: always on the last vehicle, else once
+        `travelled`, this route's walk through its onboard deliveries and
+        the later vehicles' walk through the late tasks reach the cutoff.
+        Closes the stack first."""
+        if not self.closed:
+            self._close_stack()
+        bit, n = self.bit, self.n
+        late, ahead = False, 0
+        for i, cut in enumerate(self.split[cur], 1):
+            if now > cut and todo >> i & 1:
+                late = True
+                ahead |= bit[i] | bit[i + n]
+        if not late:
+            return False
+        if len(self.routes) == self.fleet - 1:
+            return True
+        here = 0
+        for i in self.onboard:
+            here |= bit[i + n]
+        table, loc = self.table, self.loc
+        return travelled + table[here][loc[cur]] + table[ahead][loc[0]] >= self.cutoff
+
     def stats(self) -> SearchStats:
         return SearchStats(nodes_explored=self.calls + self.bound_prunes,
                            bound_prunes=self.bound_prunes,
                            window_prunes=self.window_prunes,
                            lookahead_prunes=self.lookahead_prunes,
-                           root_bound_m=self.root_bound, seed_m=self.seed_m)
+                           root_bound_m=self.root_bound, seed_m=self.seed_m,
+                           split_prunes=self.split_prunes)
 
     def run(self) -> None:
         dead = _forced_dead_scenarios(self.network, self.times)
@@ -555,6 +630,10 @@ class _Search:
                     self.lookahead_prunes += 1
                     return
                 break
+        # Column 0 is inf at the route start and at S > 1.
+        if now > latest[0] and self._splits(cur, now, travelled, todo):
+            self.split_prunes += 1
+            return
         vector, t, a, b = self.vector, self.t_max, self.a_l, self.b_l
         t_cur, pick_hi = t[cur], self.pick_hi
         # Canonical labeling: a route start takes only pickups above the

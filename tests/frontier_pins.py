@@ -1,14 +1,14 @@
 """Pin plans at the solver's frontier, outside the tier-1 suite.
 
 Checks the status, the objective and the sha256 of the routes of det solves
-on generated factory instances with nine tight-window and ten loose-window
-tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller ones; of
-sto solves on 30 scenarios of eight tight-window tasks, seed 2, at alpha 0
-and 0.1: the scenario search's largest pinned trees, 110k and 132k nodes;
-and of sto-fast solves on the same 30 scenarios of eight tight-window tasks,
-seeds 8 and 10: the one-matrix search's largest pinned trees, 92.5k and
-110k nodes, about half of them lookahead prunes.  Each solve takes about
-0.2-2.6 s.  Run from the repository root:
+on generated factory instances with nine and ten tight-window and ten
+loose-window tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller
+ones; of sto solves on 30 scenarios of eight tight-window tasks, seed 2, at
+alpha 0 and 0.1: the scenario search's largest pinned trees, 110k and 132k
+nodes; and of sto-fast solves on the same 30 scenarios of eight
+tight-window tasks, seeds 8 and 10.  The ten-task tight det solves are the
+largest pinned trees, 1.53M, 0.75M and 9.50M nodes, in about 2, 1 and 11 s;
+each other solve takes about 0.1-2.6 s.  Run from the repository root:
 
     PYTHONPATH=src python tests/frontier_pins.py
 
@@ -26,6 +26,12 @@ PINS = [
      "cd7e32017b969e0b2aa30094c32592abf9281de45e131ff6e8e0392cfadd7267"),
     ("tight", 9, 2, "optimal", 183.0,
      "57dceb6e31b4fad23cac19d51ed5a03506f6b427b37b8ed179d5dd4b66633e8f"),
+    ("tight", 10, 0, "optimal", 303.0,
+     "86aa91dfa3819b3aa8f2bd8b79c06c37a1ba2442eebd92992f04d91a18340846"),
+    ("tight", 10, 1, "optimal", 342.0,
+     "856b3af08b174170c283739f9789748cb63c69e8e824f9077d46008d1580c346"),
+    ("tight", 10, 2, "optimal", 234.0,
+     "b920c296f13b59f690af0796fc1eeb95d1ba4b5f925f26995faacd3bbc9b9368"),
     ("loose", 10, 0, "optimal", 177.0,
      "b80bcf9cad89e02dc1cd37c5f25d420173d71415cff6263144f3d0b253b218d7"),
     ("loose", 10, 1, "optimal", 168.0,

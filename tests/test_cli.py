@@ -48,7 +48,7 @@ class TestSolveCommand:
         assert artifact["manifest"]["version"]
         assert set(artifact["stats"]) == {"nodes_explored", "bound_prunes",
                                           "window_prunes", "lookahead_prunes",
-                                          "root_bound_m", "seed_m"}
+                                          "root_bound_m", "seed_m", "split_prunes"}
         # The shortest walk from the depot through A, B and C and back is
         # the 60 m ring; the windows push the optimum to 90 m.
         assert artifact["stats"]["root_bound_m"] == pytest.approx(60.0)

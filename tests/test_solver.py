@@ -303,11 +303,13 @@ class TestOracleEquivalence:
                     assert solution.plan.routes == reference.plan
                 changed += (solution.objective, solution.plan) != (widened.objective,
                                                                    widened.plan)
-                window, lookahead = prunes.get(mode, (0, 0))
-                prunes[mode] = (window + solution.stats.window_prunes,
-                                lookahead + solution.stats.lookahead_prunes)
+                stats = solution.stats
+                window, lookahead, split = prunes.get(mode, (0, 0, 0))
+                prunes[mode] = (window + stats.window_prunes,
+                                lookahead + stats.lookahead_prunes, split + stats.split_prunes)
         assert changed >= 20
-        assert prunes == {"det": (61, 269), "sto-0.0": (130, 115), "sto-0.34": (186, 264)}
+        assert prunes == {"det": (35, 128, 67), "sto-0.0": (130, 115, 0),
+                          "sto-0.34": (186, 264, 0)}
 
 
 def _detour_network():
@@ -416,6 +418,166 @@ class TestDeadlineLookahead:
         assert solution.plan.routes == (
             (0, 2, 5, 8, 11, 13), (0, 4, 3, 6, 1, 9, 10, 7, 12, 13),
             (0, 13), (0, 13), (0, 13))
+
+
+def _late_task_network(vehicles):
+    """A and C each 15 m (10 s) from DEP on either side, B 15 m past A.
+    T1 A->B is due at 25 s, T2 C->A at 200 s.
+
+    Nodes: 0 DEP, 1 A (T1 pickup), 2 C (T2 pickup), 3 B (T1 delivery),
+    4 A (T2 delivery), 5 DEP.  A vehicle that fetches T2 first is at C at
+    10 s and cannot deliver T1 before 40 s.
+    """
+    doc = {"layout": {"nodes": ["DEP", "A", "B", "C"],
+                      "edges": [["DEP", "A", 15.0], ["A", "B", 15.0], ["DEP", "C", 15.0]]},
+           "tasks": [{"id": "T1", "from": "A", "to": "B",
+                      "earliest_pickup_s": 0, "latest_delivery_s": 25},
+                     {"id": "T2", "from": "C", "to": "A",
+                      "earliest_pickup_s": 0, "latest_delivery_s": 200}],
+           "vehicles": vehicles, "depot": "DEP", "speed": 1.5, "horizon": 400}
+    return build_network(load_instance(json.dumps(doc)))
+
+
+def _slow_arc_network():
+    """Line DEP-A-B-C at 10 s an edge, one vehicle.  T1 A->B is due at
+    100 s, T2 C->B at 45 s, and T2's pickup closes at 50 s.
+
+    Nodes: 0 DEP, 1 A (T1 pickup), 2 C (T2 pickup), 3 B (T1 delivery),
+    4 B (T2 delivery), 5 DEP.  The plan 0-1-3-2-4-5 costs 90 m and
+    0-2-4-1-3-5 120 m.
+    """
+    doc = {"layout": {"nodes": ["DEP", "A", "B", "C"],
+                      "edges": [["DEP", "A", 15.0], ["A", "B", 15.0], ["B", "C", 15.0]]},
+           "tasks": [{"id": "T1", "from": "A", "to": "B",
+                      "earliest_pickup_s": 0, "latest_delivery_s": 100},
+                     {"id": "T2", "from": "C", "to": "B",
+                      "earliest_pickup_s": 0, "latest_delivery_s": 45}],
+           "vehicles": 1, "depot": "DEP", "speed": 1.5, "horizon": 400}
+    network = build_network(load_instance(json.dumps(doc)))
+    close_time = network.close_time.copy()
+    close_time[2] = 50.0
+    return dataclasses.replace(network, close_time=close_time)
+
+
+def _split_cases(network, scen):
+    """det and sto-fast on `network`, each with its oracle."""
+    worst = scen.travel_times.max(axis=0, keepdims=True)
+    return [("det", solve_deterministic(network), oracle_solve_deterministic(network)),
+            ("sto-fast", solve_alpha_zero_fast(network, scen),
+             oracle_solve(network, worst, np.ones(1), 0.0))]
+
+
+def _non_metric(times):
+    return not np.array_equal(shortest_path_closure(times), times)
+
+
+class TestSplitBound:
+    # At S = 1 a node past the route start is cut once some unvisited task
+    # is late for the current vehicle: on the last vehicle at once, else
+    # when the split completion bound reaches the cutoff.  Plans must stay
+    # the oracle's.
+
+    def test_tight_layouts_match_oracle(self):
+        rng = np.random.default_rng(31)
+        optima = 0
+        split = {"det": 0, "sto-fast": 0}
+        for trial in range(120):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness=("tight", "mixed")[trial % 2])
+            scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
+            for mode, solution, reference in _split_cases(network, scen):
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+                    optima += 1
+                split[mode] += solution.stats.split_prunes > 0
+        assert optima >= 40
+        assert split["det"] >= 30 and split["sto-fast"] >= 10, split
+
+    def test_non_metric_supremum_matches_oracle(self):
+        # The supremum of sampled matrices breaks the triangle inequality,
+        # so a detour can reach a pickup sooner than its direct arc: the
+        # late test reads the closure of the searched matrix.
+        rng = np.random.default_rng(32)
+        split = 0
+        for trial in range(200):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness=("tight", "mixed")[trial % 2])
+            scen = generate_scenarios(network, ScenarioConfig(count=4, seed=trial))
+            worst = scen.travel_times.max(axis=0)
+            solution = solve_alpha_zero_fast(network, scen)
+            reference = oracle_solve(network, worst[np.newaxis], np.ones(1), 0.0)
+            assert solution.status == reference.status
+            if reference.status == STATUS_OPTIMAL:
+                assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                assert solution.plan.routes == reference.plan
+            split += solution.stats.split_prunes > 0 and _non_metric(worst)
+        assert split >= 10
+
+    def test_non_metric_nominal_times_match_oracle(self):
+        # Stretched times break the triangle inequality in the nominal
+        # matrix itself; det closes its stack like any other search.
+        rng = np.random.default_rng(33)
+        split = 0
+        for trial in range(200):
+            network = _stretched(random_network(rng, max_tasks=3, max_vehicles=2,
+                                                tightness=("tight", "mixed")[trial % 2]),
+                                 rng, "travel_time")
+            scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
+            for mode, solution, reference in _split_cases(network, scen):
+                assert solution.status == reference.status
+                if reference.status == STATUS_OPTIMAL:
+                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+                    assert solution.plan.routes == reference.plan
+                split += (mode == "det" and solution.stats.split_prunes > 0
+                          and _non_metric(network.travel_time))
+        assert split >= 10
+
+    @pytest.mark.parametrize("mode", ["det", "sto-fast"])
+    def test_late_test_reads_the_closure(self, monkeypatch, mode):
+        # The searched matrix takes 60 s from A to C (det's own times, or
+        # one of sto-fast's scenarios), but A-B-C takes 20 s.  At A at 10 s
+        # T2 is not late: C by 30 s, B by 40 s.  A late test on the direct
+        # arc, or on the starting cut-offs without closing the stack, cuts A
+        # and returns 0-2-4-1-3-5 at 120 m.  The seed alone would find the
+        # 90 m plan, so its slack is lost to rounding; T2's pickup window
+        # keeps the seed from closing the stack.
+        monkeypatch.setattr(solver_module, "_SEED_SLACK", math.ulp(90.0) / 4)
+        network = _slow_arc_network()
+        if mode == "det":
+            times = network.travel_time.copy()
+            times[1, 2] = times[2, 1] = 60.0
+            network = dataclasses.replace(network, travel_time=times)
+            solution = solve_deterministic(network)
+            reference = oracle_solve_deterministic(network)
+        else:
+            mults = np.ones((2,) + network.travel_time.shape)
+            mults[0, 1, 2] = mults[0, 2, 1] = 3.0
+            scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
+                               probabilities=np.array([0.5, 0.5]))
+            solution = solve_alpha_zero_fast(network, scen)
+            reference = oracle_solve(network, scen.travel_times.max(axis=0, keepdims=True),
+                                     np.ones(1), 0.0)
+        assert reference.plan == ((0, 1, 3, 2, 4, 5),)
+        assert solution.stats.seed_m is None
+        assert solution.plan.routes == reference.plan
+        assert solution.objective == pytest.approx(90.0)
+
+    def test_last_vehicle_cuts_a_late_task(self, monkeypatch):
+        # With a table that tracks only the depot the split bound reads 0,
+        # so only the last-vehicle rule can cut: on one vehicle the node
+        # that fetches T2 first leaves T1 late and is cut; with a second
+        # vehicle nothing is.
+        monkeypatch.setattr(solver_module, "_TABLE_LOCATIONS", 1)
+        for vehicles, split_prunes in ((1, 1), (2, 0)):
+            network = _late_task_network(vehicles)
+            solution = solve_deterministic(network)
+            reference = oracle_solve_deterministic(network)
+            assert solution.plan.routes == reference.plan
+            assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+            assert solution.stats.split_prunes == split_prunes
+        assert reference.plan == ((0, 1, 3, 2, 4, 5), (0, 5))
 
 
 def _tracked_walk(network, loc, bit, mask, start):
@@ -618,10 +780,12 @@ class TestCompletionTable:
 class TestOneEngine:
     def test_two_copies_of_nominal_equal_deterministic(self):
         # Two identical scenarios run the per-scenario branch of the search;
-        # one nominal scenario runs the float branch.  Both must take the
-        # same decisions at every node, so even the counters agree.
+        # one nominal scenario runs the float branch.  Both must return the
+        # same plan, and where det's split bound cuts nothing (it cuts at
+        # S = 1 only) they take the same decisions at every node, so even
+        # the counters agree.
         rng = np.random.default_rng(515)
-        optima = 0
+        optima = unsplit = 0
         for trial in range(60):
             tightness = "tight" if trial % 2 == 0 else "loose"
             network = random_network(rng, max_tasks=4, max_vehicles=2, tightness=tightness)
@@ -632,12 +796,15 @@ class TestOneEngine:
             sto = solve_stochastic(network, twin)
             assert sto.status == det.status
             assert sto.objective == det.objective
-            assert sto.stats == det.stats
+            if det.stats.split_prunes == 0:
+                assert sto.stats == det.stats
+                unsplit += 1
             if det.plan is not None:
                 assert sto.plan.routes == det.plan.routes
                 assert not sto.schedule.ignored.any()
                 optima += 1
         assert optima >= 30
+        assert unsplit >= 40
 
     def test_ignored_set_equals_model_replay(self):
         # The ignored set of a returned plan is exactly the set of scenarios
@@ -957,12 +1124,14 @@ class TestNearestNextSeed:
 class TestSearchCounters:
     # Every counter of three factory6 searches, pinned: where the distance
     # bound is tested and how the set-up is built must not change what the
-    # search visits.
+    # search visits.  The split bound cuts at S = 1 only, so sto-0.1 keeps
+    # the counters it had before it.
     @pytest.mark.parametrize("mode, expected", [
-        ("det", SearchStats(nodes_explored=4069, bound_prunes=2078, window_prunes=0,
-                            lookahead_prunes=979, root_bound_m=123.0, seed_m=270.0)),
-        ("sto-fast", SearchStats(nodes_explored=1374, bound_prunes=122, window_prunes=76,
-                                 lookahead_prunes=820, root_bound_m=123.0)),
+        ("det", SearchStats(nodes_explored=1591, bound_prunes=780, window_prunes=0,
+                            lookahead_prunes=300, root_bound_m=123.0, seed_m=270.0,
+                            split_prunes=153)),
+        ("sto-fast", SearchStats(nodes_explored=1117, bound_prunes=31, window_prunes=54,
+                                 lookahead_prunes=693, root_bound_m=123.0, split_prunes=51)),
         ("sto-0.1", SearchStats(nodes_explored=3006, bound_prunes=1315, window_prunes=444,
                                 lookahead_prunes=765, root_bound_m=123.0)),
     ])
@@ -977,15 +1146,16 @@ class TestSearchCounters:
         assert solution.status == STATUS_OPTIMAL
         assert solution.stats == expected
 
-    def test_nominal_matrix_is_its_own_closure(self):
+    def test_nominal_matrix_is_its_own_closure(self, monkeypatch):
         # On `build_network` inputs the nominal matrix holds shortest-path
         # times.  On these layouts the Floyd-Warshall closure rounds some
         # entries differently, and the lookahead's margin must absorb that:
-        # a det search that trusts the matrix as its own closure, one that
-        # closes it lazily and one that closes it before its seed take the
-        # same decision everywhere.
+        # a det search that closes its stack up front with the matrix as its
+        # own closure, one that closes it lazily and one that closes it
+        # before its seed take the same decision everywhere, split cuts
+        # included.
         rng = np.random.default_rng(11)
-        rounded = looked_ahead = 0
+        rounded = looked_ahead = split = 0
         for trial in range(32):
             network = random_network(rng, max_tasks=4, max_vehicles=2,
                                      tightness="mixed" if trial % 2 == 0 else "loose")
@@ -994,7 +1164,9 @@ class TestSearchCounters:
             for start in ("trusted", "lazy", "up-front"):
                 search = solver_module._Search(network, nominal, np.ones(1), SolveConfig())
                 if start == "trusted":
-                    search.closed = True
+                    with monkeypatch.context() as patch:
+                        patch.setattr(solver_module, "shortest_path_closure", lambda t: t)
+                        search._close_stack()
                 elif start == "up-front":
                     search._close_stack()
                 search.run()
@@ -1003,8 +1175,9 @@ class TestSearchCounters:
             closure = shortest_path_closure(network.travel_time)
             rounded += not np.array_equal(closure, network.travel_time)
             looked_ahead += outcomes[0][2].lookahead_prunes > 0
+            split += outcomes[0][2].split_prunes > 0
         assert rounded >= 5
-        assert looked_ahead >= 10
+        assert looked_ahead >= 10 and split >= 5
 
 
 class TestCheckerAgreement:

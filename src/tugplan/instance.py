@@ -153,10 +153,11 @@ class PdpNetwork:
     shortest-path time matrix in seconds (symmetric, zero diagonal, metric),
     `travel_dist` the same in meters.  `open_time`/`close_time` are the window
     bounds per node; deliveries and depots open at 0, and the depot hop is
-    free in time and distance.  Every per-node field has one entry per node
-    and `task_ids` one per task; a network that breaks a shape or a fixed
-    window raises `ValueError`.  Networks compare and hash by identity:
-    arrays have no single truth value.
+    free in time and distance.  Nodes at one location share their rows and
+    columns of both matrices.  Every per-node field has one entry per node
+    and `task_ids` one per task; a network that breaks a shape, a fixed
+    window or a shared row raises `ValueError`.  Networks compare and hash by
+    identity: arrays have no single truth value.
     """
 
     n: int
@@ -191,6 +192,18 @@ class PdpNetwork:
                 or any(self.travel_time[h] or self.travel_dist[h] for h in hop)):
             raise ValueError(f"depot nodes 0 and {self.terminal} must be one location, "
                              f"with zero travel time and distance between them")
+        # The search reads a location's distances from its first node, so
+        # every node must share its first co-located node's rows and columns.
+        # `!=` is the cheap test; a NaN differs from itself only there.
+        first: dict[str, int] = {}
+        at = [first.setdefault(name, v) for v, name in enumerate(self.locations)]
+        for name in ("travel_time", "travel_dist"):
+            matrix = getattr(self, name)
+            shared = matrix.take(at, 0).take(at, 1)
+            if ((matrix != shared).any()
+                    and not np.array_equal(matrix, shared, equal_nan=True)):
+                raise ValueError(f"{name} differs between co-located nodes; nodes at one "
+                                 f"location must share their rows and columns")
 
     @property
     def size(self) -> int:

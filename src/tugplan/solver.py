@@ -50,9 +50,8 @@ vector and dead mass and computes its per-scenario times only when something
 reads them: a later step whose bound misses a window, the lookahead, or a
 delivery's coupling to its pickup.  Only a bound that misses steps the
 scenario vector at once, and only a step that loses live mass copies
-`alive`.  Each node's vector is computed at most once, a pickup's coupled
-row at most once per pickup node, and the decisions are those of stepping
-every candidate.
+`alive`.  Each node's vector is computed at most once, and the decisions
+are those of stepping every candidate.
 
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
@@ -76,11 +75,13 @@ at or below every scenario's.  The first time a node's bound or the seed's
 passes one of them, one Floyd-Warshall over the stack replaces them with the
 exact earliest cut-offs (and builds the per-scenario ones at S > 1, the
 split ones below at S = 1), and the test is taken again; a search whose
-bounds pass none, as on loose windows, never closes its stack.  det's stack
-is no exception: `build_network` gives shortest-path times, but a
-hand-built network need not.  Only subtrees without a feasible leaf are cut
-and the exploration order is unchanged, so incumbents, the returned plan and
-its objective are exactly those of the search without the lookahead.
+bounds pass none, as on loose windows, never closes its stack.  One builder,
+`_set_cutoffs`, sets every cut-off table from a stack: the maxima as one
+matrix at the start, the stack's closure on closing.  det's stack is no
+exception: `build_network` gives shortest-path times, but a hand-built
+network need not.  Only subtrees without a feasible leaf are cut and the
+exploration order is unchanged, so incumbents, the returned plan and its
+objective are exactly those of the search without the lookahead.
 
 At S = 1 the completion bound is also split by vehicle, a state-space
 relaxation (Christofides, Mingozzi & Toth 1981, Networks 11).  At a node
@@ -301,13 +302,12 @@ class _Search:
     exact at S = 1), `scen`, `travelled`, `mask` (the tracked locations still
     hosting an unvisited task node) and `todo` (bit j set while pickup j is
     unvisited; a pickup child clears its bit).  `scen` is None at
-    S = 1, else `[times, alive, mass, parent, cur, j, coupled]`:
-    per-scenario times, the probability vector of the alive scenarios (0.0
-    for a dead one) and the dead mass, with `times` None until `_times`
-    steps it from the parent's `scen` along the arc (cur, j).  A pickup's
-    `coupled` is None until `_coupled` sets it to `times + t[i][i+n]`, the
-    row its delivery's coupling reads.  `pick_scen[i]` is onboard pickup i's
-    `scen`.
+    S = 1, else `[times, alive, mass, parent, cur, j]`: per-scenario times,
+    the probability vector of the alive scenarios (0.0 for a dead one), the
+    dead mass, and the parent's `scen` and arc (cur, j), with `times` None
+    until `_times` steps it from the parent's along that arc.
+    `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
+    (i, i+n) its delivery's coupling reads.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
@@ -332,22 +332,15 @@ class _Search:
         self.a_l = network.open_time.tolist()
         self.b_l = (network.close_time + _EPS).tolist()
 
-        t_max = times.max(axis=0) if self.vector else times[0]
-        self.t_max = t_max.tolist()
+        t_max = times.max(axis=0, keepdims=True) if self.vector else times
+        self.t_max = t_max[0].tolist()
         # The float side of the lookahead: a node whose `now` passes no
-        # earliest cut-off is safe in every scenario.  They start at or below
-        # the exact ones until `_close_stack`, and so does the smallest split
-        # cut-off in column 0 at S = 1.
-        latest = self._cutoffs(t_max)
-        if not self.vector:
-            self._split_cutoffs(latest, t_max)
-        self.latest_min = latest.tolist()
-        # latest_fs[cur, i, s]: the cut-off of scenario s at S > 1, and
-        # split[cur][i - 1]: pickup i's split cut-off at S = 1; None until
-        # the stack is closed.
+        # earliest cut-off is safe in every scenario.  They start from the
+        # maxima themselves, at or below the exact ones, until `_close_stack`.
         self.latest_fs: np.ndarray | None = None
         self.split: list | None = None
         self.closed = False
+        self._set_cutoffs(t_max)
         if self.vector:
             # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
             self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
@@ -374,45 +367,47 @@ class _Search:
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
 
-    def _cutoffs(self, closure: np.ndarray) -> np.ndarray:
-        """`latest[..., cur, i]`: the last time at `cur` from which delivery
-        i+n is still reachable by its deadline over the [..., nv, nv]
-        `closure`; column 0 is inf until `_split_cutoffs` fills it."""
-        deliveries = slice(self.n + 1, self.terminal)
-        latest = np.full(closure.shape[:-1] + (self.n + 1,), math.inf)
-        latest[..., 1:] = (self.network.close_time[deliveries] + _LOOKAHEAD_MARGIN
-                           - closure[..., deliveries])
-        return latest
+    def _set_cutoffs(self, closure: np.ndarray) -> None:
+        """Set every cut-off table from the [S', nv, nv] stack `closure`:
+        the arc-wise maxima as one matrix, or the closed stack.
 
-    def _split_cutoffs(self, latest: np.ndarray, closure: np.ndarray) -> np.ndarray:
-        """At S = 1, `split[cur, i - 1] = latest[i, i] - closure[cur, i]`:
-        the last time at `cur` from which the current vehicle still reaches
-        pickup i in time to deliver it, over the [nv, nv] `closure`.  Writes
-        each row's smallest to column 0 of `latest`, inf at the route start.
+        `latest[s, cur, i]` is the last time at `cur` from which delivery
+        i+n is still reachable by its deadline over matrix s, and
+        `latest_min[cur][i]` its minimum over s.  Once the stack is closed,
+        `latest_fs[cur, i, s]` keeps it per scenario at S > 1, and
+        `split[cur][i - 1] = latest[i, i] - closure[cur, i]` holds pickup
+        i's split cut-off at S = 1: the last time at `cur` from which the
+        current vehicle still reaches pickup i in time to deliver it.
+        Column 0 of `latest_min` holds each row's smallest split cut-off,
+        inf at the route start and at S > 1.
 
         A pickup opening past `latest[i, i]` would also be late, but then
         its own arc already misses the delivery's deadline and the search
         does not run."""
-        pickups = slice(1, self.n + 1)
-        split = latest[pickups, pickups].diagonal() - closure[:, pickups]
-        latest[:, 0] = split.min(axis=1)
-        latest[0, 0] = math.inf
-        return split
-
-    def _close_stack(self) -> None:
-        """Replace the starting cut-offs with the exact earliest ones and
-        build the per-scenario cut-offs at S > 1 or the split cut-offs at
-        S = 1: one Floyd-Warshall over the stack."""
-        closure = shortest_path_closure(self.times)
-        latest = self._cutoffs(closure)
-        if self.vector:
+        n = self.n
+        deliveries = slice(n + 1, self.terminal)
+        latest = np.full(closure.shape[:-1] + (n + 1,), math.inf)
+        latest[..., 1:] = (self.network.close_time[deliveries] + _LOOKAHEAD_MARGIN
+                           - closure[..., deliveries])
+        if len(latest) > 1:
             self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
             latest = latest.min(axis=0)
         else:
             latest = latest[0]
-            self.split = self._split_cutoffs(latest, closure[0]).tolist()
+        if not self.vector:
+            pickups = slice(1, n + 1)
+            split = latest[pickups, pickups].diagonal() - closure[0][:, pickups]
+            latest[:, 0] = split.min(axis=1)
+            latest[0, 0] = math.inf
+            if self.closed:
+                self.split = split.tolist()
         self.latest_min = latest.tolist()
+
+    def _close_stack(self) -> None:
+        """Replace the starting cut-offs with the exact ones: one
+        Floyd-Warshall over the stack."""
         self.closed = True
+        self._set_cutoffs(shortest_path_closure(self.times))
 
     def _meets_cutoffs(self, j: int, w: float, onboard: list[int]) -> bool:
         """Whether the bound `w` at `j` meets the exact earliest cut-off of
@@ -468,8 +463,7 @@ class _Search:
             return
         scen = None
         if self.vector:
-            scen = [np.zeros(len(dead)), np.where(dead, 0.0, self.probs), self.dead_mass,
-                    None, 0, 0, None]
+            scen = [np.zeros(len(dead)), np.where(dead, 0.0, self.probs), self.dead_mass, None, 0, 0]
         # Every tracked location hosts a task node, so the root's mask, the
         # table's last row, holds them all.
         self.root_bound = self.table[-1][self.loc[0]]
@@ -561,14 +555,6 @@ class _Search:
             scen[0] = self._arrive(self._times(parent), cur, j)
         return scen[0]
 
-    def _coupled(self, pick: int) -> np.ndarray:
-        """Onboard pickup `pick`'s times plus its direct arc to its
-        delivery, computed on first use."""
-        scen = self.pick_scen[pick]
-        if scen[6] is None:
-            scen[6] = self._times(scen) + self.t_fs[pick, pick + self.n]
-        return scen[6]
-
     def _arrive(self, cur_times: np.ndarray, cur: int, j: int) -> np.ndarray:
         """Per-scenario service times at `j` after `cur`, opening or coupling included."""
         arr = cur_times + self.t_fs[cur, j]
@@ -577,7 +563,8 @@ class _Search:
         if j < self.terminal:
             # The pickup is an ancestor on the current route, so its entry
             # stays in place for as long as this subtree is searched.
-            np.maximum(arr, self._coupled(j - self.n), out=arr)
+            i = j - self.n
+            np.maximum(arr, self._times(self.pick_scen[i]) + self.t_fs[i, j], out=arr)
         return arr
 
     def _vector_step(self, scen: list, cur: int, j: int) -> list | None:
@@ -592,7 +579,7 @@ class _Search:
             return None
         if lost:
             alive = np.where(violated, 0.0, alive)
-        return [new_times, alive, new_mass, None, cur, j, None]
+        return [new_times, alive, new_mass, None, cur, j]
 
     def _doomed(self, scen: list, cur: int, now: float) -> bool:
         """Whether the node can no longer reach some onboard deadline in
@@ -658,7 +645,7 @@ class _Search:
                     self.window_prunes += 1
                     continue
             elif vector:
-                new_scen = [None, scen[1], scen[2], scen, cur, j, None]
+                new_scen = [None, scen[1], scen[2], scen, cur, j]
             # Cut once no completion can beat the incumbent strictly: only a
             # strict improvement replaces it, so a tie would be dropped anyway.
             u, child_mask = loc[j], mask
@@ -692,7 +679,7 @@ class _Search:
                     self.window_prunes += 1
                     continue
             elif vector:
-                new_scen = [None, scen[1], scen[2], scen, cur, j, None]
+                new_scen = [None, scen[1], scen[2], scen, cur, j]
             u, child_mask = loc[j], mask
             if left[u] == 1:
                 child_mask ^= bit[j]
@@ -741,7 +728,7 @@ class _Search:
             return
         if vector:
             alive, dead_mass = new_scen[1], new_scen[2]
-            new_scen = [np.zeros(len(alive)), alive, dead_mass, None, 0, 0, None]
+            new_scen = [np.zeros(len(alive)), alive, dead_mass, None, 0, 0]
         # Closing from the start node with pickups left was rejected above, so
         # the closed route is non-idle and `closed[1]` is its first pickup.
         self.routes.append(closed)

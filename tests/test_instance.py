@@ -17,6 +17,7 @@ from tugplan import (InstanceParseError, InstanceValidationError, LayoutGraph,
                      PdpInstance, build_network, load_instance, shortest_travel_matrix)
 
 from conftest import overflowing_sum_dict, overflowing_time_dict, single_task_dict
+from instgen import random_network
 
 
 def ring_layout():
@@ -401,6 +402,41 @@ class TestNetworkFixedWindows:
         locations = tri3_network.locations[:-1] + (tri3_network.locations[1],)
         with pytest.raises(ValueError, match="must be one location"):
             dataclasses.replace(tri3_network, locations=locations)
+
+
+class TestNetworkColocatedRows:
+    """Nodes at one location share their rows and columns of both matrices:
+    the search reads a location's distances from its first node, so a later
+    node closer than it made the completion bound inadmissible."""
+
+    @pytest.mark.parametrize("field", ["travel_time", "travel_dist"])
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_differing_colocated_node_rejected(self, tri3_network, field, axis):
+        # tri3's deliveries 3 and 4 are both at B; 4 reads A nearer than 3.
+        matrix = getattr(tri3_network, field).copy()
+        if axis == "row":
+            matrix[4, 1] *= 0.5
+        else:
+            matrix[1, 4] *= 0.5
+        with pytest.raises(ValueError, match=f"{field} differs between co-located nodes"):
+            dataclasses.replace(tri3_network, **{field: matrix})
+
+    def test_terminal_depot_shares_the_source_rows(self, tri3_network):
+        times = tri3_network.travel_time.copy()
+        times[5, 2] = times[2, 5] = 12.0
+        with pytest.raises(ValueError, match="travel_time differs between co-located nodes"):
+            dataclasses.replace(tri3_network, travel_time=times)
+
+    def test_built_networks_pass(self):
+        # `build_network` gives nodes at one location the shortest-path rows
+        # of that location, so every build passes the check, also with
+        # task nodes co-located beyond the depot pair.
+        rng = np.random.default_rng(3)
+        colocated = 0
+        for _ in range(40):
+            network = random_network(rng, max_tasks=4, max_vehicles=2, tightness="loose")
+            colocated += len(set(network.locations)) < network.size - 1
+        assert colocated > 0
 
 
 # (field, a value for tri3, its shape, the shape tri3 needs); tri3 has two

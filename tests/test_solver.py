@@ -983,8 +983,44 @@ class TestScenarioVector:
         assert solution.plan.routes == reference.plan == ((0, 1, 3, 2, 4, 5), (0, 5))
         assert solution.stats.seed_m is None
 
-    @pytest.mark.parametrize("solve", [solve_stochastic, solve_alpha_zero_fast],
-                             ids=["sto", "sto-fast"])
+    @pytest.mark.parametrize("mode", ["det", "sto-fast", "sto"])
+    def test_starting_cutoffs_lie_below_the_closed_ones(self, mode):
+        # The closing rule's premise: every cut-off a search starts from,
+        # column 0's smallest split cut-off included, is at most the exact
+        # one, so a bound that passes none of them passes none of the exact
+        # ones.  The closed tables hang together: at S > 1 the earliest
+        # cut-off is the minimum over scenarios, at S = 1 column 0 is each
+        # row's smallest split cut-off, inf at the route start.
+        rng = np.random.default_rng(29)
+        raised = 0
+        for trial in range(24):
+            network = random_network(rng, max_tasks=4, max_vehicles=2,
+                                     tightness=("tight", "loose")[trial % 2])
+            scen = generate_scenarios(network, ScenarioConfig(count=30, seed=trial))
+            times, probs = {
+                "det": (network.travel_time[np.newaxis], np.ones(1)),
+                "sto-fast": (scen.travel_times.max(axis=0, keepdims=True), np.ones(1)),
+                "sto": (scen.travel_times, scen.probabilities)}[mode]
+            search = solver_module._Search(network, times, probs, SolveConfig())
+            start = np.array(search.latest_min)
+            assert search.latest_fs is None and search.split is None
+            search._close_stack()
+            closed = np.array(search.latest_min)
+            assert (start <= closed).all()
+            raised += (start < closed).any()
+            if mode == "sto":
+                assert search.split is None
+                assert np.array_equal(closed, search.latest_fs.min(axis=2))
+            else:
+                assert search.latest_fs is None
+                assert np.array_equal(closed[1:, 0], np.min(search.split, axis=1)[1:])
+                assert closed[0, 0] == math.inf
+        if mode != "det":
+            assert raised > 0
+
+    @pytest.mark.parametrize("solve", [lambda net, scen: solve_deterministic(net),
+                                       solve_stochastic, solve_alpha_zero_fast],
+                             ids=["det", "sto", "sto-fast"])
     def test_loose_solve_closes_nothing(self, tri3_wide_network, monkeypatch, solve):
         # No bound passes a cut-off of tri3_wide's far deadlines, so the
         # stack is never closed.

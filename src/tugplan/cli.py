@@ -18,11 +18,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluator import DISPATCH_POLICY, out_of_sample
+from .evaluator import DISPATCH_POLICY, out_of_sample, wilson_interval
 from .formulation import build_deterministic, build_stochastic, write_lp_text
 from .instance import (InstanceParseError, InstanceValidationError, PdpNetwork,
                        build_network, is_json_int, load_instance)
-from .reporting import evaluation_table, solution_table
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         scenario_set_from_dict, scenario_set_to_dict)
 from .solver import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
@@ -93,6 +92,15 @@ def _load_network(path: str) -> PdpNetwork:
         return build_network(load_instance(text))
     except (InstanceParseError, InstanceValidationError) as exc:
         raise CliError(f"invalid instance {path}: {exc}")
+
+
+def _table(headers: list[str], rows: list[list[str]], footer: str) -> str:
+    """The paper's MHE table: left-aligned columns two spaces apart, a rule
+    under the headers, then `footer`."""
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = [headers, ["-" * w for w in widths], *rows]
+    return "\n".join(["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                      for line in lines] + [footer])
 
 
 def _manifest(args: argparse.Namespace, command: str, out: Path) -> dict:
@@ -194,21 +202,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if lp_path:
         _write_text(lp_path, write_lp_text(system_builder()))
 
-    manifest = _manifest(args, "solve", out)
-    _write_json(out, _solution_payload(solution, network, manifest, provenance))
+    payload = _solution_payload(solution, network, _manifest(args, "solve", out), provenance)
+    _write_json(out, payload)
 
-    if solution.plan is not None:
-        print(solution_table(solution.plan.route_strings(),
-                             solution.plan.label_strings(network),
-                             solution.status, solution.objective))
-    else:
-        print(solution_table([], [], solution.status, None))
-        if solution.infeasible_task:
-            print(f"certificate: task {solution.infeasible_task} cannot meet "
-                  "its window even on a dedicated vehicle", file=sys.stderr)
-        if solution.limiting_scenarios:
-            print(f"limiting scenarios: {list(solution.limiting_scenarios)}",
-                  file=sys.stderr)
+    footer = f"status: {payload['status']}"
+    if payload["objective_m"] is not None:
+        footer += f"    total distance: {payload['objective_m']:g} m"
+    routes = zip(payload.get("routes_v_str", []), payload.get("routes_labels", []))
+    print(_table(["MHE", "V Nodes", "Graph Nodes"],
+                 [[str(k), v, g] for k, (v, g) in enumerate(routes, 1)], footer))
+    if solution.infeasible_task:
+        print(f"certificate: task {solution.infeasible_task} cannot meet "
+              "its window even on a dedicated vehicle", file=sys.stderr)
+    if solution.limiting_scenarios:
+        print(f"limiting scenarios: {list(solution.limiting_scenarios)}", file=sys.stderr)
     print(f"artifact: {out}")
     return _EXIT_CODES[solution.status]
 
@@ -244,31 +251,30 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = _writable(args.out or f"{Path(args.plan).stem}.evaluation.json")
     report = out_of_sample(plan, network, config)
 
-    manifest = _manifest(args, "evaluate", out)
-    routes_v = plan.route_strings()
-    routes_labels = plan.label_strings(network)
+    rows = [{"vehicle": k, "route_v": v, "route_labels": g, "failure": f, "half_width": h}
+            for k, (v, g, f, h) in enumerate(zip(plan.route_strings(),
+                                                 plan.label_strings(network),
+                                                 report.per_vehicle_failure,
+                                                 report.per_vehicle_half_width), 1)]
     payload = {
-        "manifest": manifest,
+        "manifest": _manifest(args, "evaluate", out),
         "trials": report.trials,
         "seed": report.seed,
         "policy": DISPATCH_POLICY,
-        "rows": [
-            {
-                "vehicle": k + 1,
-                "route_v": routes_v[k],
-                "route_labels": routes_labels[k],
-                "failure": report.per_vehicle_failure[k],
-                "half_width": report.per_vehicle_half_width[k],
-            }
-            for k in range(plan.vehicle_count)
-        ],
+        "rows": rows,
         "overall": {
             "failure": report.overall_failure,
             "half_width": report.overall_half_width,
         },
     }
     _write_json(out, payload)
-    print(evaluation_table(routes_v, routes_labels, report))
+    low, high = wilson_interval(report.overall_failure, report.trials)
+    print(_table(["MHE", "V Nodes", "Graph Nodes", "% Failure"],
+                 [[str(r["vehicle"]), r["route_v"], r["route_labels"], f"{r['failure']:.6g}"]
+                  for r in rows],
+                 f"trials: {report.trials}    seed: {report.seed}    policy: {DISPATCH_POLICY}"
+                 f"    overall failure: {report.overall_failure:.6g}"
+                 f" (95% CI [{low:.2g}, {high:.2g}])"))
     print(f"artifact: {out}")
     return EXIT_OK
 

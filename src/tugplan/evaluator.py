@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +70,8 @@ class EvaluationReport:
             raise ValueError("overall failure cannot be below the worst vehicle")
 
     # The half-widths derive from the shares and the trial count, so they
-    # cannot disagree with them.  The tuple is cached because the CLI indexes
-    # it once per vehicle.
-    @cached_property
+    # cannot disagree with them.
+    @property
     def per_vehicle_half_width(self) -> tuple[float, ...]:
         return tuple(_wilson_half_width(p, self.trials) for p in self.per_vehicle_failure)
 

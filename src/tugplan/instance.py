@@ -150,14 +150,18 @@ class PdpNetwork:
 
     Node 0 and node 2n+1 are the source and terminal depots; node i in 1..n is
     the pickup of task i-1 and node i+n its delivery.  `travel_time` is the
-    shortest-path time matrix in seconds (symmetric, zero diagonal, metric),
-    `travel_dist` the same in meters.  `open_time`/`close_time` are the window
-    bounds per node; deliveries and depots open at 0, and the depot hop is
-    free in time and distance.  Nodes at one location share their rows and
-    columns of both matrices.  Every per-node field has one entry per node
-    and `task_ids` one per task; a network that breaks a shape, a fixed
-    window or a shared row raises `ValueError`.  Networks compare and hash by
-    identity: arrays have no single truth value.
+    time matrix in seconds, `travel_dist` the distance matrix in meters, and
+    `open_time`/`close_time` the window bounds per node.  A network checks
+    its shapes (one entry per node in each per-node field, one task id per
+    task), its fixed windows (deliveries and depots open at 0), the free depot
+    hop (nodes 0 and 2n+1 at one location, zero time and distance apart),
+    that both matrices are finite and non-negative, and that nodes at one
+    location share their rows and columns of both; the first check that
+    fails raises `ValueError`.  `build_network` fills the matrices with
+    shortest-path values, but a hand-built network's need not be metric: the
+    search closes its own time stack and its completion table closes the
+    location distances.  Networks compare and hash by identity: arrays have
+    no single truth value.
     """
 
     n: int
@@ -192,16 +196,22 @@ class PdpNetwork:
                 or any(self.travel_time[h] or self.travel_dist[h] for h in hop)):
             raise ValueError(f"depot nodes 0 and {self.terminal} must be one location, "
                              f"with zero travel time and distance between them")
+        for name in ("travel_time", "travel_dist"):
+            matrix = getattr(self, name)
+            # Compared only where finite, so a NaN is never ordered.
+            ok = np.isfinite(matrix)
+            ok[ok] = matrix[ok] >= 0
+            if not ok.all():
+                i, j = np.argwhere(~ok)[0]
+                raise ValueError(f"{name}[{i}, {j}] is {matrix[i, j]:g}; travel times and "
+                                 f"distances must be finite and non-negative")
         # The search reads a location's distances from its first node, so
         # every node must share its first co-located node's rows and columns.
-        # `!=` is the cheap test; a NaN differs from itself only there.
         first: dict[str, int] = {}
         at = [first.setdefault(name, v) for v, name in enumerate(self.locations)]
         for name in ("travel_time", "travel_dist"):
             matrix = getattr(self, name)
-            shared = matrix.take(at, 0).take(at, 1)
-            if ((matrix != shared).any()
-                    and not np.array_equal(matrix, shared, equal_nan=True)):
+            if (matrix != matrix.take(at, 0).take(at, 1)).any():
                 raise ValueError(f"{name} differs between co-located nodes; nodes at one "
                                  f"location must share their rows and columns")
 
@@ -262,10 +272,6 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
             lengths[i, j] = lengths[j, i] = length
     wanted = [index[loc] for loc in locations]
     dist = shortest_path_closure(lengths)[np.ix_(wanted, wanted)]
-    # Sums taken in another order may round apart; the metric itself is
-    # symmetric, so enforce it exactly.
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
     with np.errstate(over="ignore"):
         times = dist / speed
         # `build_network` scales the times back to meters, which can round

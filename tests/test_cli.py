@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +20,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _table_digest(stdout):
+    """sha256 of stdout without its `artifact:` line, the one line naming a path."""
+    kept = [line for line in stdout.splitlines(keepends=True)
+            if not line.startswith("artifact: ")]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
 def _infinite_arc(doc):
@@ -650,3 +658,49 @@ class TestDefaultOutputs:
                          "--plan", "tri3.solution.json", "--trials", "50")
         assert code == 0
         assert (tmp_path / "tri3.solution.evaluation.json").exists()
+
+
+# (instance, solve flags, exit code, stdout digest).
+_SOLVE_PINS = {
+    "det-tri3": (TRI3, ["--mode", "det"], 0,
+                 "9b31545a30a1350af2c44bb06cca7837d1d739233de3242e38e3393a0fd18d41"),
+    "sto-alpha-factory6": (
+        FACTORY6, ["--mode", "sto", "--alpha", "0.1", "--scenarios", "30", "--seed", "3"], 0,
+        "2751f5282661452d5b2852e33f556b98abc8f9990b78e620899377b23e8d3cfd"),
+    "sto-fast-infeasible-factory6": (
+        FACTORY6, ["--mode", "sto-fast", "--scenarios", "300", "--seed", "2"], 2,
+        "85fa4c9aa83c350e6a426d46b7982302671742c8532bb557ef0dbdf090df973a"),
+    "sto-factory6": (FACTORY6, ["--mode", "sto", "--scenarios", "300", "--seed", "1"], 0,
+                     "839b4abb39b9d1967ea3b0c1f68e84d7acf68350ac7b9aef8625dc21f97a6b01"),
+}
+
+# (instance, solve flags of the plan, trials, stdout digest of its evaluation).
+_EVALUATE_PINS = {
+    "det-tri3": (TRI3, ["--mode", "det"], 2500,
+                 "b27554b22e4298f09550519929124a0791446c781105a622ae34d3ce53242fd8"),
+    "sto-factory6": (FACTORY6, ["--mode", "sto", "--scenarios", "300", "--seed", "1"], 1025,
+                     "c7cf6d1df5ff3adf7bb01c2daf7b7b1d095f2d270e448f893f320359e2246263"),
+    "sto-alpha-tri3-wide": (
+        TRI3_WIDE, ["--mode", "sto", "--alpha", "0.1", "--scenarios", "30", "--seed", "7"],
+        2500, "d27c1fca4cf5491f11af232a7810f1618840bc5287e815f78a80ad45be560230"),
+}
+
+
+class TestPinnedStdout:
+    """The tables the commands print, byte for byte."""
+
+    @pytest.mark.parametrize("instance, flags, code, digest", _SOLVE_PINS.values(),
+                             ids=_SOLVE_PINS.keys())
+    def test_solve(self, tmp_path, capsys, instance, flags, code, digest):
+        got, stdout, _ = run(capsys, "solve", "--instance", instance, *flags,
+                             "--out", str(tmp_path / "plan.json"))
+        assert (got, _table_digest(stdout)) == (code, digest)
+
+    @pytest.mark.parametrize("instance, flags, trials, digest", _EVALUATE_PINS.values(),
+                             ids=_EVALUATE_PINS.keys())
+    def test_evaluate(self, tmp_path, capsys, instance, flags, trials, digest):
+        plan = str(tmp_path / "plan.json")
+        assert run(capsys, "solve", "--instance", instance, *flags, "--out", plan)[0] == 0
+        code, stdout, _ = run(capsys, "evaluate", "--instance", instance, "--plan", plan,
+                              "--trials", str(trials), "--out", str(tmp_path / "eval.json"))
+        assert (code, _table_digest(stdout)) == (0, digest)

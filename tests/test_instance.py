@@ -141,7 +141,8 @@ class TestShortestTravelMatrix:
     def test_symmetry(self):
         locs = ["DEP", "A", "B", "C"]
         times = shortest_travel_matrix(ring_layout(), locs, 1.5)
-        assert np.allclose(times, times.T)
+        assert np.array_equal(times, times.T)
+        assert (times.diagonal() == 0.0).all()
 
     def test_parallel_edges_take_the_shortest(self):
         layout = LayoutGraph(node_ids=("P", "Q"), labels=("P", "Q"),
@@ -323,6 +324,10 @@ def connected_layouts(draw):
 @given(connected_layouts())
 def test_triangle_inequality(layout):
     times = shortest_travel_matrix(layout, list(layout.node_ids), 1.5)
+    # Floyd-Warshall over symmetric lengths adds each pair of legs in both
+    # orders, and IEEE addition commutes, so symmetry holds exactly.
+    assert np.array_equal(times, times.T)
+    assert (times.diagonal() == 0.0).all()
     m = len(layout.node_ids)
     for i in range(m):
         for j in range(m):
@@ -437,6 +442,32 @@ class TestNetworkColocatedRows:
             network = random_network(rng, max_tasks=4, max_vehicles=2, tightness="loose")
             colocated += len(set(network.locations)) < network.size - 1
         assert colocated > 0
+
+
+class TestNetworkTravelEntries:
+    """Both matrices are finite and non-negative: every window test against
+    a NaN passes, so a NaN arc silently dropped a constraint."""
+
+    def test_nan_arcs_from_a_pickup_rejected(self, tri3_network):
+        # With these arcs NaN, tri3 solved to `optimal`, 90 m, on route
+        # 0-1-2-3-4-5: delivery 3's coupling read NaN.
+        times = tri3_network.travel_time.copy()
+        for j in (3, 4):
+            times[1, j] = times[j, 1] = np.nan
+        with pytest.raises(ValueError, match=re.escape("travel_time[1, 3] is nan; ")):
+            dataclasses.replace(tri3_network, travel_time=times)
+
+    @pytest.mark.parametrize("field", ["travel_time", "travel_dist"])
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                              (-1.5, "-1.5")])
+    def test_bad_entry_named(self, tri3_network, field, value, shown):
+        # Pickups 1 and 2 are at A and C, which no other node shares.
+        matrix = getattr(tri3_network, field).copy()
+        matrix[1, 2] = matrix[2, 1] = value
+        message = (f"{field}[1, 2] is {shown}; travel times and distances must be "
+                   "finite and non-negative")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(tri3_network, **{field: matrix})
 
 
 # (field, a value for tri3, its shape, the shape tri3 needs); tri3 has two

@@ -11,7 +11,7 @@ from .evaluator import (EvaluationReport, SimOutcome, out_of_sample,
 from .formulation import (BigMSet, CheckResult, ConstraintSystem,
                           LinearConstraint, Variable, Violation,
                           build_deterministic, build_stochastic, check_solution,
-                          compute_big_m, objective_value, write_lp_text)
+                          compute_big_m, write_lp_text)
 from .instance import (InstanceParseError, InstanceValidationError, LayoutGraph,
                        PdpInstance, PdpNetwork, TaskSpec, build_network,
                        load_instance, shortest_travel_matrix)

@@ -81,12 +81,6 @@ class ConstraintSystem:
     constraints: tuple[LinearConstraint, ...]
     objective: dict[str, float]
 
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
-    def constraints_tagged(self, tag: str) -> list[LinearConstraint]:
-        return [c for c in self.constraints if c.tag == tag]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -368,10 +362,6 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> Ch
             violations.append(Violation(constraint=con.name, tag=con.tag, amount=amount))
 
     return CheckResult(feasible=not violations, violations=tuple(violations))
-
-
-def objective_value(system: ConstraintSystem, assignment: dict[str, float]) -> float:
-    return sum(coef * assignment[name] for name, coef in system.objective.items())
 
 
 def _lp_ident(name: str) -> str:

@@ -44,10 +44,9 @@ class LayoutGraph:
             raise InstanceValidationError("layout.nodes: labels must match node ids")
         known = set(self.node_ids)
         for u, v, length in self.edges:
-            if u not in known:
-                raise InstanceValidationError(f"layout.edges: unknown node {u!r} in edge ({u!r}, {v!r})")
-            if v not in known:
-                raise InstanceValidationError(f"layout.edges: unknown node {v!r} in edge ({u!r}, {v!r})")
+            for end in (u, v):
+                if end not in known:
+                    raise InstanceValidationError(f"layout.edges: unknown node {end!r} in edge ({u!r}, {v!r})")
             if not (length > 0):
                 raise InstanceValidationError(
                     f"layout.edges: edge ({u!r}, {v!r}) has non-positive length {length}"
@@ -111,7 +110,6 @@ class PdpInstance:
     depot: str
     horizon: float
     speed: float = 1.5
-    notes: str = ""
 
     def __post_init__(self):
         if len(self.tasks) < 1:
@@ -124,10 +122,9 @@ class PdpInstance:
         if self.depot not in known:
             raise InstanceValidationError(f"depot: unknown location {self.depot!r}")
         for t in self.tasks:
-            if t.origin not in known:
-                raise InstanceValidationError(f"task {t.task_id!r}: unknown location {t.origin!r}")
-            if t.destination not in known:
-                raise InstanceValidationError(f"task {t.task_id!r}: unknown location {t.destination!r}")
+            for loc in (t.origin, t.destination):
+                if loc not in known:
+                    raise InstanceValidationError(f"task {t.task_id!r}: unknown location {loc!r}")
         seen_ids = set()
         for t in self.tasks:
             if t.task_id in seen_ids:
@@ -152,16 +149,17 @@ class PdpNetwork:
     the pickup of task i-1 and node i+n its delivery.  `travel_time` is the
     time matrix in seconds, `travel_dist` the distance matrix in meters, and
     `open_time`/`close_time` the window bounds per node.  A network checks
-    its shapes (one entry per node in each per-node field, one task id per
-    task), its fixed windows (deliveries and depots open at 0), the free depot
-    hop (nodes 0 and 2n+1 at one location, zero time and distance apart),
-    that both matrices are finite and non-negative, and that nodes at one
-    location share their rows and columns of both; the first check that
-    fails raises `ValueError`.  `build_network` fills the matrices with
-    shortest-path values, but a hand-built network's need not be metric: the
-    search closes its own time stack and its completion table closes the
-    location distances.  Networks compare and hash by identity: arrays have
-    no single truth value.
+    its fleet (an integer of at least 1), its shapes (one entry per node in
+    each per-node field, one task id per task), its fixed windows
+    (deliveries and depots open at 0), the free depot hop (nodes 0 and 2n+1
+    at one location, zero time and distance apart), that every window bound
+    is finite, that both matrices are finite and non-negative, and that
+    nodes at one location share their rows and columns of both; the first
+    check that fails raises `ValueError`.  `build_network` fills the
+    matrices with shortest-path values, but a hand-built network's need not
+    be metric: the search closes its own time stack and its completion
+    table closes the location distances.  Networks compare and hash by
+    identity: arrays have no single truth value.
     """
 
     n: int
@@ -175,6 +173,10 @@ class PdpNetwork:
     travel_dist: np.ndarray
 
     def __post_init__(self):
+        fleet = self.vehicle_count
+        if isinstance(fleet, bool) or not isinstance(fleet, (int, np.integer)) or fleet < 1:
+            raise ValueError(f"vehicle_count is {fleet!r}; a network needs an integer "
+                             f"fleet of at least 1")
         nv = self.size
         for name, shape in (("open_time", (nv,)), ("close_time", (nv,)),
                             ("travel_time", (nv, nv)), ("travel_dist", (nv, nv)),
@@ -196,6 +198,12 @@ class PdpNetwork:
                 or any(self.travel_time[h] or self.travel_dist[h] for h in hop)):
             raise ValueError(f"depot nodes 0 and {self.terminal} must be one location, "
                              f"with zero travel time and distance between them")
+        for name in ("open_time", "close_time"):
+            bounds = getattr(self, name)
+            finite = np.isfinite(bounds)
+            if not finite.all():
+                v = finite.argmin()
+                raise ValueError(f"{name}[{v}] is {bounds[v]:g}; window bounds must be finite")
         for name in ("travel_time", "travel_dist"):
             matrix = getattr(self, name)
             # Compared only where finite, so a NaN is never ordered.
@@ -374,7 +382,8 @@ def load_instance(text: str) -> PdpInstance:
         }
 
     Layout nodes may also be given as ``[id, label]`` pairs.  `speed` defaults
-    to `PdpInstance.speed`.  Raises `InstanceParseError` for malformed
+    to `PdpInstance.speed`.  An optional ``"notes"`` string is checked and
+    then ignored.  Raises `InstanceParseError` for malformed
     documents and `InstanceValidationError` for structurally invalid ones,
     naming the offending field.
     """
@@ -440,8 +449,7 @@ def load_instance(text: str) -> PdpInstance:
         raise InstanceParseError(f"depot: must be a location id string, got {depot!r}")
     speed = _number(doc.get("speed", PdpInstance.speed), "speed")
     horizon = _number(_require(doc, "horizon", "instance"), "horizon")
-    notes = doc.get("notes", "")
-    if not isinstance(notes, str):
+    if not isinstance(doc.get("notes", ""), str):
         raise InstanceParseError("notes: must be a string")
 
     return PdpInstance(
@@ -451,5 +459,4 @@ def load_instance(text: str) -> PdpInstance:
         depot=depot,
         speed=speed,
         horizon=horizon,
-        notes=notes,
     )

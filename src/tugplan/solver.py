@@ -403,11 +403,15 @@ class _Search:
                 self.split = split.tolist()
         self.latest_min = latest.tolist()
 
-    def _close_stack(self) -> None:
-        """Replace the starting cut-offs with the exact ones: one
-        Floyd-Warshall over the stack."""
+    def _close_stack(self) -> bool:
+        """Replace the starting cut-offs with the exact ones, one
+        Floyd-Warshall over the stack, unless they are exact already.
+        Returns whether this call closed the stack."""
+        if self.closed:
+            return False
         self.closed = True
         self._set_cutoffs(shortest_path_closure(self.times))
+        return True
 
     def _meets_cutoffs(self, j: int, w: float, onboard: list[int]) -> bool:
         """Whether the bound `w` at `j` meets the exact earliest cut-off of
@@ -419,10 +423,7 @@ class _Search:
                     break
             else:
                 return True
-        if self.closed:
-            return False
-        self._close_stack()
-        return self._meets_cutoffs(j, w, onboard)
+        return self._close_stack() and self._meets_cutoffs(j, w, onboard)
 
     def _splits(self, cur: int, now: float, travelled: float, todo: int) -> bool:
         """Whether some unvisited task is late for the current vehicle and
@@ -430,8 +431,7 @@ class _Search:
         `travelled`, this route's walk through its onboard deliveries and
         the later vehicles' walk through the late tasks reach the cutoff.
         Closes the stack first."""
-        if not self.closed:
-            self._close_stack()
+        self._close_stack()
         bit, n = self.bit, self.n
         late, ahead = False, 0
         for i, cut in enumerate(self.split[cur], 1):
@@ -585,8 +585,7 @@ class _Search:
         """Whether the node can no longer reach some onboard deadline in
         scenarios that push the dead mass above alpha.  Closes the stack
         first."""
-        if not self.closed:
-            self._close_stack()
+        self._close_stack()
         cur_times, latest_min = self._times(scen), self.latest_min[cur]
         doomed = None
         for i in self.onboard:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -9,6 +10,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from tugplan import build_network, load_instance
 
 INSTANCES = Path(__file__).parent.parent / "instances"
+
+# The benchmark's instance generator, `perfbench/gen.py`.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def instance_dict(name):

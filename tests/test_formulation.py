@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from tugplan import (ScenarioConfig, Schedule, Solution, build_deterministic, build_network,
                      build_stochastic, check_solution, compute_big_m, generate_scenarios,
-                     load_instance, objective_value, single_scenario, solve_deterministic,
+                     load_instance, single_scenario, solve_deterministic,
                      write_lp_text)
 from tugplan.formulation import (BINARY, ConstraintSystem, LinearConstraint, Variable, arc_list,
                                  propagation_requirement, w_name, x_name, z_name)
@@ -49,19 +50,20 @@ class TestBuildDeterministic:
 
     def test_single_pickup_coverage_constraint(self, single_task_network):
         system = build_deterministic(single_task_network)
-        assert len(system.constraints_tagged("Eq2")) == 1
+        assert [c.tag for c in system.constraints].count("Eq2") == 1
 
     def test_tri3_family_counts(self, tri3_network):
         system = build_deterministic(tri3_network)
         n, fleet = tri3_network.n, tri3_network.vehicle_count
-        assert len(system.constraints_tagged("Eq2")) == n
-        assert len(system.constraints_tagged("Eq3")) == n * fleet
-        assert len(system.constraints_tagged("Eq4")) == fleet
-        assert len(system.constraints_tagged("Eq5")) == fleet
-        assert len(system.constraints_tagged("Eq6")) == 2 * n * fleet
-        assert len(system.constraints_tagged("Eq7")) == len(arc_list(tri3_network.size)) * fleet
-        assert len(system.constraints_tagged("Eq8")) == n * fleet
-        assert len(system.constraints_tagged("Eq9")) == 2 * tri3_network.size * fleet
+        tagged = Counter(c.tag for c in system.constraints)
+        assert tagged["Eq2"] == n
+        assert tagged["Eq3"] == n * fleet
+        assert tagged["Eq4"] == fleet
+        assert tagged["Eq5"] == fleet
+        assert tagged["Eq6"] == 2 * n * fleet
+        assert tagged["Eq7"] == len(arc_list(tri3_network.size)) * fleet
+        assert tagged["Eq8"] == n * fleet
+        assert tagged["Eq9"] == 2 * tri3_network.size * fleet
 
     def test_every_tag_in_allowed_set(self, tri3_network):
         system = build_deterministic(tri3_network)
@@ -70,7 +72,7 @@ class TestBuildDeterministic:
 
     def test_constraints_reference_declared_variables(self, tri3_network):
         system = build_deterministic(tri3_network)
-        declared = set(system.variable_names())
+        declared = {v.name for v in system.variables}
         for con in system.constraints:
             assert set(con.coeffs) <= declared
 
@@ -90,7 +92,7 @@ class TestBuildStochastic:
     def test_single_scenario_zero_alpha_forces_z(self, tri3_network):
         scen = single_scenario(tri3_network.travel_time)
         system = build_stochastic(tri3_network, scen, alpha=0.0)
-        knapsack = system.constraints_tagged("Eq21")
+        knapsack = [c for c in system.constraints if c.tag == "Eq21"]
         assert len(knapsack) == 1
         assert knapsack[0].rhs == 0.0
         assert knapsack[0].coeffs == {z_name(0): 1.0}
@@ -98,7 +100,7 @@ class TestBuildStochastic:
     def test_knapsack_allows_at_most_one_of_three(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=3, seed=4))
         system = build_stochastic(tri3_network, scen, alpha=0.34)
-        knapsack = system.constraints_tagged("Eq21")[0]
+        [knapsack] = [c for c in system.constraints if c.tag == "Eq21"]
 
         def mass(bits):
             return sum(knapsack.coeffs[z_name(s)] * b for s, b in enumerate(bits))
@@ -202,7 +204,8 @@ class TestCheckSolution:
             assignment[w_name(0, node)] = t
         result = check_solution(system, assignment)
         assert result.feasible, result.violations
-        assert objective_value(system, assignment) == pytest.approx(60.0)
+        distance = sum(coef * assignment[name] for name, coef in system.objective.items())
+        assert distance == pytest.approx(60.0)
 
     def test_window_perturbation_tagged(self):
         doc = single_task_dict(earliest=10.0)

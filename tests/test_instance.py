@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tugplan
-from tugplan import (InstanceParseError, InstanceValidationError, LayoutGraph,
-                     PdpInstance, build_network, load_instance, shortest_travel_matrix)
+from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, InstanceParseError,
+                     InstanceValidationError, LayoutGraph, PdpInstance, build_network,
+                     load_instance, shortest_travel_matrix, solve_deterministic)
 
-from conftest import overflowing_sum_dict, overflowing_time_dict, single_task_dict
+from conftest import (INSTANCES, gen, instance_dict, overflowing_sum_dict,
+                      overflowing_time_dict, single_task_dict)
 from instgen import random_network
 
 
@@ -378,6 +380,13 @@ class TestParserDefaults:
         with pytest.raises(InstanceParseError, match=r"\[id, label\]"):
             load_instance(json.dumps(doc))
 
+    def test_string_notes_accepted(self):
+        # The parser type-checks `notes` (a number is rejected by name, see
+        # REJECTIONS) and keeps nothing of it.
+        doc = single_task_dict()
+        doc["notes"] = "first shift"
+        assert load_instance(json.dumps(doc)) == load_instance(json.dumps(single_task_dict()))
+
 
 class TestNetworkFixedWindows:
     """Every network states the facts the search relies on: deliveries and
@@ -443,6 +452,17 @@ class TestNetworkColocatedRows:
             colocated += len(set(network.locations)) < network.size - 1
         assert colocated > 0
 
+    def test_bundled_and_generated_networks_pass(self):
+        # Every network check holds on the bundled instances and on the
+        # benchmark's generated ones, tight and loose.
+        docs = [instance_dict(path.stem) for path in sorted(INSTANCES.glob("*.json"))]
+        docs += [gen.factory_instance(seed, n, windows) for seed in range(50)
+                 for n in (4, 8) for windows in ("tight", "loose")]
+        for doc in docs:
+            network = build_network(load_instance(json.dumps(doc)))
+            assert network.vehicle_count == doc["vehicles"]
+        assert len(docs) == 203
+
 
 class TestNetworkTravelEntries:
     """Both matrices are finite and non-negative: every window test against
@@ -468,6 +488,61 @@ class TestNetworkTravelEntries:
                    "finite and non-negative")
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(tri3_network, **{field: matrix})
+
+
+class TestNetworkWindowBounds:
+    """Every window bound is finite: every window test against a NaN
+    passes, so a NaN bound silently dropped its window, and an infinite one
+    made the big-M constants infinite."""
+
+    def test_nan_deadline_rejected(self, tri3_network):
+        # With delivery 3's deadline NaN, tri3 solved to `optimal`, 90 m;
+        # with it at 1 s tri3 is infeasible.
+        close_time = tri3_network.close_time.copy()
+        close_time[3] = 1.0
+        tight = dataclasses.replace(tri3_network, close_time=close_time)
+        assert solve_deterministic(tight).status == STATUS_INFEASIBLE
+        close_time = tri3_network.close_time.copy()
+        close_time[3] = np.nan
+        with pytest.raises(ValueError, match=re.escape(
+                "close_time[3] is nan; window bounds must be finite")):
+            dataclasses.replace(tri3_network, close_time=close_time)
+
+    @pytest.mark.parametrize("field, node, value, shown", [
+        # Solved to `optimal`, 90 m, on a plan `check_solution` rejected
+        # with 20 violations.
+        ("open_time", 1, np.nan, "nan"),
+        # `compute_big_m` returned m1 = m4 = inf, and the LP export wrote
+        # rows such as `+inf x_0_0_1 <= inf`.
+        ("close_time", 3, np.inf, "inf"),
+        ("open_time", 2, -np.inf, "-inf"),
+    ])
+    def test_non_finite_bound_named(self, tri3_network, field, node, value, shown):
+        bounds = getattr(tri3_network, field).copy()
+        bounds[node] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}[{node}] is {shown}; window bounds must be finite")):
+            dataclasses.replace(tri3_network, **{field: bounds})
+
+
+class TestNetworkFleet:
+    """The fleet is an integer of at least 1: tri3 with 0 or -1 vehicles
+    solved to `optimal` on one route, and with 1.5 the idle-route padding
+    raised a bare TypeError."""
+
+    @pytest.mark.parametrize("fleet", [0, -1, 1.5, True, np.int64(0)],
+                             ids=["zero", "negative", "fraction", "bool", "numpy-zero"])
+    def test_bad_fleet_named(self, tri3_network, fleet):
+        with pytest.raises(ValueError, match=re.escape(
+                f"vehicle_count is {fleet!r}; a network needs an integer fleet of at least 1")):
+            dataclasses.replace(tri3_network, vehicle_count=fleet)
+
+    def test_numpy_integer_fleet_accepted(self, tri3_network):
+        fleet = np.int64(tri3_network.vehicle_count)
+        solution = solve_deterministic(dataclasses.replace(tri3_network, vehicle_count=fleet))
+        reference = solve_deterministic(tri3_network)
+        assert solution.status == STATUS_OPTIMAL
+        assert solution.plan.routes == reference.plan.routes
 
 
 # (field, a value for tri3, its shape, the shape tri3 needs); tri3 has two

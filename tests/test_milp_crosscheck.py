@@ -27,7 +27,7 @@ from instgen import random_instance_doc
 
 def milp_optimum(system):
     """Solve a ConstraintSystem with scipy/HiGHS; returns (status, objective)."""
-    names = system.variable_names()
+    names = [v.name for v in system.variables]
     index = {name: i for i, name in enumerate(names)}
     size = len(names)
 

@@ -10,9 +10,7 @@ suite.
 """
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -21,10 +19,7 @@ from tugplan.scenarios import ScenarioConfig, generate_scenarios
 from tugplan.solver import (SolveConfig, solve_alpha_zero_fast, solve_deterministic,
                             solve_stochastic)
 
-_GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+from conftest import gen
 
 
 def outcome(mode: str, windows: str, n: int, seed: int, alpha: float = 0.1) -> tuple:

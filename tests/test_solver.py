@@ -887,8 +887,10 @@ def _closure_shapes(monkeypatch):
     close_stack = solver_module._Search._close_stack
 
     def counted(search):
-        shapes.append(search.times.shape)
-        close_stack(search)
+        closed = close_stack(search)
+        if closed:
+            shapes.append(search.times.shape)
+        return closed
 
     monkeypatch.setattr(solver_module._Search, "_close_stack", counted)
     return shapes
@@ -1004,8 +1006,12 @@ class TestScenarioVector:
             search = solver_module._Search(network, times, probs, SolveConfig())
             start = np.array(search.latest_min)
             assert search.latest_fs is None and search.split is None
-            search._close_stack()
+            assert search._close_stack()
             closed = np.array(search.latest_min)
+            # A second call finds the stack closed and leaves the tables be.
+            latest_min = search.latest_min
+            assert not search._close_stack()
+            assert search.latest_min is latest_min and latest_min == closed.tolist()
             assert (start <= closed).all()
             raised += (start < closed).any()
             if mode == "sto":

@@ -20,8 +20,7 @@ from pathlib import Path
 from . import __version__
 from .evaluator import DISPATCH_POLICY, out_of_sample, wilson_interval
 from .formulation import build_deterministic, build_stochastic, write_lp_text
-from .instance import (InstanceParseError, InstanceValidationError, PdpNetwork,
-                       build_network, is_json_int, load_instance)
+from .instance import PdpNetwork, build_network, is_json_int, load_instance
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         scenario_set_from_dict, scenario_set_to_dict)
 from .solver import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
@@ -90,7 +89,7 @@ def _load_network(path: str) -> PdpNetwork:
     text = _read_text(path, "instance")
     try:
         return build_network(load_instance(text))
-    except (InstanceParseError, InstanceValidationError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid instance {path}: {exc}")
 
 

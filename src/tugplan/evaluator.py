@@ -107,11 +107,13 @@ def simulate_route(route: tuple[int, ...] | list[int], realized_times: np.ndarra
 
 
 def _late_routes(routes, times: np.ndarray, network: PdpNetwork) -> np.ndarray:
-    """[K, S]: whether route k misses a window under realization times[s]."""
+    """[K, S]: whether route k misses a window under realization times[s].
+    An idle route, the free depot hop, is never late (see `PdpNetwork`)."""
     late = np.zeros((len(routes), times.shape[0]), dtype=bool)
     for k, route in enumerate(routes):
-        late[k] = route_times(route, times, network.open_time, network.close_time,
-                              coupling=False)[1].any(axis=0)
+        if len(route) > 2:
+            late[k] = route_times(route, times, network.open_time, network.close_time,
+                                  coupling=False)[1].any(axis=0)
     return late
 
 

@@ -330,12 +330,10 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> Ch
     provenance tags and the violated amount.  A NaN violates every constraint
     and domain it enters: each test reads "not amount <= CHECK_TOLERANCE".
     """
+    violations: list[Violation] = []
     for var in system.variables:
         if var.name not in assignment:
             raise ValueError(f"assignment is missing variable {var.name}")
-
-    violations: list[Violation] = []
-    for var in system.variables:
         value = assignment[var.name]
         if var.kind == BINARY:
             off = min(abs(value), abs(value - 1.0))
@@ -378,11 +376,10 @@ def write_lp_text(system: ConstraintSystem) -> str:
     for start in range(0, len(terms), 8):
         lines.append("  " + "".join(terms[start:start + 8]))
     lines.append("Subject To")
-    rel_map = {"<=": "<=", ">=": ">=", "=": "="}
     for idx, con in enumerate(system.constraints):
         expr = "".join(
             f" {coef:+.12g} {_lp_ident(name)}" for name, coef in con.coeffs.items())
-        lines.append(f" c{idx}_{_lp_ident(con.name)}: {expr} {rel_map[con.relation]} {con.rhs:.12g}")
+        lines.append(f" c{idx}_{_lp_ident(con.name)}: {expr} {con.relation} {con.rhs:.12g}")
     binaries = [v.name for v in system.variables if v.kind == BINARY]
     if binaries:
         lines.append("Binary")

@@ -153,13 +153,16 @@ class PdpNetwork:
     each per-node field, one task id per task), its fixed windows
     (deliveries and depots open at 0), the free depot hop (nodes 0 and 2n+1
     at one location, zero time and distance apart), that every window bound
-    is finite, that both matrices are finite and non-negative, and that
-    nodes at one location share their rows and columns of both; the first
-    check that fails raises `ValueError`.  `build_network` fills the
-    matrices with shortest-path values, but a hand-built network's need not
-    be metric: the search closes its own time stack and its completion
-    table closes the location distances.  Networks compare and hash by
-    identity: arrays have no single truth value.
+    is finite and no window closes before it opens, that both matrices are
+    finite and non-negative, that a plan's sums stay inside the float range
+    (3n + 1 legs of the longest distance, and the latest closing time plus
+    3n + 1 legs of the longest travel time), and that nodes at one location
+    share their rows and columns of both; the first check that fails raises
+    `ValueError`.  So an idle route, the free depot hop, is never late.
+    `build_network` fills the matrices with shortest-path values, but a
+    hand-built network's need not be metric: the search closes its own time
+    stack and its completion table closes the location distances.  Networks
+    compare and hash by identity: arrays have no single truth value.
     """
 
     n: int
@@ -204,6 +207,11 @@ class PdpNetwork:
             if not finite.all():
                 v = finite.argmin()
                 raise ValueError(f"{name}[{v}] is {bounds[v]:g}; window bounds must be finite")
+        inverted = self.close_time < self.open_time
+        if inverted.any():
+            v = inverted.argmax()
+            raise ValueError(f"node {v} closes at {self.close_time[v]:g} s, before it opens at "
+                             f"{self.open_time[v]:g} s")
         for name in ("travel_time", "travel_dist"):
             matrix = getattr(self, name)
             # Compared only where finite, so a NaN is never ordered.
@@ -213,6 +221,18 @@ class PdpNetwork:
                 i, j = np.argwhere(~ok)[0]
                 raise ValueError(f"{name}[{i}, {j}] is {matrix[i, j]:g}; travel times and "
                                  f"distances must be finite and non-negative")
+        # A plan has at most 3n arcs (one route per task), and the search
+        # adds a completion bound of at most one arc more to a partial plan;
+        # its times add the same legs to at most the latest closing time.
+        # Float sums past the range would turn to `inf` silently and lose
+        # every plan.
+        legs = 3 * self.n + 1
+        if not math.isfinite(legs * float(self.travel_dist.max())):
+            raise ValueError(f"travel_dist: {legs} legs of the longest distance, "
+                             f"{self.travel_dist.max():g} m, overflow the float range")
+        if not math.isfinite(float(self.close_time.max()) + legs * float(self.travel_time.max())):
+            raise ValueError(f"close_time: {self.close_time.max():g} s plus {legs} legs of the longest "
+                             f"travel time, {self.travel_time.max():g} s, overflows the float range")
         # The search reads a location's distances from its first node, so
         # every node must share its first co-located node's rows and columns.
         first: dict[str, int] = {}
@@ -298,7 +318,9 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
 
     Pickup node i opens at the task's earliest pickup and closes at the
     horizon; delivery node i+n opens at 0 and closes at the task's latest
-    delivery; both depot nodes carry [0, horizon].
+    delivery; both depot nodes carry [0, horizon].  The windows are ordered
+    by construction; `PdpNetwork` raises `ValueError` if a plan's sums
+    leave the float range.
     """
     n = instance.n
     locations = (
@@ -314,22 +336,6 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
         open_time[1 + i] = t.earliest_pickup
         close_time[1 + n + i] = t.latest_delivery
     travel_time = shortest_travel_matrix(instance.layout, locations, instance.speed)
-    travel_dist = travel_time * instance.speed
-    # A plan has at most 3n arcs (one route per task), and the search adds
-    # a completion bound of at most one arc more to a partial plan; its
-    # times add the same legs to at most the horizon.  Float sums past the
-    # range would turn to `inf` silently and lose every plan.
-    arcs = 3 * n + 1
-    longest_m = arcs * float(travel_dist.max())
-    latest_s = float(instance.horizon) + arcs * float(travel_time.max())
-    if not math.isfinite(longest_m):
-        raise InstanceValidationError(
-            f"layout: {arcs} legs of the longest distance, {travel_dist.max():g} m, "
-            f"overflow the float range")
-    if not math.isfinite(latest_s):
-        raise InstanceValidationError(
-            f"horizon: {instance.horizon:g} s plus {arcs} legs of the longest travel time, "
-            f"{travel_time.max():g} s, overflows the float range")
     return PdpNetwork(
         n=n,
         vehicle_count=instance.vehicle_count,
@@ -339,7 +345,7 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
         open_time=open_time,
         close_time=close_time,
         travel_time=travel_time,
-        travel_dist=travel_dist,
+        travel_dist=travel_time * instance.speed,
     )
 
 

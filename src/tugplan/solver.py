@@ -105,12 +105,14 @@ the scenario search does not split.
 
 Identical vehicles make plans invariant under fleet relabeling, so the search
 only visits the canonical labeling in which the first pickup index of each
-working vehicle increases and idle vehicles trail.  Children are tried in
-increasing node order (pickups, deliveries, then the terminal, the largest
-index) and vehicles are filled in order, so complete plans arrive in strictly
-increasing lexicographic order.  Only a strict improvement replaces the
-incumbent, so the first optimum found is the lexicographically smallest one,
-and the distance prune also cuts subtrees that can at best tie it.
+working vehicle increases and idle vehicles trail.  The search and its seed
+hold the working routes only; `_solve` appends the idle ones, whose free
+depot hop can miss no window.  Children are tried in increasing node order
+(pickups, deliveries, then the terminal, the largest index) and vehicles are
+filled in order, so complete plans arrive in strictly increasing
+lexicographic order.  Only a strict improvement replaces the incumbent, so
+the first optimum found is the lexicographically smallest one, and the
+distance prune also cuts subtrees that can at best tie it.
 
 For a fixed plan the scenario switches decouple: turning a scenario off never
 pays unless the plan misses one of its windows, so the optimal switch set is
@@ -542,10 +544,8 @@ class _Search:
                 return None
             travelled += d[cur][terminal]
             routes.append(tuple(route) + (terminal,))
-        # The search's canonical labeling: first pickups increase, idle
-        # vehicles trail.
-        idle = ((0, terminal),) * (self.fleet - len(routes))
-        return travelled, tuple(sorted(routes)) + idle
+        # The search's canonical labeling: first pickups increase.
+        return travelled, tuple(sorted(routes))
 
     def _times(self, scen: list) -> np.ndarray:
         """The node's per-scenario times, stepped from its parent's on first
@@ -712,14 +712,11 @@ class _Search:
         travelled_total = travelled + d_cur[self.terminal]
         closed = tuple(route) + (self.terminal,)
         if not todo:
-            # Remaining vehicles stay idle; the depot-to-depot hop is free in
-            # both time and distance, so no window can fail on it.
             # Plans arrive in lexicographic order: keep strict improvements only.
             if travelled_total < self.best_obj - _EPS:
                 self.best_obj = travelled_total
                 self.cutoff = travelled_total - _EPS + _TIE_SLACK
-                self.best_plan = tuple(self.routes) + (closed,) + ((0, self.terminal),) * (
-                    self.fleet - len(self.routes) - 1)
+                self.best_plan = tuple(self.routes) + (closed,)
             return
         # The next vehicle starts at the depot, whose location has no mask bit.
         if travelled_total + table[mask][loc[0]] >= self.cutoff:
@@ -902,7 +899,10 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: So
                         infeasible_task=_solo_infeasible_task(network),
                         limiting_scenarios=limiting)
 
-    plan = RoutePlan(routes=search.best_plan, n=network.n)
+    # The remaining vehicles take the free depot hop, which `PdpNetwork`
+    # guarantees is never late.
+    idle = ((0, network.terminal),) * (network.vehicle_count - len(search.best_plan))
+    plan = RoutePlan(routes=search.best_plan + idle, n=network.n)
     if report_set is not None:
         times, probs = report_set.travel_times, report_set.probabilities
     w, feasible = _full_schedule(network, plan, times)

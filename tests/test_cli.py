@@ -134,8 +134,23 @@ class TestSolveCommand:
         assert "no finite travel time between 'DEP' and 'B'" in stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("case, field", [("plan", "layout: 4 legs"),
-                                             ("window", "horizon: 1.79e+308 s plus 4 legs")])
+    @pytest.mark.parametrize("make, case", [(overflowing_time_dict, "series"),
+                                            (overflowing_time_dict, "slow"),
+                                            (overflowing_sum_dict, "plan"),
+                                            (overflowing_sum_dict, "window")],
+                             ids=["series", "slow", "plan", "window"])
+    def test_overflowing_document_is_an_invalid_instance(self, tmp_path, capsys, make, case):
+        # The network rejects the sums, and the CLI names the instance for
+        # it as for the parser's rejections.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(make(case)))
+        code, _, stderr = run(capsys, "solve", "--instance", str(bad),
+                              "--out", str(tmp_path / "o.json"))
+        assert code == 1
+        assert stderr.startswith(f"error: invalid instance {bad}: ")
+
+    @pytest.mark.parametrize("case, field", [("plan", "travel_dist: 4 legs"),
+                                             ("window", "close_time: 1.79e+308 s plus 4 legs")])
     @pytest.mark.parametrize("mode", [["--mode", "det"], ["--mode", "sto"],
                                       ["--mode", "sto-fast"],
                                       ["--mode", "det", "--export-lp", "m.lp"]],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ from scipy.stats import binomtest, norm
 from tugplan import (EvaluationReport, RoutePlan, ScenarioConfig, SolveConfig, build_network,
                      generate_scenarios, load_instance, out_of_sample, replay_failures,
                      simulate_route, solve_deterministic, solve_stochastic)
+from tugplan import evaluator
 from tugplan.evaluator import _TRIAL_BLOCK, _late_routes, _wilson_half_width, wilson_interval
 from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rng
-from tugplan.solver import _full_schedule
+from tugplan.solver import _full_schedule, route_times
 
 
 # tri3 with both tasks on the first vehicle and the second one idle.
@@ -114,6 +116,34 @@ class TestOutOfSample:
         report = out_of_sample(TRI3_CHAIN, tri3_network, ScenarioConfig(count=200, seed=3))
         assert report.per_vehicle_failure[1] == 0.0
         assert report.overall_failure == report.per_vehicle_failure[0]
+
+    def test_idle_vehicles_change_nothing(self, tri3_network, monkeypatch):
+        # tri3's det plan padded to 3,000 vehicles: the working rows and the
+        # overall failure are the 2-vehicle report's, every idle row reads
+        # 0.0, and only the working route is dispatched.
+        fleet = dataclasses.replace(tri3_network, vehicle_count=3000)
+        small = solve_deterministic(tri3_network).plan
+        large = RoutePlan(routes=small.routes + ((0, 5),) * 2998, n=2)
+        config = ScenarioConfig(count=1000, seed=11)
+        dispatched = []
+
+        def counted(route, *args, **kwargs):
+            dispatched.append(route)
+            return route_times(route, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "route_times", counted)
+        reference = out_of_sample(small, tri3_network, config)
+        report = out_of_sample(large, fleet, config)
+        # One block of trials each.
+        assert dispatched == [small.routes[0]] * 2
+        assert report.per_vehicle_failure[:2] == reference.per_vehicle_failure
+        assert report.per_vehicle_failure[2:] == (0.0,) * 2998
+        assert report.overall_failure == reference.overall_failure > 0.0
+        scen = generate_scenarios(tri3_network, ScenarioConfig(count=50, seed=5))
+        counts = replay_failures(large, fleet, scen)
+        assert counts.shape == (3000,) and not counts[2:].any()
+        assert np.array_equal(counts[:2], replay_failures(small, tri3_network, scen))
+        assert counts[0] > 0
 
     def test_deadline_equal_leg_failure_rate(self):
         network = one_leg_network()

@@ -233,9 +233,9 @@ REJECTIONS = [
     ("time-overflow-slow", _built("slow"),
      InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
     ("plan-overflow", _built("plan"),
-     InstanceValidationError, r"layout: 4 legs of the longest distance, 1e\+308 m, overflow"),
+     ValueError, r"travel_dist: 4 legs of the longest distance, 1e\+308 m, overflow"),
     ("window-overflow", _built("window"),
-     InstanceValidationError, r"horizon: 1\.79e\+308 s plus 4 legs of the longest travel time"),
+     ValueError, r"close_time: 1\.79e\+308 s plus 4 legs of the longest travel time"),
     ("layout-labels", lambda: LayoutGraph(node_ids=("A", "B"), labels=("A",), edges=()),
      InstanceValidationError, r"layout\.nodes: labels must match node ids"),
     ("no-tasks", lambda: PdpInstance(layout=ring_layout(), tasks=(), vehicle_count=1,
@@ -523,6 +523,50 @@ class TestNetworkWindowBounds:
         with pytest.raises(ValueError, match=re.escape(
                 f"{field}[{node}] is {shown}; window bounds must be finite")):
             dataclasses.replace(tri3_network, **{field: bounds})
+
+
+class TestNetworkFloatRange:
+    """A plan's 3n arcs plus one completion arc stay inside the float range,
+    in meters and in seconds past the latest closing time, on every network,
+    not only on a built one.  tri3 has two tasks, so seven legs."""
+
+    def test_overflowing_distance_rejected(self, tri3_network):
+        # Largest entry 9e307 m: tri3 solved to `infeasible`, since its 90 m
+        # plan would be 2.7e308 m.
+        dists = tri3_network.travel_dist * 3e306
+        with pytest.raises(ValueError, match=re.escape(
+                "travel_dist: 7 legs of the longest distance, 9e+307 m, overflow")):
+            dataclasses.replace(tri3_network, travel_dist=dists)
+
+    def test_overflowing_times_rejected(self, tri3_network):
+        # tri3 solved to `optimal`, 90 m, but `compute_big_m` overflowed to
+        # m1 = m3 = inf and the LP export wrote `inf`.
+        with pytest.raises(ValueError, match=re.escape(
+                "close_time: 1.79e+308 s plus 7 legs of the longest travel time, 2e+307 s, "
+                "overflows")):
+            dataclasses.replace(tri3_network, close_time=np.full(6, 1.79e308),
+                                travel_time=tri3_network.travel_time * 1e306)
+
+
+class TestNetworkWindowOrder:
+    """No window closes before it opens: with its source depot closing at
+    -1 s, tri3's det solve raised a bare AssertionError, since every route
+    was late at the depot."""
+
+    @pytest.mark.parametrize("node, close, opens", [(0, -1.0, 0.0), (1, 5.0, 10.0),
+                                                    (5, -1.0, 0.0)])
+    def test_inverted_window_named(self, tri3_network, node, close, opens):
+        close_time = tri3_network.close_time.copy()
+        close_time[node] = close
+        with pytest.raises(ValueError, match=re.escape(
+                f"node {node} closes at {close:g} s, before it opens at {opens:g} s")):
+            dataclasses.replace(tri3_network, close_time=close_time)
+
+    def test_one_instant_window_accepted(self, tri3_network):
+        # A window of one instant is not inverted.
+        close_time = tri3_network.close_time.copy()
+        close_time[1] = tri3_network.open_time[1]
+        dataclasses.replace(tri3_network, close_time=close_time)
 
 
 class TestNetworkFleet:

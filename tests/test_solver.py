@@ -1077,8 +1077,8 @@ class TestScenarioVector:
 
 
 def _seed_of(network):
-    """The nearest-next seed `(distance, plan)` of the nominal search, or
-    None."""
+    """The nearest-next seed `(distance, working routes)` of the nominal
+    search, or None."""
     nominal = network.travel_time[np.newaxis]
     return solver_module._Search(network, nominal, np.ones(1), SolveConfig())._nearest_next()
 
@@ -1119,7 +1119,7 @@ class TestNearestNextSeed:
     def test_optimal_seed_still_returns_the_smallest_plan(self, tri3_network):
         # tri3's seed is optimal, but the exact pass still returns the
         # lexicographically smaller plan of the same cost.
-        assert _seed_of(tri3_network) == (90.0, ((0, 1, 3, 2, 4, 5), (0, 5)))
+        assert _seed_of(tri3_network) == (90.0, ((0, 1, 3, 2, 4, 5),))
         solution = solve_deterministic(tri3_network)
         assert solution.stats.seed_m == solution.objective == 90.0
         assert solution.plan.routes == ((0, 1, 2, 3, 4, 5), (0, 5))
@@ -1148,10 +1148,12 @@ class TestNearestNextSeed:
         assert stopped.status == STATUS_TIME_LIMIT_NO_INCUMBENT and stopped.plan is None
 
     def test_time_out_returns_the_seed_plan(self, tri3_network):
-        # The search stops at its first node, before a plan of its own.
+        # The search stops at its first node, before a plan of its own.  The
+        # seed holds the working route; the solve appends the idle one.
         solution = solve_deterministic(tri3_network, SolveConfig(time_limit=1e-9))
         assert solution.status == STATUS_TIME_LIMIT_INCUMBENT
-        assert (solution.objective, solution.plan.routes) == _seed_of(tri3_network)
+        seed_m, routes = _seed_of(tri3_network)
+        assert (solution.objective, solution.plan.routes) == (seed_m, routes + ((0, 5),))
         assert solution.stats.seed_m == 90.0
 
     def test_seed_cutoff_below_rounding_is_dropped(self, tri3_network, monkeypatch):
@@ -1161,6 +1163,27 @@ class TestNearestNextSeed:
         solution = solve_deterministic(tri3_network)
         assert solution.stats.seed_m is None
         assert solution.plan.routes == ((0, 1, 2, 3, 4, 5), (0, 5))
+
+
+class TestIdleVehicles:
+    """An unused vehicle costs nothing, so the fleet size changes no
+    decision: the search holds the working routes only, and the solve
+    appends the idle ones."""
+
+    @pytest.mark.parametrize("solve", ["det", "sto", "sto-fast"])
+    def test_large_fleet_adds_only_idle_routes(self, tri3_network, solve):
+        fleet = dataclasses.replace(tri3_network, vehicle_count=3000)
+        scen = generate_scenarios(tri3_network, ScenarioConfig(count=5, seed=1))
+        solvers = {"det": solve_deterministic,
+                   "sto": lambda net: solve_stochastic(net, scen, SolveConfig(alpha=0.2)),
+                   "sto-fast": lambda net: solve_alpha_zero_fast(net, scen)}
+        small, large = solvers[solve](tri3_network), solvers[solve](fleet)
+        assert small.status == large.status == STATUS_OPTIMAL
+        assert large.objective == small.objective
+        assert large.stats == small.stats
+        assert large.plan.routes == small.plan.routes + ((0, 5),) * 2998
+        assert large.schedule.times.shape[0] == 3000
+        assert np.array_equal(large.schedule.times[:2], small.schedule.times)
 
 
 class TestSearchCounters:

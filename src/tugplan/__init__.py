@@ -12,9 +12,8 @@ from .formulation import (BigMSet, CheckResult, ConstraintSystem,
                           LinearConstraint, Variable, Violation,
                           build_deterministic, build_stochastic, check_solution,
                           compute_big_m, write_lp_text)
-from .instance import (InstanceParseError, InstanceValidationError, LayoutGraph,
-                       PdpInstance, PdpNetwork, TaskSpec, build_network,
-                       load_instance, shortest_travel_matrix)
+from .instance import (LayoutGraph, PdpInstance, PdpNetwork, TaskSpec,
+                       build_network, load_instance, shortest_travel_matrix)
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         sample_multiplier, scenario_set_from_dict,
                         scenario_set_to_dict, single_scenario)

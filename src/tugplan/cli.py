@@ -5,7 +5,8 @@ stage can be replayed and audited.  Every artifact embeds the run manifest
 (command, inputs, mode, seeds, output path, tool version) and is written with
 sorted keys, so identical inputs produce byte-identical files.
 
-Exit codes: 0 success/optimal, 1 usage or input error, 2 infeasible,
+Exit codes: 0 success/optimal, 1 usage or input error (every rejected
+input raises `ValueError`, whose message goes to stderr), 2 infeasible,
 3 time limit reached.
 """
 
@@ -36,29 +37,25 @@ _EXIT_CODES = {STATUS_OPTIMAL: EXIT_OK, STATUS_INFEASIBLE: EXIT_INFEASIBLE,
                STATUS_TIME_LIMIT_NO_INCUMBENT: EXIT_TIME_LIMIT}
 
 
-class CliError(Exception):
-    """Usage or input problem; message goes to stderr, exit code 1."""
-
-
 def _writable(name: str) -> Path:
     """Output file `name`, checked before any work: a directory, or a path
-    whose parent directory cannot be created, is a CliError."""
+    whose parent directory cannot be created, raises `ValueError`."""
     path = Path(name)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
     if path.is_dir():
-        raise CliError(f"cannot write {path}: Is a directory")
+        raise ValueError(f"cannot write {path}: Is a directory")
     return path
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write an output file; one that cannot be written is a CliError."""
+    """Write an output file; one that cannot be written raises `ValueError`."""
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -66,23 +63,23 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of an input file; one that cannot be read as UTF-8 text is a
-    CliError naming it."""
+    """The text of an input file; one that cannot be read as UTF-8 text raises
+    `ValueError` naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise CliError(f"{what} file not found: {path}")
+        raise ValueError(f"{what} file not found: {path}")
     except OSError as exc:
-        raise CliError(f"cannot read {what} file {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {what} file {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        raise CliError(f"{what} file {path} is not UTF-8 text: {exc}")
+        raise ValueError(f"{what} file {path} is not UTF-8 text: {exc}")
 
 
 def _read_json(path: str, what: str):
     try:
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
-        raise CliError(f"{what} file {path} is not valid JSON: {exc}")
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}")
 
 
 def _load_network(path: str) -> PdpNetwork:
@@ -90,7 +87,7 @@ def _load_network(path: str) -> PdpNetwork:
     try:
         return build_network(load_instance(text))
     except ValueError as exc:
-        raise CliError(f"invalid instance {path}: {exc}")
+        raise ValueError(f"invalid instance {path}: {exc}")
 
 
 def _table(headers: list[str], rows: list[list[str]], footer: str) -> str:
@@ -121,16 +118,16 @@ def _scenario_source(args: argparse.Namespace,
     """The set `--scenario-file` replays, or the config `--scenarios` draws."""
     if args.scenario_file:
         if args.seed is not None:
-            raise CliError("--seed draws nothing with --scenario-file")
+            raise ValueError("--seed draws nothing with --scenario-file")
         doc = _read_json(args.scenario_file, "scenario")
         try:
             scen = scenario_set_from_dict(doc, network)
         except ValueError as exc:
-            raise CliError(f"invalid scenario file {args.scenario_file}: {exc}")
+            raise ValueError(f"invalid scenario file {args.scenario_file}: {exc}")
         return scen, {"source": "file", "path": args.scenario_file,
                       "count": scen.count, "seed": scen.seed}
     if not args.scenarios:
-        raise CliError("stochastic mode needs --scenarios N or --scenario-file PATH")
+        raise ValueError("stochastic mode needs --scenarios N or --scenario-file PATH")
     # Only sampling draws, so only a sampled set's manifest records a seed.
     if args.seed is None:
         args.seed = 0
@@ -175,14 +172,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = SolveConfig(alpha=args.alpha, time_limit=args.time_limit)
     if args.mode == "det":
         if args.alpha != 0.0:
-            raise CliError("--mode det solves under nominal times and takes no --alpha")
+            raise ValueError("--mode det solves under nominal times and takes no --alpha")
         if args.scenarios or args.scenario_file:
-            raise CliError("--mode det solves under nominal times and takes no "
+            raise ValueError("--mode det solves under nominal times and takes no "
                            "--scenarios or --scenario-file")
         if args.seed is not None:
-            raise CliError("--mode det solves under nominal times and takes no --seed")
+            raise ValueError("--mode det solves under nominal times and takes no --seed")
     elif args.mode == "sto-fast" and args.alpha != 0.0:
-        raise CliError("--mode sto-fast requires --alpha 0")
+        raise ValueError("--mode sto-fast requires --alpha 0")
     source, provenance = (None, None) if args.mode == "det" else _scenario_source(args, network)
     # After the argument and input checks, so a usage error leaves nothing
     # behind; before sampling, so an unwritable output costs no work.
@@ -191,15 +188,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     if source is None:
         solution = solve_deterministic(network, config)
-        system_builder = lambda: build_deterministic(network)
     else:
         scen = source if isinstance(source, ScenarioSet) else generate_scenarios(network, source)
         solve = solve_alpha_zero_fast if args.mode == "sto-fast" else solve_stochastic
         solution = solve(network, scen, config)
-        system_builder = lambda: build_stochastic(network, scen, args.alpha)
 
     if lp_path:
-        _write_text(lp_path, write_lp_text(system_builder()))
+        system = (build_deterministic(network) if source is None
+                  else build_stochastic(network, scen, args.alpha))
+        _write_text(lp_path, write_lp_text(system))
 
     payload = _solution_payload(solution, network, _manifest(args, "solve", out), provenance)
     _write_json(out, payload)
@@ -224,28 +221,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = ScenarioConfig(count=args.trials, seed=args.seed)
     plan_doc = _read_json(args.plan, "plan")
     if not isinstance(plan_doc, dict):
-        raise CliError(f"invalid plan {args.plan}: must be a JSON object")
+        raise ValueError(f"invalid plan {args.plan}: must be a JSON object")
     if "routes_v" not in plan_doc:
-        raise CliError(f"plan artifact {args.plan} carries no routes "
+        raise ValueError(f"plan artifact {args.plan} carries no routes "
                        "(was the solve infeasible?)")
     task_count = plan_doc.get("task_count")
     if not is_json_int(task_count):
-        raise CliError(f"invalid plan {args.plan}: task_count must be an integer, "
+        raise ValueError(f"invalid plan {args.plan}: task_count must be an integer, "
                        f"got {task_count!r}")
     if task_count != network.n:
-        raise CliError(
-            f"plan/instance mismatch: plan has {task_count} tasks, "
-            f"instance has {network.n}")
+        raise ValueError(f"plan/instance mismatch: plan has {task_count} tasks, "
+                         f"instance has {network.n}")
     routes = plan_doc["routes_v"]
     if not isinstance(routes, list) or not all(isinstance(r, list) for r in routes):
-        raise CliError(f"invalid plan {args.plan}: routes_v must be a list of routes")
+        raise ValueError(f"invalid plan {args.plan}: routes_v must be a list of routes")
     bad = [v for r in routes for v in r if not is_json_int(v)]
     if bad:
-        raise CliError(f"invalid plan {args.plan}: node {bad[0]!r} is not an integer")
+        raise ValueError(f"invalid plan {args.plan}: node {bad[0]!r} is not an integer")
     try:
         plan = RoutePlan(routes=tuple(tuple(r) for r in routes), n=network.n)
     except ValueError as exc:
-        raise CliError(f"invalid plan {args.plan}: {exc}")
+        raise ValueError(f"invalid plan {args.plan}: {exc}")
 
     out = _writable(args.out or f"{Path(args.plan).stem}.evaluation.json")
     report = out_of_sample(plan, network, config)
@@ -345,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

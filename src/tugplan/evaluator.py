@@ -163,11 +163,10 @@ def out_of_sample(plan: RoutePlan, network: PdpNetwork,
     trials = config.count
     fails = np.zeros(len(routes), dtype=int)
     any_fail = 0
-    block = np.empty((min(trials, _TRIAL_BLOCK), network.size, network.size))
     for start in range(0, trials, _TRIAL_BLOCK):
         count = min(_TRIAL_BLOCK, trials - start)
         times = sample_multipliers(network.travel_time, config.seed, EVALUATION_STREAM, start,
-                                   count, out=block[:count])
+                                   count)
         times *= network.travel_time
         late = _late_routes(routes, times, network)
         fails += late.sum(axis=1)

@@ -50,13 +50,18 @@ class Variable:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """coeffs . values  <relation>  rhs, with <relation> in {<=, =, >=}."""
+    """coeffs . values  <relation>  rhs, with <relation> in {<=, =, >=}; any
+    other relation raises `ValueError` naming it."""
 
     name: str
     coeffs: dict[str, float]
     relation: str
     rhs: float
     tag: str
+
+    def __post_init__(self):
+        if self.relation not in ("<=", "=", ">="):
+            raise ValueError(f"unknown relation {self.relation!r} in {self.name}")
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,13 @@ def _route_structure_constraints(network: PdpNetwork, vehicle_count: int,
 def _build(network: PdpNetwork, scenarios: ScenarioSet | None, alpha: float) -> ConstraintSystem:
     """One builder for both models.  A realization is (scenario, travel times,
     name suffix, switch variable); the deterministic model has the single
-    nominal realization without a switch, and no mass row."""
+    nominal realization without a switch, and no mass row.
+
+    The model states `min(K, n)` of the fleet's K vehicles: every working
+    route serves a task and idle vehicles are interchangeable, so any
+    solution of the K-vehicle model relabels into it at the same cost."""
     nv = network.size
-    vehicle_count = network.vehicle_count
+    vehicle_count = min(network.vehicle_count, network.n)
     arcs = arc_list(nv)
     vehicles = range(vehicle_count)
     big_m = compute_big_m(network, scenarios)
@@ -271,7 +280,7 @@ def _build(network: PdpNetwork, scenarios: ScenarioSet | None, alpha: float) -> 
                     relation="<=", rhs=-float(d[i, j]), tag=tags["coupling"]))
 
     # a_i (1 - z_s) <= w_is <= b_i + M4 z_s; the lower bound, written as
-    # w + a_i z >= a_i, needs a_i >= 0, which holds by construction.
+    # w + a_i z >= a_i, needs a_i >= 0, which `PdpNetwork` guarantees.
     for k in vehicles:
         for i in range(nv):
             for (s, _, suffix, z) in realizations:
@@ -352,10 +361,8 @@ def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> Ch
             amount = residual
         elif con.relation == ">=":
             amount = -residual
-        elif con.relation == "=":
-            amount = abs(residual)
         else:
-            raise ValueError(f"unknown relation {con.relation!r} in {con.name}")
+            amount = abs(residual)
         if not amount <= CHECK_TOLERANCE:
             violations.append(Violation(constraint=con.name, tag=con.tag, amount=amount))
 

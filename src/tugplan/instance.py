@@ -20,14 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class InstanceParseError(ValueError):
-    """Raised when an instance document is not syntactically valid."""
-
-
-class InstanceValidationError(ValueError):
-    """Raised when a parsed instance violates a structural requirement."""
-
-
 @dataclass(frozen=True)
 class LayoutGraph:
     """Undirected factory layout: locations plus edges with lengths in meters."""
@@ -39,20 +31,19 @@ class LayoutGraph:
     def __post_init__(self):
         if len(set(self.node_ids)) != len(self.node_ids):
             dupes = sorted({v for v in self.node_ids if self.node_ids.count(v) > 1})
-            raise InstanceValidationError(f"layout.nodes: duplicate node ids {dupes}")
+            raise ValueError(f"layout.nodes: duplicate node ids {dupes}")
         if len(self.labels) != len(self.node_ids):
-            raise InstanceValidationError("layout.nodes: labels must match node ids")
+            raise ValueError("layout.nodes: labels must match node ids")
         known = set(self.node_ids)
         for u, v, length in self.edges:
             for end in (u, v):
                 if end not in known:
-                    raise InstanceValidationError(f"layout.edges: unknown node {end!r} in edge ({u!r}, {v!r})")
+                    raise ValueError(f"layout.edges: unknown node {end!r} in edge ({u!r}, {v!r})")
             if not (length > 0):
-                raise InstanceValidationError(
-                    f"layout.edges: edge ({u!r}, {v!r}) has non-positive length {length}"
-                )
+                raise ValueError(f"layout.edges: edge ({u!r}, {v!r}) has non-positive "
+                                 f"length {length}")
         if self.node_ids and not self._connected():
-            raise InstanceValidationError("layout: graph is not connected")
+            raise ValueError("layout: graph is not connected")
 
     def _connected(self) -> bool:
         index = {v: i for i, v in enumerate(self.node_ids)}
@@ -86,18 +77,13 @@ class TaskSpec:
 
     def __post_init__(self):
         if self.origin == self.destination:
-            raise InstanceValidationError(
-                f"task {self.task_id!r}: from and to are both {self.origin!r}"
-            )
+            raise ValueError(f"task {self.task_id!r}: from and to are both {self.origin!r}")
         if self.earliest_pickup < 0:
-            raise InstanceValidationError(
-                f"task {self.task_id!r}: earliest_pickup_s must be >= 0, got {self.earliest_pickup}"
-            )
+            raise ValueError(f"task {self.task_id!r}: earliest_pickup_s must be >= 0, "
+                             f"got {self.earliest_pickup}")
         if not (self.latest_delivery > self.earliest_pickup):
-            raise InstanceValidationError(
-                f"task {self.task_id!r}: latest_delivery_s ({self.latest_delivery}) must exceed "
-                f"earliest_pickup_s ({self.earliest_pickup})"
-            )
+            raise ValueError(f"task {self.task_id!r}: latest_delivery_s ({self.latest_delivery}) "
+                             f"must exceed earliest_pickup_s ({self.earliest_pickup})")
 
 
 @dataclass(frozen=True)
@@ -113,28 +99,27 @@ class PdpInstance:
 
     def __post_init__(self):
         if len(self.tasks) < 1:
-            raise InstanceValidationError("tasks: at least one task is required")
+            raise ValueError("tasks: at least one task is required")
         if self.vehicle_count < 1:
-            raise InstanceValidationError(f"vehicles: must be >= 1, got {self.vehicle_count}")
+            raise ValueError(f"vehicles: must be >= 1, got {self.vehicle_count}")
         if not (0 < self.speed < math.inf):
-            raise InstanceValidationError(f"speed: must be > 0 and finite, got {self.speed}")
+            raise ValueError(f"speed: must be > 0 and finite, got {self.speed}")
         known = set(self.layout.node_ids)
         if self.depot not in known:
-            raise InstanceValidationError(f"depot: unknown location {self.depot!r}")
+            raise ValueError(f"depot: unknown location {self.depot!r}")
         for t in self.tasks:
             for loc in (t.origin, t.destination):
                 if loc not in known:
-                    raise InstanceValidationError(f"task {t.task_id!r}: unknown location {loc!r}")
+                    raise ValueError(f"task {t.task_id!r}: unknown location {loc!r}")
         seen_ids = set()
         for t in self.tasks:
             if t.task_id in seen_ids:
-                raise InstanceValidationError(f"tasks: duplicate task id {t.task_id!r}")
+                raise ValueError(f"tasks: duplicate task id {t.task_id!r}")
             seen_ids.add(t.task_id)
         latest = max(t.latest_delivery for t in self.tasks)
         if self.horizon < latest:
-            raise InstanceValidationError(
-                f"horizon: {self.horizon} is below the latest delivery deadline {latest}"
-            )
+            raise ValueError(f"horizon: {self.horizon} is below the latest delivery "
+                             f"deadline {latest}")
 
     @property
     def n(self) -> int:
@@ -153,12 +138,12 @@ class PdpNetwork:
     each per-node field, one task id per task), its fixed windows
     (deliveries and depots open at 0), the free depot hop (nodes 0 and 2n+1
     at one location, zero time and distance apart), that every window bound
-    is finite and no window closes before it opens, that both matrices are
-    finite and non-negative, that a plan's sums stay inside the float range
-    (3n + 1 legs of the longest distance, and the latest closing time plus
-    3n + 1 legs of the longest travel time), and that nodes at one location
-    share their rows and columns of both; the first check that fails raises
-    `ValueError`.  So an idle route, the free depot hop, is never late.
+    is finite, no node opens before 0 and no window closes before it opens,
+    that both matrices are finite and non-negative, that a plan's sums stay
+    inside the float range (3n + 1 legs of the longest distance, and the
+    latest closing time plus 3n + 1 legs of the longest travel time), and
+    that nodes at one location share their rows and columns of both; the
+    first check that fails raises `ValueError`.  So an idle route, the free depot hop, is never late.
     `build_network` fills the matrices with shortest-path values, but a
     hand-built network's need not be metric: the search closes its own time
     stack and its completion table closes the location distances.  Networks
@@ -207,6 +192,11 @@ class PdpNetwork:
             if not finite.all():
                 v = finite.argmin()
                 raise ValueError(f"{name}[{v}] is {bounds[v]:g}; window bounds must be finite")
+        early = self.open_time < 0
+        if early.any():
+            v = early.argmax()
+            raise ValueError(f"node {v} opens at {self.open_time[v]:g} s; no node may open "
+                             f"before 0")
         inverted = self.close_time < self.open_time
         if inverted.any():
             v = inverted.argmax()
@@ -285,11 +275,11 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
     rejected by name.
     """
     if not (0 < speed < math.inf):
-        raise InstanceValidationError(f"speed: must be > 0 and finite, got {speed}")
+        raise ValueError(f"speed: must be > 0 and finite, got {speed}")
     index = {v: i for i, v in enumerate(layout.node_ids)}
     for loc in locations:
         if loc not in index:
-            raise InstanceValidationError(f"locations: unknown location {loc!r}")
+            raise ValueError(f"locations: unknown location {loc!r}")
     m = len(layout.node_ids)
     # Parallel edges collapse to their shortest representative.
     lengths = np.full((m, m), math.inf)
@@ -307,9 +297,8 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
         overflow = ~np.isfinite(times * speed)
     if overflow.any():
         i, j = np.argwhere(overflow)[0]
-        raise InstanceValidationError(
-            f"layout: no finite travel time between {locations[i]!r} and {locations[j]!r}"
-        )
+        raise ValueError(f"layout: no finite travel time between {locations[i]!r} and "
+                         f"{locations[j]!r}")
     return times
 
 
@@ -351,7 +340,7 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
-        raise InstanceParseError(f"{context}: missing required key {key!r}")
+        raise ValueError(f"{context}: missing required key {key!r}")
     return mapping[key]
 
 
@@ -362,13 +351,13 @@ def is_json_int(value) -> bool:
 
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceParseError(f"{context}: expected a number, got {value!r}")
+        raise ValueError(f"{context}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise InstanceParseError(f"{context}: expected a finite number, got {value!r}")
+        raise ValueError(f"{context}: expected a finite number, got {value!r}")
     return number
 
 
@@ -389,24 +378,23 @@ def load_instance(text: str) -> PdpInstance:
 
     Layout nodes may also be given as ``[id, label]`` pairs.  `speed` defaults
     to `PdpInstance.speed`.  An optional ``"notes"`` string is checked and
-    then ignored.  Raises `InstanceParseError` for malformed
-    documents and `InstanceValidationError` for structurally invalid ones,
-    naming the offending field.
+    then ignored.  A malformed or structurally invalid document raises
+    `ValueError` naming the offending field.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceParseError(f"instance document is not valid JSON: {exc}") from exc
+        raise ValueError(f"instance document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InstanceParseError("instance document must be a JSON object")
+        raise ValueError("instance document must be a JSON object")
 
     layout_doc = _require(doc, "layout", "instance")
     if not isinstance(layout_doc, dict):
-        raise InstanceParseError("layout: must be an object with 'nodes' and 'edges'")
+        raise ValueError("layout: must be an object with 'nodes' and 'edges'")
     nodes_doc = _require(layout_doc, "nodes", "layout")
     edges_doc = _require(layout_doc, "edges", "layout")
     if not isinstance(nodes_doc, list) or not nodes_doc:
-        raise InstanceParseError("layout.nodes: must be a non-empty list")
+        raise ValueError("layout.nodes: must be a non-empty list")
     node_ids, node_labels = [], []
     for entry in nodes_doc:
         if isinstance(entry, str):
@@ -416,29 +404,29 @@ def load_instance(text: str) -> PdpInstance:
             node_ids.append(entry[0])
             node_labels.append(entry[1])
         else:
-            raise InstanceParseError(f"layout.nodes: expected id or [id, label], got {entry!r}")
+            raise ValueError(f"layout.nodes: expected id or [id, label], got {entry!r}")
     if not isinstance(edges_doc, list):
-        raise InstanceParseError("layout.edges: must be a list of [from, to, length_m]")
+        raise ValueError("layout.edges: must be a list of [from, to, length_m]")
     edges = []
     for entry in edges_doc:
         if (not isinstance(entry, list) or len(entry) != 3
                 or not isinstance(entry[0], str) or not isinstance(entry[1], str)):
-            raise InstanceParseError(f"layout.edges: expected [from, to, length_m], got {entry!r}")
+            raise ValueError(f"layout.edges: expected [from, to, length_m], got {entry!r}")
         edges.append((entry[0], entry[1], _number(entry[2], f"layout.edges[{entry[0]!r},{entry[1]!r}].length_m")))
     layout = LayoutGraph(node_ids=tuple(node_ids), labels=tuple(node_labels), edges=tuple(edges))
 
     tasks_doc = _require(doc, "tasks", "instance")
     if not isinstance(tasks_doc, list) or not tasks_doc:
-        raise InstanceParseError("tasks: must be a non-empty list")
+        raise ValueError("tasks: must be a non-empty list")
     tasks = []
     for pos, entry in enumerate(tasks_doc):
         if not isinstance(entry, dict):
-            raise InstanceParseError(f"tasks[{pos}]: must be an object")
+            raise ValueError(f"tasks[{pos}]: must be an object")
         ctx = f"tasks[{pos}]"
         ids = {key: _require(entry, key, ctx) for key in ("id", "from", "to")}
         for key, value in ids.items():
             if not isinstance(value, str):
-                raise InstanceParseError(f"{ctx}.{key}: must be a string, got {value!r}")
+                raise ValueError(f"{ctx}.{key}: must be a string, got {value!r}")
         tasks.append(TaskSpec(
             task_id=ids["id"],
             origin=ids["from"],
@@ -449,14 +437,14 @@ def load_instance(text: str) -> PdpInstance:
 
     vehicles = _require(doc, "vehicles", "instance")
     if not is_json_int(vehicles):
-        raise InstanceParseError(f"vehicles: must be an integer, got {vehicles!r}")
+        raise ValueError(f"vehicles: must be an integer, got {vehicles!r}")
     depot = _require(doc, "depot", "instance")
     if not isinstance(depot, str):
-        raise InstanceParseError(f"depot: must be a location id string, got {depot!r}")
+        raise ValueError(f"depot: must be a location id string, got {depot!r}")
     speed = _number(doc.get("speed", PdpInstance.speed), "speed")
     horizon = _number(_require(doc, "horizon", "instance"), "horizon")
     if not isinstance(doc.get("notes", ""), str):
-        raise InstanceParseError("notes: must be a string")
+        raise ValueError("notes: must be a string")
 
     return PdpInstance(
         layout=layout,

@@ -253,10 +253,10 @@ def _kept_draws(states: list, arcs: int) -> tuple[np.ndarray, np.ndarray]:
     return draws[keep].reshape(len(states), arcs), short
 
 
-def sample_multipliers(nominal: np.ndarray, seed: int, stream: int, first: int, count: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def sample_multipliers(nominal: np.ndarray, seed: int, stream: int, first: int,
+                       count: int) -> np.ndarray:
     """Multipliers of scenarios (or trials) `first` to `first + count - 1` of
-    `(seed, stream)`, as a (count, nv, nv) array, written into `out` if given.
+    `(seed, stream)`, as a (count, nv, nv) array.
 
     Row t equals `sample_time_matrix(nominal, scenario_rng(seed, stream,
     first + t))[0]` bit for bit.  The trials' `SeedSequence` states are
@@ -266,7 +266,7 @@ def sample_multipliers(nominal: np.ndarray, seed: int, stream: int, first: int, 
     entropy spans several words, and a trial short of positive draws."""
     nv = nominal.shape[0]
     arcs = nv * (nv - 1) // 2
-    mult = np.empty((count, nv, nv)) if out is None else out
+    mult = np.empty((count, nv, nv))
     bulk = max(0, min(count, 2 ** 32 - first)) if max(seed, stream) < 2 ** 32 else 0
     states = _seed_states(seed, stream, np.arange(first, first + bulk)) if bulk else None
     rows, cols = np.triu_indices(nv, 1)

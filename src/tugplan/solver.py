@@ -881,7 +881,10 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: So
     """Search the [S, nv, nv] stack `times` with probabilities `probs`;
     report the schedule, ignored set and limiting scenarios on
     `report_set`.  `report_set=None` reports a single realization of the
-    one-matrix stack: a 2-D schedule and no scenario data."""
+    one-matrix stack: a 2-D schedule and no scenario data.  A report set
+    drawn for another network raises `ValueError` before any search."""
+    if report_set is not None:
+        check_network(report_set, network)
     search = _Search(network, times, probs, config)
     search.run()
     stats = search.stats()
@@ -928,7 +931,6 @@ def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      config: SolveConfig | None = None) -> Solution:
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
-    check_network(scenarios, network)
     return _solve(network, scenarios.travel_times, scenarios.probabilities,
                   config or SolveConfig(), scenarios)
 
@@ -952,14 +954,18 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    check_network(scenarios, network)
     worst = scenarios.travel_times.max(axis=0, keepdims=True)
     return _solve(network, worst, np.ones(1), config, scenarios)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
                              solution: Solution) -> dict[str, float]:
-    """Spell a solution out as a full variable assignment for the checker."""
+    """Spell a solution out as a full variable assignment for the checker.
+
+    A plan lists its working routes first, as `_solve` writes them, so the
+    model's `min(K, n)` vehicles carry every working route; the entries of
+    the idle vehicles after them name no declared variable, and the checker
+    reads none of them."""
     if solution.plan is None or solution.schedule is None:
         raise ValueError("solution carries no plan to translate")
     plan, schedule = solution.plan, solution.schedule

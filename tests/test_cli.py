@@ -386,6 +386,33 @@ class TestSolveCommand:
         assert code == 0
         text = lp.read_text()
         assert text.startswith("Minimize") and text.rstrip().endswith("End")
+        # The bytes pinned in tests/test_formulation.py.
+        assert hashlib.sha256(lp.read_bytes()).hexdigest() == \
+            "b0d4a94d0b9e45e4f07d711047e5edd6d968e7c7407517c2ab09e95650ef6e86"
+
+    def test_idle_vehicles_change_nothing(self, tmp_path, capsys):
+        # tri3 with 3,000 vehicles: the same 90 m plan, its two routes
+        # first, then idle ones; each idle row of the evaluation fails in
+        # no trial, and the overall failure is that of tri3's own fleet.
+        doc = json.loads(Path(TRI3).read_text())
+        doc["vehicles"] = 3000
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps(doc))
+        artifacts = {}
+        for name, instance in (("tri3", TRI3), ("fleet", str(fleet))):
+            plan, report = tmp_path / f"{name}-det.json", tmp_path / f"{name}-eval.json"
+            assert run(capsys, "solve", "--instance", instance, "--mode", "det",
+                       "--out", str(plan))[0] == 0
+            assert run(capsys, "evaluate", "--instance", instance, "--plan", str(plan),
+                       "--trials", "1000", "--out", str(report))[0] == 0
+            artifacts[name] = json.loads(plan.read_text()), json.loads(report.read_text())
+        (small, reference), (large, report) = artifacts["tri3"], artifacts["fleet"]
+        assert large["objective_m"] == 90.0
+        assert large["routes_v"][:2] == small["routes_v"]
+        assert large["routes_v"][2:] == [[0, 5]] * 2998
+        assert len(report["rows"]) == 3000 and report["rows"][:2] == reference["rows"]
+        assert all(row["failure"] == 0.0 for row in report["rows"][2:])
+        assert report["overall"] == reference["overall"]
 
 
 class TestEvaluateCommand:
@@ -622,6 +649,31 @@ class TestSampleCommand:
             doc.pop("manifest")
             doc.pop("scenario_provenance")
         assert a == b
+
+
+    def test_replayed_set_solves_exports_and_evaluates(self, tmp_path, capsys):
+        # tri3_wide's 30 scenarios of seed 7, sampled once and replayed by
+        # sto-fast and by sto at alpha 0.1: the sto LP equals that of the
+        # set the solve draws itself, and the replayed plan's evaluation
+        # prints the table TestPinnedStdout pins as sto-alpha-tri3-wide.
+        scen = tmp_path / "scen.json"
+        assert run(capsys, "sample", "--instance", TRI3_WIDE, "--scenarios", "30",
+                   "--seed", "7", "--out", str(scen))[0] == 0
+        assert run(capsys, "solve", "--instance", TRI3_WIDE, "--mode", "sto-fast",
+                   "--scenario-file", str(scen), "--out", str(tmp_path / "fast.json"))[0] == 0
+        plan = tmp_path / "sto.json"
+        lps = []
+        for source in (["--scenarios", "30", "--seed", "7"], ["--scenario-file", str(scen)]):
+            lp = tmp_path / "sto.lp"
+            assert run(capsys, "solve", "--instance", TRI3_WIDE, "--mode", "sto",
+                       "--alpha", "0.1", *source, "--out", str(plan),
+                       "--export-lp", str(lp))[0] == 0
+            lps.append(lp.read_bytes())
+        assert lps[0] == lps[1]
+        code, stdout, _ = run(capsys, "evaluate", "--instance", TRI3_WIDE, "--plan", str(plan),
+                              "--trials", "2500", "--out", str(tmp_path / "eval.json"))
+        assert (code, _table_digest(stdout)) == (
+            0, "d27c1fca4cf5491f11af232a7810f1618840bc5287e815f78a80ad45be560230")
 
 
 class TestUsage:

@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from tugplan import (ScenarioConfig, Schedule, Solution, build_deterministic, build_network,
-                     build_stochastic, check_solution, compute_big_m, generate_scenarios,
-                     load_instance, single_scenario, solve_deterministic,
-                     write_lp_text)
+from tugplan import (ScenarioConfig, Schedule, Solution, SolveConfig, build_deterministic,
+                     build_network, build_stochastic, check_solution, compute_big_m,
+                     generate_scenarios, load_instance, single_scenario, solve_deterministic,
+                     solve_stochastic, write_lp_text)
 from tugplan.formulation import (BINARY, ConstraintSystem, LinearConstraint, Variable, arc_list,
                                  propagation_requirement, w_name, x_name, z_name)
 from tugplan.solver import RoutePlan, _full_schedule, assignment_from_solution
@@ -232,13 +234,16 @@ class TestCheckSolution:
     @pytest.mark.parametrize("coeffs, relation, message", [
         ({"y": 1.0}, "<=", "assignment is missing variable y"),
         ({"x": 1.0}, "<", "unknown relation '<' in c"),
-    ], ids=["undeclared-variable", "unknown-relation"])
+        ({"x": 1.0}, "==", "unknown relation '==' in c"),
+    ], ids=["undeclared-variable", "unknown-relation", "lp-reader-relation"])
     def test_malformed_system_raises(self, coeffs, relation, message):
-        system = ConstraintSystem(
-            model="deterministic", variables=(Variable("x", BINARY, "Eq10"),),
-            constraints=(LinearConstraint("c", coeffs, relation, 1.0, "Eq2"),),
-            objective={"x": 1.0})
+        # An unknown relation is rejected when its constraint is built, so
+        # the LP export, which writes a relation verbatim, never meets one.
         with pytest.raises(ValueError, match=message):
+            system = ConstraintSystem(
+                model="deterministic", variables=(Variable("x", BINARY, "Eq10"),),
+                constraints=(LinearConstraint("c", coeffs, relation, 1.0, "Eq2"),),
+                objective={"x": 1.0})
             check_solution(system, {"x": 0.0})
 
     def test_fractional_binary_flagged(self, single_task_network):
@@ -294,3 +299,34 @@ class TestLpExport:
             scen = generate_scenarios(tri3_wide_network, ScenarioConfig(3, 4))
             system = build_stochastic(tri3_wide_network, scen, 0.34)
         assert hashlib.sha256(write_lp_text(system).encode()).hexdigest() == digest
+
+
+class TestFleetSize:
+    """The model states min(K, n) vehicles: every working route serves a
+    task and idle vehicles are interchangeable.  tri3 has two tasks."""
+
+    @pytest.fixture
+    def fleet_network(self, tri3_network):
+        return dataclasses.replace(tri3_network, vehicle_count=3000)
+
+    def test_det_lp_equals_the_two_vehicle_one(self, tri3_network, fleet_network):
+        assert write_lp_text(build_deterministic(fleet_network)) == \
+            write_lp_text(build_deterministic(tri3_network))
+
+    def test_scenario_model_size_ignores_the_fleet(self, fleet_network):
+        scen = generate_scenarios(fleet_network, ScenarioConfig(30, 3))
+        start = time.perf_counter()
+        system = build_stochastic(fleet_network, scen, 0.1)
+        assert time.perf_counter() - start < 1.0
+        # 2 vehicles x (25 arcs + 6 nodes x 30 scenarios) + 30 switches.
+        assert len(system.variables) == 432
+
+    def test_checker_accepts_the_scenario_plan(self, tri3_network, fleet_network):
+        scen = generate_scenarios(fleet_network, ScenarioConfig(30, 3))
+        solution = solve_stochastic(fleet_network, scen, SolveConfig(alpha=0.1))
+        reference = solve_stochastic(tri3_network, scen, SolveConfig(alpha=0.1))
+        assert solution.objective == reference.objective
+        assert solution.plan.routes[:2] == reference.plan.routes
+        system = build_stochastic(fleet_network, scen, 0.1)
+        result = check_solution(system, assignment_from_solution(system, fleet_network, solution))
+        assert result.feasible, result.violations

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tugplan
-from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, InstanceParseError,
-                     InstanceValidationError, LayoutGraph, PdpInstance, build_network,
-                     load_instance, shortest_travel_matrix, solve_deterministic)
+from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, LayoutGraph, PdpInstance,
+                     build_network, load_instance, shortest_travel_matrix,
+                     solve_deterministic)
 
 from conftest import (INSTANCES, gen, instance_dict, overflowing_sum_dict,
                       overflowing_time_dict, single_task_dict)
@@ -60,13 +60,13 @@ class TestLoadInstance:
     def test_unknown_location_named(self):
         doc = single_task_dict()
         doc["tasks"][0]["to"] = "Z"
-        with pytest.raises(InstanceValidationError, match="'Z'"):
+        with pytest.raises(ValueError, match="'Z'"):
             load_instance(json.dumps(doc))
 
     def test_negative_edge_length_named(self):
         doc = single_task_dict()
         doc["layout"]["edges"][0] = ["DEP", "A", -5.0]
-        with pytest.raises(InstanceValidationError, match="'DEP'.*'A'.*-5"):
+        with pytest.raises(ValueError, match="'DEP'.*'A'.*-5"):
             load_instance(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [1, 1.0, None, True, ["1"]])
@@ -77,30 +77,30 @@ class TestLoadInstance:
         doc["tasks"][0]["from"] = doc["tasks"][0]["to"] = "1"
         doc["tasks"][0]["to" if field == "from" else "from"] = "B"
         doc["tasks"][0][field] = value
-        with pytest.raises(InstanceParseError, match=f"tasks\\[0\\].{field}: must be a string"):
+        with pytest.raises(ValueError, match=f"tasks\\[0\\].{field}: must be a string"):
             load_instance(json.dumps(doc))
         doc["tasks"][0][field] = "1"
         assert load_instance(json.dumps(doc)).n == 1
 
     def test_malformed_json_is_parse_error(self):
-        with pytest.raises(InstanceParseError):
+        with pytest.raises(ValueError):
             load_instance("{not json")
 
     def test_missing_key_is_parse_error(self):
         doc = single_task_dict()
         del doc["depot"]
-        with pytest.raises(InstanceParseError, match="depot"):
+        with pytest.raises(ValueError, match="depot"):
             load_instance(json.dumps(doc))
 
     def test_window_order_enforced(self):
         doc = single_task_dict(earliest=50.0, latest=20.0)
-        with pytest.raises(InstanceValidationError, match="latest_delivery"):
+        with pytest.raises(ValueError, match="latest_delivery"):
             load_instance(json.dumps(doc))
 
     def test_disconnected_layout_rejected(self):
         doc = single_task_dict()
         doc["layout"]["nodes"].append("X")
-        with pytest.raises(InstanceValidationError, match="connected"):
+        with pytest.raises(ValueError, match="connected"):
             load_instance(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10 ** 400])
@@ -114,12 +114,12 @@ class TestLoadInstance:
             doc["layout"]["edges"][0][2] = value
         else:
             doc[field] = value
-        with pytest.raises(InstanceParseError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             load_instance(json.dumps(doc))
 
     def test_horizon_below_deadline_rejected(self):
         doc = single_task_dict(latest=300.0, horizon=200.0)
-        with pytest.raises(InstanceValidationError, match="horizon"):
+        with pytest.raises(ValueError, match="horizon"):
             load_instance(json.dumps(doc))
 
 
@@ -158,7 +158,7 @@ class TestShortestTravelMatrix:
         object.__setattr__(layout, "node_ids", ("P", "Q"))
         object.__setattr__(layout, "labels", ("P", "Q"))
         object.__setattr__(layout, "edges", ())
-        with pytest.raises(InstanceValidationError, match="'P'.*'Q'"):
+        with pytest.raises(ValueError, match="'P'.*'Q'"):
             shortest_travel_matrix(layout, ["P", "Q"], 1.0)
 
 
@@ -187,69 +187,69 @@ def _task(doc):
 # meets them.
 REJECTIONS = [
     ("duplicate-node", _parsed(lambda doc: doc["layout"]["nodes"].append("A")),
-     InstanceValidationError, r"layout\.nodes: duplicate node ids \['A'\]"),
+     ValueError, r"layout\.nodes: duplicate node ids \['A'\]"),
     ("duplicate-task", _parsed(lambda doc: doc["tasks"].append(dict(_task(doc)))),
-     InstanceValidationError, "tasks: duplicate task id 'T1'"),
+     ValueError, "tasks: duplicate task id 'T1'"),
     ("edge-from-unknown", _parsed(lambda doc: doc["layout"]["edges"].append(["Z", "A", 5.0])),
-     InstanceValidationError, r"layout\.edges: unknown node 'Z'"),
+     ValueError, r"layout\.edges: unknown node 'Z'"),
     ("edge-to-unknown", _parsed(lambda doc: doc["layout"]["edges"].append(["A", "Z", 5.0])),
-     InstanceValidationError, r"layout\.edges: unknown node 'Z'"),
+     ValueError, r"layout\.edges: unknown node 'Z'"),
     ("task-from-unknown", _parsed(lambda doc: _task(doc).update({"from": "Z"})),
-     InstanceValidationError, "task 'T1': unknown location 'Z'"),
+     ValueError, "task 'T1': unknown location 'Z'"),
     ("depot-unknown", _parsed(lambda doc: doc.update(depot="Z")),
-     InstanceValidationError, "depot: unknown location 'Z'"),
+     ValueError, "depot: unknown location 'Z'"),
     ("zero-vehicles", _parsed(lambda doc: doc.update(vehicles=0)),
-     InstanceValidationError, "vehicles: must be >= 1"),
+     ValueError, "vehicles: must be >= 1"),
     ("zero-speed", _parsed(lambda doc: doc.update(speed=0)),
-     InstanceValidationError, "speed: must be > 0"),
+     ValueError, "speed: must be > 0"),
     ("from-is-to", _parsed(lambda doc: _task(doc).update({"to": "A"})),
-     InstanceValidationError, "task 'T1': from and to are both 'A'"),
+     ValueError, "task 'T1': from and to are both 'A'"),
     ("negative-release", _parsed(lambda doc: _task(doc).update(earliest_pickup_s=-1)),
-     InstanceValidationError, "task 'T1': earliest_pickup_s must be >= 0"),
+     ValueError, "task 'T1': earliest_pickup_s must be >= 0"),
     ("document", lambda: load_instance("[]"),
-     InstanceParseError, "instance document must be a JSON object"),
+     ValueError, "instance document must be a JSON object"),
     ("layout", _parsed(lambda doc: doc.update(layout=[])),
-     InstanceParseError, "layout: must be an object"),
+     ValueError, "layout: must be an object"),
     ("nodes", _parsed(lambda doc: doc["layout"].update(nodes=[])),
-     InstanceParseError, r"layout\.nodes: must be a non-empty list"),
+     ValueError, r"layout\.nodes: must be a non-empty list"),
     ("edges", _parsed(lambda doc: doc["layout"].update(edges={})),
-     InstanceParseError, r"layout\.edges: must be a list"),
+     ValueError, r"layout\.edges: must be a list"),
     ("edge-entry", _parsed(lambda doc: doc["layout"]["edges"].append(["DEP", "A"])),
-     InstanceParseError, r"layout\.edges: expected \[from, to, length_m\]"),
+     ValueError, r"layout\.edges: expected \[from, to, length_m\]"),
     ("tasks", _parsed(lambda doc: doc.update(tasks=[])),
-     InstanceParseError, "tasks: must be a non-empty list"),
+     ValueError, "tasks: must be a non-empty list"),
     ("task-entry", _parsed(lambda doc: doc.update(tasks=["T1"])),
-     InstanceParseError, r"tasks\[0\]: must be an object"),
+     ValueError, r"tasks\[0\]: must be an object"),
     ("vehicles", _parsed(lambda doc: doc.update(vehicles=1.0)),
-     InstanceParseError, "vehicles: must be an integer"),
+     ValueError, "vehicles: must be an integer"),
     ("depot", _parsed(lambda doc: doc.update(depot=0)),
-     InstanceParseError, "depot: must be a location id string"),
+     ValueError, "depot: must be a location id string"),
     ("notes", _parsed(lambda doc: doc.update(notes=5)),
-     InstanceParseError, "notes: must be a string"),
+     ValueError, "notes: must be a string"),
     ("non-number", _parsed(lambda doc: doc.update(horizon="200")),
-     InstanceParseError, "horizon: expected a number"),
+     ValueError, "horizon: expected a number"),
     ("time-overflow-series", _built("series"),
-     InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
+     ValueError, "layout: no finite travel time between 'DEP' and 'B'$"),
     ("time-overflow-slow", _built("slow"),
-     InstanceValidationError, "layout: no finite travel time between 'DEP' and 'B'$"),
+     ValueError, "layout: no finite travel time between 'DEP' and 'B'$"),
     ("plan-overflow", _built("plan"),
      ValueError, r"travel_dist: 4 legs of the longest distance, 1e\+308 m, overflow"),
     ("window-overflow", _built("window"),
      ValueError, r"close_time: 1\.79e\+308 s plus 4 legs of the longest travel time"),
     ("layout-labels", lambda: LayoutGraph(node_ids=("A", "B"), labels=("A",), edges=()),
-     InstanceValidationError, r"layout\.nodes: labels must match node ids"),
+     ValueError, r"layout\.nodes: labels must match node ids"),
     ("no-tasks", lambda: PdpInstance(layout=ring_layout(), tasks=(), vehicle_count=1,
                                      depot="DEP", horizon=100.0),
-     InstanceValidationError, "tasks: at least one task is required"),
+     ValueError, "tasks: at least one task is required"),
     ("matrix-speed", lambda: shortest_travel_matrix(ring_layout(), ["DEP"], 0.0),
-     InstanceValidationError, "speed: must be > 0"),
+     ValueError, "speed: must be > 0"),
     ("matrix-location", lambda: shortest_travel_matrix(ring_layout(), ["Z"], 1.5),
-     InstanceValidationError, "locations: unknown location 'Z'"),
+     ValueError, "locations: unknown location 'Z'"),
     ("infinite-speed", lambda: dataclasses.replace(load_instance(json.dumps(single_task_dict())),
                                                    speed=math.inf),
-     InstanceValidationError, "speed: must be > 0 and finite"),
+     ValueError, "speed: must be > 0 and finite"),
     ("matrix-infinite-speed", lambda: shortest_travel_matrix(ring_layout(), ["DEP"], math.inf),
-     InstanceValidationError, "speed: must be > 0 and finite"),
+     ValueError, "speed: must be > 0 and finite"),
 ]
 
 
@@ -377,7 +377,7 @@ class TestParserDefaults:
     def test_malformed_node_entry_rejected(self):
         doc = single_task_dict()
         doc["layout"]["nodes"] = [["DEP"], "A", "B", "C"]
-        with pytest.raises(InstanceParseError, match=r"\[id, label\]"):
+        with pytest.raises(ValueError, match=r"\[id, label\]"):
             load_instance(json.dumps(doc))
 
     def test_string_notes_accepted(self):
@@ -567,6 +567,22 @@ class TestNetworkWindowOrder:
         close_time = tri3_network.close_time.copy()
         close_time[1] = tri3_network.open_time[1]
         dataclasses.replace(tri3_network, close_time=close_time)
+
+
+class TestNetworkEarlyOpening:
+    """No node opens before 0: the model's switched-off lower bound
+    `w + a z >= a` then demands `w >= 0`, below a negative opening."""
+
+    def test_negative_opening_named(self, tri3_network):
+        # With pickup 1 opening at -5 s, tri3's sto solve at alpha 0.3 on
+        # 10 scenarios of seed 0 ignored scenarios 4 and 9 and pinned their
+        # times to the openings, and `check_solution` reported
+        # `Eq20[k=0,i=1,s=4,lo]` violated by 5.
+        open_time = tri3_network.open_time.copy()
+        open_time[1] = -5.0
+        with pytest.raises(ValueError, match=re.escape(
+                "node 1 opens at -5 s; no node may open before 0")):
+            dataclasses.replace(tri3_network, open_time=open_time)
 
 
 class TestNetworkFleet:

@@ -152,12 +152,6 @@ class TestSampleMultipliers:
         expected = reference_multipliers(nominal, seed, stream, first, count)
         assert got.tobytes() == expected.tobytes()
 
-    def test_writes_into_the_given_buffer(self, tri3_network):
-        nominal = tri3_network.travel_time
-        out = np.full((7, 6, 6), np.nan)
-        assert sample_multipliers(nominal, 9, 1, 40, 7, out=out) is out
-        assert out.tobytes() == reference_multipliers(nominal, 9, 1, 40, 7).tobytes()
-
     def test_short_rows_fall_back_to_the_reference(self, factory6_network, monkeypatch,
                                                    reference_calls):
         # Without padding every row with a non-positive draw among its first

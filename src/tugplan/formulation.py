@@ -141,10 +141,13 @@ def compute_big_m(network: PdpNetwork, scenarios: ScenarioSet | None) -> BigMSet
     may run late.
     """
     if scenarios is None:
-        worst = network.travel_time
-    else:
-        check_network(scenarios, network)
-        worst = scenarios.travel_times.max(axis=0)
+        return _big_m(network, network.travel_time)
+    check_network(scenarios, network)
+    return _big_m(network, scenarios.travel_times.max(axis=0))
+
+
+def _big_m(network: PdpNetwork, worst: np.ndarray) -> BigMSet:
+    """`compute_big_m` over the element-wise maximum travel times `worst`."""
     a, b = network.open_time, network.close_time
     arcs = arc_list(network.size)
     m1 = max(propagation_requirement(b[i], worst[i, j], a[j]) for (i, j) in arcs)
@@ -232,15 +235,19 @@ def _build(network: PdpNetwork, scenarios: ScenarioSet | None, alpha: float) -> 
     vehicle_count = min(network.vehicle_count, network.n)
     arcs = arc_list(nv)
     vehicles = range(vehicle_count)
-    big_m = compute_big_m(network, scenarios)
     a, b = network.open_time, network.close_time
     if scenarios is None:
         tags = _DETERMINISTIC_TAGS
-        realizations = [(None, network.travel_time, "", None)]
+        worst = network.travel_time
+        realizations = [(None, worst, "", None)]
     else:
         tags = _STOCHASTIC_TAGS
-        realizations = [(s, scenarios.travel_times[s], f",s={s}", z_name(s))
-                        for s in range(scenarios.count)]
+        check_network(scenarios, network)
+        # One read: the set derives its travel times afresh on each.
+        times = scenarios.travel_times
+        worst = times.max(axis=0)
+        realizations = [(s, times[s], f",s={s}", z_name(s)) for s in range(scenarios.count)]
+    big_m = _big_m(network, worst)
 
     variables = [
         Variable(name=x_name(k, i, j), kind=BINARY, domain_tag=tags["arc"])

@@ -19,7 +19,7 @@ than renormalizing the mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +77,11 @@ class ScenarioSet:
     """Realized travel times per scenario.
 
     `multipliers[s, i, j]`, of shape (count, nv, nv), scales `nominal[i, j]`;
-    matrices are symmetric with unit diagonal.  The set derives the read-only
-    `travel_times = multipliers * nominal` itself and keeps its own copy of
-    `nominal`.  Multipliers are finite and positive, travel times finite;
+    matrices are symmetric with unit diagonal.  The set holds one
+    [count, nv, nv] stack, the multipliers, and its own copy of `nominal`;
+    `travel_times` derives `multipliers * nominal` afresh on each read, so a
+    caller reads it once per use.  Multipliers are finite and positive,
+    travel times finite;
     probabilities, of shape (count,), are finite, non-negative and sum to 1
     (uniform when sampled).  `seed` is the seed a sampled set was drawn from,
     and None for a set not drawn.  Sets compare and hash by identity: arrays
@@ -90,7 +92,6 @@ class ScenarioSet:
     nominal: np.ndarray
     probabilities: np.ndarray
     seed: int | None = None
-    travel_times: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nominal = np.array(self.nominal, dtype=float)
@@ -113,19 +114,26 @@ class ScenarioSet:
         if asymmetric.any():
             raise ValueError(f"scenario {asymmetric.argmax()} multipliers are not symmetric")
         # A finite multiplier can still overflow its travel time: the check
-        # below rejects the infinity, so numpy need not warn about it.
+        # below rejects the infinity, so numpy need not warn about it.  The
+        # product is formed once here and let go.
         with np.errstate(over="ignore"):
-            times = self.multipliers * nominal
-        if not np.isfinite(times).all():
+            finite = np.isfinite(self.multipliers * nominal).all()
+        if not finite:
             raise ValueError("scenario travel times must all be finite")
         object.__setattr__(self, "nominal", nominal)
-        object.__setattr__(self, "travel_times", times)
-        for arr in (self.multipliers, nominal, self.probabilities, times):
+        for arr in (self.multipliers, nominal, self.probabilities):
             arr.setflags(write=False)
 
     @property
     def count(self) -> int:
         return self.multipliers.shape[0]
+
+    @property
+    def travel_times(self) -> np.ndarray:
+        """A fresh read-only [count, nv, nv] array `multipliers * nominal`."""
+        times = self.multipliers * self.nominal
+        times.setflags(write=False)
+        return times
 
 
 def check_network(scenarios: ScenarioSet, network: PdpNetwork) -> None:

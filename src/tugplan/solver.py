@@ -309,7 +309,9 @@ class _Search:
     dead mass, and the parent's `scen` and arc (cur, j), with `times` None
     until `_times` steps it from the parent's along that arc.
     `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
-    (i, i+n) its delivery's coupling reads.
+    (i, i+n) its delivery's coupling reads.  The arc-major copy `t_fs` of
+    the stack is built on the first per-scenario step, so a search that
+    never steps, as on loose windows, never copies its stack.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
@@ -343,9 +345,6 @@ class _Search:
         self.split: list | None = None
         self.closed = False
         self._set_cutoffs(t_max)
-        if self.vector:
-            # t_fs[i, j] is the contiguous per-scenario time vector of arc (i, j).
-            self.t_fs = np.ascontiguousarray(times.transpose(1, 2, 0))
 
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
@@ -368,6 +367,12 @@ class _Search:
         self.dead_mass = 0.0  # mass of the scenarios no plan satisfies; set by run
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
+
+    @functools.cached_property
+    def t_fs(self) -> np.ndarray:
+        """`t_fs[i, j]`, the contiguous per-scenario time vector of arc
+        (i, j); built on first read and kept on the instance."""
+        return np.ascontiguousarray(self.times.transpose(1, 2, 0))
 
     def _set_cutoffs(self, closure: np.ndarray) -> None:
         """Set every cut-off table from the [S', nv, nv] stack `closure`:
@@ -877,12 +882,14 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
 
 
 def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: SolveConfig,
-           report_set: ScenarioSet | None) -> Solution:
+           report_set: ScenarioSet | None, report_times: np.ndarray) -> Solution:
     """Search the [S, nv, nv] stack `times` with probabilities `probs`;
     report the schedule, ignored set and limiting scenarios on
-    `report_set`.  `report_set=None` reports a single realization of the
-    one-matrix stack: a 2-D schedule and no scenario data.  A report set
-    drawn for another network raises `ValueError` before any search."""
+    `report_set`, whose travel times the caller reads once and passes as
+    `report_times`.  `report_set=None` reports a single realization of the
+    one-matrix stack `report_times`, which is `times`: a 2-D schedule and no
+    scenario data.  A report set drawn for another network raises
+    `ValueError` before any search."""
     if report_set is not None:
         check_network(report_set, network)
     search = _Search(network, times, probs, config)
@@ -895,7 +902,7 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: So
                             schedule=None, objective=None, stats=stats, alpha=config.alpha)
         limiting: tuple[int, ...] = ()
         if report_set is not None and search.dead_mass > config.alpha + _MASS_EPS:
-            dead = _forced_dead_scenarios(network, report_set.travel_times)
+            dead = _forced_dead_scenarios(network, report_times)
             limiting = tuple(int(s) for s in np.flatnonzero(dead))
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
                         objective=None, stats=stats, alpha=config.alpha,
@@ -907,8 +914,8 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: So
     idle = ((0, network.terminal),) * (network.vehicle_count - len(search.best_plan))
     plan = RoutePlan(routes=search.best_plan + idle, n=network.n)
     if report_set is not None:
-        times, probs = report_set.travel_times, report_set.probabilities
-    w, feasible = _full_schedule(network, plan, times)
+        probs = report_set.probabilities
+    w, feasible = _full_schedule(network, plan, report_times)
     assert feasible.all() or float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
     if report_set is None:
         schedule = Schedule(times=w[:, :, 0].copy())
@@ -924,15 +931,17 @@ def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) 
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the deterministic solve requires alpha = 0")
-    return _solve(network, network.travel_time[np.newaxis], np.ones(1), config, None)
+    nominal = network.travel_time[np.newaxis]
+    return _solve(network, nominal, np.ones(1), config, None, nominal)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      config: SolveConfig | None = None) -> Solution:
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
-    return _solve(network, scenarios.travel_times, scenarios.probabilities,
-                  config or SolveConfig(), scenarios)
+    times = scenarios.travel_times
+    return _solve(network, times, scenarios.probabilities, config or SolveConfig(), scenarios,
+                  times)
 
 
 def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
@@ -954,8 +963,9 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    worst = scenarios.travel_times.max(axis=0, keepdims=True)
-    return _solve(network, worst, np.ones(1), config, scenarios)
+    times = scenarios.travel_times
+    return _solve(network, times.max(axis=0, keepdims=True), np.ones(1), config, scenarios,
+                  times)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
@@ -963,15 +973,16 @@ def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
     """Spell a solution out as a full variable assignment for the checker.
 
     A plan lists its working routes first, as `_solve` writes them, so the
-    model's `min(K, n)` vehicles carry every working route; the entries of
-    the idle vehicles after them name no declared variable, and the checker
-    reads none of them."""
+    model's `min(K, n)` vehicles carry every working route; only they are
+    spelled out, since the idle vehicles after them name no declared
+    variable."""
     if solution.plan is None or solution.schedule is None:
         raise ValueError("solution carries no plan to translate")
     plan, schedule = solution.plan, solution.schedule
+    vehicles = range(min(plan.vehicle_count, network.n))
     assignment: dict[str, float] = {}
     used = {(k, i, j) for k, i, j in plan.arcs()}
-    for k in range(plan.vehicle_count):
+    for k in vehicles:
         for (i, j) in arc_list(network.size):
             assignment[x_name(k, i, j)] = 1.0 if (k, i, j) in used else 0.0
     if system.model == "deterministic":
@@ -984,7 +995,7 @@ def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
         times, realizations = schedule.times, range(schedule.times.shape[2])
         for s in realizations:
             assignment[z_name(s)] = 1.0 if schedule.ignored[s] else 0.0
-    for k in range(plan.vehicle_count):
+    for k in vehicles:
         for i in range(network.size):
             for col, s in enumerate(realizations):
                 assignment[w_name(k, i, s)] = float(times[k, i, col])

@@ -328,5 +328,8 @@ class TestFleetSize:
         assert solution.objective == reference.objective
         assert solution.plan.routes[:2] == reference.plan.routes
         system = build_stochastic(fleet_network, scen, 0.1)
-        result = check_solution(system, assignment_from_solution(system, fleet_network, solution))
+        assignment = assignment_from_solution(system, fleet_network, solution)
+        result = check_solution(system, assignment)
         assert result.feasible, result.violations
+        # Only the declared min(K, n) vehicles are spelled out.
+        assert len(assignment) == len(assignment_from_solution(system, tri3_network, reference))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from tugplan import (RoutePlan, ScenarioConfig, ScenarioSet, build_network, build_stochastic,
-                     compute_big_m, generate_scenarios, load_instance, replay_failures,
-                     sample_multiplier, scenario_set_from_dict, scenario_set_to_dict,
-                     simulate_route, single_scenario, solve_alpha_zero_fast, solve_stochastic)
+from tugplan import (RoutePlan, ScenarioConfig, ScenarioSet, SolveConfig, build_network,
+                     build_stochastic, compute_big_m, generate_scenarios, load_instance,
+                     replay_failures, sample_multiplier, scenario_set_from_dict,
+                     scenario_set_to_dict, simulate_route, single_scenario,
+                     solve_alpha_zero_fast, solve_stochastic)
 from tugplan import scenarios
 from tugplan.scenarios import (SCENARIO_STREAM, _pcg64_state, _seed_states, sample_multipliers,
                                sample_time_matrix, scenario_rng)
@@ -419,8 +420,15 @@ def test_scenario_set_derives_its_travel_times(tri3_network):
     for m in mults:
         np.fill_diagonal(m, 1.0)
     scen = ScenarioSet(multipliers=mults, nominal=nominal, probabilities=np.array([0.5, 0.5]))
-    assert np.array_equal(scen.travel_times, mults * nominal)
-    for arr in (scen.multipliers, scen.nominal, scen.probabilities, scen.travel_times):
+    # The multipliers are the only [S, nv, nv] array the set keeps; each read
+    # derives a fresh stack, equal bit for bit to the product.
+    held = [value for value in vars(scen).values() if isinstance(value, np.ndarray)]
+    assert sum(arr.nbytes for arr in held) == (scen.multipliers.nbytes + scen.nominal.nbytes
+                                               + scen.probabilities.nbytes)
+    first, second = scen.travel_times, scen.travel_times
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes() == (mults * nominal).tobytes()
+    for arr in (scen.multipliers, scen.nominal, scen.probabilities, first, second):
         assert not arr.flags.writeable
     # The caller's matrix stays writable and no longer reaches the set.
     nominal[0, 1] = 99.0
@@ -428,6 +436,39 @@ def test_scenario_set_derives_its_travel_times(tri3_network):
     with pytest.raises(TypeError):
         ScenarioSet(multipliers=mults, nominal=nominal, probabilities=np.array([0.5, 0.5]),
                     travel_times=mults * nominal)
+
+
+@pytest.mark.parametrize("entry, names_the_dead", [
+    (solve_stochastic, True),
+    (lambda network, scen: solve_stochastic(network, scen, SolveConfig(alpha=0.1)), False),
+    (solve_alpha_zero_fast, True),
+    (lambda network, scen: build_stochastic(network, scen, 0.1), False),
+], ids=["sto", "sto-0.1", "sto-fast", "build_stochastic"])
+@pytest.mark.parametrize("stretch", [1.0, 6.0], ids=["sampled", "forced-dead"])
+def test_each_entry_reads_the_travel_times_once(tri3_network, monkeypatch, entry,
+                                                names_the_dead, stretch):
+    # Each read derives a fresh stack, so a read per scenario would cost S
+    # stacks.  A stretch of 6 on the second scenario overshoots task 1's
+    # deadline on its own arc: an alpha = 0 solve names it without a second
+    # read.
+    scen = generate_scenarios(tri3_network, ScenarioConfig(count=30, seed=3))
+    mults = np.array(scen.multipliers)
+    mults[1] *= stretch
+    np.fill_diagonal(mults[1], 1.0)
+    scen = ScenarioSet(multipliers=mults, nominal=scen.nominal,
+                       probabilities=scen.probabilities)
+    reads = []
+    derive = ScenarioSet.travel_times.fget
+
+    def counted(self):
+        reads.append(self)
+        return derive(self)
+
+    monkeypatch.setattr(ScenarioSet, "travel_times", property(counted))
+    result = entry(tri3_network, scen)
+    assert reads == [scen]
+    if names_the_dead:
+        assert result.limiting_scenarios == ((1,) if stretch > 1.0 else ())
 
 
 def test_count_extension_preserves_prefix(tri3_network):

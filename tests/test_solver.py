@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -879,6 +880,22 @@ def _weighted(network, scen, rng, alpha):
                        probabilities=probs)
 
 
+def _arc_major_builds(monkeypatch):
+    """The searches that build their arc-major stack copy `t_fs`, once per
+    build."""
+    builds = []
+    build = solver_module._Search.t_fs.func
+
+    def counted(search):
+        builds.append(search)
+        return build(search)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(solver_module._Search, "t_fs")
+    monkeypatch.setattr(solver_module._Search, "t_fs", prop)
+    return builds
+
+
 def _closure_shapes(monkeypatch):
     """The shapes of the stacks the searches close, in call order.  The
     completion table's closures are not counted: its memo makes them
@@ -1029,23 +1046,29 @@ class TestScenarioVector:
                              ids=["det", "sto", "sto-fast"])
     def test_loose_solve_closes_nothing(self, tri3_wide_network, monkeypatch, solve):
         # No bound passes a cut-off of tri3_wide's far deadlines, so the
-        # stack is never closed.
+        # stack is never closed, and no scenario is stepped, so it is never
+        # copied arc-major either.
         shapes = _closure_shapes(monkeypatch)
+        builds = _arc_major_builds(monkeypatch)
         scen = generate_scenarios(tri3_wide_network, ScenarioConfig(count=30, seed=0))
         solution = solve(tri3_wide_network, scen)
         assert solution.status == STATUS_OPTIMAL
-        assert shapes == []
+        assert shapes == [] and builds == []
 
     @pytest.mark.parametrize("solve, shape", [
         (lambda net, scen: solve_stochastic(net, scen, SolveConfig(alpha=0.1)), (30, 14, 14)),
         (solve_alpha_zero_fast, (1, 14, 14)),
     ], ids=["sto-0.1", "sto-fast"])
     def test_factory6_closes_the_stack_once(self, factory6_network, monkeypatch, solve, shape):
+        # The scenario search steps its scenarios and builds its arc-major
+        # copy once; the one-matrix search never builds it.
         shapes = _closure_shapes(monkeypatch)
+        builds = _arc_major_builds(monkeypatch)
         scen = generate_scenarios(factory6_network, ScenarioConfig(count=30, seed=0))
         solution = solve(factory6_network, scen)
         assert solution.status == STATUS_OPTIMAL and solution.stats.lookahead_prunes > 0
         assert shapes == [shape]
+        assert [search.times.shape for search in builds] == [shape] * (shape[0] > 1)
 
     def test_det_closes_like_a_unit_scenario(self, factory6_network, monkeypatch):
         # No stack starts closed, det's included: det and a one-scenario set

@@ -15,8 +15,8 @@ from .formulation import (BigMSet, CheckResult, ConstraintSystem,
 from .instance import (LayoutGraph, PdpInstance, PdpNetwork, TaskSpec,
                        build_network, load_instance, shortest_travel_matrix)
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
-                        sample_multiplier, scenario_set_from_dict,
-                        scenario_set_to_dict, single_scenario)
+                        scenario_set_from_dict, scenario_set_to_dict,
+                        single_scenario)
 from .solver import (RoutePlan, Schedule, SearchStats, SolveConfig, Solution,
                      STATUS_INFEASIBLE, STATUS_OPTIMAL,
                      STATUS_TIME_LIMIT_INCUMBENT, STATUS_TIME_LIMIT_NO_INCUMBENT,

@@ -131,23 +131,15 @@ def propagation_requirement(close_i: float, travel: float, open_j: float) -> flo
     return max(0.0, close_i + travel - open_j)
 
 
-def compute_big_m(network: PdpNetwork, scenarios: ScenarioSet | None) -> BigMSet:
-    """Tight per-family deactivation constants for the given travel times.
+def compute_big_m(network: PdpNetwork, worst: np.ndarray) -> BigMSet:
+    """Tight per-family deactivation constants for the element-wise maximum
+    travel times `worst`: the nominal matrix, or the maximum over a scenario
+    set's travel times.
 
-    Uses the worst (element-wise maximum) travel time over the scenario set,
-    or the nominal matrix when no scenarios are given.  Vacuity is guaranteed
-    for service times within the node windows; m4 additionally leaves one
-    worst arc of headroom above the latest window so ignored-scenario times
-    may run late.
+    Vacuity is guaranteed for service times within the node windows; m4
+    additionally leaves one worst arc of headroom above the latest window so
+    ignored-scenario times may run late.
     """
-    if scenarios is None:
-        return _big_m(network, network.travel_time)
-    check_network(scenarios, network)
-    return _big_m(network, scenarios.travel_times.max(axis=0))
-
-
-def _big_m(network: PdpNetwork, worst: np.ndarray) -> BigMSet:
-    """`compute_big_m` over the element-wise maximum travel times `worst`."""
     a, b = network.open_time, network.close_time
     arcs = arc_list(network.size)
     m1 = max(propagation_requirement(b[i], worst[i, j], a[j]) for (i, j) in arcs)
@@ -247,7 +239,7 @@ def _build(network: PdpNetwork, scenarios: ScenarioSet | None, alpha: float) -> 
         times = scenarios.travel_times
         worst = times.max(axis=0)
         realizations = [(s, times[s], f",s={s}", z_name(s)) for s in range(scenarios.count)]
-    big_m = _big_m(network, worst)
+    big_m = compute_big_m(network, worst)
 
     variables = [
         Variable(name=x_name(k, i, j), kind=BINARY, domain_tag=tags["arc"])

@@ -133,7 +133,10 @@ class PdpNetwork:
     Node 0 and node 2n+1 are the source and terminal depots; node i in 1..n is
     the pickup of task i-1 and node i+n its delivery.  `travel_time` is the
     time matrix in seconds, `travel_dist` the distance matrix in meters, and
-    `open_time`/`close_time` the window bounds per node.  A network checks
+    `open_time`/`close_time` the window bounds per node.  The network owns
+    read-only float copies of these four arrays, so no alias of the caller's
+    can change it after its checks, and the caller's arrays stay as they
+    were.  A network checks
     its fleet (an integer of at least 1), its shapes (one entry per node in
     each per-node field, one task id per task), its fixed windows
     (deliveries and depots open at 0), the free depot hop (nodes 0 and 2n+1
@@ -175,8 +178,10 @@ class PdpNetwork:
             if got != shape:
                 raise ValueError(f"{name} has shape {got}; a network of {self.n} tasks "
                                  f"needs {shape}")
-        for arr in (self.open_time, self.close_time, self.travel_time, self.travel_dist):
+        for name in ("open_time", "close_time", "travel_time", "travel_dist"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         for v in (0, *self.deliveries, self.terminal):
             if self.open_time[v] != 0:
                 raise ValueError(f"node {v} opens at {self.open_time[v]:g} s; deliveries and "

@@ -77,11 +77,12 @@ class ScenarioSet:
     """Realized travel times per scenario.
 
     `multipliers[s, i, j]`, of shape (count, nv, nv), scales `nominal[i, j]`;
-    matrices are symmetric with unit diagonal.  The set holds one
-    [count, nv, nv] stack, the multipliers, and its own copy of `nominal`;
-    `travel_times` derives `multipliers * nominal` afresh on each read, so a
-    caller reads it once per use.  Multipliers are finite and positive,
-    travel times finite;
+    matrices are symmetric with unit diagonal.  The set owns read-only float
+    copies of the arrays it is given, so no alias of the caller's can change
+    it after its checks, and the caller's arrays stay as they were.  It holds
+    one [count, nv, nv] stack, the multipliers; `travel_times` derives
+    `multipliers * nominal` afresh on each read, so a caller reads it once
+    per use.  Multipliers are finite and positive, travel times finite;
     probabilities, of shape (count,), are finite, non-negative and sum to 1
     (uniform when sampled).  `seed` is the seed a sampled set was drawn from,
     and None for a set not drawn.  Sets compare and hash by identity: arrays
@@ -94,7 +95,11 @@ class ScenarioSet:
     seed: int | None = None
 
     def __post_init__(self):
-        nominal = np.array(self.nominal, dtype=float)
+        for name in ("multipliers", "nominal", "probabilities"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        nominal = self.nominal
         nv = nominal.shape[0] if nominal.ndim else 0
         if nominal.shape != (nv, nv):
             raise ValueError(f"nominal times have shape {nominal.shape}, expected a square matrix")
@@ -115,14 +120,13 @@ class ScenarioSet:
             raise ValueError(f"scenario {asymmetric.argmax()} multipliers are not symmetric")
         # A finite multiplier can still overflow its travel time: the check
         # below rejects the infinity, so numpy need not warn about it.  The
-        # product is formed once here and let go.
+        # multipliers are positive, so every time is finite exactly when the
+        # times under the largest multiplier per arc are; that spares the
+        # check a second [count, nv, nv] stack.
         with np.errstate(over="ignore"):
-            finite = np.isfinite(self.multipliers * nominal).all()
+            finite = np.isfinite(self.multipliers.max(axis=0) * nominal).all()
         if not finite:
             raise ValueError("scenario travel times must all be finite")
-        object.__setattr__(self, "nominal", nominal)
-        for arr in (self.multipliers, nominal, self.probabilities):
-            arr.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -145,14 +149,6 @@ def check_network(scenarios: ScenarioSet, network: PdpNetwork) -> None:
                          f"belong to this network, whose travel times have shape {own.shape}")
 
 
-def sample_multiplier(rng: np.random.Generator) -> float:
-    """One positive travel-time multiplier of the fixed sampler."""
-    value = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD)
-    while value <= 0.0:
-        value = rng.normal(MULTIPLIER_MEAN, MULTIPLIER_STD)
-    return float(value)
-
-
 def scenario_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator for one scenario (or trial), independent of worker count."""
     return np.random.default_rng(np.random.SeedSequence([seed, stream, index]))
@@ -164,8 +160,8 @@ def sample_time_matrix(nominal: np.ndarray,
     directions of `nominal`.  Arcs are drawn in row-major upper-triangle order.
 
     The arcs take the positive values of the stream in order, topped up with
-    further draws until every arc has one, so the matrix equals a per-arc
-    `sample_multiplier` loop bit for bit.
+    further draws until every arc has one, so they are the first positives
+    of one long draw of the stream.
 
     This is the reference sampler, one stream at a time: `sample_multipliers`
     must equal it on `scenario_rng(seed, stream, index)`, and falls back to it

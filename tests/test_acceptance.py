@@ -15,6 +15,7 @@ from scipy.stats import norm
 import tugplan as tp
 from tugplan.cli import main as cli_main
 from tugplan.formulation import CHECK_TOLERANCE
+from tugplan.scenarios import sample_time_matrix
 from tugplan.solver import assignment_from_solution
 
 from conftest import INSTANCES, instance_dict
@@ -232,27 +233,32 @@ def test_criterion_5_fast_path(fast_pool):
 
 def test_criterion_6_sampler_statistics():
     class CountingRng:
+        """Counts the normals drawn, rejected ones included."""
+
         def __init__(self, seed):
             self.rng = np.random.default_rng(seed)
-            self.calls = 0
+            self.drawn = 0
 
-        def normal(self, mean, std):
-            self.calls += 1
-            return self.rng.normal(mean, std)
+        def normal(self, mean, std, size):
+            self.drawn += size
+            return self.rng.normal(mean, std, size)
 
+    # 448 nodes have 100,128 arcs, one multiplier each.
+    nv = 448
     rng = CountingRng(918273)
-    draws = np.array([tp.sample_multiplier(rng) for _ in range(100_000)])
+    mult, _ = sample_time_matrix(np.ones((nv, nv)), rng)
+    draws = mult[np.triu_indices(nv, 1)]
     mean = float(draws.mean())
     std = float(draws.std(ddof=1))
     nonpositive = int((draws <= 0).sum())
-    raw_negative = (rng.calls - draws.size) / rng.calls
+    raw_negative = (rng.drawn - draws.size) / rng.drawn
     closed_form = 1.0 + 0.5 * norm.pdf(2.0) / norm.cdf(2.0)
     ok = (1.02 <= mean <= 1.04 and 0.46 <= std <= 0.50 and nonpositive == 0
           and 0.020 <= raw_negative <= 0.026)
     assert _verdict(
         "criterion 6",
         ok,
-        f"1e5 draws: mean {mean:.4f} (closed form {closed_form:.4f}), "
+        f"{draws.size} draws: mean {mean:.4f} (closed form {closed_form:.4f}), "
         f"std {std:.4f}, non-positive {nonpositive}, "
         f"raw negative rate {raw_negative:.4f} (Phi(-2) = {norm.cdf(-2.0):.4f})",
     )

@@ -165,25 +165,25 @@ class TestComputeBigM:
         horizon = doc["horizon"]
         assert (net.open_time == 0).all() and (net.close_time == horizon).all()
         assert float(net.travel_time.max()) <= horizon
-        big_m = compute_big_m(net, None)
+        big_m = compute_big_m(net, net.travel_time)
         for value in (big_m.m1, big_m.m3, big_m.m4):
             assert 0.0 <= value <= 2 * horizon
 
     def test_tri3_m1_matches_enumeration(self, tri3_network):
-        big_m = compute_big_m(tri3_network, None)
+        big_m = compute_big_m(tri3_network, tri3_network.travel_time)
         a, b, d = tri3_network.open_time, tri3_network.close_time, tri3_network.travel_time
         expected = max(max(0.0, b[i] + d[i, j] - a[j]) for i, j in arc_list(tri3_network.size))
         assert big_m.m1 == pytest.approx(expected)
 
     def test_scenario_supremum_used(self, tri3_network):
         scen = generate_scenarios(tri3_network, ScenarioConfig(count=10, seed=6))
-        loose = compute_big_m(tri3_network, scen)
-        tight = compute_big_m(tri3_network, None)
+        loose = compute_big_m(tri3_network, scen.travel_times.max(axis=0))
+        tight = compute_big_m(tri3_network, tri3_network.travel_time)
         assert loose.m1 >= tight.m1
         assert loose.m3 >= tight.m3
 
     def test_all_values_finite_nonnegative(self, factory6_network):
-        big_m = compute_big_m(factory6_network, None)
+        big_m = compute_big_m(factory6_network, factory6_network.travel_time)
         for value in (big_m.m1, big_m.m3, big_m.m4):
             assert np.isfinite(value) and value >= 0
 

@@ -569,6 +569,34 @@ class TestNetworkWindowOrder:
         dataclasses.replace(tri3_network, close_time=close_time)
 
 
+class TestNetworkOwnsItsArrays:
+    """A network holds read-only copies of its arrays: it kept the caller's
+    and only cleared their write flag, so a writable alias of the same
+    buffer changed a validated network, and the caller's array became
+    read-only."""
+
+    def test_alias_write_changes_nothing(self, tri3_network):
+        # Through the alias, delivery 3 closed at -1 s, before it opens, and
+        # tri3 solved to `infeasible` instead of `optimal`, 90 m.
+        base = np.array(tri3_network.close_time)
+        net = dataclasses.replace(tri3_network, close_time=base[:])
+        base[3] = -1.0
+        assert net.close_time[3] == tri3_network.close_time[3]
+        solution = solve_deterministic(net)
+        assert solution.status == STATUS_OPTIMAL
+        assert solution.objective == pytest.approx(90.0)
+
+    @pytest.mark.parametrize("field", ["open_time", "close_time", "travel_time",
+                                       "travel_dist"])
+    def test_caller_array_stays_writable(self, tri3_network, field):
+        mine = getattr(tri3_network, field).copy()
+        net = dataclasses.replace(tri3_network, **{field: mine})
+        assert mine.flags.writeable and not np.shares_memory(mine, getattr(net, field))
+        assert not getattr(net, field).flags.writeable
+        mine[...] = -7.0
+        assert np.array_equal(getattr(net, field), getattr(tri3_network, field))
+
+
 class TestNetworkEarlyOpening:
     """No node opens before 0: the model's switched-off lower bound
     `w + a z >= a` then demands `w >= 0`, below a negative opening."""

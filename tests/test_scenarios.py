@@ -6,10 +6,9 @@ import pytest
 from scipy.stats import norm
 
 from tugplan import (RoutePlan, ScenarioConfig, ScenarioSet, SolveConfig, build_network,
-                     build_stochastic, compute_big_m, generate_scenarios, load_instance,
-                     replay_failures, sample_multiplier, scenario_set_from_dict,
-                     scenario_set_to_dict, simulate_route, single_scenario,
-                     solve_alpha_zero_fast, solve_stochastic)
+                     build_stochastic, generate_scenarios, load_instance, replay_failures,
+                     scenario_set_from_dict, scenario_set_to_dict, simulate_route,
+                     single_scenario, solve_alpha_zero_fast, solve_stochastic)
 from tugplan import scenarios
 from tugplan.scenarios import (SCENARIO_STREAM, _pcg64_state, _seed_states, sample_multipliers,
                                sample_time_matrix, scenario_rng)
@@ -28,17 +27,20 @@ def truncated_moments(mean=1.0, std=0.5):
 
 
 class _CountingRng:
-    """Wraps a generator to count raw draws, exposing rejection frequency.
-    Given a `location`, every draw is centred there instead of where the
-    caller asks, so a sampler with a fixed mean can be run at another one."""
+    """Wraps a generator to count its calls and the normals they draw,
+    exposing rejection frequency.  Given a `location`, every draw is centred
+    there instead of where the caller asks, so a sampler with a fixed mean
+    can be run at another one."""
 
     def __init__(self, seed, location=None):
         self.rng = np.random.default_rng(seed)
         self.location = location
         self.calls = 0
+        self.drawn = 0
 
     def normal(self, mean, std, size=None):
         self.calls += 1
+        self.drawn += 1 if size is None else size
         if self.location is not None:
             mean = self.location
         return self.rng.normal(mean, std, size)
@@ -46,8 +48,12 @@ class _CountingRng:
 
 class TestSampleMultiplier:
     def test_large_sample_statistics(self):
+        # 448 nodes have 100,128 arcs, one multiplier each.
+        nv = 448
         rng = _CountingRng(1234)
-        draws = np.array([sample_multiplier(rng) for _ in range(100_000)])
+        mult, _ = sample_time_matrix(np.ones((nv, nv)), rng)
+        draws = mult[np.triu_indices(nv, 1)]
+        assert len(draws) == 100_128
 
         assert (draws > 0).all()
 
@@ -59,7 +65,7 @@ class TestSampleMultiplier:
         assert 0.46 <= draws.std(ddof=1) <= 0.50
         assert abs(draws.std(ddof=1) - t_std) < 0.005
 
-        raw_negative_rate = (rng.calls - len(draws)) / rng.calls
+        raw_negative_rate = (rng.drawn - len(draws)) / rng.drawn
         assert 0.020 <= raw_negative_rate <= 0.026
         assert norm.cdf(-2.0) == pytest.approx(0.02275, abs=1e-4)
 
@@ -81,11 +87,16 @@ class TestSampleTimeMatrix:
             rng = _CountingRng(stream, mean)
             mult, times = sample_time_matrix(nominal, rng)
             repeated += rng.calls >= 3
-            rng = _CountingRng(stream, mean)
+            # The arcs take, in order, the positives of one long raw draw of
+            # the same stream, as many normals as the top-ups drew in all.
+            raw = np.random.default_rng(stream).normal(mean, 0.5, rng.drawn)
+            positives = raw[raw > 0.0]
+            assert len(positives) == nv * (nv - 1) // 2
             expected = np.ones((nv, nv))
+            arcs = iter(positives)
             for i in range(nv):
                 for j in range(i + 1, nv):
-                    expected[i, j] = expected[j, i] = sample_multiplier(rng)
+                    expected[i, j] = expected[j, i] = next(arcs)
             assert np.array_equal(mult, expected)
             assert np.array_equal(times, expected * nominal)
         assert repeated >= 20
@@ -398,6 +409,25 @@ def test_scenario_set_rejects_asymmetry(tri3_network):
                     probabilities=np.array([1.0]))
 
 
+def test_scenario_set_owns_its_arrays(tri3_network):
+    # The set kept the caller's multipliers and probabilities and only
+    # cleared their write flag: a set built from `base[:]` read
+    # `multipliers[1, 0, 1] == -5.0` after `base[1, 0, 1] = -5.0`, and the
+    # caller's view became read-only.
+    nominal = tri3_network.travel_time
+    base = np.full((2,) + nominal.shape, 1.5)
+    probs = np.array([0.25, 0.75])
+    view, prob_view = base[:], probs[:]
+    scen = ScenarioSet(multipliers=view, nominal=nominal, probabilities=prob_view)
+    base[1, 0, 1] = -5.0
+    probs[0] = -1.0
+    assert (scen.multipliers == 1.5).all()
+    assert scen.probabilities.tolist() == [0.25, 0.75]
+    for mine, held in ((view, scen.multipliers), (prob_view, scen.probabilities)):
+        assert mine.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(mine, held)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda nominal: (np.array(1.0), nominal, [1.0]), r"multipliers have shape \(\)"),
     (lambda nominal: (np.ones(nominal.shape), nominal, [1.0]), "multipliers have shape"),
@@ -491,7 +521,6 @@ def test_scenario_sets_compare_and_hash_by_identity(tri3_network):
 _ENTRIES = {
     "solve_stochastic": solve_stochastic,
     "solve_alpha_zero_fast": solve_alpha_zero_fast,
-    "compute_big_m": compute_big_m,
     "build_stochastic": lambda network, scen: build_stochastic(network, scen, 0.0),
     "replay_failures": lambda network, scen: replay_failures(
         RoutePlan(routes=((0, 1, 3, 2, 4, 5),), n=2), network, scen),

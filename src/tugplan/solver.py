@@ -34,24 +34,29 @@ exact pass cuts only subtrees that cannot reach the seed's cost and returns
 the plan it returns without the seed.  A pass that times out with no
 incumbent of its own returns the seed plan instead.
 
-One engine serves every mode and `_solve` is the one path into it: it
-searches one stack of scenario matrices (nominal, sampled, or the fast
-path's supremum) and reports the plan on a scenario set.  Each node carries
-a plain-float upper bound on its latest scenario time, propagated over the
-arc-wise maxima of the scenario matrices; float addition and max are
-monotone, so it bounds every scenario's time exactly as the per-scenario
-recursion rounds it.  With one scenario the bound is the time itself, so
-windows and the lookahead are decided in float arithmetic alone and any miss
-prunes.  With several, a node's `alive` vector holds each scenario's
-probability, 0.0 once the scenario has missed a window, so a mass test is
-one dot product with the mask of scenarios it tests.  A bound that meets a
-window meets it in every scenario, so the child shares its parent's `alive`
-vector and dead mass and computes its per-scenario times only when something
-reads them: a later step whose bound misses a window, the lookahead, or a
-delivery's coupling to its pickup.  Only a bound that misses steps the
-scenario vector at once, and only a step that loses live mass copies
-`alive`.  Each node's vector is computed at most once, and the decisions
-are those of stepping every candidate.
+One engine serves every mode and `_solve` is the one path into it: it reads
+a solve's scenario stack once (the nominal matrix or a set's sampled ones),
+searches it, or for the fast path its arc-wise maxima, and reports the plan
+on it.  Each step times a child by one hold rule,
+`w = max(now + t[cur][j], hold[j])`: `hold[j]` is a pickup's opening, and
+loading pickup i at `w_i` holds delivery i+n until `w_i + t[i][i+n]`, the
+model's coupling (deliveries open at 0).  The float step, the seed and
+`route_times` state it alike.  Each node carries a plain-float upper bound
+on its latest scenario time, propagated over the arc-wise maxima of the
+scenario matrices; float addition and max are monotone, so it bounds every
+scenario's time exactly as the per-scenario recursion rounds it.  With one
+scenario the bound is the time itself, so windows and the lookahead are
+decided in float arithmetic alone and any miss prunes.  With several, a
+node's `alive` vector holds each scenario's probability, 0.0 once the
+scenario has missed a window, so a mass test is one dot product with the
+mask of scenarios it tests.  A bound that meets a window meets it in every
+scenario, so the child shares its parent's `alive` vector and dead mass and
+computes its per-scenario times only when something reads them: a later
+step whose bound misses a window, the lookahead, or a delivery's coupling
+to its pickup.  Only a bound that misses steps the scenario vector at once,
+and only a step that loses live mass copies `alive`.  Each node's vector is
+computed at most once, and the decisions are those of stepping every
+candidate.
 
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
@@ -297,15 +302,17 @@ class _Search:
     time matrices.
 
     Branch state (closed routes, whose count is the vehicle index, current
-    route, onboard pickups in index order, pickup times and unvisited task
-    nodes per location) lives on the instance and is mutated and undone
-    around each recursive call instead of being copied per node.  A node
-    carries `cur`, `now` (the float upper bound on its latest scenario time,
-    exact at S = 1), `scen`, `travelled`, `mask` (the tracked locations still
-    hosting an unvisited task node) and `todo` (bit j set while pickup j is
-    unvisited; a pickup child clears its bit).  `scen` is None at
-    S = 1, else `[times, alive, mass, parent, cur, j]`: per-scenario times,
-    the probability vector of the alive scenarios (0.0 for a dead one), the
+    route, onboard pickups in index order, the holds of the module's hold
+    rule and unvisited task nodes per location) lives on the instance and
+    is mutated and undone around each recursive call instead of being
+    copied per node; a hold needs no undoing, as a delivery's is read only
+    while its pickup is onboard.  A node carries `cur`, `now` (the float
+    upper bound on its latest scenario time, exact at S = 1), `scen`,
+    `travelled`, `mask` (the tracked locations still hosting an unvisited
+    task node) and `todo` (bit j set while pickup j is unvisited; a pickup
+    child clears its bit).  `scen` is None at S = 1, else
+    `[times, alive, mass, parent, cur, j]`: per-scenario times, the
+    probability vector of the alive scenarios (0.0 for a dead one), the
     dead mass, and the parent's `scen` and arc (cur, j), with `times` None
     until `_times` steps it from the parent's along that arc.
     `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
@@ -333,11 +340,14 @@ class _Search:
         # access on the per-node paths.  Closing times carry the window
         # tolerance, so a window test compares against them directly.
         self.d = network.travel_dist.tolist()
-        self.a_l = network.open_time.tolist()
         self.b_l = (network.close_time + _EPS).tolist()
 
         t_max = times.max(axis=0, keepdims=True) if self.vector else times
         self.t_max = t_max[0].tolist()
+        # Deliveries and depots open at 0, so a pickup's opening is its only
+        # starting hold; `own[i]` is task i's own arc (i, i+n) in the maxima.
+        self.hold = network.open_time.tolist()
+        self.own = [0.0] + [self.t_max[i][i + self.n] for i in range(1, self.n + 1)]
         # The float side of the lookahead: a node whose `now` passes no
         # earliest cut-off is safe in every scenario.  They start from the
         # maxima themselves, at or below the exact ones, until `_close_stack`.
@@ -349,7 +359,6 @@ class _Search:
         self.route: list[int] = [0]
         self.routes: list[tuple[int, ...]] = []
         self.onboard: list[int] = []
-        self.pick_hi = [0.0] * (self.n + 1)
         self.pick_scen: list[list | None] = [None] * (self.n + 1)
 
         self.best_obj = math.inf
@@ -505,9 +514,9 @@ class _Search:
         runs out with pickups left.
         """
         n, terminal = self.n, self.terminal
-        t, a, b, d = self.t_max, self.a_l, self.b_l, self.d
+        t, b, d, own = self.t_max, self.b_l, self.d, self.own
         todo = list(range(1, n + 1))
-        pick_hi = [0.0] * (n + 1)
+        hold = self.hold.copy()
         routes: list[tuple[int, ...]] = []
         travelled = 0.0
         while todo:
@@ -522,12 +531,8 @@ class _Search:
                     if d_cur[j] >= best_d:
                         continue
                     w = now + t_cur[j]
-                    if j > n:
-                        other = pick_hi[j - n] + t[j - n][j]
-                        if other > w:
-                            w = other
-                    elif w < a[j]:
-                        w = a[j]
+                    if w < hold[j]:
+                        w = hold[j]
                     if w > b[j]:
                         continue
                     # A delivery meets its own pickup's cut-off with its
@@ -542,7 +547,7 @@ class _Search:
                 if best <= n:
                     todo.remove(best)
                     bisect.insort(onboard, best)
-                    pick_hi[best] = best_w
+                    hold[best + n] = best_w + own[best]
                 else:
                     onboard.remove(best - n)
             if onboard or cur == 0 or now + t[cur][terminal] > b[terminal]:
@@ -564,7 +569,7 @@ class _Search:
         """Per-scenario service times at `j` after `cur`, opening or coupling included."""
         arr = cur_times + self.t_fs[cur, j]
         if j <= self.n:
-            return np.maximum(arr, self.a_l[j], out=arr)
+            return np.maximum(arr, self.hold[j], out=arr)
         if j < self.terminal:
             # The pickup is an ancestor on the current route, so its entry
             # stays in place for as long as this subtree is searched.
@@ -625,8 +630,8 @@ class _Search:
         if now > latest[0] and self._splits(cur, now, travelled, todo):
             self.split_prunes += 1
             return
-        vector, t, a, b = self.vector, self.t_max, self.a_l, self.b_l
-        t_cur, pick_hi = t[cur], self.pick_hi
+        n, vector, b, hold, own = self.n, self.vector, self.b_l, self.hold, self.own
+        t_cur = self.t_max[cur]
         # Canonical labeling: a route start takes only pickups above the
         # previous route's first one.
         floor = self.routes[-1][1] if cur == 0 and self.routes else 0
@@ -636,12 +641,12 @@ class _Search:
         # child keeps the alive mask and the dead mass and records where its
         # times come from.  Only a bound that misses steps the scenarios; at
         # S = 1 `new_scen` stays None, so any miss prunes.
-        for j in range(floor + 1, self.n + 1):
+        for j in range(floor + 1, n + 1):
             if not todo >> j & 1:
                 continue
             w = now + t_cur[j]
-            if w < a[j]:
-                w = a[j]
+            if w < hold[j]:
+                w = hold[j]
             if w > b[j]:
                 if vector:
                     new_scen = self._vector_step(scen, cur, j)
@@ -663,7 +668,7 @@ class _Search:
             idx = bisect.bisect(onboard, j)
             route.append(j)
             onboard.insert(idx, j)
-            pick_hi[j] = w
+            hold[j + n] = w + own[j]
             left[u] -= 1
             self._extend(j, w, new_scen, child_travelled, child_mask, todo ^ 1 << j)
             left[u] += 1
@@ -671,11 +676,10 @@ class _Search:
             route.pop()
         # Each child restores `onboard` before the next index is read.
         for idx, i in enumerate(onboard):
-            j = i + self.n
+            j = i + n
             w = now + t_cur[j]
-            other = pick_hi[i] + t[i][j]
-            if other > w:
-                w = other
+            if w < hold[j]:
+                w = hold[j]
             if w > b[j]:
                 if vector:
                     new_scen = self._vector_step(scen, cur, j)
@@ -791,11 +795,12 @@ def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray
     travel-time matrices, one scenario per column.
 
     The route leaves its first node at max(0, opening); each later node is
-    served at max(opening, previous time + arc time).  With `coupling`, a
-    delivery is also held until its pickup time plus the direct pickup arc,
-    as in the model (`w[n+i] >= w[i] + t[i][n+i]`); without it the recursion
-    is the physical dispatch policy.  Returns `w[pos, s]` and `late[pos, s]`,
-    whether position `pos` misses its closing time in scenario `s`.
+    served at max(previous time + arc time, held time), the search's hold
+    rule.  A node's held time is its opening, and with `coupling` a pickup
+    served at `w` holds its delivery until `w` plus the direct arc, as in
+    the model (`w[n+i] >= w[i] + t[i][n+i]`); without it the recursion is
+    the physical dispatch policy.  Returns `w[pos, s]` and `late[pos, s]`, whether
+    position `pos` misses its closing time in scenario `s`.
 
     Each position's row holds one time per scenario.  With one matrix the
     row is a plain float: Python's float addition and `max` round exactly as
@@ -803,22 +808,17 @@ def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray
     """
     n = (times.shape[-1] - 2) // 2
     nodes = list(route)
-    a = open_time.tolist()
+    held = open_time.tolist()
     if times.shape[0] == 1:
         t, hold, w = times[0].tolist(), max, [0.0] * len(nodes)
     else:
         t, hold, w = times.transpose(1, 2, 0), np.maximum, np.empty((len(nodes), times.shape[0]))
-    w[0] = max(0.0, a[nodes[0]])
-    picked: dict[int, int] = {}
+    w[0] = max(0.0, held[nodes[0]])
     for pos in range(1, len(nodes)):
         prev, node = nodes[pos - 1], nodes[pos]
-        here = w[pos - 1] + t[prev][node]
-        pick = node - n
-        if coupling and pick in picked:
-            here = hold(here, w[picked[pick]] + t[pick][node])
-        w[pos] = hold(here, a[node])
-        if 1 <= node <= n:
-            picked[node] = pos
+        w[pos] = hold(w[pos - 1] + t[prev][node], held[node])
+        if coupling and 1 <= node <= n:
+            held[node + n] = w[pos] + t[node][node + n]
     w = np.asarray(w).reshape(len(nodes), -1)
     late = w > close_time[nodes, np.newaxis] + _EPS
     return w, late
@@ -881,18 +881,23 @@ def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.nd
     return (coupled > network.close_time[deliveries] + _EPS).any(axis=1)
 
 
-def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: SolveConfig,
-           report_set: ScenarioSet | None, report_times: np.ndarray) -> Solution:
-    """Search the [S, nv, nv] stack `times` with probabilities `probs`;
-    report the schedule, ignored set and limiting scenarios on
-    `report_set`, whose travel times the caller reads once and passes as
-    `report_times`.  `report_set=None` reports a single realization of the
-    one-matrix stack `report_times`, which is `times`: a 2-D schedule and no
-    scenario data.  A report set drawn for another network raises
-    `ValueError` before any search."""
-    if report_set is not None:
-        check_network(report_set, network)
-    search = _Search(network, times, probs, config)
+def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConfig,
+           fast: bool = False) -> Solution:
+    """Solve on `scenarios`, or on the nominal times as a single realization
+    (a 2-D schedule and no scenario data) when None.  A set drawn for
+    another network raises `ValueError` before any search.  The set's
+    travel times are read once: the search runs on that stack, or with
+    `fast` on its arc-wise maxima, and the schedule, ignored set and
+    limiting scenarios are reported on the stack."""
+    if scenarios is None:
+        times, probs = network.travel_time[np.newaxis], np.ones(1)
+    else:
+        check_network(scenarios, network)
+        times, probs = scenarios.travel_times, scenarios.probabilities
+    if fast:
+        search = _Search(network, times.max(axis=0, keepdims=True), np.ones(1), config)
+    else:
+        search = _Search(network, times, probs, config)
     search.run()
     stats = search.stats()
 
@@ -901,8 +906,8 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: So
             return Solution(status=STATUS_TIME_LIMIT_NO_INCUMBENT, plan=None,
                             schedule=None, objective=None, stats=stats, alpha=config.alpha)
         limiting: tuple[int, ...] = ()
-        if report_set is not None and search.dead_mass > config.alpha + _MASS_EPS:
-            dead = _forced_dead_scenarios(network, report_times)
+        if scenarios is not None and search.dead_mass > config.alpha + _MASS_EPS:
+            dead = _forced_dead_scenarios(network, times)
             limiting = tuple(int(s) for s in np.flatnonzero(dead))
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
                         objective=None, stats=stats, alpha=config.alpha,
@@ -913,11 +918,9 @@ def _solve(network: PdpNetwork, times: np.ndarray, probs: np.ndarray, config: So
     # guarantees is never late.
     idle = ((0, network.terminal),) * (network.vehicle_count - len(search.best_plan))
     plan = RoutePlan(routes=search.best_plan + idle, n=network.n)
-    if report_set is not None:
-        probs = report_set.probabilities
-    w, feasible = _full_schedule(network, plan, report_times)
+    w, feasible = _full_schedule(network, plan, times)
     assert feasible.all() or float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
-    if report_set is None:
+    if scenarios is None:
         schedule = Schedule(times=w[:, :, 0].copy())
     else:
         schedule = Schedule(times=w, ignored=~feasible)
@@ -931,17 +934,14 @@ def solve_deterministic(network: PdpNetwork, config: SolveConfig | None = None) 
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the deterministic solve requires alpha = 0")
-    nominal = network.travel_time[np.newaxis]
-    return _solve(network, nominal, np.ones(1), config, None, nominal)
+    return _solve(network, None, config)
 
 
 def solve_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      config: SolveConfig | None = None) -> Solution:
     """Minimal-distance plan whose schedule meets every window on all
     scenarios except an ignored set of probability mass at most alpha."""
-    times = scenarios.travel_times
-    return _solve(network, times, scenarios.probabilities, config or SolveConfig(), scenarios,
-                  times)
+    return _solve(network, scenarios, config or SolveConfig())
 
 
 def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
@@ -963,9 +963,7 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     config = config or SolveConfig()
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
-    times = scenarios.travel_times
-    return _solve(network, times.max(axis=0, keepdims=True), np.ones(1), config, scenarios,
-                  times)
+    return _solve(network, scenarios, config, fast=True)
 
 
 def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,

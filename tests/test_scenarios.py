@@ -9,7 +9,7 @@ from tugplan import (RoutePlan, ScenarioConfig, ScenarioSet, SolveConfig, build_
                      build_stochastic, generate_scenarios, load_instance, replay_failures,
                      scenario_set_from_dict, scenario_set_to_dict, simulate_route,
                      single_scenario, solve_alpha_zero_fast, solve_stochastic)
-from tugplan import scenarios
+from tugplan import scenarios, solver
 from tugplan.scenarios import (SCENARIO_STREAM, _pcg64_state, _seed_states, sample_multipliers,
                                sample_time_matrix, scenario_rng)
 
@@ -534,8 +534,27 @@ def test_set_of_another_network_rejected(tri3_network, factory6_network, entry):
         _ENTRIES[entry](tri3_network, foreign)
 
 
-def test_set_of_other_times_rejected(tri3_network):
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_set_of_other_times_rejected(tri3_network, entry):
+    # Same shape, other nominal times: only the values tell the sets apart.
     slower = dataclasses.replace(tri3_network, travel_time=tri3_network.travel_time * 2)
     foreign = generate_scenarios(slower, ScenarioConfig(count=3, seed=1))
     with pytest.raises(ValueError, match="does not belong to this network"):
-        solve_stochastic(tri3_network, foreign)
+        _ENTRIES[entry](tri3_network, foreign)
+
+
+@pytest.mark.parametrize("entry", ["solve_stochastic", "solve_alpha_zero_fast"])
+def test_rejected_set_never_reaches_the_search(tri3_network, factory6_network, monkeypatch,
+                                               entry):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search was built")
+
+    monkeypatch.setattr(solver, "_Search", no_search)
+    slower = dataclasses.replace(tri3_network, travel_time=tri3_network.travel_time * 2)
+    for foreign in (factory6_network, slower):
+        scen = generate_scenarios(foreign, ScenarioConfig(count=3, seed=1))
+        with pytest.raises(ValueError, match="does not belong to this network"):
+            _ENTRIES[entry](tri3_network, scen)
+    # The stub sits on the path: the network's own set reaches it.
+    with pytest.raises(AssertionError, match="the search was built"):
+        _ENTRIES[entry](tri3_network, generate_scenarios(tri3_network, ScenarioConfig(3, 1)))

@@ -6,8 +6,8 @@ stage can be replayed and audited.  Every artifact embeds the run manifest
 sorted keys, so identical inputs produce byte-identical files.
 
 Exit codes: 0 success/optimal, 1 usage or input error (every rejected
-input raises `ValueError`, whose message goes to stderr), 2 infeasible,
-3 time limit reached.
+input raises `ValueError`, whose message goes to stderr) or a run out of
+memory, 2 infeasible, 3 time limit reached.
 """
 
 from __future__ import annotations
@@ -343,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,7 @@ class PdpNetwork:
     read-only float copies of these four arrays, so no alias of the caller's
     can change it after its checks, and the caller's arrays stay as they
     were.  A network checks
-    its fleet (an integer of at least 1), its shapes (one entry per node in
+    its fleet (an integer from 1 to `sys.maxsize`), its shapes (one entry per node in
     each per-node field, one task id per task), its fixed windows
     (deliveries and depots open at 0), the free depot hop (nodes 0 and 2n+1
     at one location, zero time and distance apart), that every window bound
@@ -168,6 +169,9 @@ class PdpNetwork:
         if isinstance(fleet, bool) or not isinstance(fleet, (int, np.integer)) or fleet < 1:
             raise ValueError(f"vehicle_count is {fleet!r}; a network needs an integer "
                              f"fleet of at least 1")
+        if fleet > sys.maxsize:
+            raise ValueError(f"vehicle_count is {fleet}; a plan lists one route per vehicle, "
+                             f"so a fleet is at most {sys.maxsize}")
         nv = self.size
         for name, shape in (("open_time", (nv,)), ("close_time", (nv,)),
                             ("travel_time", (nv, nv)), ("travel_dist", (nv, nv)),

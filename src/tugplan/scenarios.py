@@ -6,9 +6,10 @@ independent positive multiplier drawn from one fixed sampler, a Normal(1, std
 Sampled sets carry uniform probabilities (sample-average style) and the seed
 they were drawn from.  With the count, that seed is the whole provenance: the
 exported config block and generator name are derived from the two, so a set
-can be regenerated or replayed bit-identically.  A file naming another sampler
-is not replayed.  `sample_multipliers` draws a block of scenarios or trials
-at once, equal bit for bit to the one-stream reference `sample_time_matrix`.
+can be regenerated or replayed bit-identically.  A file naming another
+sampler, or another generator than its seed implies, is not replayed.
+`sample_multipliers` draws a block of scenarios or trials at once, equal bit
+for bit to the one-stream reference `sample_time_matrix`.
 
 Note on the truncation: discarding non-positive draws shifts the multiplier
 mean up to 1 + 0.5*phi(2)/Phi(2) = 1.0276 (phi/Phi the standard normal pdf/cdf)
@@ -350,7 +351,9 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     not a JSON object or lacks a key, multipliers or probabilities that are
     not JSON numbers, a count or seed that is not a JSON integer, a config
     that names another sampler or another count than the file holds, a seed
-    other than the config's, and anything `ScenarioSet` rejects."""
+    other than the config's, an algorithm other than the one
+    `scenario_set_to_dict` names for that seed, and anything `ScenarioSet`
+    rejects."""
     if not isinstance(doc, dict):
         raise ValueError(f"scenario document must be a JSON object, got {type(doc).__name__}")
     _require(doc, ("multipliers", "probabilities"), "scenario document")
@@ -372,6 +375,10 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
         raise ValueError(f"seed must be an integer or null, got {seed!r}")
     if seed != cfg_seed:
         raise ValueError(f"seed {seed} does not match the config seed {cfg_seed}")
+    algorithm = "fixed" if cfg_seed is None else RNG_ALGORITHM
+    if doc.get("algorithm") != algorithm:
+        raise ValueError(f"algorithm {doc.get('algorithm')!r} does not match the seed, "
+                         f"which needs {algorithm!r}")
     scen = ScenarioSet(multipliers=_numbers(doc, "multipliers"), nominal=network.travel_time,
                        probabilities=_numbers(doc, "probabilities"), seed=cfg_seed)
     if cfg_doc is not None and cfg_doc["count"] != scen.count:

@@ -36,8 +36,9 @@ incumbent of its own returns the seed plan instead.
 
 One engine serves every mode and `_solve` is the one path into it: it reads
 a solve's scenario stack once (the nominal matrix or a set's sampled ones),
-searches it, or for the fast path its arc-wise maxima, and reports the plan
-on it.  Each step times a child by one hold rule,
+decides on it the scenarios lost to every plan, searches it (for the fast
+path its arc-wise maxima) and reports the plan on it.  Each step times a
+child by one hold rule,
 `w = max(now + t[cur][j], hold[j])`: `hold[j]` is a pickup's opening, and
 loading pickup i at `w_i` holds delivery i+n until `w_i + t[i][i+n]`, the
 model's coupling (deliveries open at 0).  The float step, the seed and
@@ -314,23 +315,24 @@ class _Search:
     `[times, alive, mass, parent, cur, j]`: per-scenario times, the
     probability vector of the alive scenarios (0.0 for a dead one), the
     dead mass, and the parent's `scen` and arc (cur, j), with `times` None
-    until `_times` steps it from the parent's along that arc.
+    until `_times` steps it from the parent's along that arc; the root's
+    `alive` and mass, from `_solve`, count every lost scenario dead.
     `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
     (i, i+n) its delivery's coupling reads.  The arc-major copy `t_fs` of
     the stack is built on the first per-scenario step, so a search that
     never steps, as on loose windows, never copies its stack.
     """
 
-    def __init__(self, network: PdpNetwork, times: np.ndarray, probs: np.ndarray,
-                 config: SolveConfig):
+    def __init__(self, network: PdpNetwork, times: np.ndarray, alive: np.ndarray,
+                 lost_mass: float, config: SolveConfig):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
         self.fleet = network.vehicle_count
         self.times = times
-        self.probs = probs
         self.alpha = config.alpha
         self.vector = times.shape[0] > 1
+        self.root = [np.zeros(len(alive)), alive, lost_mass, None, 0, 0] if self.vector else None
 
         self.table, self.loc, self.bit = _walk_table(network)
         # left[u]: the unvisited task nodes at location u.
@@ -373,7 +375,6 @@ class _Search:
         self.split_prunes = 0
         self.root_bound = 0.0
         self.seed_m: float | None = None
-        self.dead_mass = 0.0  # mass of the scenarios no plan satisfies; set by run
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
 
@@ -398,8 +399,8 @@ class _Search:
         inf at the route start and at S > 1.
 
         A pickup opening past `latest[i, i]` would also be late, but then
-        its own arc already misses the delivery's deadline and the search
-        does not run."""
+        its own arc already misses the delivery's deadline and `_solve`
+        does not run the search."""
         n = self.n
         deliveries = slice(n + 1, self.terminal)
         latest = np.full(closure.shape[:-1] + (n + 1,), math.inf)
@@ -473,13 +474,6 @@ class _Search:
                            split_prunes=self.split_prunes)
 
     def run(self) -> None:
-        dead = _forced_dead_scenarios(self.network, self.times)
-        self.dead_mass = float(self.probs[dead].sum()) if dead.any() else 0.0
-        if self.dead_mass > self.alpha + _MASS_EPS:
-            return
-        scen = None
-        if self.vector:
-            scen = [np.zeros(len(dead)), np.where(dead, 0.0, self.probs), self.dead_mass, None, 0, 0]
         # Every tracked location hosts a task node, so the root's mask, the
         # table's last row, holds them all.
         self.root_bound = self.table[-1][self.loc[0]]
@@ -489,7 +483,7 @@ class _Search:
             self.cutoff = seed[0] + _SEED_SLACK
         # With no incumbent yet, the root passes its distance bound.
         try:
-            self._extend(0, 0.0, scen, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
+            self._extend(0, 0.0, self.root, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
         except _TimeUp:
             self.timed_out = True
         # Without a time-out the exact pass meets the seed's own plan below
@@ -824,6 +818,15 @@ def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray
     return w, late
 
 
+def _opening_holds(network: PdpNetwork, scen_times: np.ndarray) -> np.ndarray:
+    """`[S, n]`: each delivery's earliest hold per scenario, its pickup's
+    opening plus the task's own arc (Eq19)."""
+    pickups, deliveries = slice(1, network.n + 1), slice(network.n + 1, network.terminal)
+    # The diagonal of the pickup-to-delivery block holds each task's own arc.
+    own_arc = scen_times[:, pickups, deliveries].diagonal(axis1=1, axis2=2)
+    return network.open_time[pickups] + own_arc
+
+
 def _full_schedule(network: PdpNetwork, plan: RoutePlan,
                    scen_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complete service times [K, nv, S] for a plan plus per-scenario
@@ -832,18 +835,16 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
     Visited nodes take their earliest-feasible route times under the model's
     recursion (pickup-to-delivery coupling included).  A vehicle's time at a
     node it does not visit is completed canonically: window opening for
-    pickups and depots, and for deliveries the direct pickup arc after the
-    (unvisited, so window-opening) pickup, which satisfies the
-    pickup-before-delivery constraint whenever the serving vehicle can.  Scenarios the plan fails are reported infeasible and their
-    times pinned to the window openings.
+    pickups and depots, and for deliveries `_opening_holds`, the hold after
+    the (unvisited, so window-opening) pickup, which satisfies the
+    pickup-before-delivery constraint whenever the serving vehicle can.
+    Scenarios the plan fails are reported infeasible and their times pinned
+    to the window openings.
     """
-    n, terminal = network.n, network.terminal
     a, b = network.open_time, network.close_time
-    # The diagonal of the pickup-to-delivery block holds each task's own arc.
-    own_arc = scen_times[:, 1:n + 1, n + 1:terminal].diagonal(axis1=1, axis2=2)
     w = np.empty((plan.vehicle_count, network.size, scen_times.shape[0]))
     w[:] = a[np.newaxis, :, np.newaxis]
-    w[:, n + 1:terminal] = a[1:n + 1, np.newaxis] + own_arc.T
+    w[:, network.n + 1:network.terminal] = _opening_holds(network, scen_times).T
     feasible = np.ones(scen_times.shape[0], dtype=bool)
     for k, route in enumerate(plan.routes):
         # An idle route keeps the window openings: the depot hop is free.
@@ -871,44 +872,42 @@ def _solo_infeasible_task(network: PdpNetwork) -> str | None:
     return None
 
 
-def _forced_dead_scenarios(network: PdpNetwork, scen_times: np.ndarray) -> np.ndarray:
-    """Scenarios no plan can satisfy: the pickup-to-delivery coupling already
-    overshoots the delivery deadline from the pickup's opening time."""
-    pickups, deliveries = slice(1, network.n + 1), slice(network.n + 1, network.terminal)
-    # The diagonal of the pickup-to-delivery block holds each task's own arc.
-    own_arc = scen_times[:, pickups, deliveries].diagonal(axis1=1, axis2=2)
-    coupled = network.open_time[pickups] + own_arc
-    return (coupled > network.close_time[deliveries] + _EPS).any(axis=1)
-
-
 def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConfig,
            fast: bool = False) -> Solution:
     """Solve on `scenarios`, or on the nominal times as a single realization
     (a 2-D schedule and no scenario data) when None.  A set drawn for
     another network raises `ValueError` before any search.  The set's
-    travel times are read once: the search runs on that stack, or with
-    `fast` on its arc-wise maxima, and the schedule, ignored set and
-    limiting scenarios are reported on the stack."""
+    travel times are read once, and on them the scenarios lost to every plan
+    are decided once: the search runs, on the stack or with `fast` on its
+    arc-wise maxima, only while their mass is within alpha, and the
+    schedule, ignored set and limiting scenarios are reported on the stack."""
     if scenarios is None:
         times, probs = network.travel_time[np.newaxis], np.ones(1)
     else:
         check_network(scenarios, network)
         times, probs = scenarios.travel_times, scenarios.probabilities
+    deadlines = network.close_time[network.n + 1:network.terminal] + _EPS
+    lost = (_opening_holds(network, times) > deadlines).any(axis=1)
+    lost_mass = 0.0
+    if lost.any():
+        # The maxima take the stack's largest own arcs, so they lose their
+        # one scenario exactly when the stack loses one.
+        lost_mass = 1.0 if fast else float(probs[lost].sum())
     if fast:
-        search = _Search(network, times.max(axis=0, keepdims=True), np.ones(1), config)
+        search = _Search(network, times.max(axis=0, keepdims=True), np.ones(1), 0.0, config)
     else:
-        search = _Search(network, times, probs, config)
-    search.run()
+        alive = np.where(lost, 0.0, probs) if lost_mass else probs
+        search = _Search(network, times, alive, lost_mass, config)
+    searched = lost_mass <= config.alpha + _MASS_EPS
+    if searched:
+        search.run()
     stats = search.stats()
 
     if search.best_plan is None:
         if search.timed_out:
             return Solution(status=STATUS_TIME_LIMIT_NO_INCUMBENT, plan=None,
                             schedule=None, objective=None, stats=stats, alpha=config.alpha)
-        limiting: tuple[int, ...] = ()
-        if scenarios is not None and search.dead_mass > config.alpha + _MASS_EPS:
-            dead = _forced_dead_scenarios(network, times)
-            limiting = tuple(int(s) for s in np.flatnonzero(dead))
+        limiting = () if scenarios is None or searched else tuple(np.flatnonzero(lost).tolist())
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
                         objective=None, stats=stats, alpha=config.alpha,
                         infeasible_task=_solo_infeasible_task(network),

@@ -414,6 +414,36 @@ class TestSolveCommand:
         assert all(row["failure"] == 0.0 for row in report["rows"][2:])
         assert report["overall"] == reference["overall"]
 
+    def test_fleet_beyond_the_index_range_exits_one(self, tmp_path, capsys):
+        # 2**70 vehicles passed every check and then raised a bare
+        # OverflowError from the idle routes' padding; the network rejects
+        # it before any scenario or route is built.
+        doc = json.loads(Path(TRI3).read_text())
+        doc["vehicles"] = 2 ** 70
+        fleet, out = tmp_path / "fleet.json", tmp_path / "o.json"
+        fleet.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", "--instance", str(fleet), "--mode", "sto",
+                              "--scenarios", "30", "--out", str(out))
+        assert code == 1 and stderr.count("\n") == 1
+        assert stderr.startswith(f"error: invalid instance {fleet}: vehicle_count is "
+                                 f"{2 ** 70}; a plan lists one route per vehicle, so a "
+                                 f"fleet is at most 9223372036854775807")
+        assert not out.exists()
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # `--scenarios 100000000000` asks numpy for 26.2 TiB; the run ends
+        # in one line, not in numpy's traceback.
+        def refuse(network, config):
+            raise MemoryError(f"Unable to allocate 26.2 TiB for {config.count} scenarios")
+
+        monkeypatch.setattr(cli, "generate_scenarios", refuse)
+        out = tmp_path / "o.json"
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenarios", "100000000000", "--out", str(out))
+        assert (code, stderr) == (1, "error: out of memory: Unable to allocate 26.2 TiB "
+                                     "for 100000000000 scenarios\n")
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     @pytest.fixture
@@ -674,6 +704,25 @@ class TestSampleCommand:
                               "--trials", "2500", "--out", str(tmp_path / "eval.json"))
         assert (code, _table_digest(stdout)) == (
             0, "d27c1fca4cf5491f11af232a7810f1618840bc5287e815f78a80ad45be560230")
+
+
+    @pytest.mark.parametrize("algorithm", ["mt19937", None], ids=["renamed", "deleted"])
+    def test_replay_of_another_generator_exits_one(self, tmp_path, capsys, algorithm):
+        scen = tmp_path / "scen.json"
+        assert run(capsys, "sample", "--instance", TRI3, "--scenarios", "3",
+                   "--seed", "7", "--out", str(scen))[0] == 0
+        doc = json.loads(scen.read_text())
+        if algorithm is None:
+            del doc["algorithm"]
+        else:
+            doc["algorithm"] = algorithm
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        code, _, stderr = run(capsys, "solve", "--instance", TRI3, "--mode", "sto",
+                              "--scenario-file", str(scen), "--out", str(out))
+        assert code == 1 and stderr.startswith("error:") and stderr.count("\n") == 1
+        assert f"algorithm {algorithm!r} does not match the seed" in stderr
+        assert "'pcg64-seedsequence'" in stderr and not out.exists()
 
 
 class TestUsage:

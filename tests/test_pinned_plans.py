@@ -5,8 +5,8 @@ three or four tasks.  These cases pin the status, the objective and the
 sha256 of the routes on generated factory instances of seven and eight
 tasks (`perfbench/gen.py`), so a cut that changes a plan only on larger
 instances fails here.  The scenario seed is the instance seed.
-`frontier_pins.py` pins larger nominal solves the same way, outside this
-suite.
+`frontier_pins.py` pins larger solves through the same `outcome`, in one
+parametrized test outside this suite.
 """
 
 import hashlib

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,28 @@ def test_replay_names_the_field_of_a_bad_array(tri3_network, field, value, messa
         generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=3)))
     doc[field] = value
     with pytest.raises(ValueError, match=message):
+        scenario_set_from_dict(doc, tri3_network)
+
+
+@pytest.mark.parametrize("seed, algorithm, expected", [
+    (3, "mt19937", "'pcg64-seedsequence'"),
+    (3, None, "'pcg64-seedsequence'"),
+    (None, "pcg64-seedsequence", "'fixed'"),
+], ids=["seeded-renamed", "seeded-deleted", "fixed-renamed"])
+def test_replay_rejects_an_algorithm_the_seed_does_not_name(tri3_network, seed, algorithm,
+                                                            expected):
+    # A file names the generator `scenario_set_to_dict` wrote for its seed:
+    # another name, or none, replayed as if it were that generator's.
+    scen = generate_scenarios(tri3_network, ScenarioConfig(count=2, seed=3))
+    if seed is None:
+        scen = ScenarioSet(scen.multipliers, scen.nominal, scen.probabilities)
+    doc = scenario_set_to_dict(scen)
+    if algorithm is None:
+        del doc["algorithm"]
+    else:
+        doc["algorithm"] = algorithm
+    with pytest.raises(ValueError, match=re.escape(
+            f"algorithm {algorithm!r} does not match the seed, which needs {expected}")):
         scenario_set_from_dict(doc, tri3_network)
 
 

@@ -21,7 +21,7 @@ from tugplan.instance import shortest_path_closure
 from tugplan.solver import (RoutePlan, SearchStats, _location_table, _walk_table,
                            assignment_from_solution, route_times)
 
-from conftest import instance_dict, single_task_dict
+from conftest import gen, instance_dict, single_task_dict
 from instgen import random_instance_doc, random_network
 from oracle import oracle_solve, oracle_solve_deterministic, plan_scenario_feasible
 
@@ -186,6 +186,37 @@ class TestSolveStochastic:
         solution = solve(tri3_network, scen, SolveConfig(alpha=0.0))
         assert solution.status == STATUS_INFEASIBLE
         assert solution.limiting_scenarios == limiting
+
+    def test_lost_mass_within_alpha_names_no_limiting_scenario(self):
+        # One of these 30 scenarios is lost to every plan.  At alpha 0 it
+        # alone stops the solve and is named; at alpha 0.1 its mass is within
+        # budget, so the search runs and the infeasibility lies in the plans
+        # it tried, not in a scenario.
+        network = build_network(load_instance(json.dumps(gen.factory_instance(28, 4, "tight"))))
+        scen = generate_scenarios(network, ScenarioConfig(count=30, seed=28))
+        strict = solve_stochastic(network, scen, SolveConfig(alpha=0.0))
+        assert strict.status == STATUS_INFEASIBLE and len(strict.limiting_scenarios) == 1
+        assert strict.stats.nodes_explored == 0
+        solution = solve_stochastic(network, scen, SolveConfig(alpha=0.1))
+        assert solution.status == STATUS_INFEASIBLE and solution.limiting_scenarios == ()
+        assert solution.stats.nodes_explored > 0
+
+    def test_lost_scenario_of_zero_probability(self, tri3_network):
+        # Scenario 1 is lost to every plan but weighs nothing: the scenario
+        # search ignores it at alpha 0, while the fast path's maxima take its
+        # arcs and lose their one scenario, so the fast solve stops unsearched
+        # and names it.
+        nv = tri3_network.size
+        mults = np.ones((2, nv, nv))
+        mults[1] = 6.0
+        np.fill_diagonal(mults[1], 1.0)
+        scen = ScenarioSet(multipliers=mults, nominal=tri3_network.travel_time,
+                           probabilities=np.array([1.0, 0.0]))
+        sto = solve_stochastic(tri3_network, scen)
+        assert sto.status == STATUS_OPTIMAL and sto.schedule.ignored.tolist() == [False, True]
+        fast = solve_alpha_zero_fast(tri3_network, scen)
+        assert fast.status == STATUS_INFEASIBLE and fast.limiting_scenarios == (1,)
+        assert fast.stats == SearchStats(0, 0, 0)
 
 
 class TestAlphaZeroFast:
@@ -957,7 +988,7 @@ class TestScenarioVector:
             for mode, (times, probs, config) in stacks.items():
                 outcomes = []
                 for up_front in (False, True):
-                    search = solver_module._Search(network, times, probs, config)
+                    search = solver_module._Search(network, times, probs, 0.0, config)
                     if up_front:
                         search._close_stack()
                     else:
@@ -992,7 +1023,7 @@ class TestScenarioVector:
         mults[1, 3, 4] = mults[1, 4, 3] = 5.0
         scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
                            probabilities=np.array([0.5, 0.5]))
-        search = solver_module._Search(network, scen.travel_times, scen.probabilities,
+        search = solver_module._Search(network, scen.travel_times, scen.probabilities, 0.0,
                                        SolveConfig())
         assert search.latest_min[2][1] < 20.0 and not search.closed
         assert search._nearest_next() is None
@@ -1020,7 +1051,7 @@ class TestScenarioVector:
                 "det": (network.travel_time[np.newaxis], np.ones(1)),
                 "sto-fast": (scen.travel_times.max(axis=0, keepdims=True), np.ones(1)),
                 "sto": (scen.travel_times, scen.probabilities)}[mode]
-            search = solver_module._Search(network, times, probs, SolveConfig())
+            search = solver_module._Search(network, times, probs, 0.0, SolveConfig())
             start = np.array(search.latest_min)
             assert search.latest_fs is None and search.split is None
             assert search._close_stack()
@@ -1103,7 +1134,7 @@ def _seed_of(network):
     """The nearest-next seed `(distance, working routes)` of the nominal
     search, or None."""
     nominal = network.travel_time[np.newaxis]
-    return solver_module._Search(network, nominal, np.ones(1), SolveConfig())._nearest_next()
+    return solver_module._Search(network, nominal, np.ones(1), 0.0, SolveConfig())._nearest_next()
 
 
 class TestNearestNextSeed:
@@ -1250,7 +1281,7 @@ class TestSearchCounters:
             nominal = network.travel_time[np.newaxis]
             outcomes = []
             for start in ("trusted", "lazy", "up-front"):
-                search = solver_module._Search(network, nominal, np.ones(1), SolveConfig())
+                search = solver_module._Search(network, nominal, np.ones(1), 0.0, SolveConfig())
                 if start == "trusted":
                     with monkeypatch.context() as patch:
                         patch.setattr(solver_module, "shortest_path_closure", lambda t: t)

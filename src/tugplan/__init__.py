@@ -10,8 +10,9 @@ from .evaluator import (EvaluationReport, SimOutcome, out_of_sample,
                         replay_failures, simulate_route)
 from .formulation import (BigMSet, CheckResult, ConstraintSystem,
                           LinearConstraint, Variable, Violation,
-                          build_deterministic, build_stochastic, check_solution,
-                          compute_big_m, write_lp_text)
+                          assignment_from_solution, build_deterministic,
+                          build_stochastic, check_solution, compute_big_m,
+                          write_lp_text)
 from .instance import (LayoutGraph, PdpInstance, PdpNetwork, TaskSpec,
                        build_network, load_instance, shortest_travel_matrix)
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
@@ -20,7 +21,7 @@ from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
 from .solver import (RoutePlan, Schedule, SearchStats, SolveConfig, Solution,
                      STATUS_INFEASIBLE, STATUS_OPTIMAL,
                      STATUS_TIME_LIMIT_INCUMBENT, STATUS_TIME_LIMIT_NO_INCUMBENT,
-                     assignment_from_solution, solve_alpha_zero_fast,
-                     solve_deterministic, solve_stochastic)
+                     solve_alpha_zero_fast, solve_deterministic,
+                     solve_stochastic)
 
 __version__ = "0.1.0"

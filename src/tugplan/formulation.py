@@ -15,7 +15,11 @@ deterministic system, Eq13..Eq23 for the scenario system) so checker verdicts
 point at the violated constraint family.  `check_solution` evaluates an
 assignment against all constraints at 1e-6 absolute tolerance; it is written
 directly from the constraint list and shares no code with the route solver,
-which makes it usable as an oracle against it.
+which makes it usable as an oracle against it.  This module alone knows the
+model's variables: `assignment_from_solution` spells a solver solution out in
+the builder's names (`x`, `w`, and `z` per scenario) over the same
+`min(K, n)` vehicles, reading the solution's plan and schedule by attribute,
+so the module imports nothing from the solver.
 
 One degeneracy of the equation system is worth knowing when exporting it to
 an external MILP solver: time propagation forbids cycles only through their
@@ -308,6 +312,43 @@ def _build(network: PdpNetwork, scenarios: ScenarioSet | None, alpha: float) -> 
         constraints=tuple(cons),
         objective={x_name(k, i, j): float(dist[i, j]) for k in vehicles for (i, j) in arcs},
     )
+
+
+def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
+                             solution) -> dict[str, float]:
+    """Spell a solver solution out as a full variable assignment of `system`
+    for the checker, in the builder's own variable names.
+
+    `solution` is read by attribute: its `plan` (routes, whose `arcs()` are
+    the used `x`) and its `schedule` (`times`, and `ignored` for the `z` of
+    a scenario system).  A plan lists its working routes first, as the
+    solver writes them, so the model's `min(K, n)` vehicles carry every
+    working route; only they are spelled out, since the idle vehicles after
+    them name no declared variable."""
+    if solution.plan is None or solution.schedule is None:
+        raise ValueError("solution carries no plan to translate")
+    plan, schedule = solution.plan, solution.schedule
+    vehicles = range(min(plan.vehicle_count, network.n))
+    assignment: dict[str, float] = {}
+    used = {(k, i, j) for k, i, j in plan.arcs()}
+    for k in vehicles:
+        for (i, j) in arc_list(network.size):
+            assignment[x_name(k, i, j)] = 1.0 if (k, i, j) in used else 0.0
+    if system.model == "deterministic":
+        if schedule.times.ndim != 2:
+            raise ValueError("deterministic system needs a single-realization schedule")
+        times, realizations = schedule.times[:, :, np.newaxis], [None]
+    else:
+        if schedule.times.ndim != 3 or schedule.ignored is None:
+            raise ValueError("stochastic system needs a per-scenario schedule")
+        times, realizations = schedule.times, range(schedule.times.shape[2])
+        for s in realizations:
+            assignment[z_name(s)] = 1.0 if schedule.ignored[s] else 0.0
+    for k in vehicles:
+        for i in range(network.size):
+            for col, s in enumerate(realizations):
+                assignment[w_name(k, i, s)] = float(times[k, i, col])
+    return assignment
 
 
 def build_deterministic(network: PdpNetwork) -> ConstraintSystem:

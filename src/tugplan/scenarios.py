@@ -61,12 +61,20 @@ _SAMPLER = {"multiplier_mean": MULTIPLIER_MEAN,
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """`count` scenarios (or trials) of the fixed sampler from `seed`."""
+    """`count` scenarios (or trials) of the fixed sampler from `seed`.
+
+    Both are integers (numpy's included, bools not) and are stored as Python
+    ints, so a set drawn from the config exports its seed as JSON."""
 
     count: int
     seed: int
 
     def __post_init__(self):
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.count < 1:
             raise ValueError(f"count of scenarios or trials must be >= 1, got {self.count}")
         if self.seed < 0:

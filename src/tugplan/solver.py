@@ -131,6 +131,10 @@ search matrix, one evaluation trial), where a numpy call per position would
 cost more than the arithmetic, and a numpy vector otherwise.  Both take the
 same float operations in the same order, so a one-matrix result equals its
 column of any stack bit for bit.
+
+The solver does not know how its verifier names the model's variables: of
+`formulation` it holds only the alias `assignment_from_solution`, which
+perfbench's plan check calls from here.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulation import ConstraintSystem, arc_list, w_name, x_name, z_name
+# perfbench checks its plans through solver.assignment_from_solution.
+from .formulation import assignment_from_solution  # noqa: F401
 from .instance import PdpNetwork, shortest_path_closure
 from .scenarios import ScenarioSet, check_network
 
@@ -191,12 +196,21 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """Per-vehicle node sequences over V; every route runs source to terminal."""
+    """Per-vehicle node sequences over V; every route runs source to terminal.
+
+    `n` and every node are integers (numpy's included, bools not), checked
+    before the routes' structure."""
 
     routes: tuple[tuple[int, ...], ...]
     n: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        bad = [node for route in self.routes for node in route
+               if isinstance(node, bool) or not isinstance(node, (int, np.integer))]
+        if bad:
+            raise ValueError(f"node {bad[0]!r} is not an integer")
         terminal = 2 * self.n + 1
         seen: set[int] = set()
         for route in self.routes:
@@ -963,37 +977,3 @@ def solve_alpha_zero_fast(network: PdpNetwork, scenarios: ScenarioSet,
     if config.alpha != 0.0:
         raise ValueError("the fast path requires alpha = 0")
     return _solve(network, scenarios, config, fast=True)
-
-
-def assignment_from_solution(system: ConstraintSystem, network: PdpNetwork,
-                             solution: Solution) -> dict[str, float]:
-    """Spell a solution out as a full variable assignment for the checker.
-
-    A plan lists its working routes first, as `_solve` writes them, so the
-    model's `min(K, n)` vehicles carry every working route; only they are
-    spelled out, since the idle vehicles after them name no declared
-    variable."""
-    if solution.plan is None or solution.schedule is None:
-        raise ValueError("solution carries no plan to translate")
-    plan, schedule = solution.plan, solution.schedule
-    vehicles = range(min(plan.vehicle_count, network.n))
-    assignment: dict[str, float] = {}
-    used = {(k, i, j) for k, i, j in plan.arcs()}
-    for k in vehicles:
-        for (i, j) in arc_list(network.size):
-            assignment[x_name(k, i, j)] = 1.0 if (k, i, j) in used else 0.0
-    if system.model == "deterministic":
-        if schedule.times.ndim != 2:
-            raise ValueError("deterministic system needs a single-realization schedule")
-        times, realizations = schedule.times[:, :, np.newaxis], [None]
-    else:
-        if schedule.times.ndim != 3 or schedule.ignored is None:
-            raise ValueError("stochastic system needs a per-scenario schedule")
-        times, realizations = schedule.times, range(schedule.times.shape[2])
-        for s in realizations:
-            assignment[z_name(s)] = 1.0 if schedule.ignored[s] else 0.0
-    for k in vehicles:
-        for i in range(network.size):
-            for col, s in enumerate(realizations):
-                assignment[w_name(k, i, s)] = float(times[k, i, col])
-    return assignment

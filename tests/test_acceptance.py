@@ -14,9 +14,8 @@ from scipy.stats import norm
 
 import tugplan as tp
 from tugplan.cli import main as cli_main
-from tugplan.formulation import CHECK_TOLERANCE
+from tugplan.formulation import CHECK_TOLERANCE, assignment_from_solution
 from tugplan.scenarios import sample_time_matrix
-from tugplan.solver import assignment_from_solution
 
 from conftest import INSTANCES, instance_dict
 from instgen import random_network

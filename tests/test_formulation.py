@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from tugplan import (ScenarioConfig, Schedule, Solution, SolveConfig, build_dete
                      generate_scenarios, load_instance, single_scenario, solve_deterministic,
                      solve_stochastic, write_lp_text)
 from tugplan.formulation import (BINARY, ConstraintSystem, LinearConstraint, Variable, arc_list,
-                                 propagation_requirement, w_name, x_name, z_name)
-from tugplan.solver import RoutePlan, _full_schedule, assignment_from_solution
+                                 assignment_from_solution, propagation_requirement, w_name,
+                                 x_name, z_name)
+import tugplan
+from tugplan.solver import RoutePlan, _full_schedule
 
 from conftest import single_task_dict
 from oracle import enumerate_plans
@@ -333,3 +337,45 @@ class TestFleetSize:
         assert result.feasible, result.violations
         # Only the declared min(K, n) vehicles are spelled out.
         assert len(assignment) == len(assignment_from_solution(system, tri3_network, reference))
+
+
+def _imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every import in a file, nested ones included: `from
+    .x import y` in the package reads ("tugplan.x", "y"), `import a.b` reads
+    ("a.b", "")."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, "") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "tugplan" + (f".{module}" if module else "")
+            found.extend((module, alias.name) for alias in node.names)
+    return found
+
+
+def _from(imports: list[tuple[str, str]], module: str) -> list[tuple[str, str]]:
+    """The imports that name `module`, a module inside it, or it by name."""
+    return [(m, name) for m, name in imports
+            if m == module or m.startswith(f"{module}.") or f"{m}.{name}" == module]
+
+
+class TestIndependence:
+    # The checker and the oracle verify the solver, so neither may lean on it.
+    PACKAGE = Path(tugplan.__file__).parent
+
+    def test_formulation_imports_nothing_from_the_solver(self):
+        assert _from(_imports(self.PACKAGE / "formulation.py"), "tugplan.solver") == []
+
+    def test_oracle_imports_nothing_from_the_package(self):
+        assert _from(_imports(Path(__file__).with_name("oracle.py")), "tugplan") == []
+
+    def test_solver_imports_only_the_alias_from_formulation(self):
+        assert _from(_imports(self.PACKAGE / "solver.py"), "tugplan.formulation") == [
+            ("tugplan.formulation", "assignment_from_solution")]
+
+    def test_the_alias_is_the_formulation_function(self):
+        from tugplan import formulation, solver
+        assert solver.assignment_from_solution is formulation.assignment_from_solution
+        assert tugplan.assignment_from_solution is formulation.assignment_from_solution

@@ -285,10 +285,24 @@ def test_single_scenario_wrapper(tri3_network):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(count=0, seed=1), "count"),
     (dict(count=3, seed=-4), "seed"),
+    (dict(count=3, seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(count=3, seed=True), "seed must be an integer, got True"),
+    (dict(count=2.5, seed=1), "count must be an integer, got 2.5"),
+    (dict(count=True, seed=1), "count must be an integer, got True"),
 ])
 def test_scenario_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ScenarioConfig(**kwargs)
+
+
+def test_scenario_config_stores_numpy_integers_as_ints(tri3_network):
+    config = ScenarioConfig(count=np.int64(3), seed=np.uint64(2**63))
+    assert (type(config.count), type(config.seed)) == (int, int)
+    scen = generate_scenarios(tri3_network, config)
+    back = scenario_set_from_dict(json.loads(json.dumps(scenario_set_to_dict(scen))),
+                                  tri3_network)
+    assert back.seed == 2**63
+    assert np.array_equal(back.multipliers, scen.multipliers)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -12,18 +12,29 @@ from hypothesis import strategies as st
 from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
                      STATUS_TIME_LIMIT_NO_INCUMBENT,
                      ScenarioConfig, ScenarioSet, Solution, SolveConfig,
-                     build_deterministic, build_network, build_stochastic, check_solution,
-                     generate_scenarios, load_instance, replay_failures,
-                     single_scenario, solve_alpha_zero_fast, solve_deterministic,
-                     solve_stochastic)
+                     assignment_from_solution, build_deterministic, build_network,
+                     build_stochastic, check_solution, generate_scenarios, load_instance,
+                     out_of_sample, replay_failures, single_scenario, solve_alpha_zero_fast,
+                     solve_deterministic, solve_stochastic)
 from tugplan import solver as solver_module
 from tugplan.instance import shortest_path_closure
-from tugplan.solver import (RoutePlan, SearchStats, _location_table, _walk_table,
-                           assignment_from_solution, route_times)
+from tugplan.solver import RoutePlan, SearchStats, _location_table, _walk_table, route_times
 
 from conftest import gen, instance_dict, single_task_dict
 from instgen import random_instance_doc, random_network
 from oracle import oracle_solve, oracle_solve_deterministic, plan_scenario_feasible
+
+
+def _agrees_with_oracle(solution, reference) -> bool:
+    """Assert that a solve matches the exhaustive oracle: the same status and,
+    at an optimum, the same objective and plan.  Returns whether the oracle
+    found an optimum."""
+    assert solution.status == reference.status
+    if reference.status != STATUS_OPTIMAL:
+        return False
+    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+    assert solution.plan.routes == reference.plan
+    return True
 
 
 class TestSolveDeterministic:
@@ -45,12 +56,10 @@ class TestSolveDeterministic:
     def test_tri3_objective_matches_oracle(self, tri3_network):
         solution = solve_deterministic(tri3_network)
         reference = oracle_solve_deterministic(tri3_network)
-        assert solution.status == STATUS_OPTIMAL == reference.status
+        assert _agrees_with_oracle(solution, reference)
         # A single vehicle can chain both tasks inside the windows, so the
         # optimum is one 90 m tour plus an idle vehicle.
         assert reference.objective == pytest.approx(90.0)
-        assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-        assert solution.plan.routes == reference.plan
 
     def test_window_shorter_than_travel_is_infeasible(self):
         doc = single_task_dict(latest=5.0)
@@ -276,10 +285,7 @@ class TestOracleEquivalence:
             network = random_network(rng)
             solution = solve_deterministic(network)
             reference = oracle_solve_deterministic(network)
-            assert solution.status == reference.status
-            if reference.status == STATUS_OPTIMAL:
-                assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                assert solution.plan.routes == reference.plan
+            if _agrees_with_oracle(solution, reference):
                 optima += 1
             else:
                 infeasible += 1
@@ -295,10 +301,7 @@ class TestOracleEquivalence:
             alpha = float(rng.choice([0.0, 1.0 / 3.0, 0.5]))
             solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))
             reference = oracle_solve(network, scen.travel_times, scen.probabilities, alpha)
-            assert solution.status == reference.status
-            if reference.status == STATUS_OPTIMAL:
-                assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                assert solution.plan.routes == reference.plan
+            if _agrees_with_oracle(solution, reference):
                 checked += 1
         assert checked >= 3
 
@@ -329,10 +332,7 @@ class TestOracleEquivalence:
                               oracle_solve(network, scen.travel_times, scen.probabilities,
                                            alpha)))
             for mode, solution, widened, reference in cases:
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                _agrees_with_oracle(solution, reference)
                 changed += (solution.objective, solution.plan) != (widened.objective,
                                                                    widened.plan)
                 stats = solution.stats
@@ -401,10 +401,7 @@ class TestDeadlineLookahead:
             reference = oracle_solve_deterministic(network)
             for solution in (solve_deterministic(network),
                              solve_stochastic(network, single_scenario(network.travel_time))):
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                _agrees_with_oracle(solution, reference)
         assert (network.n, network.vehicle_count) == (3, 2)
         assert reference.objective == pytest.approx(88.0)
         assert not np.array_equal(shortest_path_closure(network.travel_time),
@@ -434,10 +431,7 @@ class TestDeadlineLookahead:
                               oracle_solve(network, scen.travel_times, scen.probabilities,
                                            alpha)))
             for mode, solution, reference in cases:
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                if _agrees_with_oracle(solution, reference):
                     optima += 1
                     fired[mode] += solution.stats.lookahead_prunes > 0
         assert optima >= 40
@@ -518,10 +512,7 @@ class TestSplitBound:
                                      tightness=("tight", "mixed")[trial % 2])
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
             for mode, solution, reference in _split_cases(network, scen):
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                if _agrees_with_oracle(solution, reference):
                     optima += 1
                 split[mode] += solution.stats.split_prunes > 0
         assert optima >= 40
@@ -540,10 +531,7 @@ class TestSplitBound:
             worst = scen.travel_times.max(axis=0)
             solution = solve_alpha_zero_fast(network, scen)
             reference = oracle_solve(network, worst[np.newaxis], np.ones(1), 0.0)
-            assert solution.status == reference.status
-            if reference.status == STATUS_OPTIMAL:
-                assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                assert solution.plan.routes == reference.plan
+            _agrees_with_oracle(solution, reference)
             split += solution.stats.split_prunes > 0 and _non_metric(worst)
         assert split >= 10
 
@@ -558,10 +546,7 @@ class TestSplitBound:
                                  rng, "travel_time")
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
             for mode, solution, reference in _split_cases(network, scen):
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                _agrees_with_oracle(solution, reference)
                 split += (mode == "det" and solution.stats.split_prunes > 0
                           and _non_metric(network.travel_time))
         assert split >= 10
@@ -675,10 +660,7 @@ class TestCompletionTable:
             reference = oracle_solve_deterministic(network)
             for solution in (solve_deterministic(network),
                              solve_stochastic(network, single_scenario(network.travel_time))):
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                _agrees_with_oracle(solution, reference)
         assert detours >= 50
 
     def test_entries_equal_brute_force_walks(self):
@@ -718,10 +700,7 @@ class TestCompletionTable:
                     (solve_deterministic(network), oracle_solve_deterministic(network)),
                     (solve_stochastic(network, scen),
                      oracle_solve(network, scen.travel_times, scen.probabilities, 0.0))):
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                _agrees_with_oracle(solution, reference)
         assert beyond >= 10
 
     @pytest.mark.parametrize("cap", [10, 3, 2])
@@ -894,9 +873,7 @@ class TestOneEngine:
             solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))
             reference = oracle_solve(network, scen.travel_times, scen.probabilities, alpha)
             assert reference.plan == plan
-            assert solution.status == reference.status == STATUS_OPTIMAL
-            assert solution.plan.routes == reference.plan
-            assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+            assert _agrees_with_oracle(solution, reference)
             assert tuple(np.flatnonzero(solution.schedule.ignored)) == reference.ignored
 
 
@@ -960,10 +937,7 @@ class TestScenarioVector:
                 scen = _weighted(network, drawn, rng, alpha)
                 solution = solve_stochastic(network, scen, SolveConfig(alpha=alpha))
                 reference = oracle_solve(network, scen.travel_times, scen.probabilities, alpha)
-                assert solution.status == reference.status
-                if reference.status == STATUS_OPTIMAL:
-                    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                    assert solution.plan.routes == reference.plan
+                if _agrees_with_oracle(solution, reference):
                     optima += 1
                 window += solution.stats.window_prunes
                 lookahead += solution.stats.lookahead_prunes
@@ -1156,12 +1130,9 @@ class TestNearestNextSeed:
                               oracle_solve(network, scen.travel_times, scen.probabilities,
                                            alpha)))
             for solution, reference in cases:
-                assert solution.status == reference.status
-                if reference.status != STATUS_OPTIMAL:
+                if not _agrees_with_oracle(solution, reference):
                     assert solution.stats.seed_m is None
                     continue
-                assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
-                assert solution.plan.routes == reference.plan
                 optima += 1
                 if solution.stats.seed_m is not None:
                     assert solution.stats.seed_m >= solution.objective - 1e-9
@@ -1363,6 +1334,28 @@ class TestRoutePlanValidation:
     def test_rejects_malformed_route(self, routes, message):
         with pytest.raises(ValueError, match=message):
             RoutePlan(routes=routes, n=2)
+
+    @pytest.mark.parametrize("routes, n, message", [
+        (((0, 1.0, 3, 5), (0, 2, 4, 5)), 2, "node 1.0 is not an integer"),
+        (((0, True, 3, 5), (0, 2, 4, 5)), 2, "node True is not an integer"),
+        (((0, 1, 3, 5), (0, 2, 4, "5")), 2, "node '5' is not an integer"),
+        # Every node is scanned before the structure: this route also ends at 1.5.
+        (((0, 3, 1.5), (0, 2, 4, 5)), 2, "node 1.5 is not an integer"),
+        (((0, 1, 3, 5), (0, 2, 4, 5)), 2.0, "n must be an integer, got 2.0"),
+        (((0, 1, 3, 5), (0, 2, 4, 5)), True, "n must be an integer, got True"),
+    ], ids=["float-node", "bool-node", "str-node", "before-structure", "float-n", "bool-n"])
+    def test_rejects_non_integers(self, routes, n, message):
+        with pytest.raises(ValueError, match=message):
+            RoutePlan(routes=routes, n=n)
+
+    def test_accepts_numpy_integers(self, tri3_network):
+        plan = RoutePlan(routes=((np.int64(0), np.int32(1), 3, 5), (0, 2, 4, np.uint8(5))),
+                         n=np.int64(2))
+        assert plan.route_strings() == ["0-1-3-5", "0-2-4-5"]
+        report = out_of_sample(plan, tri3_network, ScenarioConfig(count=50, seed=1))
+        reference = out_of_sample(RoutePlan(routes=((0, 1, 3, 5), (0, 2, 4, 5)), n=2),
+                                  tri3_network, ScenarioConfig(count=50, seed=1))
+        assert report.per_vehicle_failure == reference.per_vehicle_failure
 
     def test_route_strings(self, tri3_network):
         plan = RoutePlan(routes=((0, 1, 3, 5), (0, 2, 4, 5)), n=2)

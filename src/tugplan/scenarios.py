@@ -94,8 +94,9 @@ class ScenarioSet:
     per use.  Multipliers are finite and positive, travel times finite;
     probabilities, of shape (count,), are finite, non-negative and sum to 1
     (uniform when sampled).  `seed` is the seed a sampled set was drawn from,
-    and None for a set not drawn.  Sets compare and hash by identity: arrays
-    have no single truth value.
+    and None for a set not drawn; a seed follows `ScenarioConfig`'s rule and
+    is stored as a Python int, so the set exports a config that replays.
+    Sets compare and hash by identity: arrays have no single truth value.
     """
 
     multipliers: np.ndarray
@@ -136,6 +137,8 @@ class ScenarioSet:
             finite = np.isfinite(self.multipliers.max(axis=0) * nominal).all()
         if not finite:
             raise ValueError("scenario travel times must all be finite")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", ScenarioConfig(self.count, self.seed).seed)
 
     @property
     def count(self) -> int:

@@ -37,8 +37,13 @@ incumbent of its own returns the seed plan instead.
 One engine serves every mode and `_solve` is the one path into it: it reads
 a solve's scenario stack once (the nominal matrix or a set's sampled ones),
 decides on it the scenarios lost to every plan, searches it (for the fast
-path its arc-wise maxima) and reports the plan on it.  Each step times a
-child by one hold rule,
+path its arc-wise maxima) and reports the plan on it.  A solve derives each
+set-up fact once: `_solve` the stack's opening holds, which both the lost
+test and `_full_schedule`'s completion of unvisited deliveries read;
+`_Search.__init__` the plain-float lists, the completion table and the
+starting cut-offs, which only `_close_stack` replaces; `_full_schedule` one
+`route_times` call and one lateness reduction per working route, folded
+into one failed-scenario mask.  Each step times a child by one hold rule,
 `w = max(now + t[cur][j], hold[j])`: `hold[j]` is a pickup's opening, and
 loading pickup i at `w_i` holds delivery i+n until `w_i + t[i][i+n]`, the
 model's coupling (deliveries open at 0).  The float step, the seed and
@@ -205,13 +210,15 @@ class RoutePlan:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        bad = [node for route in self.routes for node in route
-               if isinstance(node, bool) or not isinstance(node, (int, np.integer))]
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        # A plain int passes at the first test; the solver's plans hold only those.
+        bad = [node for route in self.routes for node in route if type(node) is not int
+               and (isinstance(node, bool) or not isinstance(node, (int, np.integer)))]
         if bad:
             raise ValueError(f"node {bad[0]!r} is not an integer")
-        terminal = 2 * self.n + 1
+        terminal = 2 * n + 1
         seen: set[int] = set()
         for route in self.routes:
             if not route or route[0] != 0 or route[-1] != terminal:
@@ -221,20 +228,21 @@ class RoutePlan:
                 if node in seen:
                     raise ValueError(f"node {node} visited more than once")
                 seen.add(node)
-                if 1 <= node <= self.n:
+                if 1 <= node <= n:
                     loaded.add(node)
-                elif self.n + 1 <= node <= 2 * self.n:
-                    if node - self.n not in loaded:
+                elif n < node < terminal:
+                    if node - n not in loaded:
                         raise ValueError(
                             f"delivery {node} without a prior pickup on the same route")
-                    loaded.remove(node - self.n)
+                    loaded.remove(node - n)
                 else:
                     raise ValueError(f"node {node} is not a task node")
             if loaded:
                 raise ValueError(f"route {route} ends with undelivered pickups {sorted(loaded)}")
-        missing = set(range(1, self.n + 1)) - seen
-        if missing:
-            raise ValueError(f"pickups {sorted(missing)} are not served by any route")
+        # `seen` holds each served task's pickup and delivery, nothing else.
+        if len(seen) < 2 * n:
+            missing = sorted(set(range(1, n + 1)) - seen)
+            raise ValueError(f"pickups {missing} are not served by any route")
 
     @property
     def vehicle_count(self) -> int:
@@ -350,8 +358,9 @@ class _Search:
 
         self.table, self.loc, self.bit = _walk_table(network)
         # left[u]: the unvisited task nodes at location u.
-        hosted = self.loc[1:self.terminal]
-        self.left = [hosted.count(u) for u in range(len(self.table[0]))]
+        self.left = [0] * len(self.table[0])
+        for u in self.loc[1:self.terminal]:
+            self.left[u] += 1
         # Plain-float copies: list indexing is far cheaper than numpy scalar
         # access on the per-node paths.  Closing times carry the window
         # tolerance, so a window test compares against them directly.
@@ -417,9 +426,11 @@ class _Search:
         does not run the search."""
         n = self.n
         deliveries = slice(n + 1, self.terminal)
-        latest = np.full(closure.shape[:-1] + (n + 1,), math.inf)
-        latest[..., 1:] = (self.network.close_time[deliveries] + _LOOKAHEAD_MARGIN
-                           - closure[..., deliveries])
+        latest = np.empty(closure.shape[:-1] + (n + 1,))
+        np.subtract(self.network.close_time[deliveries] + _LOOKAHEAD_MARGIN,
+                    closure[..., deliveries], out=latest[..., 1:])
+        if self.vector:
+            latest[..., 0] = math.inf
         if len(latest) > 1:
             self.latest_fs = np.ascontiguousarray(latest.transpose(1, 2, 0))
             latest = latest.min(axis=0)
@@ -428,7 +439,7 @@ class _Search:
         if not self.vector:
             pickups = slice(1, n + 1)
             split = latest[pickups, pickups].diagonal() - closure[0][:, pickups]
-            latest[:, 0] = split.min(axis=1)
+            split.min(axis=1, out=latest[:, 0])
             latest[0, 0] = math.inf
             if self.closed:
                 self.split = split.tolist()
@@ -759,21 +770,27 @@ def _walk_table(network: PdpNetwork) -> tuple[tuple[tuple[float, ...], ...], lis
     the others by name), `bit[v]` is the mask bit of that location (0 for
     the depot and untracked locations), and `table[mask][u]` is the shortest
     walk from location `u` through every location in `mask` to the depot.
-    The tracked locations are those hosting the most task nodes, ties broken
-    by first appearance; the table itself comes from `_location_table`.
+    Every location but the depot hosts a task node; all are tracked up to
+    the cap, beyond it those hosting the most task nodes, ties broken by
+    first appearance.  The table itself comes from `_location_table`.
     """
-    depot = network.locations[0]
-    names = [depot] + sorted(set(network.locations) - {depot})
-    index = {name: u for u, name in enumerate(names)}
-    loc = [index[name] for name in network.locations]
-    hosted = [u for u in loc[1:network.terminal] if u]
-    busiest = sorted(dict.fromkeys(hosted), key=hosted.count, reverse=True)
-    tracked = sorted(busiest[:_TABLE_LOCATIONS - 1])
+    locations = network.locations
+    depot = locations[0]
+    # Each location's first node: a later entry overwrites an earlier one.
+    first = dict(zip(locations[::-1], range(len(locations) - 1, -1, -1)))
+    names = [depot] + sorted(first.keys() - {depot})
+    index = dict(zip(names, range(len(names))))
+    loc = [index[name] for name in locations]
+    tracked = range(1, len(names))
+    if len(tracked) >= _TABLE_LOCATIONS:
+        hosted = [u for u in loc[1:network.terminal] if u]
+        busiest = sorted(dict.fromkeys(hosted), key=hosted.count, reverse=True)
+        tracked = sorted(busiest[:_TABLE_LOCATIONS - 1])
     loc_bit = [0] * len(names)
     for b, u in enumerate(tracked):
         loc_bit[u] = 1 << b
-    node_at = [network.locations.index(name) for name in names]
-    dist = network.travel_dist[node_at][:, node_at].tobytes()
+    node_at = [first[name] for name in names]
+    dist = network.travel_dist.take(node_at, 0).take(node_at, 1).tobytes()
     return _location_table(dist, tuple(tracked)), loc, [loc_bit[u] for u in loc]
 
 
@@ -821,14 +838,16 @@ def route_times(route: tuple[int, ...], times: np.ndarray, open_time: np.ndarray
         t, hold, w = times[0].tolist(), max, [0.0] * len(nodes)
     else:
         t, hold, w = times.transpose(1, 2, 0), np.maximum, np.empty((len(nodes), times.shape[0]))
-    w[0] = max(0.0, held[nodes[0]])
+    prev = nodes[0]
+    now = w[0] = max(0.0, held[prev])
     for pos in range(1, len(nodes)):
-        prev, node = nodes[pos - 1], nodes[pos]
-        w[pos] = hold(w[pos - 1] + t[prev][node], held[node])
+        node = nodes[pos]
+        now = w[pos] = hold(now + t[prev][node], held[node])
         if coupling and 1 <= node <= n:
-            held[node + n] = w[pos] + t[node][node + n]
+            held[node + n] = now + t[node][node + n]
+        prev = node
     w = np.asarray(w).reshape(len(nodes), -1)
-    late = w > close_time[nodes, np.newaxis] + _EPS
+    late = w > (close_time.take(nodes) + _EPS)[:, np.newaxis]
     return w, late
 
 
@@ -841,36 +860,36 @@ def _opening_holds(network: PdpNetwork, scen_times: np.ndarray) -> np.ndarray:
     return network.open_time[pickups] + own_arc
 
 
-def _full_schedule(network: PdpNetwork, plan: RoutePlan,
-                   scen_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _full_schedule(network: PdpNetwork, plan: RoutePlan, scen_times: np.ndarray,
+                   holds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complete service times [K, nv, S] for a plan plus per-scenario
     feasibility.
 
     Visited nodes take their earliest-feasible route times under the model's
     recursion (pickup-to-delivery coupling included).  A vehicle's time at a
     node it does not visit is completed canonically: window opening for
-    pickups and depots, and for deliveries `_opening_holds`, the hold after
-    the (unvisited, so window-opening) pickup, which satisfies the
-    pickup-before-delivery constraint whenever the serving vehicle can.
-    Scenarios the plan fails are reported infeasible and their times pinned
-    to the window openings.
+    pickups and depots, and for deliveries `holds`, the `_opening_holds` of
+    `scen_times`: the hold after the (unvisited, so window-opening) pickup,
+    which satisfies the pickup-before-delivery constraint whenever the
+    serving vehicle can.  Scenarios the plan fails are reported infeasible
+    and their times pinned to the window openings.
     """
     a, b = network.open_time, network.close_time
     w = np.empty((plan.vehicle_count, network.size, scen_times.shape[0]))
     w[:] = a[np.newaxis, :, np.newaxis]
-    w[:, network.n + 1:network.terminal] = _opening_holds(network, scen_times).T
-    feasible = np.ones(scen_times.shape[0], dtype=bool)
+    w[:, network.n + 1:network.terminal] = holds.T
+    failed = np.zeros(scen_times.shape[0], dtype=bool)
     for k, route in enumerate(plan.routes):
         # An idle route keeps the window openings: the depot hop is free.
         if len(route) == 2:
             continue
         route_w, late = route_times(route, scen_times, a, b, coupling=True)
         w[k, list(route)] = route_w
-        if late.any():
-            feasible &= ~late.any(axis=0)
-    if not feasible.all():
-        w[:, :, ~feasible] = a[np.newaxis, :, np.newaxis]
-    return w, feasible
+        failed = failed | late.any(axis=0)
+    # count_nonzero costs a third of `any` on a mask this small.
+    if np.count_nonzero(failed):
+        w[:, :, failed] = a[np.newaxis, :, np.newaxis]
+    return w, ~failed
 
 
 def _solo_infeasible_task(network: PdpNetwork) -> str | None:
@@ -900,17 +919,18 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
     else:
         check_network(scenarios, network)
         times, probs = scenarios.travel_times, scenarios.probabilities
-    deadlines = network.close_time[network.n + 1:network.terminal] + _EPS
-    lost = (_opening_holds(network, times) > deadlines).any(axis=1)
-    lost_mass = 0.0
-    if lost.any():
+    holds = _opening_holds(network, times)
+    late = holds > network.close_time[network.n + 1:network.terminal] + _EPS
+    lost, lost_mass, alive = None, 0.0, probs
+    if np.count_nonzero(late):
+        lost = late.any(axis=1)
         # The maxima take the stack's largest own arcs, so they lose their
         # one scenario exactly when the stack loses one.
         lost_mass = 1.0 if fast else float(probs[lost].sum())
+        alive = np.where(lost, 0.0, probs)
     if fast:
         search = _Search(network, times.max(axis=0, keepdims=True), np.ones(1), 0.0, config)
     else:
-        alive = np.where(lost, 0.0, probs) if lost_mass else probs
         search = _Search(network, times, alive, lost_mass, config)
     searched = lost_mass <= config.alpha + _MASS_EPS
     if searched:
@@ -931,7 +951,7 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
     # guarantees is never late.
     idle = ((0, network.terminal),) * (network.vehicle_count - len(search.best_plan))
     plan = RoutePlan(routes=search.best_plan + idle, n=network.n)
-    w, feasible = _full_schedule(network, plan, times)
+    w, feasible = _full_schedule(network, plan, times, holds)
     assert feasible.all() or float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
     if scenarios is None:
         schedule = Schedule(times=w[:, :, 0].copy())

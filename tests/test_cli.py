@@ -820,3 +820,57 @@ class TestPinnedStdout:
         code, stdout, _ = run(capsys, "evaluate", "--instance", instance, "--plan", plan,
                               "--trials", str(trials), "--out", str(tmp_path / "eval.json"))
         assert (code, _table_digest(stdout)) == (0, digest)
+
+
+# (instance, solve flags, exit code, sha256 of the artifact's bytes).
+_ARTIFACT_PINS = {
+    "det-tri3": ("tri3", ["--mode", "det"], 0,
+                 "5f3b2fc9ef4513ca1627b878d611158b29befe7bccaaa55fcbd5c620b54b982b"),
+    "det-factory6": ("factory6", ["--mode", "det"], 0,
+                     "5ec0174f7c4c6388585b18a83b15ddf1ec1a91cca5a33a2fb0e5037c686516be"),
+    "sto-tri3": ("tri3", ["--mode", "sto", "--scenarios", "30", "--seed", "3"], 0,
+                 "280c66234505fe3aad440caf38803ead0f09de67d54641d6153ba01f30db5472"),
+    "sto-factory6": ("factory6", ["--mode", "sto", "--scenarios", "30", "--seed", "3"], 0,
+                     "a02fec146a6608651927bb470517b3739887501ac10a4a573408ed6fc687d0fd"),
+    "sto-alpha-tri3": (
+        "tri3", ["--mode", "sto", "--alpha", "0.1", "--scenarios", "30", "--seed", "3"], 0,
+        "e5cdd99e0b1fd7225cb6236e40ac65b4f192b62f5a3796a6e0024398d1019a2e"),
+    "sto-alpha-factory6": (
+        "factory6", ["--mode", "sto", "--alpha", "0.1", "--scenarios", "30", "--seed", "3"], 0,
+        "0005eff18e8a1f7cea6fccfbf0d22dcf64accb3a773a8acf8f3e51b89f08a2bc"),
+    # Infeasible: the artifact without routes.
+    "sto-fast-tri3": ("tri3", ["--mode", "sto-fast", "--scenarios", "30", "--seed", "3"], 2,
+                      "71dcd954430f836c7bded90bd55907dad3455003e4a4337a4c53e1c4d10620a1"),
+    "sto-fast-factory6": (
+        "factory6", ["--mode", "sto-fast", "--scenarios", "30", "--seed", "3"], 0,
+        "50d7a9726f701766097e24937c740f9b0edf756efc3a69f82be69426ae4368ab"),
+}
+
+
+def _artifact_digest(capsys, instance, *argv):
+    """Exit code and artifact sha256 of one command run from the working
+    directory on a copy of `instance`, every path relative, so the manifest
+    reads alike on every machine."""
+    Path(f"{instance}.json").write_bytes((INSTANCES / f"{instance}.json").read_bytes())
+    code = run(capsys, *argv, "--instance", f"{instance}.json", "--out", "out.json")[0]
+    return code, hashlib.sha256(Path("out.json").read_bytes()).hexdigest()
+
+
+class TestPinnedArtifacts:
+    """The artifacts `solve` and `evaluate` write, byte for byte: service
+    times, stats and manifest included."""
+
+    @pytest.mark.parametrize("instance, flags, code, digest", _ARTIFACT_PINS.values(),
+                             ids=_ARTIFACT_PINS.keys())
+    def test_solve(self, tmp_path, monkeypatch, capsys, instance, flags, code, digest):
+        monkeypatch.chdir(tmp_path)
+        assert _artifact_digest(capsys, instance, "solve", *flags) == (code, digest)
+
+    def test_evaluate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        instance, flags, _, _ = _ARTIFACT_PINS["sto-alpha-factory6"]
+        assert _artifact_digest(capsys, instance, "solve", *flags)[0] == 0
+        Path("plan.json").write_bytes(Path("out.json").read_bytes())
+        assert _artifact_digest(capsys, instance, "evaluate", "--plan", "plan.json",
+                                "--trials", "1000") == (
+            0, "8d3776261a88857bbf2b9faf4a4689c67b4b049d530b83da0e738e654b7419a7")

@@ -11,7 +11,7 @@ from tugplan import (EvaluationReport, RoutePlan, ScenarioConfig, SolveConfig, b
 from tugplan import evaluator
 from tugplan.evaluator import _TRIAL_BLOCK, _late_routes, _wilson_half_width, wilson_interval
 from tugplan.scenarios import EVALUATION_STREAM, sample_time_matrix, scenario_rng
-from tugplan.solver import _full_schedule, route_times
+from tugplan.solver import _full_schedule, _opening_holds, route_times
 
 
 # tri3 with both tasks on the first vehicle and the second one idle.
@@ -85,7 +85,7 @@ def test_model_couples_delivery_to_pickup_but_dispatch_does_not(tri3_wide_networ
     times[1, 3] = times[3, 1] = 40.0
     route = (0, 1, 2, 3, 4, 5)
     w, feasible = _full_schedule(net, RoutePlan(routes=(route, (0, 5)), n=net.n),
-                                 times[np.newaxis])
+                                 times[np.newaxis], _opening_holds(net, times[np.newaxis]))
     assert feasible.all()
     # Model: the delivery waits for pickup time (10 s) plus the direct arc.
     assert w[0, 1, 0] == 10.0 and w[0, 3, 0] == 50.0

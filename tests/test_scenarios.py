@@ -305,6 +305,28 @@ def test_scenario_config_stores_numpy_integers_as_ints(tri3_network):
     assert np.array_equal(back.multipliers, scen.multipliers)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be non-negative, got -1"),
+])
+def test_scenario_set_applies_the_config_seed_rule(tri3_network, seed, message):
+    # A set built directly, not drawn, takes the rule its export must meet.
+    with pytest.raises(ValueError, match=message):
+        ScenarioSet(multipliers=np.ones((1,) + tri3_network.travel_time.shape),
+                    nominal=tri3_network.travel_time, probabilities=[1.0], seed=seed)
+
+
+def test_scenario_set_stores_a_numpy_seed_as_an_int(tri3_network):
+    drawn = generate_scenarios(tri3_network, ScenarioConfig(count=3, seed=5))
+    scen = ScenarioSet(multipliers=drawn.multipliers, nominal=tri3_network.travel_time,
+                       probabilities=drawn.probabilities, seed=np.uint64(5))
+    assert type(scen.seed) is int
+    doc = json.loads(json.dumps(scenario_set_to_dict(scen)))
+    assert doc == scenario_set_to_dict(drawn)
+    assert scenario_set_from_dict(doc, tri3_network).seed == 5
+
+
 @pytest.mark.parametrize("key, value", [
     ("truncation", "clamp"),
     ("multiplier_mean", 1.1),

@@ -877,6 +877,60 @@ class TestOneEngine:
             assert tuple(np.flatnonzero(solution.schedule.ignored)) == reference.ignored
 
 
+
+def _solve_mode(network, mode, scen):
+    return {"det": lambda: solve_deterministic(network),
+            "sto": lambda: solve_stochastic(network, scen),
+            "sto-alpha": lambda: solve_stochastic(network, scen, SolveConfig(alpha=0.1)),
+            "sto-fast": lambda: solve_alpha_zero_fast(network, scen)}[mode]()
+
+
+class TestSolveSetUp:
+    """What a solve derives once, and that deriving it once changes no byte."""
+
+    @pytest.mark.parametrize("mode", ["det", "sto", "sto-alpha", "sto-fast"])
+    def test_opening_holds_derived_once(self, tri3_wide_network, monkeypatch, mode):
+        # The lost-scenario test and the schedule's completion read one array.
+        network = tri3_wide_network
+        scen = generate_scenarios(network, ScenarioConfig(count=30, seed=7))
+        calls = []
+        derive = solver_module._opening_holds
+
+        def counted(network, times):
+            calls.append(times.shape)
+            return derive(network, times)
+
+        monkeypatch.setattr(solver_module, "_opening_holds", counted)
+        solution = _solve_mode(network, mode, scen)
+        assert solution.status == STATUS_OPTIMAL
+        count = 1 if mode == "det" else scen.count
+        assert calls == [(count, network.size, network.size)]
+
+    @pytest.mark.parametrize("mode", ["det", "sto-alpha"])
+    def test_schedule_from_passed_holds_equals_recomputed(self, mode):
+        # At S = 1 and S = 30, and with scenarios ignored: the schedule a solve
+        # completes from its one set of holds, against a completion that
+        # derives them afresh.
+        ignored = 0
+        for name, seed in itertools.product(("tri3", "tri3_wide", "factory6"), range(4)):
+            network = build_network(load_instance(json.dumps(instance_dict(name))))
+            scen = generate_scenarios(network, ScenarioConfig(count=30, seed=seed))
+            solution = _solve_mode(network, mode, scen)
+            if solution.plan is None:
+                continue
+            times = network.travel_time[np.newaxis] if mode == "det" else scen.travel_times
+            w, feasible = solver_module._full_schedule(
+                network, solution.plan, times, solver_module._opening_holds(network, times))
+            if mode == "det":
+                w = w[:, :, 0]
+                assert feasible.all() and solution.schedule.ignored is None
+            else:
+                assert solution.schedule.ignored.tolist() == (~feasible).tolist()
+                ignored += (~feasible).sum()
+            assert solution.schedule.times.shape == w.shape
+            assert solution.schedule.times.tobytes() == w.tobytes()
+        assert mode == "det" or ignored > 0
+
 def _weighted(network, scen, rng, alpha):
     """`scen`'s draws under non-uniform probabilities: scenario 0 gets none,
     the last exactly `alpha`, and the others share the rest by a Dirichlet

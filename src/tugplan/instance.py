@@ -8,17 +8,30 @@ vehicle speed and compile the routing network: node 0 is the source depot,
 nodes 1..n the pickups, nodes n+1..2n the matching deliveries, node 2n+1 the
 terminal depot.  Every node carries a service-time window [open, close].
 
+Re-planning compiles many task sets on one layout, so the layout's
+all-pairs shortest paths are computed once per layout, not once per
+network: `_layout_closure` memoises the last `_CLOSURE_MEMO` closures, each
+a read-only float64 matrix over the layout's nodes, keyed on the frozen
+`LayoutGraph` value (its node ids, labels and edges).  An entry over m
+layout nodes holds m * m * 8 bytes, so the memo holds at most
+`_CLOSURE_MEMO` * m * m * 8 bytes for layouts of at most m nodes.
+
 All types are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# Layout closures `_layout_closure` keeps: one per layout a process plans
+# on, with room for a few layouts at once.
+_CLOSURE_MEMO = 8
 
 
 @dataclass(frozen=True)
@@ -274,21 +287,12 @@ def shortest_path_closure(lengths: np.ndarray) -> np.ndarray:
     return closure
 
 
-def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str, ...],
-                           speed: float) -> np.ndarray:
-    """Pairwise shortest-path travel times in seconds between `locations`.
-
-    Times are shortest-path meters divided by `speed`; the result is symmetric
-    with a zero diagonal and satisfies the triangle inequality.  A pair with
-    no path, or whose time or distance overflows the float range, is
-    rejected by name.
-    """
-    if not (0 < speed < math.inf):
-        raise ValueError(f"speed: must be > 0 and finite, got {speed}")
+@functools.lru_cache(maxsize=_CLOSURE_MEMO)
+def _layout_closure(layout: LayoutGraph) -> np.ndarray:
+    """Shortest-path lengths in meters between every two nodes of `layout`,
+    in `node_ids` order, as a read-only [m, m] array; `inf` marks a pair
+    with no path, or one whose sum overflows the float range."""
     index = {v: i for i, v in enumerate(layout.node_ids)}
-    for loc in locations:
-        if loc not in index:
-            raise ValueError(f"locations: unknown location {loc!r}")
     m = len(layout.node_ids)
     # Parallel edges collapse to their shortest representative.
     lengths = np.full((m, m), math.inf)
@@ -297,8 +301,32 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
         i, j = index[u], index[v]
         if length < lengths[i, j]:
             lengths[i, j] = lengths[j, i] = length
+    closure = shortest_path_closure(lengths)
+    closure.setflags(write=False)
+    return closure
+
+
+def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str, ...],
+                           speed: float) -> np.ndarray:
+    """Pairwise shortest-path travel times in seconds between `locations`.
+
+    Times are shortest-path meters divided by `speed`; the result is symmetric
+    with a zero diagonal and satisfies the triangle inequality.  A pair with
+    no path, or whose time or distance overflows the float range, is
+    rejected by name.  The speed, the location names and the float range
+    are checked on every call; the meters come from the layout's memoised
+    closure (`_layout_closure`: at most `_CLOSURE_MEMO` layouts, keyed on
+    the layout's value, m * m * 8 bytes each for m layout nodes), and the
+    result is a fresh array the caller may write to.
+    """
+    if not (0 < speed < math.inf):
+        raise ValueError(f"speed: must be > 0 and finite, got {speed}")
+    index = {v: i for i, v in enumerate(layout.node_ids)}
+    for loc in locations:
+        if loc not in index:
+            raise ValueError(f"locations: unknown location {loc!r}")
     wanted = [index[loc] for loc in locations]
-    dist = shortest_path_closure(lengths)[np.ix_(wanted, wanted)]
+    dist = _layout_closure(layout).take(wanted, 0).take(wanted, 1)
     with np.errstate(over="ignore"):
         times = dist / speed
         # `build_network` scales the times back to meters, which can round

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import tugplan
 from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, LayoutGraph, PdpInstance,
                      build_network, load_instance, shortest_travel_matrix,
                      solve_deterministic)
+from tugplan.instance import _CLOSURE_MEMO, _layout_closure, shortest_path_closure
 
 from conftest import (INSTANCES, gen, instance_dict, overflowing_sum_dict,
                       overflowing_time_dict, single_task_dict)
@@ -357,6 +359,142 @@ def test_matrix_matches_path_enumeration(layout):
     src, dst = layout.node_ids[0], layout.node_ids[-1]
     assert times[0, len(layout.node_ids) - 1] == pytest.approx(
         brute_force_shortest(layout, src, dst))
+
+
+@pytest.fixture
+def fresh_closures():
+    """An empty layout closure memo, emptied again afterwards."""
+    _layout_closure.cache_clear()
+    yield
+    _layout_closure.cache_clear()
+
+
+def uncached_travel_matrix(layout, locations, speed):
+    """The travel times without the memo: the layout's lengths, their
+    closure and the wanted rows and columns, built afresh on every call."""
+    index = {v: i for i, v in enumerate(layout.node_ids)}
+    m = len(layout.node_ids)
+    lengths = np.full((m, m), math.inf)
+    np.fill_diagonal(lengths, 0.0)
+    for u, v, length in layout.edges:
+        i, j = index[u], index[v]
+        if length < lengths[i, j]:
+            lengths[i, j] = lengths[j, i] = length
+    wanted = [index[loc] for loc in locations]
+    return shortest_path_closure(lengths)[np.ix_(wanted, wanted)] / speed
+
+
+@pytest.mark.usefixtures("fresh_closures")
+class TestLayoutClosureMemo:
+    def test_equal_layouts_share_one_entry(self):
+        first = shortest_travel_matrix(ring_layout(), ["DEP", "B"], 1.5)
+        second = shortest_travel_matrix(ring_layout(), ["C", "A"], 1.5)
+        info = _layout_closure.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first[0, 1] == second[0, 1] == 20.0
+
+    def test_changed_layout_misses(self):
+        ring = ring_layout()
+        longer = dataclasses.replace(ring, edges=(("DEP", "A", 30.0),) + ring.edges[1:])
+        bigger = dataclasses.replace(ring, node_ids=ring.node_ids + ("D",),
+                                     labels=ring.labels + ("D",),
+                                     edges=ring.edges + (("C", "D", 15.0),))
+        times = [shortest_travel_matrix(layout, ["DEP", "A"], 1.5)[0, 1]
+                 for layout in (ring, longer, bigger)]
+        info = _layout_closure.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 3)
+        assert times == [10.0, 20.0, 10.0]
+
+    def test_cached_closure_is_read_only(self):
+        closure = _layout_closure(ring_layout())
+        assert not closure.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            closure[0, 1] = 0.0
+
+    def test_writing_a_result_leaves_the_next_build_alone(self, tri3_instance):
+        layout = tri3_instance.layout
+        locations = list(layout.node_ids)
+        times = shortest_travel_matrix(layout, locations, 1.5)
+        expected = times.copy()
+        times[:] = -1.0
+        assert shortest_travel_matrix(layout, locations, 1.5).tobytes() == expected.tobytes()
+        network = build_network(tri3_instance)
+        assert _layout_closure.cache_info().hits == 2
+        assert network.travel_time.tobytes() == uncached_travel_matrix(
+            layout, network.locations, tri3_instance.speed).tobytes()
+
+    def test_entry_count_stays_at_its_bound(self):
+        assert _layout_closure.cache_info().maxsize == _CLOSURE_MEMO <= 16
+        ring = ring_layout()
+        for k in range(2 * _CLOSURE_MEMO):
+            layout = dataclasses.replace(ring, edges=(("DEP", "A", 15.0 + k),) + ring.edges[1:])
+            shortest_travel_matrix(layout, ["DEP", "A"], 1.5)
+            assert _layout_closure.cache_info().currsize == min(k + 1, _CLOSURE_MEMO)
+        assert _layout_closure.cache_info().misses == 2 * _CLOSURE_MEMO
+
+
+@st.composite
+def layouts_with_parallel_edges(draw):
+    """A connected layout plus up to three more copies of its edges, each
+    with its own length and either orientation."""
+    layout = draw(connected_layouts())
+    edges = list(layout.edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        u, v, _ = draw(st.sampled_from(layout.edges))
+        length = draw(st.floats(min_value=1.0, max_value=50.0, allow_nan=False))
+        edges.append((v, u, length) if draw(st.booleans()) else (u, v, length))
+    return dataclasses.replace(layout, edges=tuple(edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(layouts_with_parallel_edges(), st.data(),
+       st.floats(min_value=0.1, max_value=20.0, allow_nan=False))
+def test_memo_hit_matches_a_fresh_build(layout, data, speed):
+    locations = data.draw(st.lists(st.sampled_from(layout.node_ids), min_size=1, max_size=8))
+    _layout_closure.cache_clear()
+    fresh = shortest_travel_matrix(layout, locations, speed)
+    hit = shortest_travel_matrix(dataclasses.replace(layout), locations, speed)
+    assert _layout_closure.cache_info().hits == 1
+    _layout_closure.cache_clear()
+    rebuilt = shortest_travel_matrix(layout, locations, speed)
+    reference = uncached_travel_matrix(layout, locations, speed)
+    assert hit.tobytes() == fresh.tobytes() == rebuilt.tobytes() == reference.tobytes()
+
+
+def _slow_factory6():
+    doc = instance_dict("factory6")
+    # At 0.7 m/s some times scaled back to meters differ from the layout's
+    # meters in the last bit, so these bytes tell the two apart.
+    doc["speed"] = 0.7
+    return doc
+
+
+# sha256 over the bytes of travel_time, travel_dist, open_time and
+# close_time, in that order, of each built network.
+PINNED_NETWORKS = {
+    "tri3": (lambda: instance_dict("tri3"),
+             "b1818423917bb30a5067b0d99d3b881655b9d333fccd88d372da7d456f0ffa65"),
+    "factory6": (lambda: instance_dict("factory6"),
+                 "b76e6adbaa8c314f46d83b88882e8d7c23eee5c10d90caf0c348e946b2726c79"),
+    "factory6-slow": (_slow_factory6,
+                      "3154f13da4da39f01006dcce838dccb7ca2e2d4581bcd7d8ade0eeba302b0111"),
+    "gen-0-4-tight": (lambda: gen.factory_instance(0, 4, "tight"),
+                      "875ab8ec9ec12185991e811f9abe0344c876bcb8d694d4eedad4fddb144bd57d"),
+    "gen-1-4-loose": (lambda: gen.factory_instance(1, 4, "loose"),
+                      "e948b0317c8801b0d695909a1f5ae1fbeb343233e35656ecde1ea58f908b9959"),
+    "gen-2-8-tight": (lambda: gen.factory_instance(2, 8, "tight"),
+                      "d70ee56dc2e5c1c6a8dcd003ecfad090c3cd8fb25f890fca52c2c36b741e2934"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_NETWORKS)
+def test_built_network_bytes_are_pinned(name):
+    make, digest = PINNED_NETWORKS[name]
+    network = build_network(load_instance(json.dumps(make())))
+    h = hashlib.sha256()
+    for field in ("travel_time", "travel_dist", "open_time", "close_time"):
+        h.update(getattr(network, field).tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestParserDefaults:

@@ -125,6 +125,23 @@ lexicographic order.  Only a strict improvement replaces the incumbent, so
 the first optimum found is the lexicographically smallest one, and the
 distance prune also cuts subtrees that can at best tie it.
 
+det also cuts twins, a symmetry cut (Margot 2010, *Symmetry in integer
+linear programming*).  `PdpNetwork` makes co-located nodes share their rows
+and columns of the nominal matrix, so two task nodes at a location that is
+0 s and 0 m from itself are interchangeable there.  At a task node `cur`, a
+child `j < cur` at its location is cut when both are pickups and `j` adds
+no wait (`w == now`), or when `cur` is a delivery and `j`'s time still meets
+`cur`'s window (`w <= b[cur]`, tolerance included).  Serving `j` before
+`cur` then gives a lexicographically smaller prefix that reaches a state no
+worse: the same location, time, distance and onboard set, and no later
+delivery hold.  So the lexicographically smallest optimum is never cut and
+the returned plan is unchanged.  `_twin_masks` marks each node's twins once
+per search in one pass over the nodes, and a child pays one bit test.
+Scenario searches and sto-fast's maxima do not cut twins: a scenario draws
+one multiplier per node pair, so co-located nodes differ there and the
+swapped prefix can arrive later.  Nor does a location that is not 0 s and
+0 m from itself, since `PdpNetwork` does not check its diagonal.
+
 For a fixed plan the scenario switches decouple: turning a scenario off never
 pays unless the plan misses one of its windows, so the optimal switch set is
 exactly the set of scenarios the plan fails, and no explicit branching over
@@ -147,6 +164,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -187,12 +205,26 @@ _SEED_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """alpha: allowed ignored probability mass; time_limit in seconds."""
+    """alpha: allowed ignored probability mass; time_limit in seconds.
+
+    Both are real numbers (numpy's included, bools not) and are stored as
+    Python floats."""
 
     alpha: float = 0.0
     time_limit: float = 300.0
 
     def __post_init__(self):
+        for name in ("alpha", "time_limit"):
+            value = getattr(self, name)
+            # A float passes at the first test; the CLI passes only those.
+            if type(value) is float:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is beyond the float range, got {value!r}") from None
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if not (0.0 < self.time_limit < math.inf):
@@ -302,6 +334,9 @@ class SearchStats:
     # Nodes cut because a task the current vehicle can no longer serve
     # leaves it to a later vehicle (S = 1 only).
     split_prunes: int = 0
+    # Children cut because serving them before the current node, at its
+    # location, reaches a state no worse by a smaller plan (det only).
+    twin_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -342,11 +377,13 @@ class _Search:
     `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
     (i, i+n) its delivery's coupling reads.  The arc-major copy `t_fs` of
     the stack is built on the first per-scenario step, so a search that
-    never steps, as on loose windows, never copies its stack.
+    never steps, as on loose windows, never copies its stack.  With `twins`,
+    which only det's nominal matrix allows, `twin[v]` marks the task nodes
+    the twin cut may cut at v; otherwise it is 0 everywhere.
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, alive: np.ndarray,
-                 lost_mass: float, config: SolveConfig):
+                 lost_mass: float, config: SolveConfig, twins: bool = False):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
@@ -369,6 +406,7 @@ class _Search:
 
         t_max = times.max(axis=0, keepdims=True) if self.vector else times
         self.t_max = t_max[0].tolist()
+        self.twin = _twin_masks(self.loc, self.t_max, self.d) if twins else [0] * network.size
         # Deliveries and depots open at 0, so a pickup's opening is its only
         # starting hold; `own[i]` is task i's own arc (i, i+n) in the maxima.
         self.hold = network.open_time.tolist()
@@ -396,6 +434,7 @@ class _Search:
         self.window_prunes = 0
         self.lookahead_prunes = 0
         self.split_prunes = 0
+        self.twin_prunes = 0
         self.root_bound = 0.0
         self.seed_m: float | None = None
         self.deadline = time.monotonic() + config.time_limit
@@ -496,7 +535,7 @@ class _Search:
                            window_prunes=self.window_prunes,
                            lookahead_prunes=self.lookahead_prunes,
                            root_bound_m=self.root_bound, seed_m=self.seed_m,
-                           split_prunes=self.split_prunes)
+                           split_prunes=self.split_prunes, twin_prunes=self.twin_prunes)
 
     def run(self) -> None:
         # Every tracked location hosts a task node, so the root's mask, the
@@ -655,6 +694,11 @@ class _Search:
         # previous route's first one.
         floor = self.routes[-1][1] if cur == 0 and self.routes else 0
         new_scen = None
+        # A twin j below `cur` is cut when serving it first ends in the same
+        # state: at a pickup when j adds no wait, at a delivery when j's
+        # time still meets `cur`'s window (a twin is 0 s away, so w >= now).
+        # A node without twins pays one truth test per child.
+        twin, twin_lim = self.twin[cur], now if cur <= n else b[cur]
 
         # A bound `w` that meets j's window meets it in every scenario: the
         # child keeps the alive mask and the dead mass and records where its
@@ -674,6 +718,9 @@ class _Search:
                     continue
             elif vector:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
+            if twin and twin >> j & 1 and w <= twin_lim:
+                self.twin_prunes += 1
+                continue
             # Cut once no completion can beat the incumbent strictly: only a
             # strict improvement replaces it, so a tie would be dropped anyway.
             u, child_mask = loc[j], mask
@@ -707,6 +754,9 @@ class _Search:
                     continue
             elif vector:
                 new_scen = [None, scen[1], scen[2], scen, cur, j]
+            if twin and twin >> j & 1 and w <= twin_lim:
+                self.twin_prunes += 1
+                continue
             u, child_mask = loc[j], mask
             if left[u] == 1:
                 child_mask ^= bit[j]
@@ -792,6 +842,22 @@ def _walk_table(network: PdpNetwork) -> tuple[tuple[tuple[float, ...], ...], lis
     node_at = [first[name] for name in names]
     dist = network.travel_dist.take(node_at, 0).take(node_at, 1).tobytes()
     return _location_table(dist, tuple(tracked)), loc, [loc_bit[u] for u in loc]
+
+
+def _twin_masks(loc: list[int], t: list[list[float]], d: list[list[float]]) -> list[int]:
+    """`twin[v]`: bit j set for every task node j < v at task node v's
+    location `loc[v]`, where that location is 0 s and 0 m from itself; 0
+    elsewhere.  One pass over the nodes: co-located nodes share their rows
+    and columns (`PdpNetwork` checks that), so each holds its location's
+    own time and distance on its diagonal."""
+    twin = [0] * len(loc)
+    below: dict[int, int] = {}
+    for v in range(1, len(loc) - 1):
+        if t[v][v] == 0.0 and d[v][v] == 0.0:
+            u = loc[v]
+            twin[v] = below.get(u, 0)
+            below[u] = twin[v] | 1 << v
+    return twin
 
 
 @functools.lru_cache(maxsize=_TABLE_MEMO)
@@ -931,7 +997,7 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
     if fast:
         search = _Search(network, times.max(axis=0, keepdims=True), np.ones(1), 0.0, config)
     else:
-        search = _Search(network, times, alive, lost_mass, config)
+        search = _Search(network, times, alive, lost_mass, config, twins=scenarios is None)
     searched = lost_mass <= config.alpha + _MASS_EPS
     if searched:
         search.run()

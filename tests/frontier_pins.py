@@ -1,14 +1,17 @@
 """Pin plans at the solver's frontier, outside the tier-1 suite.
 
 Checks the status, the objective and the sha256 of the routes of det solves
-on generated factory instances with nine and ten tight-window and ten
-loose-window tasks, seeds 0-2, as `test_pinned_plans.py` does for smaller
-ones; of sto solves on 30 scenarios of eight tight-window tasks, seed 2, at
-alpha 0 and 0.1: the scenario search's largest pinned trees, 110k and 132k
-nodes; and of sto-fast solves on the same 30 scenarios of eight
-tight-window tasks, seeds 8 and 10.  The ten-task tight det solves are the
-largest pinned trees, 1.53M, 0.75M and 9.50M nodes, in about 2, 1 and 11 s;
-each other solve takes about 0.1-2.6 s.  The file name does not match
+on generated factory instances with nine to eleven tight-window and ten
+loose-window tasks, seeds 0-2, twelve tight-window tasks, seeds 1 and 2,
+and twelve loose-window tasks, seeds 0 and 2, as `test_pinned_plans.py`
+does for smaller ones; of sto solves on 30 scenarios of eight tight-window
+tasks, seed 2, at alpha 0 and 0.1: the scenario search's largest pinned
+trees, 110k and 132k nodes; and of sto-fast solves on the same 30 scenarios
+of eight tight-window tasks, seeds 8 and 10.  Every pinned det plan is also the
+one the search returns without its twin cut.  The twelve-task tight det
+solves are the largest pinned trees, 2.16M and 1.14M nodes, in about 3 and
+1.3 s, and the eleven-task tight ones take 0.90M, 0.53M and 0.31M nodes;
+each other solve takes at most about 0.7 s.  The file name does not match
 `test_*.py`, so the tier-1 run does not collect it; name it to run its one
 parametrized test, from the repository root:
 
@@ -38,6 +41,20 @@ PINS = [
      "cb00b513663e90a6a4543dfa2abb7e519e98068eb3caf431abde463cb38da5a1"),
     ("loose", 10, 2, "optimal", 165.0,
      "e3c511c0be06de145703e6c190ae246f0f4c12284c1ed0ac3b457f03f0190de1"),
+    ("tight", 11, 0, "optimal", 333.0,
+     "9c144a598dc3fc5924a3e28275b93e6c71fdfffba665f78d81b4b73ecb195fb2"),
+    ("tight", 11, 1, "optimal", 342.0,
+     "cff1833a474c48bb77c9304c699f72f04905567f2afbb80db0b82783357a76f0"),
+    ("tight", 11, 2, "optimal", 246.0,
+     "d2331f289b33e037da4db97521202903701578fb36b5506c1090c0bc19d619ea"),
+    ("tight", 12, 1, "optimal", 342.0,
+     "a20c970e7e11822d0e8f675aea7c0c3f537020410d8b785d3d231ad7fbc35dfe"),
+    ("tight", 12, 2, "optimal", 258.0,
+     "3668dfabb71f874c9507d03e969d742558124b47a756e3253c9bb989b118b876"),
+    ("loose", 12, 0, "optimal", 180.0,
+     "dea12f7fb0c950168bc3668586f778b264f5fdaed8375a14c290b9de7c20fdc6"),
+    ("loose", 12, 2, "optimal", 165.0,
+     "8ac83bad3c871953a4e4e0f8c56945ddeb0fa8407e1d401e66b60f48ef90542d"),
 ]
 
 # sto rows lead with alpha.

@@ -13,7 +13,8 @@ SPEED = 1.5
 
 
 def random_instance_doc(rng: np.random.Generator, max_tasks: int = 3,
-                        max_vehicles: int = 2, tightness: str = "mixed") -> dict:
+                        max_vehicles: int = 2, tightness: str = "mixed",
+                        sites: int | None = None) -> dict:
     """A random ring-plus-chords layout with 1..max_tasks tasks.
 
     `tightness` shapes deadlines relative to the direct travel time:
@@ -21,7 +22,10 @@ def random_instance_doc(rng: np.random.Generator, max_tasks: int = 3,
     in [4.0, 8.0], "tight" in [0.9, 1.6].  Two special modes: "slack" adds an
     absolute margin of ten times the total pairwise travel time, far beyond
     any realizable worst-case tour; "infeasible" places every deadline below
-    the direct nominal travel time, so no plan can serve the tasks.
+    the direct nominal travel time, so no plan can serve the tasks.  With
+    `sites`, every task picks up and delivers at `sites` of the layout's
+    locations, drawn once, so task nodes share locations; without it the
+    draws are those of earlier versions.
     """
     size = int(rng.integers(4, 7))
     ids = [f"L{i}" for i in range(size)]
@@ -42,9 +46,10 @@ def random_instance_doc(rng: np.random.Generator, max_tasks: int = 3,
                "slack": (1.0, 1.0), "infeasible": (0.5, 0.95)}
     lo, hi = factors[tightness]
     slack = 10.0 * float(times.sum()) if tightness == "slack" else 0.0
+    pool = size if sites is None else rng.choice(size, size=sites, replace=False)
     tasks = []
     for t in range(n):
-        a, b = rng.choice(size, size=2, replace=False)
+        a, b = rng.choice(pool, size=2, replace=False)
         origin, dest = ids[int(a)], ids[int(b)]
         earliest = float(rng.integers(0, 5)) * 5.0
         direct = times[int(a), int(b)]

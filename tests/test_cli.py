@@ -56,7 +56,8 @@ class TestSolveCommand:
         assert artifact["manifest"]["version"]
         assert set(artifact["stats"]) == {"nodes_explored", "bound_prunes",
                                           "window_prunes", "lookahead_prunes",
-                                          "root_bound_m", "seed_m", "split_prunes"}
+                                          "root_bound_m", "seed_m", "split_prunes",
+                                          "twin_prunes"}
         # The shortest walk from the depot through A, B and C and back is
         # the 60 m ring; the windows push the optimum to 90 m.
         assert artifact["stats"]["root_bound_m"] == pytest.approx(60.0)
@@ -825,25 +826,25 @@ class TestPinnedStdout:
 # (instance, solve flags, exit code, sha256 of the artifact's bytes).
 _ARTIFACT_PINS = {
     "det-tri3": ("tri3", ["--mode", "det"], 0,
-                 "5f3b2fc9ef4513ca1627b878d611158b29befe7bccaaa55fcbd5c620b54b982b"),
+                 "d575696f9e6a82c112b9ee01f28158023e623cabad761816016b122bd1814c91"),
     "det-factory6": ("factory6", ["--mode", "det"], 0,
-                     "5ec0174f7c4c6388585b18a83b15ddf1ec1a91cca5a33a2fb0e5037c686516be"),
+                     "05b2f19ea1e68b4fca6a104913bfa8aea17723b2cbd79d3049a136cb55a176c0"),
     "sto-tri3": ("tri3", ["--mode", "sto", "--scenarios", "30", "--seed", "3"], 0,
-                 "280c66234505fe3aad440caf38803ead0f09de67d54641d6153ba01f30db5472"),
+                 "cf3f2380442dbb4bf46fcc1ffb8b9bd721b15ecdfbc5e7163b699504ea20d7d5"),
     "sto-factory6": ("factory6", ["--mode", "sto", "--scenarios", "30", "--seed", "3"], 0,
-                     "a02fec146a6608651927bb470517b3739887501ac10a4a573408ed6fc687d0fd"),
+                     "2aed591f18892a7c8deb16efb33296bfa15af997fb2dd322c3f0e45a84feba36"),
     "sto-alpha-tri3": (
         "tri3", ["--mode", "sto", "--alpha", "0.1", "--scenarios", "30", "--seed", "3"], 0,
-        "e5cdd99e0b1fd7225cb6236e40ac65b4f192b62f5a3796a6e0024398d1019a2e"),
+        "50a7dc830dbaa4634473b5d458ba201f2b4fcf4607d31144e0df11218a0af83e"),
     "sto-alpha-factory6": (
         "factory6", ["--mode", "sto", "--alpha", "0.1", "--scenarios", "30", "--seed", "3"], 0,
-        "0005eff18e8a1f7cea6fccfbf0d22dcf64accb3a773a8acf8f3e51b89f08a2bc"),
+        "2f43916f3db8de842e74c8c392804052fcde8c2a4370bdf7b3c99283c3c17647"),
     # Infeasible: the artifact without routes.
     "sto-fast-tri3": ("tri3", ["--mode", "sto-fast", "--scenarios", "30", "--seed", "3"], 2,
-                      "71dcd954430f836c7bded90bd55907dad3455003e4a4337a4c53e1c4d10620a1"),
+                      "e6fed139f90e544cb41783ce324aa131e553bd6d31969fb55723dcefabbea623"),
     "sto-fast-factory6": (
         "factory6", ["--mode", "sto-fast", "--scenarios", "30", "--seed", "3"], 0,
-        "50d7a9726f701766097e24937c740f9b0edf756efc3a69f82be69426ae4368ab"),
+        "a60a3d8981943c549eb248f337c2bfb03ca38de2210aaf5e6fda3d0b49cd53b6"),
 }
 
 

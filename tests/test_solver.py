@@ -340,7 +340,7 @@ class TestOracleEquivalence:
                 prunes[mode] = (window + stats.window_prunes,
                                 lookahead + stats.lookahead_prunes, split + stats.split_prunes)
         assert changed >= 20
-        assert prunes == {"det": (35, 128, 67), "sto-0.0": (130, 115, 0),
+        assert prunes == {"det": (31, 119, 66), "sto-0.0": (130, 115, 0),
                           "sto-0.34": (186, 264, 0)}
 
 
@@ -597,6 +597,136 @@ class TestSplitBound:
         assert reference.plan == ((0, 1, 3, 2, 4, 5), (0, 5))
 
 
+def _located_network(tasks, loc_times):
+    """One vehicle over locations DEP, X, Y and Z, in that order, whose
+    travel times are the location matrix `loc_times` in seconds, not
+    necessarily metric or 0 on the diagonal.  Distances are 1.5 m a second
+    and 0 within a location.  `tasks` are (from, to, opening, deadline)."""
+    names = ["DEP", "X", "Y", "Z"]
+    doc = {"layout": {"nodes": names,
+                      "edges": [["DEP", "X", 15.0], ["X", "Y", 15.0], ["Y", "Z", 15.0]]},
+           "tasks": [{"id": f"T{k + 1}", "from": origin, "to": dest,
+                      "earliest_pickup_s": opening, "latest_delivery_s": deadline}
+                     for k, (origin, dest, opening, deadline) in enumerate(tasks)],
+           "vehicles": 1, "depot": "DEP", "speed": 1.5, "horizon": 500}
+    network = build_network(load_instance(json.dumps(doc)))
+    at = [names.index(name) for name in network.locations]
+    times = np.asarray(loc_times, dtype=float)
+    dist = 1.5 * times
+    np.fill_diagonal(dist, 0.0)
+    return dataclasses.replace(network, travel_time=times[np.ix_(at, at)],
+                               travel_dist=dist[np.ix_(at, at)])
+
+
+# DEP-X 10 s, X-Y 10 s, DEP-Y 20 s; Z is unused.
+_LINE = [[0, 10, 20, 40], [10, 0, 10, 30], [20, 10, 0, 20], [40, 30, 20, 0]]
+# DEP-Y 10 s, Y-X 10 s, DEP-X 20 s; Z is unused.
+_VIA_Y = [[0, 20, 10, 40], [20, 0, 10, 30], [10, 10, 0, 20], [40, 30, 20, 0]]
+
+
+class TestTwinCut:
+    # det cuts child j below the current task node at its location when
+    # serving j first ends in the same state: two pickups when j adds no
+    # wait, a delivery when j's time still meets its window.  Only the
+    # lexicographically larger of two equal plans is cut, so every plan
+    # stays the oracle's.  On the hand-built networks the nearest-next seed
+    # finds the one feasible plan by itself, and the solve would return it
+    # however the search cut, so they search without it.
+
+    @pytest.fixture
+    def unseeded(self, monkeypatch):
+        monkeypatch.setattr(solver_module._Search, "_nearest_next", lambda search: None)
+
+    def test_clustered_tasks_match_oracle(self):
+        # Tasks on two or three locations, so task nodes share them.  sto-fast
+        # searches its maxima, whose co-located nodes differ, without the cut.
+        rng = np.random.default_rng(37)
+        twinned = optima = 0
+        for trial in range(850):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness=("tight", "mixed", "loose")[trial % 3],
+                                     sites=2 + trial % 2)
+            scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
+            for mode, solution, reference in _split_cases(network, scen):
+                optima += _agrees_with_oracle(solution, reference)
+                assert mode == "det" or solution.stats.twin_prunes == 0
+            twinned += solve_deterministic(network).stats.twin_prunes > 0
+        assert optima >= 800
+        assert twinned >= 100, twinned
+
+    def test_delivery_twin_waits_for_its_window(self, unseeded):
+        # At T2's delivery at X (node 4, 20 s) T1's pickup there (node 1)
+        # opens at 50 s, past node 4's 30 s deadline: fetching T1 first
+        # would make the delivery late, so node 1 is no twin cut at node 4.
+        network = _located_network([("X", "Y", 50, 100), ("Y", "X", 0, 30)], _VIA_Y)
+        solution = solve_deterministic(network)
+        reference = oracle_solve_deterministic(network)
+        assert reference.plan == ((0, 2, 4, 1, 3, 5),)
+        assert _agrees_with_oracle(solution, reference)
+
+    def test_pickup_twin_that_waits_is_kept(self, unseeded):
+        # X to Z takes 100 s direct but 20 s through Y.  T2 loaded at X at
+        # 10 s holds its delivery at Z until 110 s, inside its 120 s
+        # deadline; T1's pickup there opens at 50 s.  Loading T1 first
+        # would load T2 at 50 s and hold it until 150 s, so node 1 waits
+        # and is no twin cut at node 2.
+        network = _located_network([("X", "Y", 50, 100), ("X", "Z", 0, 120)],
+                                   [[0, 10, 20, 30], [10, 0, 10, 100], [20, 10, 0, 10],
+                                    [30, 100, 10, 0]])
+        solution = solve_deterministic(network)
+        reference = oracle_solve_deterministic(network)
+        assert reference.plan == ((0, 2, 1, 3, 4, 5),)
+        assert _agrees_with_oracle(solution, reference)
+
+    def test_location_apart_from_itself_has_no_twins(self, unseeded):
+        # X is 5 s from itself.  After T2's delivery at X at 20 s, T1's
+        # pickup there at 50 s meets its 52 s deadline, but fetching T1
+        # first would deliver T2 at 55 s.
+        loc_times = [row[:] for row in _VIA_Y]
+        loc_times[1][1] = 5
+        network = _located_network([("X", "Y", 50, 200), ("Y", "X", 0, 52)], loc_times)
+        solution = solve_deterministic(network)
+        reference = oracle_solve_deterministic(network)
+        assert reference.plan == ((0, 2, 4, 1, 3, 5),)
+        assert _agrees_with_oracle(solution, reference)
+        # Y's nodes 2 and 3 stay twins; X's nodes 1 and 4 are not.
+        loc = _walk_table(network)[1]
+        assert loc[1] == loc[4] != loc[2] == loc[3]
+        masks = solver_module._twin_masks(loc, network.travel_time.tolist(),
+                                          network.travel_dist.tolist())
+        assert masks == [0, 0, 0, 1 << 2, 0, 0]
+
+    @pytest.mark.parametrize("mode", ["sto", "sto-fast"])
+    def test_scenario_searches_keep_co_located_orders(self, unseeded, mode):
+        # Both tasks run X to Y by 35 s, but the arc from the depot to T1's
+        # pickup takes 30 s in every scenario, against 10 s to T2's: only
+        # plans that load T2 first are feasible, and a twin cut at node 2
+        # would lose them.
+        network = _located_network([("X", "Y", 0, 35), ("X", "Y", 0, 35)], _LINE)
+        mults = np.ones((2,) + network.travel_time.shape)
+        mults[:, 0, 1] = mults[:, 1, 0] = 3.0
+        scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
+                           probabilities=np.array([0.5, 0.5]))
+        if mode == "sto":
+            solution = solve_stochastic(network, scen)
+            reference = oracle_solve(network, scen.travel_times, scen.probabilities, 0.0)
+        else:
+            solution = solve_alpha_zero_fast(network, scen)
+            reference = oracle_solve(network, scen.travel_times.max(axis=0, keepdims=True),
+                                     np.ones(1), 0.0)
+        assert reference.plan == ((0, 2, 1, 3, 4, 5),)
+        assert _agrees_with_oracle(solution, reference)
+        assert solution.stats.twin_prunes == 0
+
+    def test_masks_mark_lower_co_located_task_nodes(self):
+        # Three tasks: nodes 1, 3 and 4 share location 1, nodes 2 and 6
+        # location 2, and node 5 the depot's.  The depots are no twins.
+        loc = [0, 1, 2, 1, 1, 0, 2, 0]
+        zero = [[0.0] * 8 for _ in range(8)]
+        assert solver_module._twin_masks(loc, zero, zero) == [
+            0, 0, 0, 1 << 1, 1 << 1 | 1 << 3, 0, 1 << 2, 0]
+
+
 def _tracked_walk(network, loc, bit, mask, start):
     """Brute force: the shortest walk from location `start` through every
     location whose bit is in `mask`, ending at the depot."""
@@ -792,9 +922,9 @@ class TestOneEngine:
     def test_two_copies_of_nominal_equal_deterministic(self):
         # Two identical scenarios run the per-scenario branch of the search;
         # one nominal scenario runs the float branch.  Both must return the
-        # same plan, and where det's split bound cuts nothing (it cuts at
-        # S = 1 only) they take the same decisions at every node, so even
-        # the counters agree.
+        # same plan, and where det's split bound (S = 1 only) and twin cut
+        # (det only) cut nothing they take the same decisions at every node,
+        # so even the counters agree.
         rng = np.random.default_rng(515)
         optima = unsplit = 0
         for trial in range(60):
@@ -807,7 +937,7 @@ class TestOneEngine:
             sto = solve_stochastic(network, twin)
             assert sto.status == det.status
             assert sto.objective == det.objective
-            if det.stats.split_prunes == 0:
+            if det.stats.split_prunes == det.stats.twin_prunes == 0:
                 assert sto.stats == det.stats
                 unsplit += 1
             if det.plan is not None:
@@ -1132,7 +1262,8 @@ class TestScenarioVector:
     def test_det_closes_like_a_unit_scenario(self, factory6_network, monkeypatch):
         # No stack starts closed, det's included: det and a one-scenario set
         # of unit multipliers search equal matrices, close them once each
-        # and take the same decisions.
+        # and return the same plan.  Only det cuts twins; without its twin
+        # cut it takes the unit scenario's decisions at every node.
         shapes = _closure_shapes(monkeypatch)
         det = solve_deterministic(factory6_network)
         assert shapes == [(1, 14, 14)] and det.stats.lookahead_prunes > 0
@@ -1140,8 +1271,12 @@ class TestScenarioVector:
         assert np.array_equal(unit.travel_times[0], factory6_network.travel_time)
         sto = solve_stochastic(factory6_network, unit)
         assert shapes == [(1, 14, 14)] * 2
-        assert (sto.plan.routes, sto.objective, sto.stats) == (
-            det.plan.routes, det.objective, det.stats)
+        assert (sto.plan.routes, sto.objective) == (det.plan.routes, det.objective)
+        assert det.stats.twin_prunes > 0 and sto.stats.twin_prunes == 0
+        monkeypatch.setattr(solver_module, "_twin_masks", lambda loc, t, d: [0] * len(loc))
+        untwinned = solve_deterministic(factory6_network)
+        assert shapes == [(1, 14, 14)] * 3
+        assert (untwinned.plan.routes, untwinned.stats) == (sto.plan.routes, sto.stats)
 
     def test_forced_dead_solve_closes_no_stack(self, tri3_network, monkeypatch):
         # A stretch of 6 overshoots task 1's deadline on its own arc: the
@@ -1269,11 +1404,11 @@ class TestSearchCounters:
     # Every counter of three factory6 searches, pinned: where the distance
     # bound is tested and how the set-up is built must not change what the
     # search visits.  The split bound cuts at S = 1 only, so sto-0.1 keeps
-    # the counters it had before it.
+    # the counters it had before it; the twin cut cuts in det only.
     @pytest.mark.parametrize("mode, expected", [
-        ("det", SearchStats(nodes_explored=1591, bound_prunes=780, window_prunes=0,
-                            lookahead_prunes=300, root_bound_m=123.0, seed_m=270.0,
-                            split_prunes=153)),
+        ("det", SearchStats(nodes_explored=810, bound_prunes=412, window_prunes=0,
+                            lookahead_prunes=135, root_bound_m=123.0, seed_m=270.0,
+                            split_prunes=72, twin_prunes=61)),
         ("sto-fast", SearchStats(nodes_explored=1117, bound_prunes=31, window_prunes=54,
                                  lookahead_prunes=693, root_bound_m=123.0, split_prunes=51)),
         ("sto-0.1", SearchStats(nodes_explored=3006, bound_prunes=1315, window_prunes=444,
@@ -1361,6 +1496,24 @@ class TestAssignmentShapes:
         system, solution = make(tri3_network)
         with pytest.raises(ValueError, match=message):
             assignment_from_solution(system, tri3_network, solution)
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", "0.1"), ("alpha", None), ("alpha", False), ("alpha", np.bool_(True)),
+        ("alpha", 0.1j), ("alpha", float("nan")), ("alpha", 1.0),
+        ("time_limit", None), ("time_limit", True), ("time_limit", "5"),
+        ("time_limit", 0), ("time_limit", math.inf), ("time_limit", 10 ** 400),
+    ])
+    def test_rejects_non_real_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolveConfig(**{field: value})
+
+    def test_stores_numpy_and_integer_values_as_floats(self):
+        config = SolveConfig(alpha=np.float32(0.25), time_limit=np.int64(7))
+        assert (config.alpha, config.time_limit) == (0.25, 7.0)
+        assert type(config.alpha) is float and type(config.time_limit) is float
+        assert type(SolveConfig(alpha=0).alpha) is float
 
 
 class TestRoutePlanValidation:

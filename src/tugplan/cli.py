@@ -208,8 +208,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(_table(["MHE", "V Nodes", "Graph Nodes"],
                  [[str(k), v, g] for k, (v, g) in enumerate(routes, 1)], footer))
     if solution.infeasible_task:
-        print(f"certificate: task {solution.infeasible_task} cannot meet "
-              "its window even on a dedicated vehicle", file=sys.stderr)
+        where = {"det": "", "sto": f" in scenarios weighing more than alpha = {args.alpha:g}",
+                 "sto-fast": " under the worst-case times"}[args.mode]
+        print(f"certificate: no plan serves task {solution.infeasible_task} in time{where}",
+              file=sys.stderr)
     if solution.limiting_scenarios:
         print(f"limiting scenarios: {list(solution.limiting_scenarios)}", file=sys.stderr)
     print(f"artifact: {out}")

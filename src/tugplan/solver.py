@@ -34,35 +34,50 @@ exact pass cuts only subtrees that cannot reach the seed's cost and returns
 the plan it returns without the seed.  A pass that times out with no
 incumbent of its own returns the seed plan instead.
 
+A seed meets every window in every scenario, so it also proves that no task
+is late for every plan.  Only a solve whose seed finds none takes the root
+test, the time-window preprocessing of Dumas, Desrosiers & Soumis 1991 (*The
+pickup and delivery problem with time windows*, EJOR 54): `_late_tasks`
+marks task i late in scenario s when every route misses its pickup's, its
+delivery's or the terminal's closing time in s, timing the legs from the
+depot to the pickup and from the delivery to the terminal over the
+shortest-path closure of matrix s (direct arcs first, the closure only for
+a stack where some task fails on them).  Such scenarios are lost to every
+plan: the exact pass starts with them dead and runs only while their mass
+is within alpha.  Otherwise the solve ends at the root with no node
+searched.  It names as `infeasible_task` the first task whose late
+scenarios alone weigh more than alpha, and as limiting scenarios those of
+the stack in which some task is late.
+
 One engine serves every mode and `_solve` is the one path into it: it reads
 a solve's scenario stack once (the nominal matrix or a set's sampled ones),
-decides on it the scenarios lost to every plan, searches it (for the fast
-path its arc-wise maxima) and reports the plan on it.  A solve derives each
-set-up fact once: `_solve` the stack's opening holds, which both the lost
-test and `_full_schedule`'s completion of unvisited deliveries read;
-`_Search.__init__` the plain-float lists, the completion table and the
-starting cut-offs, which only `_close_stack` replaces; `_full_schedule` one
-`route_times` call and one lateness reduction per working route, folded
-into one failed-scenario mask.  Each step times a child by one hold rule,
-`w = max(now + t[cur][j], hold[j])`: `hold[j]` is a pickup's opening, and
-loading pickup i at `w_i` holds delivery i+n until `w_i + t[i][i+n]`, the
-model's coupling (deliveries open at 0).  The float step, the seed and
-`route_times` state it alike.  Each node carries a plain-float upper bound
-on its latest scenario time, propagated over the arc-wise maxima of the
-scenario matrices; float addition and max are monotone, so it bounds every
-scenario's time exactly as the per-scenario recursion rounds it.  With one
-scenario the bound is the time itself, so windows and the lookahead are
-decided in float arithmetic alone and any miss prunes.  With several, a
-node's `alive` vector holds each scenario's probability, 0.0 once the
-scenario has missed a window, so a mass test is one dot product with the
-mask of scenarios it tests.  A bound that meets a window meets it in every
-scenario, so the child shares its parent's `alive` vector and dead mass and
-computes its per-scenario times only when something reads them: a later
-step whose bound misses a window, the lookahead, or a delivery's coupling
-to its pickup.  Only a bound that misses steps the scenario vector at once,
-and only a step that loses live mass copies `alive`.  Each node's vector is
-computed at most once, and the decisions are those of stepping every
-candidate.
+searches it (for the fast path the arc-wise maxima of its scenarios of
+positive probability, on which it also takes the root test) and reports the
+plan on it.  A solve derives each set-up fact once: `_Search.__init__` the
+plain-float lists, the completion table and the starting cut-offs, which
+only `_close_stack` replaces; `_Search.closure` the stack's closure, read by
+the root test and by `_close_stack`, whichever needs it first;
+`_full_schedule` one `route_times` call and one lateness reduction per
+working route, folded into one failed-scenario mask.  Each step times a child
+by one hold rule, `w = max(now + t[cur][j], hold[j])`: `hold[j]` is a
+pickup's opening, and loading pickup i at `w_i` holds delivery i+n until
+`w_i + t[i][i+n]`, the model's coupling (deliveries open at 0).  The float
+step, the seed and `route_times` state it alike.  Each node carries a
+plain-float upper bound on its latest scenario time, propagated over the
+arc-wise maxima of the scenario matrices; float addition and max are
+monotone, so it bounds every scenario's time exactly as the per-scenario
+recursion rounds it.  With one scenario the bound is the time itself, so
+windows and the lookahead are decided in float arithmetic alone and any miss
+prunes.  With several, a node's `alive` vector holds each scenario's
+probability, 0.0 once the scenario has missed a window, so a mass test is
+one dot product with the mask of scenarios it tests.  A bound that meets a
+window meets it in every scenario, so the child shares its parent's `alive`
+vector and dead mass and computes its per-scenario times only when something
+reads them: a later step whose bound misses a window, the lookahead, or a
+delivery's coupling to its pickup.  Only a bound that misses steps the
+scenario vector at once, and only a step that loses live mass copies
+`alive`.  Each node's vector is computed at most once, and the decisions are
+those of stepping every candidate.
 
 A pickup has no deadline of its own, but its delivery's deadline binds from
 the moment it is loaded.  The onboard-deadline lookahead prunes a node as
@@ -79,20 +94,21 @@ lookahead prunes once the dead mass plus the mass of the still-alive
 scenarios so doomed exceeds alpha; it leaves `alive` untouched, and runs the
 per-scenario test only where the float bound passes the earliest cut-off.
 
-The closure is built on first use, by one rule.  Every search starts from
-the cut-offs of its arc-wise maxima themselves: each scenario's closure lies
-at or below its matrix and so at or below the maxima, so these cut-offs lie
-at or below every scenario's.  The first time a node's bound or the seed's
-passes one of them, one Floyd-Warshall over the stack replaces them with the
-exact earliest cut-offs (and builds the per-scenario ones at S > 1, the
-split ones below at S = 1), and the test is taken again; a search whose
-bounds pass none, as on loose windows, never closes its stack.  One builder,
-`_set_cutoffs`, sets every cut-off table from a stack: the maxima as one
-matrix at the start, the stack's closure on closing.  det's stack is no
-exception: `build_network` gives shortest-path times, but a hand-built
-network need not.  Only subtrees without a feasible leaf are cut and the
-exploration order is unchanged, so incumbents, the returned plan and its
-objective are exactly those of the search without the lookahead.
+The closure is built on first use, by one rule.  Every search starts from the
+cut-offs of its arc-wise maxima themselves: each scenario's closure lies at
+or below its matrix and so at or below the maxima, so these cut-offs lie at
+or below every scenario's.  The first time a node's bound or the seed's
+passes one of them, one Floyd-Warshall over the stack (`closure`, which the
+root test may have built already) replaces them with the exact earliest
+cut-offs (and builds the per-scenario ones at S > 1, the split ones below at
+S = 1), and the test is taken again; a search whose bounds pass none, as on
+loose windows, never closes its stack.  One builder, `_set_cutoffs`, sets
+every cut-off table from a stack: the maxima as one matrix at the start, the
+stack's closure on closing.  det's stack is no exception: `build_network`
+gives shortest-path times, but a hand-built network need not.  Only subtrees
+without a feasible leaf are cut and the exploration order is unchanged, so
+incumbents, the returned plan and its objective are exactly those of the
+search without the lookahead.
 
 At S = 1 the completion bound is also split by vehicle, a state-space
 relaxation (Christofides, Mingozzi & Toth 1981, Networks 11).  At a node
@@ -373,7 +389,7 @@ class _Search:
     probability vector of the alive scenarios (0.0 for a dead one), the
     dead mass, and the parent's `scen` and arc (cur, j), with `times` None
     until `_times` steps it from the parent's along that arc; the root's
-    `alive` and mass, from `_solve`, count every lost scenario dead.
+    `alive` and mass count every scenario `lose` was given dead.
     `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
     (i, i+n) its delivery's coupling reads.  The arc-major copy `t_fs` of
     the stack is built on the first per-scenario step, so a search that
@@ -383,7 +399,7 @@ class _Search:
     """
 
     def __init__(self, network: PdpNetwork, times: np.ndarray, alive: np.ndarray,
-                 lost_mass: float, config: SolveConfig, twins: bool = False):
+                 config: SolveConfig, twins: bool = False):
         self.network = network
         self.n = network.n
         self.terminal = network.terminal
@@ -391,7 +407,8 @@ class _Search:
         self.times = times
         self.alpha = config.alpha
         self.vector = times.shape[0] > 1
-        self.root = [np.zeros(len(alive)), alive, lost_mass, None, 0, 0] if self.vector else None
+        self.alive = alive
+        self.lost_mass = 0.0
 
         self.table, self.loc, self.bit = _walk_table(network)
         # left[u]: the unvisited task nodes at location u.
@@ -436,9 +453,16 @@ class _Search:
         self.split_prunes = 0
         self.twin_prunes = 0
         self.root_bound = 0.0
+        self.seed_plan: tuple[float, tuple[tuple[int, ...], ...]] | None = None
         self.seed_m: float | None = None
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
+
+    @functools.cached_property
+    def closure(self) -> np.ndarray:
+        """The stack's shortest-path closure, built on first read: by the
+        root test or by `_close_stack`, whichever comes first."""
+        return shortest_path_closure(self.times)
 
     @functools.cached_property
     def t_fs(self) -> np.ndarray:
@@ -461,8 +485,8 @@ class _Search:
         inf at the route start and at S > 1.
 
         A pickup opening past `latest[i, i]` would also be late, but then
-        its own arc already misses the delivery's deadline and `_solve`
-        does not run the search."""
+        its own arc already misses the delivery's deadline: the seed finds
+        no plan and the root test (`_late_tasks`) ends the solve."""
         n = self.n
         deliveries = slice(n + 1, self.terminal)
         latest = np.empty(closure.shape[:-1] + (n + 1,))
@@ -491,7 +515,7 @@ class _Search:
         if self.closed:
             return False
         self.closed = True
-        self._set_cutoffs(shortest_path_closure(self.times))
+        self._set_cutoffs(self.closure)
         return True
 
     def _meets_cutoffs(self, j: int, w: float, onboard: list[int]) -> bool:
@@ -537,24 +561,38 @@ class _Search:
                            root_bound_m=self.root_bound, seed_m=self.seed_m,
                            split_prunes=self.split_prunes, twin_prunes=self.twin_prunes)
 
+    def seed(self) -> bool:
+        """Build the nearest-next seed and start the distance prune just
+        above its distance; whether there is one."""
+        seed = self.seed_plan = self._nearest_next()
+        if seed is not None and seed[0] + _SEED_SLACK > seed[0]:
+            self.seed_m, self.cutoff = seed[0], seed[0] + _SEED_SLACK
+        return seed is not None
+
+    def lose(self, lost: np.ndarray) -> bool:
+        """Start the exact pass with the scenarios in `lost` dead; whether
+        their mass stays within alpha."""
+        self.lost_mass = float(self.alive[lost].sum())
+        self.alive = np.where(lost, 0.0, self.alive)
+        return self.lost_mass <= self.alpha + _MASS_EPS
+
     def run(self) -> None:
+        """The exact pass, after `seed` and `lose`."""
         # Every tracked location hosts a task node, so the root's mask, the
         # table's last row, holds them all.
         self.root_bound = self.table[-1][self.loc[0]]
-        seed = self._nearest_next()
-        if seed is not None and seed[0] + _SEED_SLACK > seed[0]:
-            self.seed_m = seed[0]
-            self.cutoff = seed[0] + _SEED_SLACK
+        root = ([np.zeros(len(self.alive)), self.alive, self.lost_mass, None, 0, 0]
+                if self.vector else None)
         # With no incumbent yet, the root passes its distance bound.
         try:
-            self._extend(0, 0.0, self.root, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
+            self._extend(0, 0.0, root, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
         except _TimeUp:
             self.timed_out = True
         # Without a time-out the exact pass meets the seed's own plan below
         # the cutoff, unless rounding of sums of its size puts it above;
         # either way the seed is the best plan known.
         if self.best_plan is None and self.seed_m is not None:
-            self.best_obj, self.best_plan = seed
+            self.best_obj, self.best_plan = self.seed_plan
 
     def _nearest_next(self) -> tuple[float, tuple[tuple[int, ...], ...]] | None:
         """A plan built greedily by the search's own float bounds, with its
@@ -926,15 +964,15 @@ def _opening_holds(network: PdpNetwork, scen_times: np.ndarray) -> np.ndarray:
     return network.open_time[pickups] + own_arc
 
 
-def _full_schedule(network: PdpNetwork, plan: RoutePlan, scen_times: np.ndarray,
-                   holds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _full_schedule(network: PdpNetwork, plan: RoutePlan,
+                   scen_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complete service times [K, nv, S] for a plan plus per-scenario
     feasibility.
 
     Visited nodes take their earliest-feasible route times under the model's
     recursion (pickup-to-delivery coupling included).  A vehicle's time at a
     node it does not visit is completed canonically: window opening for
-    pickups and depots, and for deliveries `holds`, the `_opening_holds` of
+    pickups and depots, and for deliveries their `_opening_holds` in
     `scen_times`: the hold after the (unvisited, so window-opening) pickup,
     which satisfies the pickup-before-delivery constraint whenever the
     serving vehicle can.  Scenarios the plan fails are reported infeasible
@@ -943,7 +981,7 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan, scen_times: np.ndarray,
     a, b = network.open_time, network.close_time
     w = np.empty((plan.vehicle_count, network.size, scen_times.shape[0]))
     w[:] = a[np.newaxis, :, np.newaxis]
-    w[:, network.n + 1:network.terminal] = holds.T
+    w[:, network.n + 1:network.terminal] = _opening_holds(network, scen_times).T
     failed = np.zeros(scen_times.shape[0], dtype=bool)
     for k, route in enumerate(plan.routes):
         # An idle route keeps the window openings: the depot hop is free.
@@ -958,17 +996,37 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan, scen_times: np.ndarray,
     return w, ~failed
 
 
-def _solo_infeasible_task(network: PdpNetwork) -> str | None:
-    """A task whose window cannot be met even by a dedicated vehicle under
-    nominal times, if any."""
-    nominal = network.travel_time[np.newaxis]
-    for i in network.pickups:
-        route = (0, i, network.delivery_of(i), network.terminal)
-        _, late = route_times(route, nominal, network.open_time, network.close_time,
-                              coupling=True)
-        if late.any():
-            return network.task_ids[i - 1]
-    return None
+def _late_tasks(network: PdpNetwork, times: np.ndarray, closure) -> np.ndarray:
+    """`late[s, i - 1]`: whether every plan serves task i late in scenario s
+    of the [S, nv, nv] stack `times` (the time-window preprocessing of
+    Dumas, Desrosiers & Soumis 1991, EJOR 54).
+
+    Every route leaves the depot at 0, so in scenario s it reaches pickup i
+    no earlier than `c[0][i]`, `c` the shortest-path closure of matrix s;
+    the coupling (Eq19) holds delivery i+n until `h = max(a_i, c[0][i]) +
+    t[i][i+n]`, and the terminal comes no earlier than `h + c[i+n][T]`.  The
+    task is late once one of the three misses its closing time by more than
+    `_LOOKAHEAD_MARGIN`, which covers the closure summing in another order
+    than a route.  Direct arcs bound the closure from above, so the test is
+    taken on them first, and `closure()`, the stack's closure, is read only
+    when some task fails there.  A delivery held from its pickup's opening
+    past its deadline by more than `_EPS` is late too."""
+    terminal = network.terminal
+    pickups, deliveries = slice(1, network.n + 1), slice(network.n + 1, terminal)
+    a, b = network.open_time[pickups], network.close_time + _LOOKAHEAD_MARGIN
+    # The diagonal of the pickup-to-delivery block holds each task's own arc.
+    own = times[:, pickups, deliveries].diagonal(axis1=1, axis2=2)
+
+    def late_over(c: np.ndarray) -> np.ndarray:
+        start = np.maximum(a, c[:, 0, pickups])
+        hold = start + own
+        return ((start > b[pickups]) | (hold > b[deliveries])
+                | (hold + c[:, deliveries, terminal] > b[terminal]))
+
+    late = late_over(times)
+    if np.count_nonzero(late):
+        late = late_over(closure())
+    return late | (a + own > network.close_time[deliveries] + _EPS)
 
 
 def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConfig,
@@ -976,29 +1034,25 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
     """Solve on `scenarios`, or on the nominal times as a single realization
     (a 2-D schedule and no scenario data) when None.  A set drawn for
     another network raises `ValueError` before any search.  The set's
-    travel times are read once, and on them the scenarios lost to every plan
-    are decided once: the search runs, on the stack or with `fast` on its
-    arc-wise maxima, only while their mass is within alpha, and the
-    schedule, ignored set and limiting scenarios are reported on the stack."""
+    travel times are read once.  The search runs on the stack, or with
+    `fast` on the arc-wise maxima of its scenarios of positive probability;
+    a seedless search first takes the root test on its own stack, and runs
+    only while the mass lost to every plan is within alpha.  The schedule
+    and ignored set are reported on the stack, and so are the limiting
+    scenarios of a solve that stops at the root."""
     if scenarios is None:
         times, probs = network.travel_time[np.newaxis], np.ones(1)
     else:
         check_network(scenarios, network)
         times, probs = scenarios.travel_times, scenarios.probabilities
-    holds = _opening_holds(network, times)
-    late = holds > network.close_time[network.n + 1:network.terminal] + _EPS
-    lost, lost_mass, alive = None, 0.0, probs
-    if np.count_nonzero(late):
-        lost = late.any(axis=1)
-        # The maxima take the stack's largest own arcs, so they lose their
-        # one scenario exactly when the stack loses one.
-        lost_mass = 1.0 if fast else float(probs[lost].sum())
-        alive = np.where(lost, 0.0, probs)
-    if fast:
-        search = _Search(network, times.max(axis=0, keepdims=True), np.ones(1), 0.0, config)
-    else:
-        search = _Search(network, times, alive, lost_mass, config, twins=scenarios is None)
-    searched = lost_mass <= config.alpha + _MASS_EPS
+    # A weightless scenario may fail at alpha 0, so the maxima skip it.
+    search_times, search_probs = ((times[probs > 0].max(axis=0, keepdims=True), np.ones(1))
+                                  if fast else (times, probs))
+    search = _Search(network, search_times, search_probs, config, twins=scenarios is None)
+    # A seed meets every window in every scenario, which proves no task
+    # late: only a seedless solve takes the root test.
+    late = None if search.seed() else _late_tasks(network, search_times, lambda: search.closure)
+    searched = late is None or search.lose(late.any(axis=1))
     if searched:
         search.run()
     stats = search.stats()
@@ -1007,17 +1061,24 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
         if search.timed_out:
             return Solution(status=STATUS_TIME_LIMIT_NO_INCUMBENT, plan=None,
                             schedule=None, objective=None, stats=stats, alpha=config.alpha)
-        limiting = () if scenarios is None or searched else tuple(np.flatnonzero(lost).tolist())
+        task, limiting = None, ()
+        if not searched:
+            # The first task whose late scenarios alone weigh more than alpha.
+            heavy = np.flatnonzero(search_probs @ late > config.alpha + _MASS_EPS)
+            task = network.task_ids[heavy[0]] if len(heavy) else None
+            if scenarios is not None:
+                if fast:
+                    late = _late_tasks(network, times, lambda: shortest_path_closure(times))
+                limiting = tuple(np.flatnonzero(late.any(axis=1)).tolist())
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
                         objective=None, stats=stats, alpha=config.alpha,
-                        infeasible_task=_solo_infeasible_task(network),
-                        limiting_scenarios=limiting)
+                        infeasible_task=task, limiting_scenarios=limiting)
 
     # The remaining vehicles take the free depot hop, which `PdpNetwork`
     # guarantees is never late.
     idle = ((0, network.terminal),) * (network.vehicle_count - len(search.best_plan))
     plan = RoutePlan(routes=search.best_plan + idle, n=network.n)
-    w, feasible = _full_schedule(network, plan, times, holds)
+    w, feasible = _full_schedule(network, plan, times)
     assert feasible.all() or float(probs[~feasible].sum()) <= config.alpha + _MASS_EPS
     if scenarios is None:
         schedule = Schedule(times=w[:, :, 0].copy())

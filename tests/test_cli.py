@@ -8,7 +8,7 @@ import pytest
 from tugplan import cli
 from tugplan.cli import main
 
-from conftest import overflowing_sum_dict, overflowing_time_dict
+from conftest import gen, overflowing_sum_dict, overflowing_time_dict
 
 INSTANCES = Path(__file__).parent.parent / "instances"
 TRI3 = str(INSTANCES / "tri3.json")
@@ -101,6 +101,23 @@ class TestSolveCommand:
         assert "tasks: duplicate task id 'T1'" in stderr
         assert not out.exists()
 
+    def test_unservable_instance_names_its_task(self, tmp_path, capsys):
+        # The bundled unservable16 is the benchmark's tight seed 3 at 16
+        # tasks, whose T4 no plan serves: the solve ends at the root, as CI's
+        # entry-point step checks through the console script.
+        path = INSTANCES / "unservable16.json"
+        doc = json.loads(path.read_text())
+        assert doc["notes"].startswith(gen.factory_instance(3, 16, "tight")["notes"])
+        doc["notes"] = gen.factory_instance(3, 16, "tight")["notes"]
+        assert doc == gen.factory_instance(3, 16, "tight")
+        out = tmp_path / "o.json"
+        code, _, stderr = run(capsys, "solve", "--instance", str(path), "--mode", "det",
+                              "--time-limit", "10", "--out", str(out))
+        assert code == 2
+        assert '"infeasible_task": "T4"' in out.read_text()
+        assert json.loads(out.read_text())["stats"]["nodes_explored"] == 0
+        assert "certificate: no plan serves task T4 in time" in stderr
+
     def test_infeasible_sto_names_limiting_scenarios(self, tmp_path, capsys):
         # Scenario 1 stretches T1's own arc fourfold (10 s -> 40 s): from its
         # 10 s release the coupling alone overshoots the 40 s deadline, so
@@ -119,6 +136,9 @@ class TestSolveCommand:
         assert artifact["status"] == "infeasible"
         assert artifact["limiting_scenarios"] == [1]
         assert "limiting scenarios: [1]" in stderr
+        assert artifact["infeasible_task"] == "T1"
+        assert ("certificate: no plan serves task T1 in time in scenarios weighing more "
+                "than alpha = 0") in stderr
         code, _, stderr = run(capsys, "evaluate", "--instance", TRI3, "--plan", str(out),
                               "--out", str(tmp_path / "e.json"))
         assert code == 1

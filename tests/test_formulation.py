@@ -18,7 +18,7 @@ from tugplan.formulation import (BINARY, ConstraintSystem, LinearConstraint, Var
                                  assignment_from_solution, propagation_requirement, w_name,
                                  x_name, z_name)
 import tugplan
-from tugplan.solver import RoutePlan, _full_schedule, _opening_holds
+from tugplan.solver import RoutePlan, _full_schedule
 
 from conftest import single_task_dict
 from oracle import enumerate_plans
@@ -32,7 +32,7 @@ def plan_assignment(system, network, plan_routes, scen_times):
     """Assignment for an arbitrary route plan: earliest-feasible times plus the
     canonical completion, exactly as a solution would be spelled out."""
     plan = RoutePlan(routes=plan_routes, n=network.n)
-    w, feasible = _full_schedule(network, plan, scen_times, _opening_holds(network, scen_times))
+    w, feasible = _full_schedule(network, plan, scen_times)
     if system.model == "deterministic":
         schedule = Schedule(times=w[:, :, 0].copy())
     else:

@@ -599,7 +599,7 @@ class TestNetworkColocatedRows:
         for doc in docs:
             network = build_network(load_instance(json.dumps(doc)))
             assert network.vehicle_count == doc["vehicles"]
-        assert len(docs) == 203
+        assert len(docs) == 204
 
 
 class TestNetworkTravelEntries:

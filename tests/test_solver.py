@@ -212,9 +212,9 @@ class TestSolveStochastic:
 
     def test_lost_scenario_of_zero_probability(self, tri3_network):
         # Scenario 1 is lost to every plan but weighs nothing: the scenario
-        # search ignores it at alpha 0, while the fast path's maxima take its
-        # arcs and lose their one scenario, so the fast solve stops unsearched
-        # and names it.
+        # search ignores it at alpha 0, and the fast path's maxima skip it,
+        # so both return the plan of scenario 0 and report scenario 1
+        # ignored at mass 0.
         nv = tri3_network.size
         mults = np.ones((2, nv, nv))
         mults[1] = 6.0
@@ -224,8 +224,11 @@ class TestSolveStochastic:
         sto = solve_stochastic(tri3_network, scen)
         assert sto.status == STATUS_OPTIMAL and sto.schedule.ignored.tolist() == [False, True]
         fast = solve_alpha_zero_fast(tri3_network, scen)
-        assert fast.status == STATUS_INFEASIBLE and fast.limiting_scenarios == (1,)
-        assert fast.stats == SearchStats(0, 0, 0)
+        assert fast.status == STATUS_OPTIMAL and fast.schedule.ignored.tolist() == [False, True]
+        assert (fast.plan.routes, fast.objective) == (sto.plan.routes, sto.objective)
+        assert fast.schedule.times.tobytes() == sto.schedule.times.tobytes()
+        # The nominal times are scenario 0's: the same plan again.
+        assert fast.plan.routes == solve_deterministic(tri3_network).plan.routes
 
 
 class TestAlphaZeroFast:
@@ -277,6 +280,28 @@ class TestAlphaZeroFast:
             solve_alpha_zero_fast(tri3_network, scen, SolveConfig(alpha=0.2))
 
 
+def _unseed(monkeypatch):
+    monkeypatch.setattr(solver_module._Search, "_nearest_next", lambda search: None)
+
+
+@pytest.fixture
+def unseeded(monkeypatch):
+    """Search without the nearest-next seed."""
+    _unseed(monkeypatch)
+
+
+@pytest.fixture(params=["seeded", "unseeded"])
+def seeding(request, monkeypatch):
+    """Run an oracle suite twice: as the solver runs, and with a seed that
+    finds nothing.  A solve falls back to its seed's plan, so only the
+    second run sees a cut that loses every optimal leaf where the greedy
+    seed is already optimal; it also takes the root test on every solve."""
+    if request.param == "unseeded":
+        _unseed(monkeypatch)
+    return request.param
+
+
+@pytest.mark.usefixtures("seeding")
 class TestOracleEquivalence:
     def test_deterministic_sample(self):
         rng = np.random.default_rng(7)
@@ -305,17 +330,18 @@ class TestOracleEquivalence:
                 checked += 1
         assert checked >= 3
 
-    def test_horizon_at_latest_deadline(self):
+    def test_horizon_at_latest_deadline(self, seeding):
         # instgen puts the horizon 50-200 s past the last deadline, where no
         # pickup or terminal window binds.  Here it is the latest deadline,
         # so late pickups and route closings miss windows too, and some
         # results differ from those under the generated horizon.  A pickup
         # past the horizon also dooms its delivery, so without its window
         # test the plans stay the same and the lookahead cuts the child
-        # instead: only the pinned counters show that.
+        # instead: only the pinned counters show that.  A solve the root
+        # test ends searches nothing, and the oracle finds no plan there.
         rng = np.random.default_rng(99)
         changed = 0
-        prunes = {}
+        prunes, at_root = {}, {}
         for trial in range(60):
             doc = random_instance_doc(rng, max_tasks=3, max_vehicles=2)
             wide = build_network(load_instance(json.dumps(doc)))
@@ -339,9 +365,17 @@ class TestOracleEquivalence:
                 window, lookahead, split = prunes.get(mode, (0, 0, 0))
                 prunes[mode] = (window + stats.window_prunes,
                                 lookahead + stats.lookahead_prunes, split + stats.split_prunes)
+                if stats.nodes_explored == 0:
+                    assert reference.status == STATUS_INFEASIBLE
+                    at_root[mode] = at_root.get(mode, 0) + 1
         assert changed >= 20
-        assert prunes == {"det": (31, 119, 66), "sto-0.0": (130, 115, 0),
-                          "sto-0.34": (186, 264, 0)}
+        # Before the root test the seeded sums read (31, 119, 66), (130, 115,
+        # 0) and (186, 264, 0), with 6, 33 and 14 solves ended unsearched.
+        # det and sto-0.0 lost exactly the prunes of the solves it now ends;
+        # at alpha 0.34 a root with more dead scenarios also moves the rest.
+        assert at_root == {"det": 34, "sto-0.0": 47, "sto-0.34": 26}
+        assert prunes == {"det": (12, 52, 45) if seeding == "seeded" else (22, 72, 45),
+                          "sto-0.0": (109, 85, 0), "sto-0.34": (167, 222, 0)}
 
 
 def _detour_network():
@@ -363,6 +397,7 @@ def _detour_network():
     return build_network(load_instance(json.dumps(doc)))
 
 
+@pytest.mark.usefixtures("seeding")
 class TestDeadlineLookahead:
     def test_non_metric_detour_is_not_pruned(self):
         # Scenario 0 slows the direct arc from T2's pickup to T1's delivery
@@ -497,17 +532,19 @@ def _non_metric(times):
     return not np.array_equal(shortest_path_closure(times), times)
 
 
+@pytest.mark.usefixtures("seeding")
 class TestSplitBound:
     # At S = 1 a node past the route start is cut once some unvisited task
     # is late for the current vehicle: on the last vehicle at once, else
     # when the split completion bound reaches the cutoff.  Plans must stay
-    # the oracle's.
+    # the oracle's.  A solve the root test ends cuts nothing, so each floor
+    # counts over enough draws that the cut still fires where a search runs.
 
     def test_tight_layouts_match_oracle(self):
         rng = np.random.default_rng(31)
         optima = 0
         split = {"det": 0, "sto-fast": 0}
-        for trial in range(120):
+        for trial in range(200):
             network = random_network(rng, max_tasks=3, max_vehicles=2,
                                      tightness=("tight", "mixed")[trial % 2])
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
@@ -524,7 +561,7 @@ class TestSplitBound:
         # late test reads the closure of the searched matrix.
         rng = np.random.default_rng(32)
         split = 0
-        for trial in range(200):
+        for trial in range(240):
             network = random_network(rng, max_tasks=3, max_vehicles=2,
                                      tightness=("tight", "mixed")[trial % 2])
             scen = generate_scenarios(network, ScenarioConfig(count=4, seed=trial))
@@ -537,12 +574,14 @@ class TestSplitBound:
 
     def test_non_metric_nominal_times_match_oracle(self):
         # Stretched times break the triangle inequality in the nominal
-        # matrix itself; det closes its stack like any other search.
+        # matrix itself; det closes its stack like any other search.  Most
+        # stretched tight layouts serve some task late in every plan and end
+        # at the root, so a third of the draws have loose windows.
         rng = np.random.default_rng(33)
         split = 0
-        for trial in range(200):
+        for trial in range(240):
             network = _stretched(random_network(rng, max_tasks=3, max_vehicles=2,
-                                                tightness=("tight", "mixed")[trial % 2]),
+                                                tightness=("tight", "mixed", "loose")[trial % 3]),
                                  rng, "travel_time")
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
             for mode, solution, reference in _split_cases(network, scen):
@@ -633,25 +672,24 @@ class TestTwinCut:
     # finds the one feasible plan by itself, and the solve would return it
     # however the search cut, so they search without it.
 
-    @pytest.fixture
-    def unseeded(self, monkeypatch):
-        monkeypatch.setattr(solver_module._Search, "_nearest_next", lambda search: None)
-
     def test_clustered_tasks_match_oracle(self):
         # Tasks on two or three locations, so task nodes share them.  sto-fast
         # searches its maxima, whose co-located nodes differ, without the cut.
+        # Infeasible layouts end at the root test and cut nothing.
         rng = np.random.default_rng(37)
         twinned = optima = 0
-        for trial in range(850):
+        for trial in range(1300):
             network = random_network(rng, max_tasks=3, max_vehicles=2,
                                      tightness=("tight", "mixed", "loose")[trial % 3],
                                      sites=2 + trial % 2)
             scen = generate_scenarios(network, ScenarioConfig(count=3, seed=trial))
             for mode, solution, reference in _split_cases(network, scen):
                 optima += _agrees_with_oracle(solution, reference)
-                assert mode == "det" or solution.stats.twin_prunes == 0
-            twinned += solve_deterministic(network).stats.twin_prunes > 0
-        assert optima >= 800
+                if mode == "det":
+                    twinned += solution.stats.twin_prunes > 0
+                else:
+                    assert solution.stats.twin_prunes == 0
+        assert optima >= 1200
         assert twinned >= 100, twinned
 
     def test_delivery_twin_waits_for_its_window(self, unseeded):
@@ -725,6 +763,148 @@ class TestTwinCut:
         zero = [[0.0] * 8 for _ in range(8)]
         assert solver_module._twin_masks(loc, zero, zero) == [
             0, 0, 0, 1 << 1, 1 << 1 | 1 << 3, 0, 1 << 2, 0]
+
+
+# DEP-Y 10 s, Y-X 10 s and X-Z 10 s; DEP-X takes 20 s through Y.
+_DETOUR = [[0, 20, 10, 30], [20, 0, 10, 10], [10, 10, 0, 20], [30, 10, 20, 0]]
+
+
+def _detour_cases(direct, via=10.0):
+    """T1 X->Z due at 35 s and T2 Y->Z due at 100 s, one vehicle.  Nodes: 0
+    DEP, 1 X, 2 Y, 3 Z (T1), 4 Z (T2), 5 DEP.  The depot is `direct`
+    seconds from X and `via` from Y, both ways: in det's own matrix, and
+    in scenario 0 of two equal ones over `_DETOUR` for sto and sto-fast.
+    (network, scenario set) per mode."""
+    loc_times = [row[:] for row in _DETOUR]
+    loc_times[0][1] = loc_times[1][0] = direct
+    loc_times[0][2] = loc_times[2][0] = via
+    tasks = [("X", "Z", 0, 35), ("Y", "Z", 0, 100)]
+    det, network = _located_network(tasks, loc_times), _located_network(tasks, _DETOUR)
+    nominal = network.travel_time
+    mults = np.ones((2,) + nominal.shape)
+    np.divide(det.travel_time, nominal, out=mults[0], where=nominal > 0)
+    scen = ScenarioSet(multipliers=mults, nominal=nominal, probabilities=np.array([0.5, 0.5]))
+    return {"det": (det, None), "sto": (network, scen), "sto-fast": (network, scen)}
+
+
+def _oracle_of(network, mode, scen):
+    if mode == "det":
+        return oracle_solve_deterministic(network)
+    times, probs = scen.travel_times, scen.probabilities
+    if mode == "sto-fast":
+        times, probs = times.max(axis=0, keepdims=True), np.ones(1)
+    return oracle_solve(network, times, probs, 0.0)
+
+
+class TestRootTest:
+    # A solve whose seed finds no plan first asks which tasks every plan
+    # serves late, and stops at the root once their scenarios weigh more
+    # than alpha.  The hand-built detours search without the seed, which
+    # would find their one plan and skip the test.
+
+    @pytest.mark.parametrize("mode", ["det", "sto", "sto-fast"])
+    def test_detour_to_a_pickup_is_not_late(self, unseeded, mode):
+        # The direct arc from the depot reaches X at 30 s and T1's delivery
+        # at 40 s, past its 35 s deadline; through T2's pickup at Y the
+        # vehicle is at X by 20 s.  A test on the direct arc in place of the
+        # closure would end the solve infeasible.
+        network, scen = _detour_cases(30.0)[mode]
+        reference = _oracle_of(network, mode, scen)
+        assert reference.plan == ((0, 2, 1, 3, 4, 5),)
+        solution = _solve_mode(network, mode, scen)
+        assert _agrees_with_oracle(solution, reference)
+        assert solution.stats.nodes_explored > 0
+
+    @pytest.mark.parametrize("mode", ["det", "sto", "sto-fast"])
+    def test_detour_too_slow_ends_at_the_root(self, unseeded, mode):
+        # 45 s direct and 30 s to Y and to Z: the vehicle reaches X by 40 s
+        # at the earliest and T1's delivery by 50 s, so every plan is late
+        # for T1, in det and in sto's scenario 0.
+        network, scen = _detour_cases(45.0, 30.0)[mode]
+        assert _oracle_of(network, mode, scen).status == STATUS_INFEASIBLE
+        solution = _solve_mode(network, mode, scen)
+        assert solution.status == STATUS_INFEASIBLE and solution.infeasible_task == "T1"
+        assert solution.stats == SearchStats(0, 0, 0)
+        assert solution.limiting_scenarios == ((0,) if mode != "det" else ())
+
+    @pytest.mark.parametrize("mode", ["det", "sto", "sto-fast"])
+    def test_terminal_leg_ends_at_the_root(self, mode):
+        # DEP-X 20 s, X-Z 10 s: T1 X->Z is delivered at 30 s, inside its
+        # 40 s deadline, but the vehicle is back at 60 s, past the 50 s
+        # horizon.  Only the leg to the terminal shows it at the root.
+        doc = {"layout": {"nodes": ["DEP", "X", "Z"],
+                          "edges": [["DEP", "X", 30.0], ["X", "Z", 15.0]]},
+               "tasks": [{"id": "T1", "from": "X", "to": "Z",
+                          "earliest_pickup_s": 0, "latest_delivery_s": 40}],
+               "vehicles": 1, "depot": "DEP", "speed": 1.5, "horizon": 50}
+        network = build_network(load_instance(json.dumps(doc)))
+        scen = ScenarioSet(multipliers=np.ones((2,) + network.travel_time.shape),
+                           nominal=network.travel_time, probabilities=np.array([0.5, 0.5]))
+        assert _oracle_of(network, mode, scen).status == STATUS_INFEASIBLE
+        solution = _solve_mode(network, mode, scen)
+        assert solution.status == STATUS_INFEASIBLE and solution.infeasible_task == "T1"
+        assert solution.stats == SearchStats(0, 0, 0)
+        assert solution.limiting_scenarios == ((0, 1) if mode != "det" else ())
+
+    def test_delivery_late_by_less_than_the_margin_ends_at_the_root(self):
+        # Loaded at its 10 s opening, T1 reaches B at 20 s, 0.5 us past its
+        # deadline: beyond the window tolerance, inside the closure's
+        # margin.  The delivery's hold from the opening still decides it.
+        network = build_network(load_instance(json.dumps(
+            single_task_dict(earliest=10.0, latest=20.0 - 5e-7))))
+        assert network.travel_time[0, 1] == network.travel_time[1, 2] == 10.0
+        solution = solve_deterministic(network)
+        assert solution.status == STATUS_INFEASIBLE and solution.infeasible_task == "T1"
+        assert solution.stats == SearchStats(0, 0, 0)
+
+    def test_late_scenarios_are_ignored_by_every_optimum(self):
+        # Soundness on random stacks: a scenario the test calls lost is one
+        # the oracle's optimum at alpha 0.5 ignores too, and a solve names
+        # a task only where the oracle finds no plan.
+        rng = np.random.default_rng(4040)
+        lost = 0
+        for trial in range(80):
+            network = random_network(rng, max_tasks=3, max_vehicles=2,
+                                     tightness=("tight", "mixed")[trial % 2])
+            scen = generate_scenarios(network, ScenarioConfig(count=4, seed=trial))
+            times = scen.travel_times
+            late = solver_module._late_tasks(network, times, lambda: shortest_path_closure(times))
+            reference = oracle_solve(network, times, scen.probabilities, 0.5)
+            if reference.status == STATUS_OPTIMAL:
+                assert set(np.flatnonzero(late.any(axis=1))) <= set(reference.ignored)
+            lost += late.any()
+            solution = solve_stochastic(network, scen, SolveConfig(alpha=0.5))
+            _agrees_with_oracle(solution, reference)
+            assert solution.infeasible_task is None or reference.status == STATUS_INFEASIBLE
+        assert lost >= 20
+
+    def test_unservable_task_ends_a_large_solve_at_once(self):
+        # Tight seed 3's T4 is 24 s from the depot with a 28 s own arc and
+        # due at 49 s: no plan serves it.  Without the root test the search
+        # takes 131k nodes at eight tasks and does not finish from ten.
+        network = build_network(load_instance(json.dumps(gen.factory_instance(3, 16, "tight"))))
+        solution = solve_deterministic(network, SolveConfig(time_limit=10.0))
+        assert solution.status == STATUS_INFEASIBLE and solution.infeasible_task == "T4"
+        assert solution.stats == SearchStats(0, 0, 0)
+        # At alpha 0.1, T4 is late in 6 of 30 scenarios, every other task in
+        # at most 3.
+        scen = generate_scenarios(network, ScenarioConfig(count=30, seed=3))
+        robust = solve_stochastic(network, scen, SolveConfig(alpha=0.1, time_limit=10.0))
+        assert robust.status == STATUS_INFEASIBLE and robust.infeasible_task == "T4"
+        assert robust.stats == SearchStats(0, 0, 0) and len(robust.limiting_scenarios) == 6
+
+    @pytest.mark.parametrize("mode", ["det", "sto-alpha", "sto-fast"])
+    def test_seeded_solve_takes_no_root_test(self, monkeypatch, mode):
+        # A seed meets every window in every scenario, so loose solves,
+        # whose seed always fits, never pay for the test.
+        calls = []
+        monkeypatch.setattr(solver_module, "_late_tasks", lambda *args: calls.append(args))
+        for seed in range(20):
+            network = build_network(load_instance(json.dumps(
+                gen.factory_instance(seed, 4, "loose"))))
+            scen = generate_scenarios(network, ScenarioConfig(count=30, seed=seed))
+            assert _solve_mode(network, mode, scen).status == STATUS_OPTIMAL
+        assert calls == []
 
 
 def _tracked_walk(network, loc, bit, mask, start):
@@ -1020,7 +1200,8 @@ class TestSolveSetUp:
 
     @pytest.mark.parametrize("mode", ["det", "sto", "sto-alpha", "sto-fast"])
     def test_opening_holds_derived_once(self, tri3_wide_network, monkeypatch, mode):
-        # The lost-scenario test and the schedule's completion read one array.
+        # The schedule's completion derives them once, on the stack it
+        # reports on; a seeded solve takes no root test.
         network = tri3_wide_network
         scen = generate_scenarios(network, ScenarioConfig(count=30, seed=7))
         calls = []
@@ -1037,10 +1218,9 @@ class TestSolveSetUp:
         assert calls == [(count, network.size, network.size)]
 
     @pytest.mark.parametrize("mode", ["det", "sto-alpha"])
-    def test_schedule_from_passed_holds_equals_recomputed(self, mode):
+    def test_schedule_equals_a_fresh_completion(self, mode):
         # At S = 1 and S = 30, and with scenarios ignored: the schedule a solve
-        # completes from its one set of holds, against a completion that
-        # derives them afresh.
+        # completes, against a completion of its plan afresh.
         ignored = 0
         for name, seed in itertools.product(("tri3", "tri3_wide", "factory6"), range(4)):
             network = build_network(load_instance(json.dumps(instance_dict(name))))
@@ -1049,8 +1229,7 @@ class TestSolveSetUp:
             if solution.plan is None:
                 continue
             times = network.travel_time[np.newaxis] if mode == "det" else scen.travel_times
-            w, feasible = solver_module._full_schedule(
-                network, solution.plan, times, solver_module._opening_holds(network, times))
+            w, feasible = solver_module._full_schedule(network, solution.plan, times)
             if mode == "det":
                 w = w[:, :, 0]
                 assert feasible.all() and solution.schedule.ignored is None
@@ -1146,11 +1325,12 @@ class TestScenarioVector:
             for mode, (times, probs, config) in stacks.items():
                 outcomes = []
                 for up_front in (False, True):
-                    search = solver_module._Search(network, times, probs, 0.0, config)
+                    search = solver_module._Search(network, times, probs, config)
                     if up_front:
                         search._close_stack()
                     else:
                         lazy = search
+                    search.seed()
                     search.run()
                     outcomes.append((search.best_plan, search.best_obj, search.stats()))
                 closed[mode] += lazy.closed
@@ -1181,7 +1361,7 @@ class TestScenarioVector:
         mults[1, 3, 4] = mults[1, 4, 3] = 5.0
         scen = ScenarioSet(multipliers=mults, nominal=network.travel_time,
                            probabilities=np.array([0.5, 0.5]))
-        search = solver_module._Search(network, scen.travel_times, scen.probabilities, 0.0,
+        search = solver_module._Search(network, scen.travel_times, scen.probabilities,
                                        SolveConfig())
         assert search.latest_min[2][1] < 20.0 and not search.closed
         assert search._nearest_next() is None
@@ -1209,7 +1389,7 @@ class TestScenarioVector:
                 "det": (network.travel_time[np.newaxis], np.ones(1)),
                 "sto-fast": (scen.travel_times.max(axis=0, keepdims=True), np.ones(1)),
                 "sto": (scen.travel_times, scen.probabilities)}[mode]
-            search = solver_module._Search(network, times, probs, 0.0, SolveConfig())
+            search = solver_module._Search(network, times, probs, SolveConfig())
             start = np.array(search.latest_min)
             assert search.latest_fs is None and search.split is None
             assert search._close_stack()
@@ -1278,10 +1458,16 @@ class TestScenarioVector:
         assert shapes == [(1, 14, 14)] * 3
         assert (untwinned.plan.routes, untwinned.stats) == (sto.plan.routes, sto.stats)
 
-    def test_forced_dead_solve_closes_no_stack(self, tri3_network, monkeypatch):
-        # A stretch of 6 overshoots task 1's deadline on its own arc: the
-        # dead mass stops the solve before its search.
+    def test_forced_dead_solve_builds_one_closure(self, tri3_network, monkeypatch):
+        # A stretch of 6 overshoots task 1's deadline on its own arc.  The
+        # seed passes a starting cut-off, closes the stack and finds no
+        # plan; the root test reads the same closure, and the dead mass
+        # stops the solve before its exact pass.
         shapes = _closure_shapes(monkeypatch)
+        builds = []
+        closure = solver_module.shortest_path_closure
+        monkeypatch.setattr(solver_module, "shortest_path_closure",
+                            lambda times: builds.append(times.shape) or closure(times))
         nv = tri3_network.size
         mults = np.ones((2, nv, nv))
         mults[1] = 6.0
@@ -1290,14 +1476,16 @@ class TestScenarioVector:
                            probabilities=np.full(2, 0.5))
         solution = solve_stochastic(tri3_network, scen)
         assert solution.status == STATUS_INFEASIBLE and solution.limiting_scenarios == (1,)
-        assert shapes == []
+        assert solution.stats == SearchStats(0, 0, 0) and solution.infeasible_task == "T1"
+        assert shapes == [(2, nv, nv)]
+        assert [shape for shape in builds if len(shape) == 3] == [(2, nv, nv)]
 
 
 def _seed_of(network):
     """The nearest-next seed `(distance, working routes)` of the nominal
     search, or None."""
     nominal = network.travel_time[np.newaxis]
-    return solver_module._Search(network, nominal, np.ones(1), 0.0, SolveConfig())._nearest_next()
+    return solver_module._Search(network, nominal, np.ones(1), SolveConfig())._nearest_next()
 
 
 class TestNearestNextSeed:
@@ -1441,13 +1629,14 @@ class TestSearchCounters:
             nominal = network.travel_time[np.newaxis]
             outcomes = []
             for start in ("trusted", "lazy", "up-front"):
-                search = solver_module._Search(network, nominal, np.ones(1), 0.0, SolveConfig())
+                search = solver_module._Search(network, nominal, np.ones(1), SolveConfig())
                 if start == "trusted":
                     with monkeypatch.context() as patch:
                         patch.setattr(solver_module, "shortest_path_closure", lambda t: t)
                         search._close_stack()
                 elif start == "up-front":
                     search._close_stack()
+                search.seed()
                 search.run()
                 outcomes.append((search.best_plan, search.best_obj, search.stats()))
             assert outcomes[0] == outcomes[1] == outcomes[2]

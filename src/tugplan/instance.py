@@ -149,18 +149,18 @@ class PdpNetwork:
     time matrix in seconds, `travel_dist` the distance matrix in meters, and
     `open_time`/`close_time` the window bounds per node.  The network owns
     read-only float copies of these four arrays, so no alias of the caller's
-    can change it after its checks, and the caller's arrays stay as they
-    were.  A network checks
-    its fleet (an integer from 1 to `sys.maxsize`), its shapes (one entry per node in
-    each per-node field, one task id per task), its fixed windows
-    (deliveries and depots open at 0), the free depot hop (nodes 0 and 2n+1
-    at one location, zero time and distance apart), that every window bound
-    is finite, no node opens before 0 and no window closes before it opens,
-    that both matrices are finite and non-negative, that a plan's sums stay
-    inside the float range (3n + 1 legs of the longest distance, and the
-    latest closing time plus 3n + 1 legs of the longest travel time), and
-    that nodes at one location share their rows and columns of both; the
-    first check that fails raises `ValueError`.  So an idle route, the free depot hop, is never late.
+    can change it after its checks, and the caller's arrays stay as they were.
+    A network checks its task count (an integer of at least 1), its fleet (an
+    integer from 1 to `sys.maxsize`), its shapes (one entry per node in each
+    per-node field, one task id per task), its fixed windows (deliveries and
+    depots open at 0), the free depot hop (nodes 0 and 2n+1 at one location,
+    zero time and distance apart), that every window bound is finite, no node
+    opens before 0 and no window closes before it opens, that both matrices
+    are finite and non-negative, that a plan's sums stay inside the float
+    range (3n + 1 legs of the longest distance, and the latest closing time
+    plus 3n + 1 legs of the longest travel time), and that nodes at one
+    location share their rows and columns of both; the first check that fails
+    raises `ValueError`.  So an idle route, the free depot hop, is never late.
     `build_network` fills the matrices with shortest-path values, but a
     hand-built network's need not be metric: the search closes its own time
     stack and its completion table closes the location distances.  Networks
@@ -178,6 +178,11 @@ class PdpNetwork:
     travel_dist: np.ndarray
 
     def __post_init__(self):
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n is {n!r}; a network needs an integer task count")
+        if n < 1:
+            raise ValueError(f"n is {n}; a network needs at least 1 task")
         fleet = self.vehicle_count
         if isinstance(fleet, bool) or not isinstance(fleet, (int, np.integer)) or fleet < 1:
             raise ValueError(f"vehicle_count is {fleet!r}; a network needs an integer "

@@ -41,13 +41,13 @@ pickup and delivery problem with time windows*, EJOR 54): `_late_tasks`
 marks task i late in scenario s when every route misses its pickup's, its
 delivery's or the terminal's closing time in s, timing the legs from the
 depot to the pickup and from the delivery to the terminal over the
-shortest-path closure of matrix s (direct arcs first, the closure only for
-a stack where some task fails on them).  Such scenarios are lost to every
-plan: the exact pass starts with them dead and runs only while their mass
-is within alpha.  Otherwise the solve ends at the root with no node
-searched.  It names as `infeasible_task` the first task whose late
-scenarios alone weigh more than alpha, and as limiting scenarios those of
-the stack in which some task is late.
+shortest-path closure of matrix s, which a seed that finds no plan has built
+by closing the stack.  Such scenarios are lost to every plan: the exact pass
+starts with them dead and runs only while their mass is within alpha.
+Otherwise the solve ends at the root with no node searched.  It names as
+`infeasible_task` the first task whose late scenarios alone weigh more than
+alpha, and as limiting scenarios those of the stack in which some task is
+late.
 
 One engine serves every mode and `_solve` is the one path into it: it reads
 a solve's scenario stack once (the nominal matrix or a set's sampled ones),
@@ -55,8 +55,8 @@ searches it (for the fast path the arc-wise maxima of its scenarios of
 positive probability, on which it also takes the root test) and reports the
 plan on it.  A solve derives each set-up fact once: `_Search.__init__` the
 plain-float lists, the completion table and the starting cut-offs, which
-only `_close_stack` replaces; `_Search.closure` the stack's closure, read by
-the root test and by `_close_stack`, whichever needs it first;
+only `_close_stack` replaces; `_close_stack` the stack's closure, kept as
+`_Search.closure` (None until then) for the cut-offs and the root test;
 `_full_schedule` one `route_times` call and one lateness reduction per
 working route, folded into one failed-scenario mask.  Each step times a child
 by one hold rule, `w = max(now + t[cur][j], hold[j])`: `hold[j]` is a
@@ -94,21 +94,21 @@ lookahead prunes once the dead mass plus the mass of the still-alive
 scenarios so doomed exceeds alpha; it leaves `alive` untouched, and runs the
 per-scenario test only where the float bound passes the earliest cut-off.
 
-The closure is built on first use, by one rule.  Every search starts from the
-cut-offs of its arc-wise maxima themselves: each scenario's closure lies at
-or below its matrix and so at or below the maxima, so these cut-offs lie at
-or below every scenario's.  The first time a node's bound or the seed's
-passes one of them, one Floyd-Warshall over the stack (`closure`, which the
-root test may have built already) replaces them with the exact earliest
-cut-offs (and builds the per-scenario ones at S > 1, the split ones below at
-S = 1), and the test is taken again; a search whose bounds pass none, as on
-loose windows, never closes its stack.  One builder, `_set_cutoffs`, sets
-every cut-off table from a stack: the maxima as one matrix at the start, the
-stack's closure on closing.  det's stack is no exception: `build_network`
-gives shortest-path times, but a hand-built network need not.  Only subtrees
-without a feasible leaf are cut and the exploration order is unchanged, so
-incumbents, the returned plan and its objective are exactly those of the
-search without the lookahead.
+The closure is built on first use, by one rule.  Every search starts from
+the cut-offs of its arc-wise maxima themselves: each scenario's closure lies
+at or below its matrix and so at or below the maxima, so these cut-offs lie
+at or below every scenario's.  The first time a node's bound or the seed's
+passes one of them, or a seed finds no plan, one Floyd-Warshall over the
+stack (`closure`) replaces them with the exact earliest cut-offs (and builds
+the per-scenario ones at S > 1, the split ones below at S = 1), and the test
+is taken again; a search whose bounds pass none, as on loose windows, never
+closes its stack.  One builder, `_set_cutoffs`, sets every cut-off table
+from a stack: the maxima as one matrix at the start, the stack's closure on
+closing.  det's stack is no exception: `build_network` gives shortest-path
+times, but a hand-built network need not.  Only subtrees without a feasible
+leaf are cut and the exploration order is unchanged, so incumbents, the
+returned plan and its objective are exactly those of the search without the
+lookahead.
 
 At S = 1 the completion bound is also split by vehicle, a state-space
 relaxation (Christofides, Mingozzi & Toth 1981, Networks 11).  At a node
@@ -252,7 +252,7 @@ class RoutePlan:
     """Per-vehicle node sequences over V; every route runs source to terminal.
 
     `n` and every node are integers (numpy's included, bools not), checked
-    before the routes' structure."""
+    before the routes' structure, and `n` is at least 1."""
 
     routes: tuple[tuple[int, ...], ...]
     n: int
@@ -261,6 +261,8 @@ class RoutePlan:
         n = self.n
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         # A plain int passes at the first test; the solver's plans hold only those.
         bad = [node for route in self.routes for node in route if type(node) is not int
                and (isinstance(node, bool) or not isinstance(node, (int, np.integer)))]
@@ -389,7 +391,7 @@ class _Search:
     probability vector of the alive scenarios (0.0 for a dead one), the
     dead mass, and the parent's `scen` and arc (cur, j), with `times` None
     until `_times` steps it from the parent's along that arc; the root's
-    `alive` and mass count every scenario `lose` was given dead.
+    `alive` and mass count every scenario `run` was given dead.
     `pick_scen[i]` is onboard pickup i's `scen`, whose times plus the arc
     (i, i+n) its delivery's coupling reads.  The arc-major copy `t_fs` of
     the stack is built on the first per-scenario step, so a search that
@@ -408,7 +410,6 @@ class _Search:
         self.alpha = config.alpha
         self.vector = times.shape[0] > 1
         self.alive = alive
-        self.lost_mass = 0.0
 
         self.table, self.loc, self.bit = _walk_table(network)
         # left[u]: the unvisited task nodes at location u.
@@ -433,7 +434,8 @@ class _Search:
         # maxima themselves, at or below the exact ones, until `_close_stack`.
         self.latest_fs: np.ndarray | None = None
         self.split: list | None = None
-        self.closed = False
+        # The stack's shortest-path closure, None until `_close_stack`.
+        self.closure: np.ndarray | None = None
         self._set_cutoffs(t_max)
 
         self.route: list[int] = [0]
@@ -457,12 +459,6 @@ class _Search:
         self.seed_m: float | None = None
         self.deadline = time.monotonic() + config.time_limit
         self.timed_out = False
-
-    @functools.cached_property
-    def closure(self) -> np.ndarray:
-        """The stack's shortest-path closure, built on first read: by the
-        root test or by `_close_stack`, whichever comes first."""
-        return shortest_path_closure(self.times)
 
     @functools.cached_property
     def t_fs(self) -> np.ndarray:
@@ -504,17 +500,17 @@ class _Search:
             split = latest[pickups, pickups].diagonal() - closure[0][:, pickups]
             split.min(axis=1, out=latest[:, 0])
             latest[0, 0] = math.inf
-            if self.closed:
+            if self.closure is not None:
                 self.split = split.tolist()
         self.latest_min = latest.tolist()
 
     def _close_stack(self) -> bool:
-        """Replace the starting cut-offs with the exact ones, one
-        Floyd-Warshall over the stack, unless they are exact already.
+        """Close the stack unless it is closed already: one Floyd-Warshall
+        builds `closure`, and the exact cut-offs replace the starting ones.
         Returns whether this call closed the stack."""
-        if self.closed:
+        if self.closure is not None:
             return False
-        self.closed = True
+        self.closure = shortest_path_closure(self.times)
         self._set_cutoffs(self.closure)
         return True
 
@@ -563,26 +559,27 @@ class _Search:
 
     def seed(self) -> bool:
         """Build the nearest-next seed and start the distance prune just
-        above its distance; whether there is one."""
+        above its distance; whether there is one.  Without one, close the
+        stack: the root test reads its closure."""
         seed = self.seed_plan = self._nearest_next()
-        if seed is not None and seed[0] + _SEED_SLACK > seed[0]:
+        if seed is None:
+            self._close_stack()
+        elif seed[0] + _SEED_SLACK > seed[0]:
             self.seed_m, self.cutoff = seed[0], seed[0] + _SEED_SLACK
         return seed is not None
 
-    def lose(self, lost: np.ndarray) -> bool:
-        """Start the exact pass with the scenarios in `lost` dead; whether
-        their mass stays within alpha."""
-        self.lost_mass = float(self.alive[lost].sum())
-        self.alive = np.where(lost, 0.0, self.alive)
-        return self.lost_mass <= self.alpha + _MASS_EPS
-
-    def run(self) -> None:
-        """The exact pass, after `seed` and `lose`."""
+    def run(self, lost: np.ndarray | None = None) -> bool:
+        """The exact pass after `seed`, with the scenarios in `lost` dead
+        from the root; whether it searched: not once their mass exceeds
+        alpha."""
+        lost_mass = 0.0 if lost is None else float(self.alive[lost].sum())
+        if lost_mass > self.alpha + _MASS_EPS:
+            return False
+        alive = self.alive if lost is None else np.where(lost, 0.0, self.alive)
         # Every tracked location hosts a task node, so the root's mask, the
         # table's last row, holds them all.
         self.root_bound = self.table[-1][self.loc[0]]
-        root = ([np.zeros(len(self.alive)), self.alive, self.lost_mass, None, 0, 0]
-                if self.vector else None)
+        root = [np.zeros(len(alive)), alive, lost_mass, None, 0, 0] if self.vector else None
         # With no incumbent yet, the root passes its distance bound.
         try:
             self._extend(0, 0.0, root, 0.0, len(self.table) - 1, (1 << (self.n + 1)) - 2)
@@ -593,6 +590,7 @@ class _Search:
         # either way the seed is the best plan known.
         if self.best_plan is None and self.seed_m is not None:
             self.best_obj, self.best_plan = self.seed_plan
+        return True
 
     def _nearest_next(self) -> tuple[float, tuple[tuple[int, ...], ...]] | None:
         """A plan built greedily by the search's own float bounds, with its
@@ -717,7 +715,7 @@ class _Search:
         latest = self.latest_min[cur]
         for i in onboard:
             if now > latest[i]:
-                if ((self.closed or not self._meets_cutoffs(cur, now, onboard))
+                if ((self.closure is not None or not self._meets_cutoffs(cur, now, onboard))
                         if scen is None else self._doomed(scen, cur, now)):
                     self.lookahead_prunes += 1
                     return
@@ -996,7 +994,7 @@ def _full_schedule(network: PdpNetwork, plan: RoutePlan,
     return w, ~failed
 
 
-def _late_tasks(network: PdpNetwork, times: np.ndarray, closure) -> np.ndarray:
+def _late_tasks(network: PdpNetwork, times: np.ndarray, closure: np.ndarray) -> np.ndarray:
     """`late[s, i - 1]`: whether every plan serves task i late in scenario s
     of the [S, nv, nv] stack `times` (the time-window preprocessing of
     Dumas, Desrosiers & Soumis 1991, EJOR 54).
@@ -1004,29 +1002,23 @@ def _late_tasks(network: PdpNetwork, times: np.ndarray, closure) -> np.ndarray:
     Every route leaves the depot at 0, so in scenario s it reaches pickup i
     no earlier than `c[0][i]`, `c` the shortest-path closure of matrix s;
     the coupling (Eq19) holds delivery i+n until `h = max(a_i, c[0][i]) +
-    t[i][i+n]`, and the terminal comes no earlier than `h + c[i+n][T]`.  The
-    task is late once one of the three misses its closing time by more than
-    `_LOOKAHEAD_MARGIN`, which covers the closure summing in another order
-    than a route.  Direct arcs bound the closure from above, so the test is
-    taken on them first, and `closure()`, the stack's closure, is read only
-    when some task fails there.  A delivery held from its pickup's opening
-    past its deadline by more than `_EPS` is late too."""
+    t[i][i+n]`, and the terminal comes no earlier than `h + c[i+n][T]`, `c`
+    read from `closure`, the stack's closure.  The task is late once one of
+    the three misses its closing time by more than `_LOOKAHEAD_MARGIN`,
+    which covers the closure summing in another order than a route.  A
+    delivery held from its pickup's opening past its deadline by more than
+    `_EPS` is late too."""
     terminal = network.terminal
     pickups, deliveries = slice(1, network.n + 1), slice(network.n + 1, terminal)
     a, b = network.open_time[pickups], network.close_time + _LOOKAHEAD_MARGIN
     # The diagonal of the pickup-to-delivery block holds each task's own arc.
     own = times[:, pickups, deliveries].diagonal(axis1=1, axis2=2)
 
-    def late_over(c: np.ndarray) -> np.ndarray:
-        start = np.maximum(a, c[:, 0, pickups])
-        hold = start + own
-        return ((start > b[pickups]) | (hold > b[deliveries])
-                | (hold + c[:, deliveries, terminal] > b[terminal]))
-
-    late = late_over(times)
-    if np.count_nonzero(late):
-        late = late_over(closure())
-    return late | (a + own > network.close_time[deliveries] + _EPS)
+    start = np.maximum(a, closure[:, 0, pickups])
+    hold = start + own
+    return ((start > b[pickups]) | (hold > b[deliveries])
+            | (hold + closure[:, deliveries, terminal] > b[terminal])
+            | (a + own > network.close_time[deliveries] + _EPS))
 
 
 def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConfig,
@@ -1051,10 +1043,8 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
     search = _Search(network, search_times, search_probs, config, twins=scenarios is None)
     # A seed meets every window in every scenario, which proves no task
     # late: only a seedless solve takes the root test.
-    late = None if search.seed() else _late_tasks(network, search_times, lambda: search.closure)
-    searched = late is None or search.lose(late.any(axis=1))
-    if searched:
-        search.run()
+    late = None if search.seed() else _late_tasks(network, search_times, search.closure)
+    searched = search.run(None if late is None else late.any(axis=1))
     stats = search.stats()
 
     if search.best_plan is None:
@@ -1068,7 +1058,7 @@ def _solve(network: PdpNetwork, scenarios: ScenarioSet | None, config: SolveConf
             task = network.task_ids[heavy[0]] if len(heavy) else None
             if scenarios is not None:
                 if fast:
-                    late = _late_tasks(network, times, lambda: shortest_path_closure(times))
+                    late = _late_tasks(network, times, shortest_path_closure(times))
                 limiting = tuple(np.flatnonzero(late.any(axis=1)).tolist())
         return Solution(status=STATUS_INFEASIBLE, plan=None, schedule=None,
                         objective=None, stats=stats, alpha=config.alpha,

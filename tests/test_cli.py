@@ -118,6 +118,20 @@ class TestSolveCommand:
         assert json.loads(out.read_text())["stats"]["nodes_explored"] == 0
         assert "certificate: no plan serves task T4 in time" in stderr
 
+    @pytest.mark.parametrize("mode", ["sto", "sto-fast"])
+    def test_unservable_instance_names_its_scenarios(self, tmp_path, capsys, mode):
+        # On 30 scenarios of seed 0 both scenario modes end unservable16 at
+        # the root.  sto-fast searches the maxima and names its limiting
+        # scenarios by a second root test on the full stack's closure.
+        out = tmp_path / "o.json"
+        code, _, _ = run(capsys, "solve", "--instance", str(INSTANCES / "unservable16.json"),
+                         "--mode", mode, "--scenarios", "30", "--seed", "0",
+                         "--time-limit", "10", "--out", str(out))
+        doc = json.loads(out.read_text())
+        assert code == 2 and doc["stats"]["nodes_explored"] == 0
+        assert doc["infeasible_task"] == "T1"
+        assert doc["limiting_scenarios"] == [5, 7, 10, 12, 18, 21, 22, 24, 26, 29]
+
     def test_infeasible_sto_names_limiting_scenarios(self, tmp_path, capsys):
         # Scenario 1 stretches T1's own arc fourfold (10 s -> 40 s): from its
         # 10 s release the coupling alone overshoots the 40 s deadline, so

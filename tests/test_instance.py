@@ -771,6 +771,25 @@ class TestNetworkFleet:
         assert solution.plan.routes == reference.plan.routes
 
 
+class TestNetworkTaskCount:
+    """The task count follows the fleet's rule, an integer of at least 1:
+    a network of 1.0 tasks raised a bare TypeError, and one of True tasks
+    was built."""
+
+    @pytest.mark.parametrize("n, message", [
+        (1.0, "n is 1.0; a network needs an integer task count"),
+        (True, "n is True; a network needs an integer task count"),
+        (0, "n is 0; a network needs at least 1 task"),
+        (-1, "n is -1; a network needs at least 1 task"),
+        (np.int64(0), "n is 0; a network needs at least 1 task"),
+    ], ids=["float", "bool", "zero", "negative", "numpy-zero"])
+    def test_bad_task_count_named(self, n, message):
+        network = build_network(load_instance(json.dumps(single_task_dict())))
+        assert network.n == 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(network, n=n)
+
+
 # (field, a value for tri3, its shape, the shape tri3 needs); tri3 has two
 # tasks and six nodes.
 _SHAPE_CASES = [

@@ -828,10 +828,13 @@ class TestRootTest:
         assert solution.limiting_scenarios == ((0,) if mode != "det" else ())
 
     @pytest.mark.parametrize("mode", ["det", "sto", "sto-fast"])
-    def test_terminal_leg_ends_at_the_root(self, mode):
+    def test_terminal_leg_ends_at_the_root(self, monkeypatch, mode):
         # DEP-X 20 s, X-Z 10 s: T1 X->Z is delivered at 30 s, inside its
         # 40 s deadline, but the vehicle is back at 60 s, past the 50 s
-        # horizon.  Only the leg to the terminal shows it at the root.
+        # horizon.  Only the leg to the terminal shows it at the root.  The
+        # seed fails at the horizon without passing a cut-off, so it closes
+        # the searched stack itself, once, for the root test to read.
+        shapes = _closure_shapes(monkeypatch)
         doc = {"layout": {"nodes": ["DEP", "X", "Z"],
                           "edges": [["DEP", "X", 30.0], ["X", "Z", 15.0]]},
                "tasks": [{"id": "T1", "from": "X", "to": "Z",
@@ -845,6 +848,7 @@ class TestRootTest:
         assert solution.status == STATUS_INFEASIBLE and solution.infeasible_task == "T1"
         assert solution.stats == SearchStats(0, 0, 0)
         assert solution.limiting_scenarios == ((0, 1) if mode != "det" else ())
+        assert shapes == [((2, 4, 4) if mode == "sto" else (1, 4, 4))]
 
     def test_delivery_late_by_less_than_the_margin_ends_at_the_root(self):
         # Loaded at its 10 s opening, T1 reaches B at 20 s, 0.5 us past its
@@ -868,7 +872,7 @@ class TestRootTest:
                                      tightness=("tight", "mixed")[trial % 2])
             scen = generate_scenarios(network, ScenarioConfig(count=4, seed=trial))
             times = scen.travel_times
-            late = solver_module._late_tasks(network, times, lambda: shortest_path_closure(times))
+            late = solver_module._late_tasks(network, times, shortest_path_closure(times))
             reference = oracle_solve(network, times, scen.probabilities, 0.5)
             if reference.status == STATUS_OPTIMAL:
                 assert set(np.flatnonzero(late.any(axis=1))) <= set(reference.ignored)
@@ -1333,7 +1337,7 @@ class TestScenarioVector:
                     search.seed()
                     search.run()
                     outcomes.append((search.best_plan, search.best_obj, search.stats()))
-                closed[mode] += lazy.closed
+                closed[mode] += lazy.closure is not None
                 assert outcomes[0] == outcomes[1]
         assert all(0 < count < 90 for count in closed.values()), closed
 
@@ -1363,9 +1367,9 @@ class TestScenarioVector:
                            probabilities=np.array([0.5, 0.5]))
         search = solver_module._Search(network, scen.travel_times, scen.probabilities,
                                        SolveConfig())
-        assert search.latest_min[2][1] < 20.0 and not search.closed
+        assert search.latest_min[2][1] < 20.0 and search.closure is None
         assert search._nearest_next() is None
-        assert search.closed and search.latest_min[2][1] > 20.0
+        assert search.closure is not None and search.latest_min[2][1] > 20.0
         solution = solve_stochastic(network, scen)
         reference = oracle_solve(network, scen.travel_times, scen.probabilities, 0.0)
         assert solution.plan.routes == reference.plan == ((0, 1, 3, 2, 4, 5), (0, 5))
@@ -1739,7 +1743,11 @@ class TestRoutePlanValidation:
         (((0, 3, 1.5), (0, 2, 4, 5)), 2, "node 1.5 is not an integer"),
         (((0, 1, 3, 5), (0, 2, 4, 5)), 2.0, "n must be an integer, got 2.0"),
         (((0, 1, 3, 5), (0, 2, 4, 5)), True, "n must be an integer, got True"),
-    ], ids=["float-node", "bool-node", "str-node", "before-structure", "float-n", "bool-n"])
+        # A plan that ended at node -1 passed the structure's checks.
+        (((0, -1),), -1, "n must be at least 1, got -1"),
+        (((0, 1),), 0, "n must be at least 1, got 0"),
+    ], ids=["float-node", "bool-node", "str-node", "before-structure", "float-n", "bool-n",
+            "negative-n", "zero-n"])
     def test_rejects_non_integers(self, routes, n, message):
         with pytest.raises(ValueError, match=message):
             RoutePlan(routes=routes, n=n)

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .evaluator import DISPATCH_POLICY, out_of_sample, wilson_interval
 from .formulation import build_deterministic, build_stochastic, write_lp_text
-from .instance import PdpNetwork, build_network, is_json_int, load_instance
+from .instance import PdpNetwork, build_network, is_integer, load_instance
 from .scenarios import (ScenarioConfig, ScenarioSet, generate_scenarios,
                         scenario_set_from_dict, scenario_set_to_dict)
 from .solver import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT_INCUMBENT,
@@ -228,7 +228,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"plan artifact {args.plan} carries no routes "
                        "(was the solve infeasible?)")
     task_count = plan_doc.get("task_count")
-    if not is_json_int(task_count):
+    if not is_integer(task_count):
         raise ValueError(f"invalid plan {args.plan}: task_count must be an integer, "
                        f"got {task_count!r}")
     if task_count != network.n:

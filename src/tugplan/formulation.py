@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import PdpNetwork
-from .scenarios import ScenarioSet, check_network
+from .scenarios import ScenarioSet, check_alpha, check_network
 
 CHECK_TOLERANCE = 1e-6
 
@@ -363,11 +363,10 @@ def build_stochastic(network: PdpNetwork, scenarios: ScenarioSet,
                      alpha: float) -> ConstraintSystem:
     """The scenario model: routes are shared, service times are per scenario,
     and a scenario may be switched off entirely at the price of its
-    probability mass, with total switched-off mass at most `alpha`.
+    probability mass, with total switched-off mass at most `alpha`, which
+    follows `check_alpha`: a real number in [0, 1), else `ValueError`.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return _build(network, scenarios, alpha)
+    return _build(network, scenarios, check_alpha(alpha))
 
 
 def check_solution(system: ConstraintSystem, assignment: dict[str, float]) -> CheckResult:

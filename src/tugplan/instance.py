@@ -16,6 +16,13 @@ a read-only float64 matrix over the layout's nodes, keyed on the frozen
 layout nodes holds m * m * 8 bytes, so the memo holds at most
 `_CLOSURE_MEMO` * m * m * 8 bytes for layouts of at most m nodes.
 
+The package's input rules live here, each in one function that every
+boundary calls: `is_integer` (a Python or numpy integer, not a bool),
+`real_number` (a Python or numpy real number, not a bool, inside the float
+range, returned as a Python float) and `require_key` (a document's key, named
+when missing).  Each boundary keeps its own range check and stores what the
+rules accept as Python ints and floats.
+
 All types are immutable after construction and safe to share across workers.
 """
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -34,9 +42,39 @@ import numpy as np
 _CLOSURE_MEMO = 8
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer; bools are not."""
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
+
+
+def real_number(value, name: str) -> float:
+    """`value` as a Python float: a Python or numpy real number that is not a
+    bool and lies inside the float range, else `ValueError` naming `name`."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected a number within the finite float range, "
+                         f"got {value!r}") from None
+
+
+def require_key(mapping: dict, key: str, where: str):
+    """`mapping[key]`, or `ValueError` if `where` lacks the key."""
+    if key not in mapping:
+        raise ValueError(f"{where} is missing the key {key!r}")
+    return mapping[key]
+
+
 @dataclass(frozen=True)
 class LayoutGraph:
-    """Undirected factory layout: locations plus edges with lengths in meters."""
+    """Undirected factory layout: locations plus edges with lengths in meters.
+
+    Each length is a real number (`real_number`) above 0, stored as a Python
+    float."""
 
     node_ids: tuple[str, ...]
     labels: tuple[str, ...]
@@ -49,13 +87,17 @@ class LayoutGraph:
         if len(self.labels) != len(self.node_ids):
             raise ValueError("layout.nodes: labels must match node ids")
         known = set(self.node_ids)
+        edges = []
         for u, v, length in self.edges:
             for end in (u, v):
                 if end not in known:
                     raise ValueError(f"layout.edges: unknown node {end!r} in edge ({u!r}, {v!r})")
+            length = real_number(length, f"layout.edges[{u!r},{v!r}].length_m")
             if not (length > 0):
                 raise ValueError(f"layout.edges: edge ({u!r}, {v!r}) has non-positive "
                                  f"length {length}")
+            edges.append((u, v, length))
+        object.__setattr__(self, "edges", tuple(edges))
         if self.node_ids and not self._connected():
             raise ValueError("layout: graph is not connected")
 
@@ -81,7 +123,10 @@ class LayoutGraph:
 @dataclass(frozen=True)
 class TaskSpec:
     """One transport task: pick up at `origin` after `earliest_pickup` seconds,
-    deliver to `destination` before `latest_delivery` seconds."""
+    deliver to `destination` before `latest_delivery` seconds.
+
+    Both times are real numbers (`real_number`), stored as Python floats; the
+    pickup opens at 0 or later and the deadline follows it."""
 
     task_id: str
     origin: str
@@ -92,6 +137,9 @@ class TaskSpec:
     def __post_init__(self):
         if self.origin == self.destination:
             raise ValueError(f"task {self.task_id!r}: from and to are both {self.origin!r}")
+        for name in ("earliest_pickup", "latest_delivery"):
+            object.__setattr__(self, name, real_number(getattr(self, name),
+                                                       f"task {self.task_id!r}: {name}_s"))
         if self.earliest_pickup < 0:
             raise ValueError(f"task {self.task_id!r}: earliest_pickup_s must be >= 0, "
                              f"got {self.earliest_pickup}")
@@ -102,7 +150,11 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class PdpInstance:
-    """A complete problem instance: layout, tasks, fleet, depot, speed, horizon."""
+    """A complete problem instance: layout, tasks, fleet, depot, speed, horizon.
+
+    `vehicle_count` is an integer (`is_integer`) of at least 1, stored as a
+    Python int; `horizon` and `speed` are real numbers (`real_number`),
+    stored as Python floats, the speed positive and finite."""
 
     layout: LayoutGraph
     tasks: tuple[TaskSpec, ...]
@@ -114,8 +166,13 @@ class PdpInstance:
     def __post_init__(self):
         if len(self.tasks) < 1:
             raise ValueError("tasks: at least one task is required")
+        if not is_integer(self.vehicle_count):
+            raise ValueError(f"vehicles: must be an integer, got {self.vehicle_count!r}")
+        object.__setattr__(self, "vehicle_count", int(self.vehicle_count))
         if self.vehicle_count < 1:
             raise ValueError(f"vehicles: must be >= 1, got {self.vehicle_count}")
+        for name in ("horizon", "speed"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if not (0 < self.speed < math.inf):
             raise ValueError(f"speed: must be > 0 and finite, got {self.speed}")
         known = set(self.layout.node_ids)
@@ -151,7 +208,8 @@ class PdpNetwork:
     read-only float copies of these four arrays, so no alias of the caller's
     can change it after its checks, and the caller's arrays stay as they were.
     A network checks its task count (an integer of at least 1), its fleet (an
-    integer from 1 to `sys.maxsize`), its shapes (one entry per node in each
+    integer from 1 to `sys.maxsize`), both by `is_integer` and stored as
+    Python ints, its shapes (one entry per node in each
     per-node field, one task id per task), its fixed windows (deliveries and
     depots open at 0), the free depot hop (nodes 0 and 2n+1 at one location,
     zero time and distance apart), that every window bound is finite, no node
@@ -179,17 +237,19 @@ class PdpNetwork:
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ValueError(f"n is {n!r}; a network needs an integer task count")
         if n < 1:
             raise ValueError(f"n is {n}; a network needs at least 1 task")
         fleet = self.vehicle_count
-        if isinstance(fleet, bool) or not isinstance(fleet, (int, np.integer)) or fleet < 1:
+        if not is_integer(fleet) or fleet < 1:
             raise ValueError(f"vehicle_count is {fleet!r}; a network needs an integer "
                              f"fleet of at least 1")
         if fleet > sys.maxsize:
             raise ValueError(f"vehicle_count is {fleet}; a plan lists one route per vehicle, "
                              f"so a fleet is at most {sys.maxsize}")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "vehicle_count", int(fleet))
         nv = self.size
         for name, shape in (("open_time", (nv,)), ("close_time", (nv,)),
                             ("travel_time", (nv, nv)), ("travel_dist", (nv, nv)),
@@ -324,6 +384,7 @@ def shortest_travel_matrix(layout: LayoutGraph, locations: list[str] | tuple[str
     the layout's value, m * m * 8 bytes each for m layout nodes), and the
     result is a fresh array the caller may write to.
     """
+    speed = real_number(speed, "speed")
     if not (0 < speed < math.inf):
         raise ValueError(f"speed: must be > 0 and finite, got {speed}")
     index = {v: i for i, v in enumerate(layout.node_ids)}
@@ -380,24 +441,8 @@ def build_network(instance: PdpInstance) -> PdpNetwork:
     )
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ValueError(f"{context}: missing required key {key!r}")
-    return mapping[key]
-
-
-def is_json_int(value) -> bool:
-    """Whether a parsed JSON value is an integer (bools are not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{context}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+    number = real_number(value, context)
     if not math.isfinite(number):
         raise ValueError(f"{context}: expected a finite number, got {value!r}")
     return number
@@ -430,11 +475,11 @@ def load_instance(text: str) -> PdpInstance:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
 
-    layout_doc = _require(doc, "layout", "instance")
+    layout_doc = require_key(doc, "layout", "instance")
     if not isinstance(layout_doc, dict):
         raise ValueError("layout: must be an object with 'nodes' and 'edges'")
-    nodes_doc = _require(layout_doc, "nodes", "layout")
-    edges_doc = _require(layout_doc, "edges", "layout")
+    nodes_doc = require_key(layout_doc, "nodes", "layout")
+    edges_doc = require_key(layout_doc, "edges", "layout")
     if not isinstance(nodes_doc, list) or not nodes_doc:
         raise ValueError("layout.nodes: must be a non-empty list")
     node_ids, node_labels = [], []
@@ -457,7 +502,7 @@ def load_instance(text: str) -> PdpInstance:
         edges.append((entry[0], entry[1], _number(entry[2], f"layout.edges[{entry[0]!r},{entry[1]!r}].length_m")))
     layout = LayoutGraph(node_ids=tuple(node_ids), labels=tuple(node_labels), edges=tuple(edges))
 
-    tasks_doc = _require(doc, "tasks", "instance")
+    tasks_doc = require_key(doc, "tasks", "instance")
     if not isinstance(tasks_doc, list) or not tasks_doc:
         raise ValueError("tasks: must be a non-empty list")
     tasks = []
@@ -465,7 +510,7 @@ def load_instance(text: str) -> PdpInstance:
         if not isinstance(entry, dict):
             raise ValueError(f"tasks[{pos}]: must be an object")
         ctx = f"tasks[{pos}]"
-        ids = {key: _require(entry, key, ctx) for key in ("id", "from", "to")}
+        ids = {key: require_key(entry, key, ctx) for key in ("id", "from", "to")}
         for key, value in ids.items():
             if not isinstance(value, str):
                 raise ValueError(f"{ctx}.{key}: must be a string, got {value!r}")
@@ -473,18 +518,16 @@ def load_instance(text: str) -> PdpInstance:
             task_id=ids["id"],
             origin=ids["from"],
             destination=ids["to"],
-            earliest_pickup=_number(_require(entry, "earliest_pickup_s", ctx), f"{ctx}.earliest_pickup_s"),
-            latest_delivery=_number(_require(entry, "latest_delivery_s", ctx), f"{ctx}.latest_delivery_s"),
+            earliest_pickup=_number(require_key(entry, "earliest_pickup_s", ctx), f"{ctx}.earliest_pickup_s"),
+            latest_delivery=_number(require_key(entry, "latest_delivery_s", ctx), f"{ctx}.latest_delivery_s"),
         ))
 
-    vehicles = _require(doc, "vehicles", "instance")
-    if not is_json_int(vehicles):
-        raise ValueError(f"vehicles: must be an integer, got {vehicles!r}")
-    depot = _require(doc, "depot", "instance")
+    vehicles = require_key(doc, "vehicles", "instance")
+    depot = require_key(doc, "depot", "instance")
     if not isinstance(depot, str):
         raise ValueError(f"depot: must be a location id string, got {depot!r}")
     speed = _number(doc.get("speed", PdpInstance.speed), "speed")
-    horizon = _number(_require(doc, "horizon", "instance"), "horizon")
+    horizon = _number(require_key(doc, "horizon", "instance"), "horizon")
     if not isinstance(doc.get("notes", ""), str):
         raise ValueError("notes: must be a string")
 

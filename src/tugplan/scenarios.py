@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import PdpNetwork, is_json_int
+from .instance import PdpNetwork, is_integer, real_number, require_key
 
 # numpy PCG64 seeded through SeedSequence([seed, stream...]); recorded in
 # provenance so sets are reproducible across machines and worker counts.
@@ -63,8 +63,9 @@ _SAMPLER = {"multiplier_mean": MULTIPLIER_MEAN,
 class ScenarioConfig:
     """`count` scenarios (or trials) of the fixed sampler from `seed`.
 
-    Both are integers (numpy's included, bools not) and are stored as Python
-    ints, so a set drawn from the config exports its seed as JSON."""
+    Both are integers (`is_integer`: numpy's included, bools not) and are
+    stored as Python ints, so a set drawn from the config exports its seed as
+    JSON."""
 
     count: int
     seed: int
@@ -72,7 +73,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("count", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.count < 1:
@@ -159,6 +160,15 @@ def check_network(scenarios: ScenarioSet, network: PdpNetwork) -> None:
     if nominal.shape != own.shape or not np.array_equal(nominal, own):
         raise ValueError(f"scenario set of nominal times with shape {nominal.shape} does not "
                          f"belong to this network, whose travel times have shape {own.shape}")
+
+
+def check_alpha(alpha) -> float:
+    """The reliability level as a Python float: the probability mass of the
+    scenarios a plan may ignore, a real number in [0, 1)."""
+    alpha = real_number(alpha, "alpha")
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    return alpha
 
 
 def scenario_rng(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -334,12 +344,6 @@ def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
     }
 
 
-def _require(obj: dict, keys, where: str) -> None:
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where} is missing the key {key!r}")
-
-
 def _numbers(doc: dict, field: str) -> np.ndarray:
     """Array `field` of a scenario document as floats.  Its entries must be
     JSON numbers: numpy would read a boolean as 0 or 1 and a string as the
@@ -367,22 +371,24 @@ def scenario_set_from_dict(doc: dict, network: PdpNetwork) -> ScenarioSet:
     rejects."""
     if not isinstance(doc, dict):
         raise ValueError(f"scenario document must be a JSON object, got {type(doc).__name__}")
-    _require(doc, ("multipliers", "probabilities"), "scenario document")
+    for key in ("multipliers", "probabilities"):
+        require_key(doc, key, "scenario document")
     cfg_doc = doc.get("config")
     cfg_seed = None
     if cfg_doc is not None:
         if not isinstance(cfg_doc, dict):
             raise ValueError(f"config must be a JSON object or null, got {cfg_doc!r}")
-        _require(cfg_doc, (*_SAMPLER, "count", "seed"), "config")
+        for key in (*_SAMPLER, "count", "seed"):
+            require_key(cfg_doc, key, "config")
         if {key: cfg_doc[key] for key in _SAMPLER} != _SAMPLER:
             raise ValueError(f"scenarios were drawn by another sampler than {_SAMPLER}")
         for key in ("count", "seed"):
-            if not is_json_int(cfg_doc[key]):
+            if not is_integer(cfg_doc[key]):
                 raise ValueError(f"config {key} must be an integer, got {cfg_doc[key]!r}")
         cfg_seed = ScenarioConfig(count=cfg_doc["count"], seed=cfg_doc["seed"]).seed
     # Only a sampled set has a seed, and it is the one its config drew with.
     seed = doc.get("seed")
-    if seed is not None and not is_json_int(seed):
+    if seed is not None and not is_integer(seed):
         raise ValueError(f"seed must be an integer or null, got {seed!r}")
     if seed != cfg_seed:
         raise ValueError(f"seed {seed} does not match the config seed {cfg_seed}")

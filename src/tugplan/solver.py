@@ -180,7 +180,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -188,8 +187,8 @@ import numpy as np
 
 # perfbench checks its plans through solver.assignment_from_solution.
 from .formulation import assignment_from_solution  # noqa: F401
-from .instance import PdpNetwork, shortest_path_closure
-from .scenarios import ScenarioSet, check_network
+from .instance import PdpNetwork, is_integer, real_number, shortest_path_closure
+from .scenarios import ScenarioSet, check_alpha, check_network
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -223,26 +222,16 @@ _SEED_SLACK = 1e-6
 class SolveConfig:
     """alpha: allowed ignored probability mass; time_limit in seconds.
 
-    Both are real numbers (numpy's included, bools not) and are stored as
-    Python floats."""
+    Both are real numbers (`real_number`: numpy's included, bools not) and are
+    stored as Python floats; alpha follows `check_alpha`, in [0, 1), and the
+    time limit is positive and finite."""
 
     alpha: float = 0.0
     time_limit: float = 300.0
 
     def __post_init__(self):
-        for name in ("alpha", "time_limit"):
-            value = getattr(self, name)
-            # A float passes at the first test; the CLI passes only those.
-            if type(value) is float:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise ValueError(f"{name} is beyond the float range, got {value!r}") from None
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        object.__setattr__(self, "time_limit", real_number(self.time_limit, "time_limit"))
         if not (0.0 < self.time_limit < math.inf):
             raise ValueError(f"time_limit must be positive and finite, got {self.time_limit}")
 
@@ -251,23 +240,28 @@ class SolveConfig:
 class RoutePlan:
     """Per-vehicle node sequences over V; every route runs source to terminal.
 
-    `n` and every node are integers (numpy's included, bools not), checked
-    before the routes' structure, and `n` is at least 1."""
+    `n` and every node are integers (`is_integer`: numpy's included, bools
+    not), checked before the routes' structure and stored as Python ints, and
+    `n` is at least 1."""
 
     routes: tuple[tuple[int, ...], ...]
     n: int
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
-        # A plain int passes at the first test; the solver's plans hold only those.
-        bad = [node for route in self.routes for node in route if type(node) is not int
-               and (isinstance(node, bool) or not isinstance(node, (int, np.integer)))]
-        if bad:
-            raise ValueError(f"node {bad[0]!r} is not an integer")
+        n = int(n)
+        object.__setattr__(self, "n", n)
+        # The solver's plans hold only plain ints, so they pass at the first test.
+        if any(type(node) is not int for route in self.routes for node in route):
+            bad = [node for route in self.routes for node in route if not is_integer(node)]
+            if bad:
+                raise ValueError(f"node {bad[0]!r} is not an integer")
+            object.__setattr__(self, "routes", tuple(tuple(map(int, route))
+                                                     for route in self.routes))
         terminal = 2 * n + 1
         seen: set[int] = set()
         for route in self.routes:

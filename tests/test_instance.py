@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tugplan
-from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, LayoutGraph, PdpInstance,
+from tugplan import (STATUS_INFEASIBLE, STATUS_OPTIMAL, LayoutGraph, PdpInstance, TaskSpec,
                      build_network, load_instance, shortest_travel_matrix,
                      solve_deterministic)
 from tugplan.instance import _CLOSURE_MEMO, _layout_closure, shortest_path_closure
@@ -184,7 +185,7 @@ def _task(doc):
     return doc["tasks"][0]
 
 
-# (case, build, error, message start naming the field).  The last six reach
+# (case, build, error, message start naming the field).  The last 13 reach
 # checks that the parser's own checks shadow, so only direct construction
 # meets them.
 REJECTIONS = [
@@ -252,6 +253,24 @@ REJECTIONS = [
      ValueError, "speed: must be > 0 and finite"),
     ("matrix-infinite-speed", lambda: shortest_travel_matrix(ring_layout(), ["DEP"], math.inf),
      ValueError, "speed: must be > 0 and finite"),
+    ("task-release-string", lambda: TaskSpec("T1", "A", "B", "5", 40.0),
+     ValueError, "task 'T1': earliest_pickup_s: expected a number, got '5'"),
+    ("task-deadline-none", lambda: TaskSpec("T1", "A", "B", 0.0, None),
+     ValueError, "task 'T1': latest_delivery_s: expected a number, got None"),
+    ("horizon-string", lambda: dataclasses.replace(load_instance(json.dumps(single_task_dict())),
+                                                   horizon="200"),
+     ValueError, "horizon: expected a number, got '200'"),
+    ("speed-string", lambda: dataclasses.replace(load_instance(json.dumps(single_task_dict())),
+                                                 speed="1.5"),
+     ValueError, "speed: expected a number, got '1.5'"),
+    ("vehicles-string", lambda: dataclasses.replace(load_instance(json.dumps(single_task_dict())),
+                                                    vehicle_count="2"),
+     ValueError, "vehicles: must be an integer, got '2'"),
+    ("edge-length-string", lambda: LayoutGraph(node_ids=("A", "B"), labels=("A", "B"),
+                                               edges=(("A", "B", "10"),)),
+     ValueError, r"layout\.edges\['A','B'\]\.length_m: expected a number, got '10'"),
+    ("matrix-speed-string", lambda: shortest_travel_matrix(ring_layout(), ["DEP"], "1.5"),
+     ValueError, "speed: expected a number, got '1.5'"),
 ]
 
 
@@ -260,6 +279,18 @@ REJECTIONS = [
 def test_rejection_names_the_field(build, error, message):
     with pytest.raises(error, match=f"^{message}"):
         build()
+
+
+def test_numpy_numbers_stored_as_python_numbers():
+    layout = LayoutGraph(node_ids=("DEP", "A", "B"), labels=("DEP", "A", "B"),
+                         edges=(("DEP", "A", np.int64(15)), ("A", "B", np.float32(15))))
+    task = TaskSpec("T1", "A", "B", np.int32(5), np.float64(40))
+    instance = PdpInstance(layout=layout, tasks=(task,), vehicle_count=np.int64(1),
+                           depot="DEP", horizon=np.int64(200), speed=np.float32(1.5))
+    assert [type(length) for _, _, length in layout.edges] == [float, float]
+    assert (type(task.earliest_pickup), type(task.latest_delivery)) == (float, float)
+    assert (type(instance.vehicle_count), type(instance.horizon), type(instance.speed)) == (
+        int, float, float)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -776,6 +807,17 @@ class TestNetworkTaskCount:
     a network of 1.0 tasks raised a bare TypeError, and one of True tasks
     was built."""
 
+    def test_numpy_counts_stored_as_ints(self, factory6_network):
+        # With n a numpy integer the plan's nodes were numpy integers, which
+        # JSON cannot write.
+        network = dataclasses.replace(factory6_network, n=np.int64(factory6_network.n),
+                                      vehicle_count=np.int64(factory6_network.vehicle_count))
+        assert (type(network.n), type(network.vehicle_count)) == (int, int)
+        solution = solve_deterministic(network)
+        assert solution.plan.routes == solve_deterministic(factory6_network).plan.routes
+        assert all(type(node) is int for route in solution.plan.routes for node in route)
+        json.dumps(solution.plan.routes)
+
     @pytest.mark.parametrize("n, message", [
         (1.0, "n is 1.0; a network needs an integer task count"),
         (True, "n is True; a network needs an integer task count"),
@@ -814,3 +856,46 @@ class TestNetworkShapes:
         message = f"{field} has shape {got}; a network of 2 tasks needs {want}"
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(tri3_network, **{field: value})
+
+
+def _bool_tests(path: Path) -> list[tuple[str, str | None]]:
+    """(file, innermost enclosing function) of every `isinstance(..., bool)`
+    test in a source file."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(part, ast.Name) and part.id == "bool"
+                        or isinstance(part, ast.Attribute) and part.attr == "bool_"
+                        for part in ast.walk(node.args[1]))):
+            found.append((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+class TestInputRules:
+    """The integer, real-number and required-key rules each have one home,
+    `instance.py`; every other boundary calls them, so none restates them."""
+
+    PACKAGE = Path(tugplan.__file__).parent
+    RULES = ("is_integer", "real_number", "require_key")
+
+    def test_bool_is_tested_only_by_the_rules(self):
+        found = [hit for path in sorted(self.PACKAGE.glob("*.py")) for hit in _bool_tests(path)]
+        assert found and set(found) <= {("instance.py", "is_integer"),
+                                        ("instance.py", "real_number")}
+
+    def test_each_rule_is_defined_once(self):
+        defined = [(path.name, node.name) for path in sorted(self.PACKAGE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names = [name for _, name in defined]
+        assert "is_json_int" not in names and "_require" not in names
+        for rule in self.RULES:
+            assert [where for where, name in defined if name == rule] == ["instance.py"]

@@ -295,6 +295,21 @@ def test_scenario_config_validation(kwargs, message):
         ScenarioConfig(**kwargs)
 
 
+@pytest.mark.parametrize("alpha", ["0.1", None, True, np.bool_(True), float("nan"), 1.0, -0.1],
+                         ids=["string", "none", "bool", "numpy-bool", "nan", "one", "negative"])
+def test_alpha_is_checked_by_one_rule(tri3_network, alpha):
+    # `build_stochastic` raised TypeError for "0.1" and None, and for True it
+    # named the range where `SolveConfig` named the type.
+    scen = generate_scenarios(tri3_network, ScenarioConfig(count=3, seed=0))
+    messages = []
+    for entry in (lambda: SolveConfig(alpha=alpha),
+                  lambda: build_stochastic(tri3_network, scen, alpha)):
+        with pytest.raises(ValueError, match="alpha") as raised:
+            entry()
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
 def test_scenario_config_stores_numpy_integers_as_ints(tri3_network):
     config = ScenarioConfig(count=np.int64(3), seed=np.uint64(2**63))
     assert (type(config.count), type(config.seed)) == (int, int)

@@ -1756,6 +1756,8 @@ class TestRoutePlanValidation:
         plan = RoutePlan(routes=((np.int64(0), np.int32(1), 3, 5), (0, 2, 4, np.uint8(5))),
                          n=np.int64(2))
         assert plan.route_strings() == ["0-1-3-5", "0-2-4-5"]
+        assert type(plan.n) is int
+        assert all(type(node) is int for route in plan.routes for node in route)
         report = out_of_sample(plan, tri3_network, ScenarioConfig(count=50, seed=1))
         reference = out_of_sample(RoutePlan(routes=((0, 1, 3, 5), (0, 2, 4, 5)), n=2),
                                   tri3_network, ScenarioConfig(count=50, seed=1))
